@@ -3,18 +3,18 @@
 Streams lifted measurements and re-estimates the one-step linear map over a
 sliding window of the most recent pairs (SWLS), with recursive least squares
 (RLS), exponentially forgetting RLS (FFRLS), and a frozen baseline for
-comparison. The default `batch_window` solver re-solves the windowed
-least-squares problem from the stored window every step, anchored at the
-trained estimate by a small fixed ridge:
+comparison. SWLS re-solves the windowed least-squares problem every step,
+anchored at the trained estimate by a small fixed ridge:
 
-    H = H0 + (T - H0 G) G^T (G G^T + eps I)^{-1}
+    H = H0 + C (S + eps I)^{-1},   S = G G^T,   C = (T - H0 G) G^T
 
 With eps fixed at init this is exactly textbook RLS while the window is still
-growing, and within O(eps) of the plain windowed solution once it slides. The
-`recursive_correction` solver applies the literal recursive correction
-H += (z_k - H g) g^T P with P recomputed from the window; it lacks a downdate
-for the evicted column, so it only approximates the windowed solution (kept
-for fidelity comparisons).
+growing, and within O(eps) of the plain windowed solution once it slides.
+The window lives in ring buffers, and S and C are kept up to date with
+rank-1 terms: the new column is added and the evicted one subtracted. Every
+M pushes both are recomputed exactly from the buffers, which bounds the
+cancellation drift of the downdates (Golub & Van Loan, Matrix Computations).
+C stays in residual form: forming T G^T - H0 S instead cancels badly.
 
 An adapter is strictly sequential and single-owner; run one per stream.
 """
@@ -29,7 +29,6 @@ from .koopman import KoopmanModel, lift, one_step_predictions
 from .vehicle import Trajectory
 
 MODES = ("SWLS", "RLS", "FFRLS", "frozen")
-SOLVERS = ("batch_window", "recursive_correction")
 
 FFRLS_P0_SCALE = 1e4
 ESTIMATE_HISTORY_HEADER = "k,frob_dA,frob_dB,cond_gram"
@@ -40,14 +39,11 @@ class AdapterConfig:
     mode: str = "SWLS"
     window: int = 100            # M, steps
     forgetting: float = 1.0      # lambda in (0, 1]
-    eps_reg: float | None = None  # None -> 1e-8 * trace(seed Gram)/dim; 0 -> pinv fallback
-    solver: str = "batch_window"
+    eps_reg: float | None = None  # None -> 1e-8 * trace(seed Gram)/dim; 0 -> min-norm lstsq
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
         if self.window < 1:
             raise ValueError("window length must be >= 1")
         if not (0.0 < self.forgetting <= 1.0):
@@ -57,7 +53,12 @@ class AdapterConfig:
 
 
 class AdapterState:
-    """Sliding-window estimator state; mutate only through `update`."""
+    """Estimator state; mutate only through `update`.
+
+    SWLS keeps its window in ring buffers whose capacity grows geometrically
+    up to M, so a huge M costs memory only for the pairs actually pushed.
+    RLS/FFRLS keep the covariance `P` and no window; frozen keeps neither.
+    """
 
     def __init__(self, h0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
                  config: AdapterConfig):
@@ -72,49 +73,41 @@ class AdapterState:
         self.z_prev = np.asarray(z0, dtype=np.float64).copy()
         self.u_seed = np.asarray(u0, dtype=np.float64).copy()
         self.k = 0
-        self._regressors: list[np.ndarray] = []
-        self._targets: list[np.ndarray] = []
+        self._fill = 0
+        self._regressors = np.empty((self.gdim, 0))   # G, ring order
+        self._targets = np.empty((self.zdim, 0))      # T, same columns
+        self._gram = np.zeros((self.gdim, self.gdim))
+        self._cross = np.zeros((self.zdim, self.gdim))
 
         g0 = np.concatenate((self.z_prev, self.u_seed))
-        seed_gram = np.outer(g0, g0)
         if config.eps_reg is None:
-            self.eps = 1e-8 * float(np.trace(seed_gram)) / self.gdim
+            self.eps = 1e-8 * float(np.trace(np.outer(g0, g0))) / self.gdim
         else:
             self.eps = float(config.eps_reg)
-        if config.mode in ("RLS", "FFRLS"):
-            self.P = FFRLS_P0_SCALE * np.eye(self.gdim)
-        elif self.eps > 0.0:
-            p0 = np.linalg.inv(seed_gram + self.eps * np.eye(self.gdim))
-            self.P = 0.5 * (p0 + p0.T)
-        else:
-            # rank-1 seed Gram is singular without ridge: pseudo-inverse fallback
-            p0 = np.linalg.pinv(seed_gram)
-            self.P = 0.5 * (p0 + p0.T)
+        self._ridge = self.eps * np.eye(self.gdim)
+        self.P = (FFRLS_P0_SCALE * np.eye(self.gdim)
+                  if config.mode in ("RLS", "FFRLS") else None)
 
     # --- exposed histories --------------------------------------------------
     @property
     def window_fill(self) -> int:
-        """Completed pairs held, min(k, M)."""
-        return len(self._regressors)
+        """Completed pairs held: min(k, M) for SWLS, 0 for the other modes."""
+        return self._fill
 
+    # Views of the window in ring-storage order (not chronological); the
+    # least-squares fit does not depend on the column order.
     @property
     def Psi(self) -> np.ndarray:
         """Lifted-state regressor columns of the completed window pairs."""
-        if not self._regressors:
-            return np.zeros((self.zdim, 0))
-        return np.stack([g[:self.zdim] for g in self._regressors], axis=1)
+        return self._regressors[:self.zdim, :self._fill]
 
     @property
     def Uhist(self) -> np.ndarray:
-        if not self._regressors:
-            return np.zeros((self.udim, 0))
-        return np.stack([g[self.zdim:] for g in self._regressors], axis=1)
+        return self._regressors[self.zdim:, :self._fill]
 
     @property
     def Ztargets(self) -> np.ndarray:
-        if not self._targets:
-            return np.zeros((self.zdim, 0))
-        return np.stack(self._targets, axis=1)
+        return self._targets[:, :self._fill]
 
     @property
     def A_k(self) -> np.ndarray:
@@ -125,15 +118,37 @@ class AdapterState:
         return self.h_est[:, self.zdim:]
 
     def window_gram(self) -> np.ndarray:
-        g = np.concatenate((self.Psi, self.Uhist), axis=0)
-        return g @ g.T
+        """S = G G^T of the current window (a copy)."""
+        return self._gram.copy()
 
     def _push(self, g: np.ndarray, target: np.ndarray) -> None:
-        self._regressors.append(g)
-        self._targets.append(target)
-        if len(self._regressors) > self.config.window:
-            self._regressors.pop(0)
-            self._targets.pop(0)
+        """Store the pair in slot k mod M and up/downdate S and C."""
+        m = self.config.window
+        slot = self.k % m            # SWLS pushes once per step
+        recompute = (self.k + 1) % m == 0
+        if self._fill < m:
+            if self._fill == self._regressors.shape[1]:
+                grow = min(m, max(1, 2 * self._fill)) - self._fill
+                self._regressors = np.hstack((self._regressors,
+                                              np.empty((self.gdim, grow))))
+                self._targets = np.hstack((self._targets,
+                                           np.empty((self.zdim, grow))))
+            self._fill += 1
+        elif not recompute:
+            g_old = self._regressors[:, slot]
+            self._gram -= np.outer(g_old, g_old)
+            self._cross -= np.outer(self._targets[:, slot] - self.h_init @ g_old,
+                                    g_old)
+        self._regressors[:, slot] = g
+        self._targets[:, slot] = target
+        if recompute:
+            g_mat = self._regressors[:, :self._fill]
+            self._gram = g_mat @ g_mat.T
+            self._cross = (self._targets[:, :self._fill]
+                           - self.h_init @ g_mat) @ g_mat.T
+        else:
+            self._gram += np.outer(g, g)
+            self._cross += np.outer(target - self.h_init @ g, g)
 
 
 def init(A0: np.ndarray, B0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
@@ -150,39 +165,24 @@ def init(A0: np.ndarray, B0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
     return AdapterState(np.hstack((A0, B0)), z0, u0, config)
 
 
-def _solve_batch_window(state: AdapterState) -> None:
-    g_mat = np.stack(state._regressors, axis=1)          # (gdim, w)
-    t_mat = np.stack(state._targets, axis=1)             # (zdim, w)
+def _solve_window(state: AdapterState) -> None:
     if state.eps > 0.0:
-        resid = t_mat - state.h_init @ g_mat
-        gram = g_mat @ g_mat.T + state.eps * np.eye(state.gdim)
+        gram = state._gram + state._ridge
         try:
-            corr = np.linalg.solve(gram, (resid @ g_mat.T).T).T
+            corr = np.linalg.solve(gram, state._cross.T).T
         except np.linalg.LinAlgError:
-            corr = (resid @ g_mat.T) @ np.linalg.pinv(gram)
+            corr = state._cross @ np.linalg.pinv(gram)
         h_new = state.h_init + corr
     else:
         # pseudo-inverse path: plain min-norm windowed LS via SVD
-        h_new = np.linalg.lstsq(g_mat.T, t_mat.T, rcond=None)[0].T
+        h_new = np.linalg.lstsq(state._regressors[:, :state._fill].T,
+                                state._targets[:, :state._fill].T,
+                                rcond=None)[0].T
     if not np.all(np.isfinite(h_new)):
-        gram = g_mat @ g_mat.T
-        cond = float(np.linalg.cond(gram))
+        cond = float(np.linalg.cond(state._gram))
         raise np.linalg.LinAlgError(
             f"singular window Gram (cond~{cond:.3g}) with eps_reg={state.eps}")
     state.h_est = h_new
-
-
-def _solve_recursive_correction(state: AdapterState, g: np.ndarray,
-                          target: np.ndarray) -> None:
-    gram = state.window_gram()
-    if state.eps > 0.0:
-        p_mat = np.linalg.inv(gram + state.eps * np.eye(state.gdim))
-    else:
-        p_mat = np.linalg.pinv(gram)
-    p_mat = 0.5 * (p_mat + p_mat.T)
-    residual = target - state.h_est @ g
-    state.h_est = state.h_est + np.outer(residual, p_mat @ g)
-    state.P = p_mat
 
 
 def _rls_step(state: AdapterState, g: np.ndarray, target: np.ndarray,
@@ -199,8 +199,9 @@ def update(state: AdapterState, z_k: np.ndarray,
            u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fold in the measurement z_k (driven by u_prev); returns (A_k, B_k).
 
-    The completed pair (z_{k-1}, u_prev) -> z_k enters the window, evicting
-    the oldest pair once the window holds M of them.
+    The completed pair (z_{k-1}, u_prev) -> z_k enters the SWLS window,
+    evicting the oldest pair once the window holds M of them. RLS and FFRLS
+    (lambda=1 reduces FFRLS to RLS) fold it into the recursive estimate.
     """
     z_k = np.asarray(z_k, dtype=np.float64).ravel()
     u_prev = np.asarray(u_prev, dtype=np.float64).ravel()
@@ -210,35 +211,15 @@ def update(state: AdapterState, z_k: np.ndarray,
         raise ValueError("non-finite measurement")
     g = np.concatenate((state.z_prev, u_prev))
     mode = state.config.mode
-    if mode in ("RLS", "FFRLS"):
-        ffrls_update_raw(state, g, z_k)
-    else:
+    if mode == "SWLS":
         state._push(g, z_k)
-        if mode == "SWLS":
-            if state.config.solver == "batch_window":
-                _solve_batch_window(state)
-            else:
-                _solve_recursive_correction(state, g, z_k)
+        _solve_window(state)
+    elif mode != "frozen":
+        lam = 1.0 if mode == "RLS" else state.config.forgetting
+        _rls_step(state, g, z_k, lam)
     state.z_prev = z_k
     state.k += 1
     return state.A_k.copy(), state.B_k.copy()
-
-
-def ffrls_update_raw(state: AdapterState, g: np.ndarray,
-                     target: np.ndarray) -> None:
-    lam = 1.0 if state.config.mode == "RLS" else state.config.forgetting
-    if lam <= 0.0:
-        raise ValueError("forgetting factor must be positive")
-    state._push(g, target)  # window kept for diagnostics only
-    _rls_step(state, g, target, lam)
-
-
-def ffrls_update(state: AdapterState, z_k: np.ndarray,
-                 u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponentially weighted recursive update (lambda=1 reduces to plain RLS)."""
-    if state.config.mode not in ("RLS", "FFRLS"):
-        raise ValueError("adapter was not configured for a recursive mode")
-    return update(state, z_k, u_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +238,8 @@ class AdaptRunResult:
 
 
 def _sym_cond(gram: np.ndarray) -> float:
-    ev = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    top = float(ev[-1])
-    bottom = float(ev[0])
-    if bottom <= 0.0:
-        return np.inf
-    return top / bottom
+    ev = np.linalg.eigvalsh(gram)
+    return np.inf if ev[0] <= 0.0 else float(ev[-1] / ev[0])
 
 
 def adapt_run(model: KoopmanModel, trajectory: Trajectory,
@@ -272,10 +249,15 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     Each step k is predicted from the estimate that has only seen data through
     k-1, then the measurement at k updates the estimate. Frozen mode delegates
     to the vectorized one-step rollout, so it matches it bit for bit.
+    `cond_gram` is the condition number of the window Gram for SWLS and NaN
+    for the modes that keep no window.
     """
     n_snap = len(trajectory)
     if n_snap < 2:
         raise ValueError("trajectory too short to adapt over")
+    if abs(trajectory.dt - model.dt) > 1e-9 * model.dt:
+        raise ValueError(f"trajectory sample time {trajectory.dt:g} s does not "
+                         f"match the model's dt={model.dt:g} s")
     n = model.dims.n
     truth = trajectory.states[1:].copy()
     if config.mode == "frozen":
@@ -298,7 +280,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     preds_n = np.empty((n_snap - 1, n))
     drift_a = np.empty(n_snap - 1)
     drift_b = np.empty(n_snap - 1)
-    cond = np.empty(n_snap - 1)
+    cond = np.full(n_snap - 1, np.nan)
+    windowed = config.mode == "SWLS"
     for k in range(1, n_snap):
         g = np.concatenate((state.z_prev, un[k - 1]))
         z_hat = state.h_est @ g
@@ -306,7 +289,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         update(state, z_all[k], un[k - 1])
         drift_a[k - 1] = np.linalg.norm(state.A_k - a0)
         drift_b[k - 1] = np.linalg.norm(state.B_k - b0)
-        cond[k - 1] = _sym_cond(state.window_gram())
+        if windowed:
+            cond[k - 1] = _sym_cond(state.window_gram())
     preds = model.denormalize_states(preds_n)
     return AdaptRunResult(predictions=preds, truth=truth, drift_a=drift_a,
                           drift_b=drift_b, cond_gram=cond,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from koopcar.adapt import (AdapterConfig, adapt_run, ffrls_update, init,
-                           update, write_estimate_history)
+from koopcar.adapt import (AdapterConfig, adapt_run, init, update,
+                           write_estimate_history)
 from koopcar.koopman import one_step_predictions
 from koopcar.scenarios import make_scenario, run_scenario
 
@@ -46,26 +46,6 @@ def test_init_keeps_seed_estimates():
     assert st.window_fill == 0
     assert np.array_equal(st.z_prev, z[0])  # pending regressor column
     assert np.array_equal(st.u_seed, u[0])
-
-
-def test_init_p0_matches_seed_gram_inverse():
-    a_true, b_true, rng = random_system(1)
-    z, u = stream(a_true, b_true, rng, 2)
-    st = fresh_state(a_true, b_true, z, u, mode="SWLS", window=10, eps_reg=1e-6)
-    g0 = np.concatenate((z[0], u[0]))
-    expect = np.linalg.inv(np.outer(g0, g0) + 1e-6 * np.eye(GDIM))
-    assert np.allclose(st.P, expect, atol=1e-10)
-    assert np.abs(st.P - st.P.T).max() < 1e-12
-
-
-def test_init_eps_zero_pinv_fallback():
-    # rank-1 seed Gram is singular; documented pseudo-inverse fallback applies
-    a_true, b_true, rng = random_system(2)
-    z, u = stream(a_true, b_true, rng, 2)
-    st = fresh_state(a_true, b_true, z, u, mode="SWLS", window=10, eps_reg=0.0)
-    assert np.all(np.isfinite(st.P))
-    g0 = np.concatenate((z[0], u[0]))
-    assert np.allclose(st.P, np.linalg.pinv(np.outer(g0, g0)), atol=1e-12)
 
 
 def test_init_validates_shapes():
@@ -127,6 +107,66 @@ def test_window_discipline_and_eviction():
     assert np.abs(np.hstack((st.A_k, st.B_k)) - h_window).max() < 1e-10
 
 
+def test_window_views_resolve_ridge_estimate():
+    # auto eps: the up/downdated solve equals a fresh ridge solve of the views
+    a_true, b_true, rng = random_system(5)
+    window = 40
+    z, u = stream(a_true, b_true, rng, 130)
+    h0 = np.hstack((np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    st = fresh_state(h0[:, :ZDIM], h0[:, ZDIM:], z, u, mode="SWLS",
+                     window=window)
+    for k in range(1, 130):   # ends between two exact recomputes
+        update(st, z[k], u[k - 1])
+    g_mat = np.vstack((st.Psi, st.Uhist))
+    resid = st.Ztargets - h0 @ g_mat
+    gram = g_mat @ g_mat.T + st.eps * np.eye(GDIM)
+    h_window = h0 + np.linalg.solve(gram, (resid @ g_mat.T).T).T
+    assert np.abs(np.hstack((st.A_k, st.B_k)) - h_window).max() < 1e-10
+
+
+def test_maintained_gram_and_cross_match_recompute():
+    # up/downdated S and C against a from-scratch recompute of the true
+    # (chronological) window, over 12 window lengths of a drifting stream
+    a_true, b_true, rng = random_system(16)
+    window, steps = 25, 300
+    z = np.empty((steps, ZDIM))
+    z[0] = rng.normal(size=ZDIM)
+    u = rng.normal(size=(steps, UDIM)) * np.linspace(1.0, 20.0, steps)[:, None]
+    for k in range(steps - 1):
+        drift = 1.0 + 0.1 * k / steps   # spectral radius 0.9 -> 0.99
+        z[k + 1] = drift * a_true @ z[k] + b_true @ u[k]
+    h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    st = fresh_state(h0[:, :ZDIM], h0[:, ZDIM:], z, u, mode="SWLS",
+                     window=window)
+    assert st.eps > 0.0
+    worst_s = worst_c = 0.0
+    for k in range(1, steps):
+        update(st, z[k], u[k - 1])
+        lo = max(0, k - window)
+        g_mat = np.vstack((z[lo:k].T, u[lo:k].T))
+        s_ref = g_mat @ g_mat.T
+        c_ref = (z[lo + 1:k + 1].T - h0 @ g_mat) @ g_mat.T
+        worst_s = max(worst_s, np.abs(st.window_gram() - s_ref).max()
+                      / np.abs(s_ref).max())
+        worst_c = max(worst_c, np.abs(st._cross - c_ref).max()
+                      / np.abs(c_ref).max())
+    assert worst_s < 1e-10
+    assert worst_c < 1e-10
+
+
+def test_huge_window_buffer_grows_with_the_pushed_pairs():
+    # a window of 10**9 must not be allocated up front
+    a_true, b_true, rng = random_system(17)
+    z, u = stream(a_true, b_true, rng, 1001)
+    st = fresh_state(np.eye(ZDIM), np.zeros((ZDIM, UDIM)), z, u,
+                     mode="SWLS", window=10 ** 9, eps_reg=1e-2)
+    for k in range(1, 1001):
+        update(st, z[k], u[k - 1])
+        assert st.window_fill == k
+        assert st._regressors.shape[1] <= 2 * k
+        assert st._targets.shape[1] <= 2 * k
+
+
 def test_growing_window_matches_textbook_rls():
     # independently coded textbook recursion, same ridge seed
     a_true, b_true, rng = random_system(6)
@@ -161,25 +201,6 @@ def test_frozen_mode_never_moves():
     assert np.array_equal(b_k, np.zeros((ZDIM, UDIM)))
 
 
-def test_recursive_correction_tracks_but_differs_from_batch():
-    # the literal recursive correction lacks the eviction downdate: it should
-    # move toward the truth yet not coincide with the windowed solution
-    a_true, b_true, rng = random_system(8)
-    z, u = stream(a_true, b_true, rng, 200)
-    a0 = np.eye(ZDIM) * 0.5
-    b0 = np.zeros((ZDIM, UDIM))
-    st_rec = fresh_state(a0, b0, z, u, mode="SWLS", window=60,
-                         solver="recursive_correction")
-    st_bat = fresh_state(a0, b0, z, u, mode="SWLS", window=60)
-    err0 = np.abs(a0 - a_true).max()
-    for k in range(1, 200):
-        update(st_rec, z[k], u[k - 1])
-        update(st_bat, z[k], u[k - 1])
-    assert np.all(np.isfinite(st_rec.h_est))
-    assert np.abs(st_rec.A_k - a_true).max() < err0
-    assert not np.allclose(st_rec.h_est, st_bat.h_est, atol=1e-10)
-
-
 def test_update_validates_measurements():
     a_true, b_true, rng = random_system(9)
     z, u = stream(a_true, b_true, rng, 4)
@@ -202,7 +223,7 @@ def test_ffrls_with_unit_lambda_equals_rls_mode():
     st_ff = fresh_state(a0, b0, z, u, mode="FFRLS", forgetting=1.0)
     for k in range(1, 300):
         a_r, b_r = update(st_rls, z[k], u[k - 1])
-        a_f, b_f = ffrls_update(st_ff, z[k], u[k - 1])
+        a_f, b_f = update(st_ff, z[k], u[k - 1])
         assert np.array_equal(a_r, a_f)
         assert np.array_equal(b_r, b_f)
 
@@ -254,10 +275,9 @@ def test_forgetting_tracks_plant_switch_faster():
 def test_p_stays_symmetric_under_updates():
     a_true, b_true, rng = random_system(14)
     z, u = stream(a_true, b_true, rng, 400)
-    for mode, solver in (("RLS", "batch_window"), ("FFRLS", "batch_window"),
-                         ("SWLS", "recursive_correction")):
+    for mode in ("RLS", "FFRLS"):
         st = fresh_state(np.eye(ZDIM), np.zeros((ZDIM, UDIM)), z, u,
-                         mode=mode, window=50, forgetting=0.97, solver=solver)
+                         mode=mode, window=50, forgetting=0.97)
         for k in range(1, 400):
             update(st, z[k], u[k - 1])
             assert np.abs(st.P - st.P.T).max() < 1e-9
@@ -325,6 +345,23 @@ def test_adapt_run_reports_drift_and_conditioning(short_mixed, quick_model):
     assert np.all(np.isfinite(res.drift_a))
     assert res.drift_a[-1] > 0.0  # the estimate really moved
     assert np.all(res.cond_gram[1:] >= 1.0)
+
+
+@pytest.mark.parametrize("mode", ["RLS", "FFRLS", "frozen"])
+def test_adapt_run_cond_gram_nan_without_window(short_mixed, quick_model, mode):
+    res = adapt_run(quick_model, short_mixed,
+                    AdapterConfig(mode=mode, forgetting=0.98))
+    assert res.cond_gram.shape == (len(short_mixed) - 1,)
+    assert np.all(np.isnan(res.cond_gram))
+    assert np.all(np.isfinite(res.drift_a))
+
+
+@pytest.mark.parametrize("mode", ["SWLS", "frozen"])
+def test_adapt_run_rejects_sample_time_mismatch(quick_model, mode):
+    coarse = run_scenario(make_scenario("mixed", duration=5.0,
+                                        dt=2.0 * quick_model.dt))
+    with pytest.raises(ValueError, match="sample time"):
+        adapt_run(quick_model, coarse, AdapterConfig(mode=mode))
 
 
 def test_estimate_history_dump_format(tmp_path, short_mixed, quick_model):

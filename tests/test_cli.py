@@ -188,6 +188,15 @@ def test_adapt_writes_history_and_metrics(workdir, tmp_path, capsys):
     assert lines[0] == "k,frob_dA,frob_dB,cond_gram"
 
 
+def test_adapt_rejects_sample_time_mismatch(workdir, tmp_path, capsys):
+    coarse = tmp_path / "coarse.csv"
+    assert run_cli("simulate", "--scenario", "mixed", "--duration", "5",
+                   "--dt", "0.05", "--out", str(coarse)) == 0
+    assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
+                   "--data", str(coarse), "--mode", "SWLS") == 2
+    assert "sample time" in capsys.readouterr().err
+
+
 def test_inspect_summarizes_checkpoint(workdir, capsys):
     assert run_cli("inspect", str(workdir["ckpt"])) == 0
     out = capsys.readouterr().out
