@@ -6,8 +6,12 @@ accelerations) and adapts the lifted-space matrices online with sliding-window
 least squares. See README for the CLI walkthrough.
 """
 
-from ._backend import NUMBA_ENABLED, backend_name
-
 __version__ = "0.1.0"
 
-__all__ = ["NUMBA_ENABLED", "backend_name", "__version__"]
+
+def backend_name() -> str:
+    """Name of the numeric backend: the kernels are plain numpy and Python floats."""
+    return "numpy"
+
+
+__all__ = ["backend_name", "__version__"]

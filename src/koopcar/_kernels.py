@@ -1,48 +1,35 @@
-"""Hot numeric kernels, written in numba-compatible numpy.
+"""Vehicle-physics and dense-network kernels.
 
-Every function here is wrapped by `kernel` (see _backend): jitted under numba,
-plain numpy otherwise. Kernels take only scalars and float64 arrays so both
-paths stay identical; friendly wrappers live in the public modules.
+The vehicle kernels (`tire_lateral`, `planar_rhs`, `rk4_step`) are written
+once for single values and arrays alike. They take the vehicle parameters as
+the tuple of Python floats from `VehicleParams.packed()` and a math namespace
+`xp`: with the default `math` they run on floats, which is what the
+sequential time loop in `simulate_path` uses; with `xp=np` the same source
+runs elementwise on arrays, which is how `one_step_batch` advances every row
+in one call (numpy >= 2 provides the `np.atan`/`np.atan2` names). The two
+paths perform the same operations in the same order, so they differ only by
+the last-bit rounding of numpy's and libm's transcendental functions.
 
-Vehicle parameters are packed into a flat float64 vector (see PV_* indices)
-so the integrator loop stays allocation-free.
+The dense-network kernels work on a flat parameter vector; friendly wrappers
+live in the public modules.
 """
 
 import math
 
 import numpy as np
 
-from ._backend import kernel
-
 GRAVITY = 9.81
-
-# indices into the packed vehicle-parameter vector
-PV_M = 0       # mass [kg]
-PV_IZ = 1      # yaw inertia [kg m^2]
-PV_LF = 2      # c.g. to front axle [m]
-PV_LR = 3      # c.g. to rear axle [m]
-PV_WB = 4      # track width [m]
-PV_RW = 5      # wheel radius [m]
-PV_MU = 6      # road adhesion coefficient
-PV_TB = 7      # tire stiffness factor
-PV_TC = 8      # tire shape factor
-PV_TD = 9      # tire peak scale
-PV_TE = 10     # tire curvature factor
-PV_DRAG = 11   # aero drag lump [N s^2/m^2]
-PV_ROLL = 12   # rolling resistance coefficient
-PV_SIZE = 13
+VALIDITY_FLOOR = 0.1  # m/s; slip angles degenerate at standstill
 
 
-@kernel
-def tire_lateral(alpha, fz, b_stiff, c_shape, d_scale, e_curv, mu):
+def tire_lateral(alpha, fz, b_stiff, c_shape, d_scale, e_curv, mu, xp=math):
     """Lateral tire force: peak mu*d_scale*fz, sine-of-arctangent shape, odd in alpha."""
     d_peak = mu * d_scale * fz
     ba = b_stiff * alpha
-    return d_peak * math.sin(c_shape * math.atan(ba - e_curv * (ba - math.atan(ba))))
+    return d_peak * xp.sin(c_shape * xp.atan(ba - e_curv * (ba - xp.atan(ba))))
 
 
-@kernel
-def planar_rhs(vx, vy, wr, torque, steer, pv):
+def planar_rhs(vx, vy, wr, torque, steer, pv, xp=math):
     """Time derivatives (dVx, dVy, dwr) of the planar four-wheel model.
 
     Wheel order: 1 front-left, 2 front-right, 3 rear-left, 4 rear-right.
@@ -50,40 +37,31 @@ def planar_rhs(vx, vy, wr, torque, steer, pv):
     resistance are lumped and split evenly too, so per-side longitudinal
     force differences vanish identically.
     """
-    m = pv[PV_M]
-    iz = pv[PV_IZ]
-    lf = pv[PV_LF]
-    lr = pv[PV_LR]
-    wb = pv[PV_WB]
+    m, iz, lf, lr, wb, rw, mu, tb, tc, td, te, drag, roll = pv
 
     # static normal loads per wheel
     fz_front = m * GRAVITY * lr / (2.0 * (lf + lr))
     fz_rear = m * GRAVITY * lf / (2.0 * (lf + lr))
 
     # per-wheel longitudinal force (identical on all four wheels)
-    resist = pv[PV_ROLL] * m * GRAVITY + pv[PV_DRAG] * vx * vx
-    fx = 0.25 * (torque / pv[PV_RW] - resist)
+    resist = roll * m * GRAVITY + drag * vx * vx
+    fx = 0.25 * (torque / rw - resist)
 
     half_track = 0.5 * wb * wr
     vy_front = vy + lf * wr
     vy_rear = vy - lr * wr
-    a1 = steer - math.atan2(vy_front, vx - half_track)
-    a2 = steer - math.atan2(vy_front, vx + half_track)
-    a3 = -math.atan2(vy_rear, vx - half_track)
-    a4 = -math.atan2(vy_rear, vx + half_track)
+    a1 = steer - xp.atan2(vy_front, vx - half_track)
+    a2 = steer - xp.atan2(vy_front, vx + half_track)
+    a3 = -xp.atan2(vy_rear, vx - half_track)
+    a4 = -xp.atan2(vy_rear, vx + half_track)
 
-    mu = pv[PV_MU]
-    tb = pv[PV_TB]
-    tc = pv[PV_TC]
-    td = pv[PV_TD]
-    te = pv[PV_TE]
-    fy1 = tire_lateral(a1, fz_front, tb, tc, td, te, mu)
-    fy2 = tire_lateral(a2, fz_front, tb, tc, td, te, mu)
-    fy3 = tire_lateral(a3, fz_rear, tb, tc, td, te, mu)
-    fy4 = tire_lateral(a4, fz_rear, tb, tc, td, te, mu)
+    fy1 = tire_lateral(a1, fz_front, tb, tc, td, te, mu, xp)
+    fy2 = tire_lateral(a2, fz_front, tb, tc, td, te, mu, xp)
+    fy3 = tire_lateral(a3, fz_rear, tb, tc, td, te, mu, xp)
+    fy4 = tire_lateral(a4, fz_rear, tb, tc, td, te, mu, xp)
 
-    cd = math.cos(steer)
-    sd = math.sin(steer)
+    cd = xp.cos(steer)
+    sd = xp.sin(steer)
     fx_front = fx + fx
     fy_front = fy1 + fy2
     fy_rear = fy3 + fy4
@@ -96,69 +74,71 @@ def planar_rhs(vx, vy, wr, torque, steer, pv):
     return dvx, dvy, dwr
 
 
-@kernel
-def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv):
-    """Classical RK4 advance of the planar model over dt, zero-order-hold input."""
+def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv, xp=math, k1=None):
+    """Classical RK4 advance of the planar model over dt, zero-order-hold input.
+
+    `k1` optionally supplies planar_rhs at the starting state, which a caller
+    that has already evaluated it can pass to save one evaluation.
+    """
     h = dt / substeps
     for _ in range(substeps):
-        k1x, k1y, k1r = planar_rhs(vx, vy, wr, torque, steer, pv)
+        if k1 is None:
+            k1 = planar_rhs(vx, vy, wr, torque, steer, pv, xp)
+        k1x, k1y, k1r = k1
+        k1 = None
         k2x, k2y, k2r = planar_rhs(vx + 0.5 * h * k1x, vy + 0.5 * h * k1y,
-                                   wr + 0.5 * h * k1r, torque, steer, pv)
+                                   wr + 0.5 * h * k1r, torque, steer, pv, xp)
         k3x, k3y, k3r = planar_rhs(vx + 0.5 * h * k2x, vy + 0.5 * h * k2y,
-                                   wr + 0.5 * h * k2r, torque, steer, pv)
+                                   wr + 0.5 * h * k2r, torque, steer, pv, xp)
         k4x, k4y, k4r = planar_rhs(vx + h * k3x, vy + h * k3y,
-                                   wr + h * k3r, torque, steer, pv)
+                                   wr + h * k3r, torque, steer, pv, xp)
         vx = vx + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         vy = vy + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         wr = wr + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
     return vx, vy, wr
 
 
-@kernel
 def simulate_path(x0, torques, steers, dt, substeps, pv):
     """Integrate a full input schedule; returns (states, accels, fail_index).
 
     states[k] holds the state at t=k*dt, accels[k] the body-frame sensor
     accelerations there under input k (ax = dVx - Vy*wr, ay = dVy + Vx*wr).
     fail_index >= 0 flags the first step where Vx fell to the validity floor.
+    The loop runs on Python floats and writes each step into the
+    preallocated outputs through flat memoryviews.
     """
     n = torques.shape[0]
     states = np.zeros((n, 3))
     accels = np.zeros((n, 2))
-    vx = x0[0]
-    vy = x0[1]
-    wr = x0[2]
+    out_x = memoryview(states.reshape(-1))
+    out_a = memoryview(accels.reshape(-1))
+    torque_k = memoryview(np.ascontiguousarray(torques, dtype=np.float64))
+    steer_k = memoryview(np.ascontiguousarray(steers, dtype=np.float64))
+    vx, vy, wr = (float(v) for v in x0)
     fail = -1
     for k in range(n):
-        if vx <= 0.1:
+        if vx <= VALIDITY_FLOOR:
             fail = k
             break
-        states[k, 0] = vx
-        states[k, 1] = vy
-        states[k, 2] = wr
-        dvx, dvy, dwr = planar_rhs(vx, vy, wr, torques[k], steers[k], pv)
-        accels[k, 0] = dvx - vy * wr
-        accels[k, 1] = dvy + vx * wr
+        torque = torque_k[k]
+        steer = steer_k[k]
+        out_x[3 * k] = vx
+        out_x[3 * k + 1] = vy
+        out_x[3 * k + 2] = wr
+        deriv = planar_rhs(vx, vy, wr, torque, steer, pv)
+        out_a[2 * k] = deriv[0] - vy * wr
+        out_a[2 * k + 1] = deriv[1] + vx * wr
         if k < n - 1:
-            vx, vy, wr = rk4_step(vx, vy, wr, torques[k], steers[k], dt, substeps, pv)
+            vx, vy, wr = rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv,
+                                  k1=deriv)
     return states, accels, fail
 
 
-@kernel
 def one_step_batch(states, torques, steers, dt, substeps, pv):
-    """One RK4 step from every measured state; rows where Vx is at the floor stay zero."""
-    n = states.shape[0]
-    preds = np.zeros((n, 3))
-    for k in range(n):
-        vx = states[k, 0]
-        if vx <= 0.1:
-            continue
-        nx, ny, nr = rk4_step(vx, states[k, 1], states[k, 2],
-                              torques[k], steers[k], dt, substeps, pv)
-        preds[k, 0] = nx
-        preds[k, 1] = ny
-        preds[k, 2] = nr
-    return preds
+    """One RK4 step from every row of `states`, all rows at once."""
+    vx, vy, wr = rk4_step(states[:, 0], states[:, 1], states[:, 2], torques,
+                          steers, dt, substeps, pv, np)
+    return np.column_stack((vx, vy, wr))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +157,6 @@ ACT_TANH = 1
 ACT_RELU = 2
 
 
-@kernel
 def dense_forward(theta, shapes, w_off, b_off, acts, x, cache):
     """Forward pass; fills `cache` (batch, in0 + sum(out_j)) and returns the output batch."""
     nlayers = shapes.shape[0]
@@ -205,7 +184,6 @@ def dense_forward(theta, shapes, w_off, b_off, acts, x, cache):
     return np.ascontiguousarray(cache[:, pos - prev_dim:pos])
 
 
-@kernel
 def dense_backward(theta, shapes, w_off, b_off, acts, cache, gy, grad):
     """Reverse pass: accumulates parameter gradients into `grad`, returns input gradient."""
     nlayers = shapes.shape[0]

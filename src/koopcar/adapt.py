@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .koopman import KoopmanModel, lift, one_step_predictions
+from .koopman import (KoopmanModel, check_sample_time, lift,
+                      one_step_predictions)
 from .vehicle import Trajectory
 
 MODES = ("SWLS", "RLS", "FFRLS", "frozen")
@@ -255,9 +256,7 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     n_snap = len(trajectory)
     if n_snap < 2:
         raise ValueError("trajectory too short to adapt over")
-    if abs(trajectory.dt - model.dt) > 1e-9 * model.dt:
-        raise ValueError(f"trajectory sample time {trajectory.dt:g} s does not "
-                         f"match the model's dt={model.dt:g} s")
+    check_sample_time(model, trajectory)
     n = model.dims.n
     truth = trajectory.states[1:].copy()
     if config.mode == "frozen":

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import _kernels
 from .adapt import AdapterConfig, adapt_run
-from .koopman import KoopmanModel, one_step_predictions
+from .koopman import KoopmanModel, check_sample_time, one_step_predictions
 from .scenarios import Scenario, make_scenario, run_scenario
-from .vehicle import Trajectory, VehicleParams
+from .vehicle import (VALIDITY_FLOOR, ModelValidityError, Trajectory,
+                      VehicleParams)
 
 MS_TO_KMH = 3.6
 RAD_TO_DEG = 180.0 / np.pi
@@ -94,19 +95,34 @@ def baseline_params(plant: VehicleParams = VehicleParams()) -> VehicleParams:
 def physics_baseline(params_assumed: VehicleParams,
                      trajectory: Trajectory,
                      substeps: int = 1) -> np.ndarray:
-    """One-step-ahead predictions from the physical model under assumed params."""
+    """One-step-ahead predictions from the physical model under assumed params.
+
+    Raises ModelValidityError at the first source row whose Vx is at or below
+    the validity floor (or not a number), where the model does not apply.
+    """
     states = trajectory.states[:-1]
     inputs = trajectory.inputs[:-1]
-    return _kernels.one_step_batch(
-        np.ascontiguousarray(states), np.ascontiguousarray(inputs[:, 0]),
-        np.ascontiguousarray(inputs[:, 1]), trajectory.dt, substeps,
-        params_assumed.packed())
+    invalid = np.flatnonzero(~(states[:, 0] > VALIDITY_FLOOR))
+    if invalid.size:
+        k = int(invalid[0])
+        raise ModelValidityError(
+            f"physics baseline: Vx={states[k, 0]:.4g} m/s at row {k} "
+            f"(t={trajectory.t[k]:.3f} s) is at or below the "
+            f"{VALIDITY_FLOOR} m/s validity floor")
+    return _kernels.one_step_batch(states, inputs[:, 0], inputs[:, 1],
+                                   trajectory.dt, substeps,
+                                   params_assumed.packed())
 
 
 def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
-    """One-step-ahead predictions for steps 1..K-1 of the trajectory."""
+    """One-step-ahead predictions for steps 1..K-1 of the trajectory.
+
+    A data-driven method raises ValueError when the trajectory's sample time
+    is not the model's dt.
+    """
     if spec.name.upper().startswith("PHYS"):
         return physics_baseline(spec.assumed_params, trajectory, spec.substeps)
+    check_sample_time(spec.model, trajectory)
     if spec.adapter is None or spec.adapter.mode == "frozen":
         return one_step_predictions(spec.model, trajectory.states[:-1],
                                     trajectory.inputs[:-1])

@@ -624,6 +624,14 @@ def write_training_log(path, history: list[EpochRecord]) -> None:
 # ---------------------------------------------------------------------------
 # prediction
 
+def check_sample_time(model: KoopmanModel, trajectory: Trajectory) -> None:
+    """Raise ValueError unless the trajectory is sampled at the model's dt
+    (to 1e-9 relative): A and B are one-step maps for that dt only."""
+    if abs(trajectory.dt - model.dt) > 1e-9 * model.dt:
+        raise ValueError(f"trajectory sample time {trajectory.dt:g} s does not "
+                         f"match the model's dt={model.dt:g} s")
+
+
 def one_step_predictions(model: KoopmanModel, states: np.ndarray,
                          inputs: np.ndarray) -> np.ndarray:
     """Predicted x_{k+1} from each measured (x_k, u_k); physical units.

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _kernels
-from ._kernels import GRAVITY, PV_SIZE
+from ._kernels import GRAVITY, VALIDITY_FLOOR
 
-VALIDITY_FLOOR = 0.1  # m/s; slip angles degenerate at standstill
 MAX_STEER = math.pi / 4
 
 TRAJECTORY_HEADER = "t,Vx,Vy,wr,T,delta_f,ax,ay"
@@ -65,13 +64,14 @@ class VehicleParams:
         if not (0 < self.mu <= 1.2):
             raise ValueError("mu must be in (0, 1.2]")
 
-    def packed(self) -> np.ndarray:
-        """Flat float64 vector consumed by the kernels."""
-        pv = np.empty(PV_SIZE)
-        pv[:] = (self.m, self.Iz, self.lf, self.lr, self.wB, self.rw, self.mu,
-                 self.tire.b_stiff, self.tire.c_shape, self.tire.d_peak_scale,
-                 self.tire.e_curv, self.drag, self.roll)
-        return pv
+    def packed(self) -> tuple[float, ...]:
+        """Parameters as the tuple of Python floats the physics kernels unpack:
+        (m, Iz, lf, lr, wB, rw, mu, b_stiff, c_shape, d_peak_scale, e_curv,
+        drag, roll)."""
+        return tuple(float(v) for v in (
+            self.m, self.Iz, self.lf, self.lr, self.wB, self.rw, self.mu,
+            self.tire.b_stiff, self.tire.c_shape, self.tire.d_peak_scale,
+            self.tire.e_curv, self.drag, self.roll))
 
     def perturbed(self, dm: float = 0.0, dIz: float = 0.0) -> "VehicleParams":
         """Copy with mass/inertia deltas (robustness-test knobs)."""
@@ -246,9 +246,7 @@ def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
     if steers.shape[0] != n:
         raise ValueError("torque and steering schedules must have equal length")
     states, accels, fail = _kernels.simulate_path(
-        x0.as_array(), np.ascontiguousarray(torques, dtype=np.float64),
-        np.ascontiguousarray(steers, dtype=np.float64), dt, substeps,
-        params.packed())
+        x0.as_array(), torques, steers, dt, substeps, params.packed())
     if fail >= 0:
         raise ModelValidityError(
             f"Vx hit the validity floor at t={fail * dt:.3f} s (step {fail})")

@@ -197,6 +197,22 @@ def test_adapt_rejects_sample_time_mismatch(workdir, tmp_path, capsys):
     assert "sample time" in capsys.readouterr().err
 
 
+def test_compare_rejects_sample_time_mismatch(tmp_path, capsys):
+    coarse = tmp_path / "coarse.csv"
+    assert run_cli("simulate", "--scenario", "mixed", "--duration", "10",
+                   "--dt", "0.05", "--out", str(coarse)) == 0
+    ckpt = tmp_path / "coarse.json"
+    assert run_cli("train", "--data", str(coarse), "--seed", "5",
+                   "--epochs", "1", "--hidden", "8", "--feature-dim", "2",
+                   "--out", str(ckpt)) == 0
+    capsys.readouterr()
+    assert run_cli("compare", "--methods", "ALDK",
+                   "--checkpoint-aldk", str(ckpt), "--scenario", "step_steer",
+                   "--scenario-duration", "5", "--seed", "3",
+                   "--out", str(tmp_path / "cmp")) == 2
+    assert "sample time" in capsys.readouterr().err
+
+
 def test_inspect_summarizes_checkpoint(workdir, capsys):
     assert run_cli("inspect", str(workdir["ckpt"])) == 0
     out = capsys.readouterr().out

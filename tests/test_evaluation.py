@@ -8,7 +8,8 @@ from koopcar.evaluation import (ChannelMetrics, MethodSpec, baseline_params,
                                 scenario_suite, write_report_files)
 from koopcar.scenarios import (InputProgram, Scenario, make_scenario,
                                run_scenario)
-from koopcar.vehicle import MagicFormulaParams, VehicleParams, VehicleState
+from koopcar.vehicle import (MagicFormulaParams, ModelValidityError,
+                             Trajectory, VehicleParams, VehicleState)
 from dataclasses import replace
 
 
@@ -110,6 +111,34 @@ def test_heavier_assumed_mass_degrades_vx(short_mixed):
     heavy = metrics(physics_baseline(plant.perturbed(dm=160.0), short_mixed),
                     short_mixed.states[1:])
     assert heavy.rmse[0] > matched.rmse[0]
+
+
+def _with_vx(tr, rows, value):
+    states = tr.states.copy()
+    states[rows, 0] = value
+    return Trajectory(t=tr.t, states=states, inputs=tr.inputs, accels=tr.accels)
+
+
+def test_baseline_rejects_first_row_at_validity_floor(short_mixed):
+    plant = make_scenario("mixed").params
+    low = _with_vx(short_mixed, [200, 123], 0.1)
+    with pytest.raises(ModelValidityError, match=r"row 123 \(t=3\.075 s\)"):
+        physics_baseline(plant, low)
+    with pytest.raises(ModelValidityError, match="row 7"):
+        physics_baseline(plant, _with_vx(short_mixed, [7], np.nan))
+    # the last snapshot is only a target, never a source row
+    last = _with_vx(short_mixed, [len(short_mixed) - 1], 0.05)
+    assert physics_baseline(plant, last).shape == (len(short_mixed) - 1, 3)
+
+
+def test_run_method_rejects_sample_time_mismatch(quick_model):
+    coarse = run_scenario(make_scenario("mixed", duration=5.0, dt=0.05))
+    for adapter in (None, AdapterConfig(mode="SWLS", window=20)):
+        spec = MethodSpec(name="ALDK", model=quick_model, adapter=adapter)
+        with pytest.raises(ValueError, match="sample time"):
+            run_method(spec, coarse)
+    phys = MethodSpec(name="PHYS-BASELINE", assumed_params=VehicleParams())
+    assert run_method(phys, coarse).shape == (len(coarse) - 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from koopcar.vehicle import (ControlInput, MagicFormulaParams, ModelValidityError,
-                             Snapshot, Trajectory, VehicleParams, VehicleState,
+from koopcar import _kernels, backend_name
+from koopcar.vehicle import (MAX_STEER, ControlInput, MagicFormulaParams,
+                             ModelValidityError, Snapshot, Trajectory,
+                             VehicleParams, VehicleState,
                              derivatives, equilibrium_torque, rk4_generic,
                              run_schedule, sensor_accels, step_rk4,
                              tire_lateral_force)
@@ -179,6 +181,52 @@ def test_vehicle_step_matches_generic_rk4():
     assert np.allclose([got.Vx, got.Vy, got.wr], expect, rtol=0, atol=1e-13)
 
 
+def _state_grid():
+    """Inputs over Vx above the floor, both signs of Vy, wr and steering."""
+    vx, vy, wr, steer = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.5, 40.0, 9), np.linspace(-3.0, 3.0, 7),
+        np.linspace(-1.2, 1.2, 7), np.linspace(-MAX_STEER, MAX_STEER, 9),
+        indexing="ij"))
+    torque = np.resize(np.linspace(-3000.0, 4000.0, 11), vx.size)
+    return vx, vy, wr, torque, steer
+
+
+def _rows_close(got, expect, rtol):
+    # relative to each row's largest magnitude: single entries can cancel to ~0
+    scale = np.abs(expect).max(axis=1, keepdims=True)
+    return np.all(np.abs(got - expect) <= rtol * scale)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_one_step_batch_matches_scalar_rk4_rows(substeps):
+    vx, vy, wr, torque, steer = _state_grid()
+    pv = P.packed()
+    batch = _kernels.one_step_batch(np.column_stack((vx, vy, wr)), torque,
+                                    steer, 0.025, substeps, pv)
+    scalar = np.array([
+        _kernels.rk4_step(*map(float, row), 0.025, substeps, pv)
+        for row in zip(vx, vy, wr, torque, steer)])
+    assert batch.shape == scalar.shape == (vx.size, 3)
+    assert _rows_close(batch, scalar, 1e-15)
+
+
+def test_array_planar_rhs_matches_scalar_elementwise():
+    vx, vy, wr, torque, steer = _state_grid()
+    pv = P.packed()
+    arrays = np.column_stack(_kernels.planar_rhs(vx, vy, wr, torque, steer,
+                                                 pv, np))
+    scalar = np.array([_kernels.planar_rhs(*map(float, row), pv)
+                       for row in zip(vx, vy, wr, torque, steer)])
+    assert _rows_close(arrays, scalar, 1e-15)
+
+
+def test_packed_params_are_python_floats():
+    pv = VehicleParams(m=2000, mu=0.8).packed()
+    assert len(pv) == 13 and all(type(v) is float for v in pv)
+    assert pv[0] == 2000.0 and pv[6] == 0.8
+    assert backend_name() == "numpy"
+
+
 def test_rk4_rejects_bad_dt():
     with pytest.raises(ValueError):
         step_rk4(VehicleState(10.0), ControlInput(0.0), -0.01, P)
@@ -242,6 +290,26 @@ def test_emitted_snapshots_satisfy_accel_identity():
 def tr_params(tr, snap):
     # the library scenario uses nominal params with mu=0.85
     return VehicleParams(mu=0.85)
+
+
+def test_mixed_run_matches_pinned_states():
+    # recorded from the earlier array-indexed integrator; the float loop must
+    # reproduce it, so any change to the physics shows here
+    tr = run_scenario(make_scenario("mixed", duration=30.0))
+    assert len(tr) == 1201
+    pinned = {
+        1: ((14.001077712396668, 0.05760252598133528, 0.04877070424702149),
+            (0.04853890958169932, 2.500795941460762)),
+        400: ((11.601842315184765, 0.14012879910857154, 0.4750613221783927),
+              (-0.5020680900315165, 5.566816365978799)),
+        777: ((10.69265744415697, -0.058609155671276766, -0.08909336265445869),
+              (0.15695624714899586, -0.9931736466050255)),
+        1200: ((12.630903736226252, 0.01054215325068999, 0.018362864811766758),
+               (-0.06869106973038058, 0.2628216237980195)),
+    }
+    for k, (state, accel) in pinned.items():
+        np.testing.assert_allclose(tr.states[k], state, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(tr.accels[k], accel, rtol=1e-13, atol=0)
 
 
 def test_run_determinism_bit_identical():
