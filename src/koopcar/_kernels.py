@@ -157,59 +157,58 @@ ACT_TANH = 1
 ACT_RELU = 2
 
 
-def dense_forward(theta, shapes, w_off, b_off, acts, x, cache):
-    """Forward pass; fills `cache` (batch, in0 + sum(out_j)) and returns the output batch."""
-    nlayers = shapes.shape[0]
-    in0 = shapes[0, 1]
-    cache[:, 0:in0] = x
-    prev_start = 0
-    prev_dim = in0
-    pos = in0
-    for j in range(nlayers):
-        out_d = shapes[j, 0]
-        in_d = shapes[j, 1]
-        w = theta[w_off[j]:w_off[j] + out_d * in_d].reshape(out_d, in_d)
-        a_prev = np.ascontiguousarray(cache[:, prev_start:prev_start + in_d])
-        z = np.dot(a_prev, w.T)
-        if b_off[j] >= 0:
-            z = z + theta[b_off[j]:b_off[j] + out_d]
-        if acts[j] == ACT_TANH:
-            z = np.tanh(z)
-        elif acts[j] == ACT_RELU:
-            z = np.maximum(z, 0.0)
-        cache[:, pos:pos + out_d] = z
-        prev_start = pos
-        prev_dim = out_d
-        pos += out_d
-    return np.ascontiguousarray(cache[:, pos - prev_dim:pos])
+def dense_forward(theta, shapes, w_off, b_off, acts, x, cache=None):
+    """Forward pass of the batch `x`; returns the output batch.
+
+    With a `cache` array (batch, in0 + sum(out_j)) the input and every
+    layer's post-activation batch are also stored there for
+    `dense_backward`; with None (inference) nothing is kept.
+    """
+    layers = zip(shapes.tolist(), w_off.tolist(), b_off.tolist(), acts.tolist())
+    if cache is not None:
+        pos = x.shape[1]
+        cache[:, :pos] = x
+    a = x
+    for (out_d, in_d), wo, bo, act in layers:
+        a = np.dot(a, theta[wo:wo + out_d * in_d].reshape(out_d, in_d).T)
+        if bo >= 0:
+            a += theta[bo:bo + out_d]
+        if act == ACT_TANH:
+            np.tanh(a, out=a)
+        elif act == ACT_RELU:
+            np.maximum(a, 0.0, out=a)
+        if cache is not None:
+            cache[:, pos:pos + out_d] = a
+            pos += out_d
+    return a
 
 
 def dense_backward(theta, shapes, w_off, b_off, acts, cache, gy, grad):
     """Reverse pass: accumulates parameter gradients into `grad`, returns input gradient."""
-    nlayers = shapes.shape[0]
-    in0 = shapes[0, 1]
+    dims = shapes.tolist()
+    w_offs, b_offs, codes = w_off.tolist(), b_off.tolist(), acts.tolist()
     # activation-block start offsets inside the cache
-    starts = np.zeros(nlayers + 1, dtype=np.int64)
-    starts[0] = 0
-    pos = in0
-    for j in range(nlayers):
-        starts[j + 1] = pos
-        pos += shapes[j, 0]
+    starts = [0]
+    pos = dims[0][1]
+    for out_d, _ in dims:
+        starts.append(pos)
+        pos += out_d
 
-    g = gy.copy()
-    for j in range(nlayers - 1, -1, -1):
-        out_d = shapes[j, 0]
-        in_d = shapes[j, 1]
+    g = gy
+    for j in range(len(dims) - 1, -1, -1):
+        out_d, in_d = dims[j]
+        wo, bo = w_offs[j], b_offs[j]
         a_j = cache[:, starts[j + 1]:starts[j + 1] + out_d]
-        if acts[j] == ACT_TANH:
+        if codes[j] == ACT_TANH:
             g = g * (1.0 - a_j * a_j)
-        elif acts[j] == ACT_RELU:
+        elif codes[j] == ACT_RELU:
             g = np.where(a_j > 0.0, g, 0.0)
-        a_prev = np.ascontiguousarray(cache[:, starts[j]:starts[j] + in_d])
+        a_prev = cache[:, starts[j]:starts[j] + in_d]
+        # g.T is copied to C order: with the transposed view BLAS sums the
+        # batch in another order, which moves the gradient by ulps.
         gw = np.dot(np.ascontiguousarray(g.T), a_prev)
-        grad[w_off[j]:w_off[j] + out_d * in_d] += gw.ravel()
-        if b_off[j] >= 0:
-            grad[b_off[j]:b_off[j] + out_d] += np.sum(g, axis=0)
-        w = theta[w_off[j]:w_off[j] + out_d * in_d].reshape(out_d, in_d)
-        g = np.dot(np.ascontiguousarray(g), w)
+        grad[wo:wo + out_d * in_d] += gw.ravel()
+        if bo >= 0:
+            grad[bo:bo + out_d] += np.sum(g, axis=0)
+        g = np.dot(g, theta[wo:wo + out_d * in_d].reshape(out_d, in_d))
     return g

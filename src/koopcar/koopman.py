@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, mlp
-from .mlp import (AdamState, LayerSpec, MlpLayout, MlpNetwork, Normalizer,
-                  adam_step, mlp_specs)
+from .mlp import (AdamState, LayerSpec, MlpLayout, Normalizer, adam_step,
+                  mlp_specs)
 from .vehicle import Snapshot, Trajectory
 
 CHANNELS = ("Vx", "Vy", "wr", "T", "delta_f")
@@ -129,15 +129,6 @@ class KoopmanModel:
         d, m = self.dims.lifted, self.dims.m
         return self.theta[self.layout.b_off:self.layout.b_off + d * m].reshape(d, m)
 
-    @property
-    def encoder(self) -> MlpNetwork:
-        return MlpNetwork(self.enc_specs, self.theta[:self.layout.enc.size])
-
-    @property
-    def decoder(self) -> MlpNetwork:
-        off = self.layout.enc.size
-        return MlpNetwork(self.dec_specs, self.theta[off:off + self.layout.dec.size])
-
     def with_theta(self, theta: np.ndarray) -> "KoopmanModel":
         return KoopmanModel(self.dims, self.enc_specs, self.dec_specs, theta,
                             self.normalizer, self.dt, self.weights,
@@ -161,7 +152,9 @@ def lift(model: KoopmanModel, x: np.ndarray) -> np.ndarray:
     xb = np.atleast_2d(x)
     if xb.shape[1] != model.dims.n:
         raise ValueError(f"state dim {xb.shape[1]} != n={model.dims.n}")
-    feats, _ = mlp.forward(model.encoder, xb)
+    enc = model.layout.enc
+    feats = _kernels.dense_forward(model.theta, enc.shapes, enc.w_off, enc.b_off,
+                                   enc.acts, np.ascontiguousarray(xb))
     z = np.hstack((xb, feats))
     return z[0] if single else z
 
@@ -291,14 +284,14 @@ def _loss_and_grad(theta: np.ndarray, layout: _Layout, dims: KoopmanDims,
     Bm = theta[layout.b_off:layout.b_off + d * m].reshape(d, m)
     enc, dec = layout.enc, layout.dec
 
-    cache_i = np.empty((nb, enc.cache_width))
-    phi_i = _kernels.dense_forward(theta, enc.shapes, enc.w_off, enc.b_off,
-                                   enc.acts, xi, cache_i)
-    cache_1 = np.empty((nb, enc.cache_width))
-    phi_1 = _kernels.dense_forward(theta, enc.shapes, enc.w_off, enc.b_off,
-                                   enc.acts, xi1, cache_1)
-    z_i = np.hstack((xi, phi_i))
-    z_1 = np.hstack((xi1, phi_1))
+    # xi and xi1 pass forward through the encoder as one stacked batch
+    cache_e = np.empty((2 * nb, enc.cache_width)) if want_grad else None
+    cache_d = np.empty((nb, dec.cache_width)) if want_grad else None
+    x_both = np.concatenate((xi, xi1))
+    phi = _kernels.dense_forward(theta, enc.shapes, enc.w_off, enc.b_off,
+                                 enc.acts, x_both, cache_e)
+    z_both = np.hstack((x_both, phi))
+    z_i, z_1 = z_both[:nb], z_both[nb:]
     z_hat = z_i @ A.T + ui @ Bm.T
 
     r_lin = z_1 - z_hat
@@ -306,9 +299,8 @@ def _loss_and_grad(theta: np.ndarray, layout: _Layout, dims: KoopmanDims,
     r_pred = xi1 - z_hat[:, :n]
     l_pred, g_pred = _norm_term(r_pred, squared)
 
-    cache_d = np.empty((nb, dec.cache_width))
     x_rec = _kernels.dense_forward(theta, dec.shapes, dec.w_off, dec.b_off,
-                                   dec.acts, phi_i, cache_d)
+                                   dec.acts, phi[:nb], cache_d)
     r_rec = xi - x_rec
     l_rec, g_rec = _norm_term(r_rec, squared)
 
@@ -329,15 +321,16 @@ def _loss_and_grad(theta: np.ndarray, layout: _Layout, dims: KoopmanDims,
     grad[layout.a_off:layout.a_off + d * d] = (g_zhat.T @ z_i).ravel()
     grad[layout.b_off:layout.b_off + d * m] = (g_zhat.T @ ui).ravel()
 
-    g_xrec = np.ascontiguousarray(-(weights.recon * g_rec))
+    g_xrec = -(weights.recon * g_rec)
     g_phi_dec = _kernels.dense_backward(theta, dec.shapes, dec.w_off, dec.b_off,
                                         dec.acts, cache_d, g_xrec, grad)
-    g_enc_i = np.ascontiguousarray((g_zhat @ A)[:, n:] + g_phi_dec)
+    # One reverse pass per half of the stacked cache: a single pass would add
+    # the two halves' batch sums in another order and move trained parameters
+    # by ulps, which FFRLS (lambda < 1) downstream amplifies.
     _kernels.dense_backward(theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
-                            cache_i, g_enc_i, grad)
-    g_enc_1 = np.ascontiguousarray((weights.linear * g_lin)[:, n:])
+                            cache_e[:nb], (g_zhat @ A)[:, n:] + g_phi_dec, grad)
     _kernels.dense_backward(theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
-                            cache_1, g_enc_1, grad)
+                            cache_e[nb:], weights.linear * g_lin[:, n:], grad)
     return terms, grad
 
 
@@ -536,8 +529,6 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
         normalizer = init_model.normalizer
         epoch0 = int(init_model.meta.get("final_epoch", 0))
         model = init_model
-        arr_train = _prepared_arrays(model, train_pairs)
-        arr_hold = _prepared_arrays(model, hold_pairs)
     else:
         normalizer = Normalizer.fit(
             np.hstack((train_pairs.x_now, train_pairs.u_now)))
@@ -550,8 +541,9 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
             mlp.init_theta(dec_specs, rng))
         model = KoopmanModel(dims, enc_specs, dec_specs, theta, normalizer,
                              config.dt, config.weights, config.squared_norms)
-        arr_train = _prepared_arrays(model, train_pairs)
-        arr_hold = _prepared_arrays(model, hold_pairs)
+    arr_train = _prepared_arrays(model, train_pairs)
+    arr_hold = _prepared_arrays(model, hold_pairs)
+    if init_model is None:
         if config.warm_start:
             _warm_start_ab(theta, layout, dims, arr_train["xi"],
                            arr_train["ui"], arr_train["xi1"])
@@ -576,12 +568,13 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
+        # one gather per epoch; batches are contiguous slices of it
         perm = rng.permutation(n_train)
+        shuffled = {k: v[perm] for k, v in arr_train.items()}
         sums = np.zeros(4)
-        seen = 0
         for bi, start in enumerate(range(0, n_train, config.batch_size)):
-            sel = perm[start:start + config.batch_size]
-            arrs = {k: np.ascontiguousarray(v[sel]) for k, v in arr_train.items()}
+            stop = min(start + config.batch_size, n_train)
+            arrs = {k: v[start:stop] for k, v in shuffled.items()}
             terms, grad = _loss_and_grad(theta, layout, dims, arrs,
                                          config.weights, config.dt, vel_half,
                                          vel_mid, config.squared_norms, True)
@@ -590,9 +583,8 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}")
             theta, adam = adam_step(theta, grad, adam)
-            sums += np.array(terms) * sel.size
-            seen += sel.size
-        mean_terms = LossTerms(*(sums / seen))
+            sums += np.array(terms) * (stop - start)
+        mean_terms = LossTerms(*(sums / n_train))
         hold = holdout_total(theta)
         history.append(EpochRecord(
             epoch=epoch0 + epoch, loss_total=mean_terms.total(config.weights),
@@ -725,17 +717,24 @@ def load_checkpoint(path) -> KoopmanModel:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
     dims = KoopmanDims(**doc["dims"])
-    theta = np.concatenate([
-        np.asarray(doc["theta_encoder"], dtype=np.float64),
-        np.asarray(doc["theta_decoder"], dtype=np.float64),
-        np.asarray(doc["A_row_major"], dtype=np.float64),
-        np.asarray(doc["B_row_major"], dtype=np.float64)])
+    enc_specs = _specs_from_json(doc["encoder"])
+    dec_specs = _specs_from_json(doc["decoder"])
+    layout = _build_layout(enc_specs, dec_specs, dims)
+    d = dims.lifted
+    blocks = []
+    for key, size in (("theta_encoder", layout.enc.size),
+                      ("theta_decoder", layout.dec.size),
+                      ("A_row_major", d * d), ("B_row_major", d * dims.m)):
+        block = np.asarray(doc[key], dtype=np.float64)
+        if block.shape != (size,):
+            raise ValueError(f"checkpoint block {key} has shape {block.shape}; "
+                             f"the stored specs and dims need ({size},)")
+        blocks.append(block)
     normalizer = Normalizer(lo=np.asarray(doc["normalizer_min"]),
                             hi=np.asarray(doc["normalizer_max"]))
     lw = doc["loss_weights"]
     return KoopmanModel(
-        dims, _specs_from_json(doc["encoder"]), _specs_from_json(doc["decoder"]),
-        theta, normalizer, doc["dt"],
+        dims, enc_specs, dec_specs, np.concatenate(blocks), normalizer, doc["dt"],
         LossWeights(linear=lw["linear"], recon=lw["recon"], pred=lw["pred"],
                     accel=lw["accel"]),
         doc.get("squared_norms", True), doc.get("meta", {}))

@@ -2,8 +2,8 @@
 
 Parameters of a network (and, one level up, of the whole lifted-space model)
 live in a single float64 vector. That keeps Adam, checkpointing, and
-finite-difference gradient checks trivial, and lets the jitted kernels slice
-weights by offset. All arithmetic is 64-bit.
+finite-difference gradient checks trivial, and lets the dense kernels in
+`_kernels` slice weights by offset. All arithmetic is 64-bit.
 """
 
 from __future__ import annotations

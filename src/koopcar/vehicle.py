@@ -215,27 +215,42 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
+        """Read the format written by `to_csv`; blank lines are skipped and a
+        malformed row is named by its file line number (`row N`)."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != TRAJECTORY_HEADER:
                 raise ValueError(f"unexpected trajectory header: {header!r}")
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 8:
-                    raise ValueError(f"row {lineno}: expected 8 columns, got {len(parts)}")
-                try:
-                    rows.append([float(p) for p in parts])
-                except ValueError as exc:
-                    raise ValueError(f"row {lineno}: {exc}") from None
-        if not rows:
+            lines = fh.readlines()
+        body = [line for line in lines if not line.isspace()]
+        if not body:
             raise ValueError("empty trajectory file")
-        arr = np.array(rows)
+        try:
+            arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            arr = None
+        if arr is None or arr.shape[1] != 8:
+            arr = _scan_rows(lines)
         return cls(t=arr[:, 0], states=arr[:, 1:4], inputs=arr[:, 4:6],
                    accels=arr[:, 6:8])
+
+
+def _scan_rows(lines: list[str]) -> np.ndarray:
+    """Per-line parse of trajectory body lines (file line 2 onward) that
+    names the first malformed row by its file line number."""
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise ValueError(f"row {lineno}: expected 8 columns, got {len(parts)}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValueError(f"row {lineno}: {exc}") from None
+    return np.array(rows)
 
 
 def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,

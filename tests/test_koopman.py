@@ -454,6 +454,33 @@ def test_train_is_deterministic(short_mixed):
     assert [rec.csv_row() for rec in r1.history] == [rec.csv_row() for rec in r2.history]
 
 
+# Per-epoch (total, linear, recon, pred, accel, holdout) of 60 s `mixed`,
+# seed 42, default config, 5 epochs. Training reproduces these to the bit with
+# the BLAS they were recorded on; rtol 1e-12 leaves room for another BLAS
+# build's summation order.
+PINNED_HISTORY_SEED42 = np.array([
+    [0.9162841318076399, 0.0001617101549236983, 0.8756816000517937,
+     8.118002119712894e-05, 0.04035964157972524, 0.4930312702802116],
+    [0.3227304340404625, 0.00015530938996204184, 0.295546140396616,
+     7.61660717412337e-05, 0.026952818182143217, 0.15272391314440653],
+    [0.13664122708780463, 0.00016618443099752502, 0.12332232351352235,
+     7.508856060823534e-05, 0.013077630582676523, 0.11538651794466341],
+    [0.10600524068744978, 0.00017184795273299743, 0.09603019286324829,
+     7.26012713196048e-05, 0.009730598600148882, 0.08308360476324252],
+    [0.07303066802289239, 0.00017391675795593004, 0.06346481696449002,
+     7.632128850874501e-05, 0.009315613011937684, 0.05490265312815732],
+])
+
+
+def test_train_matches_pinned_history(short_mixed):
+    pairs = PairBatch.from_trajectory(short_mixed)
+    res = train(pairs, KoopmanDims(), TrainConfig(seed=42, dt=pairs.dt, epochs=5))
+    got = np.array([[r.loss_total, r.loss_linear, r.loss_recon, r.loss_pred,
+                     r.loss_accel, r.holdout_total] for r in res.history])
+    assert [r.epoch for r in res.history] == [1, 2, 3, 4, 5]
+    np.testing.assert_allclose(got, PINNED_HISTORY_SEED42, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_train_aborts_on_nonfinite_loss():
     # finite but absurd acceleration targets overflow the squared accel term
@@ -543,4 +570,19 @@ def test_checkpoint_version_gate(tmp_path, quick_model):
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["theta_encoder", "A_row_major"])
+def test_checkpoint_rejects_misplaced_block_values(tmp_path, quick_model, key):
+    # the total theta length stays right; only the split between blocks moves
+    import json
+    path = tmp_path / "model.json"
+    save_checkpoint(quick_model, path)
+    doc = json.loads(path.read_text())
+    following = {"theta_encoder": "theta_decoder", "A_row_major": "B_row_major"}[key]
+    doc[following] = doc[key][-5:] + doc[following]
+    doc[key] = doc[key][:-5]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=key):
         load_checkpoint(path)

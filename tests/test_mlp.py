@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koopcar import _kernels
 from koopcar.mlp import (AdamState, LayerSpec, MlpNetwork, adam_step,
                          backward, fit_normalizer, forward, mlp_specs)
 
@@ -68,6 +69,24 @@ def test_forward_determinism():
     y1, _ = forward(net, x)
     y2, _ = forward(net, x)
     assert np.array_equal(y1, y2)
+
+
+def test_cache_free_forward_equals_cached_forward():
+    # every activation, with and without bias; inference skips only the cache
+    rng = np.random.default_rng(11)
+    specs = (LayerSpec(3, 7, "tanh"), LayerSpec(7, 5, "relu", has_bias=False),
+             LayerSpec(5, 4, "linear"))
+    net = MlpNetwork.create(specs, rng)
+    net.theta[:] += 0.1 * rng.normal(size=net.theta.size)
+    lay = net.layout
+    x = rng.normal(size=(9, 3))
+    cache = np.empty((9, lay.cache_width))
+    args = (net.theta, lay.shapes, lay.w_off, lay.b_off, lay.acts, x)
+    cached = _kernels.dense_forward(*args, cache)
+    free = _kernels.dense_forward(*args, None)
+    assert np.array_equal(free, cached)
+    assert np.array_equal(cache[:, -4:], cached)
+    assert np.array_equal(free, forward(net, x)[0])
 
 
 def test_layer_chain_validation():

@@ -347,6 +347,35 @@ def test_trajectory_csv_rejects_malformed(tmp_path):
         Trajectory.from_csv(path)
 
 
+def test_trajectory_csv_names_file_line_after_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("t,Vx,Vy,wr,T,delta_f,ax,ay\n"
+                    "0,10,0,0,100,0,0,0\n"
+                    "\n"
+                    "   \t\n"
+                    "0.025,10,0,0,100,0,0,0\n"
+                    "0.05,10,0,0,1oo,0,0,0\n")
+    with pytest.raises(ValueError, match=r"^row 6: "):
+        Trajectory.from_csv(path)
+    path.write_text(path.read_text().replace("1oo", "100,0"))
+    with pytest.raises(ValueError, match=r"^row 6: expected 8 columns, got 9"):
+        Trajectory.from_csv(path)
+
+
+def test_trajectory_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("t,Vx,Vy,wr,T,delta_f,ax,ay\n\n"
+                    "0,10,0.5,0,100,0,0,0\n  \n"
+                    "0.025,11,0,0.1,100,0.01,0.2,-0.3\n\n")
+    tr = Trajectory.from_csv(path)
+    assert np.array_equal(tr.t, [0.0, 0.025])
+    assert np.array_equal(tr.states, [[10.0, 0.5, 0.0], [11.0, 0.0, 0.1]])
+    assert np.array_equal(tr.accels[1], [0.2, -0.3])
+    path.write_text("t,Vx,Vy,wr,T,delta_f,ax,ay\n \n\n")
+    with pytest.raises(ValueError, match="empty trajectory file"):
+        Trajectory.from_csv(path)
+
+
 def test_snapshot_view_matches_arrays():
     tr = run_scenario(make_scenario("mixed", duration=2.0))
     snap = tr[7]
