@@ -10,6 +10,13 @@ in one call (numpy >= 2 provides the `np.atan`/`np.atan2` names). The two
 paths perform the same operations in the same order, so they differ only by
 the last-bit rounding of numpy's and libm's transcendental functions.
 
+Work that does not change between RK4 stages is done once: the per-vehicle
+constants (axle loads, tire peaks, rolling force, half track) by
+`vehicle_constants`, the per-step input terms (torque/rw, cos and sin of the
+steering angle) by the caller of the stages. The hoisted expressions keep
+their operand order, so the results are bitwise those of evaluating
+everything in every stage.
+
 The dense-network kernels work on a flat parameter vector; friendly wrappers
 live in the public modules.
 """
@@ -22,11 +29,59 @@ GRAVITY = 9.81
 VALIDITY_FLOOR = 0.1  # m/s; slip angles degenerate at standstill
 
 
-def tire_lateral(alpha, fz, b_stiff, c_shape, d_scale, e_curv, mu, xp=math):
-    """Lateral tire force: peak mu*d_scale*fz, sine-of-arctangent shape, odd in alpha."""
-    d_peak = mu * d_scale * fz
+def tire_lateral(alpha, d_peak, b_stiff, c_shape, e_curv, xp=math):
+    """Lateral tire force: peak d_peak (= mu*d_scale*Fz), sine-of-arctangent
+    shape, odd in alpha."""
     ba = b_stiff * alpha
     return d_peak * xp.sin(c_shape * xp.atan(ba - e_curv * (ba - xp.atan(ba))))
+
+
+def vehicle_constants(pv):
+    """Step-invariant terms of the planar model, derived once per vehicle
+    from the `VehicleParams.packed()` tuple: (m, iz, lf, lr, half_wb, rw,
+    d_front, d_rear, b_stiff, c_shape, e_curv, drag, roll_force).
+
+    The static normal loads give the tire peaks d = mu*d_scale*Fz per axle;
+    roll_force = roll*m*g is the rolling part of the resistance.
+    """
+    m, iz, lf, lr, wb, rw, mu, tb, tc, td, te, drag, roll = pv
+    fz_front = m * GRAVITY * lr / (2.0 * (lf + lr))
+    fz_rear = m * GRAVITY * lf / (2.0 * (lf + lr))
+    return (m, iz, lf, lr, 0.5 * wb, rw, mu * td * fz_front, mu * td * fz_rear,
+            tb, tc, te, drag, roll * m * GRAVITY)
+
+
+def _rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp):
+    """planar_rhs on the per-vehicle constants `vc` and the per-step input
+    terms drive = torque/rw, cd = cos(steer), sd = sin(steer)."""
+    m, iz, lf, lr, half_wb, rw, d_front, d_rear, tb, tc, te, drag, roll_force = vc
+
+    # per-wheel longitudinal force (identical on all four wheels)
+    fx = 0.25 * (drive - (roll_force + drag * vx * vx))
+
+    half_track = half_wb * wr
+    vy_front = vy + lf * wr
+    vy_rear = vy - lr * wr
+    a1 = steer - xp.atan2(vy_front, vx - half_track)
+    a2 = steer - xp.atan2(vy_front, vx + half_track)
+    a3 = -xp.atan2(vy_rear, vx - half_track)
+    a4 = -xp.atan2(vy_rear, vx + half_track)
+
+    fy1 = tire_lateral(a1, d_front, tb, tc, te, xp)
+    fy2 = tire_lateral(a2, d_front, tb, tc, te, xp)
+    fy3 = tire_lateral(a3, d_rear, tb, tc, te, xp)
+    fy4 = tire_lateral(a4, d_rear, tb, tc, te, xp)
+
+    fx_front = fx + fx
+    fy_front = fy1 + fy2
+    fy_rear = fy3 + fy4
+
+    dvx = (fx_front * cd - fy_front * sd + (fx + fx)) / m + vy * wr
+    dvy = (fx_front * sd + fy_front * cd + fy_rear) / m - vx * wr
+    dwr = (half_wb * ((fy1 - fy2) * sd)
+           + lf * (fx_front * sd + fy_front * cd)
+           - lr * fy_rear) / iz
+    return dvx, dvy, dwr
 
 
 def planar_rhs(vx, vy, wr, torque, steer, pv, xp=math):
@@ -37,65 +92,41 @@ def planar_rhs(vx, vy, wr, torque, steer, pv, xp=math):
     resistance are lumped and split evenly too, so per-side longitudinal
     force differences vanish identically.
     """
-    m, iz, lf, lr, wb, rw, mu, tb, tc, td, te, drag, roll = pv
-
-    # static normal loads per wheel
-    fz_front = m * GRAVITY * lr / (2.0 * (lf + lr))
-    fz_rear = m * GRAVITY * lf / (2.0 * (lf + lr))
-
-    # per-wheel longitudinal force (identical on all four wheels)
-    resist = roll * m * GRAVITY + drag * vx * vx
-    fx = 0.25 * (torque / rw - resist)
-
-    half_track = 0.5 * wb * wr
-    vy_front = vy + lf * wr
-    vy_rear = vy - lr * wr
-    a1 = steer - xp.atan2(vy_front, vx - half_track)
-    a2 = steer - xp.atan2(vy_front, vx + half_track)
-    a3 = -xp.atan2(vy_rear, vx - half_track)
-    a4 = -xp.atan2(vy_rear, vx + half_track)
-
-    fy1 = tire_lateral(a1, fz_front, tb, tc, td, te, mu, xp)
-    fy2 = tire_lateral(a2, fz_front, tb, tc, td, te, mu, xp)
-    fy3 = tire_lateral(a3, fz_rear, tb, tc, td, te, mu, xp)
-    fy4 = tire_lateral(a4, fz_rear, tb, tc, td, te, mu, xp)
-
-    cd = xp.cos(steer)
-    sd = xp.sin(steer)
-    fx_front = fx + fx
-    fy_front = fy1 + fy2
-    fy_rear = fy3 + fy4
-
-    dvx = (fx_front * cd - fy_front * sd + (fx + fx)) / m + vy * wr
-    dvy = (fx_front * sd + fy_front * cd + fy_rear) / m - vx * wr
-    dwr = (0.5 * wb * ((fy1 - fy2) * sd)
-           + lf * (fx_front * sd + fy_front * cd)
-           - lr * fy_rear) / iz
-    return dvx, dvy, dwr
+    vc = vehicle_constants(pv)
+    return _rhs(vx, vy, wr, torque / vc[5], steer, xp.cos(steer),
+                xp.sin(steer), vc, xp)
 
 
-def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv, xp=math, k1=None):
-    """Classical RK4 advance of the planar model over dt, zero-order-hold input.
+def _rk4(vx, vy, wr, drive, steer, cd, sd, dt, substeps, vc, xp, k1=None):
+    """rk4_step on the terms `_rhs` takes; the input is held over all stages.
 
-    `k1` optionally supplies planar_rhs at the starting state, which a caller
+    `k1` optionally supplies `_rhs` at the starting state, which a caller
     that has already evaluated it can pass to save one evaluation.
     """
     h = dt / substeps
+    half_h = 0.5 * h
     for _ in range(substeps):
         if k1 is None:
-            k1 = planar_rhs(vx, vy, wr, torque, steer, pv, xp)
+            k1 = _rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp)
         k1x, k1y, k1r = k1
         k1 = None
-        k2x, k2y, k2r = planar_rhs(vx + 0.5 * h * k1x, vy + 0.5 * h * k1y,
-                                   wr + 0.5 * h * k1r, torque, steer, pv, xp)
-        k3x, k3y, k3r = planar_rhs(vx + 0.5 * h * k2x, vy + 0.5 * h * k2y,
-                                   wr + 0.5 * h * k2r, torque, steer, pv, xp)
-        k4x, k4y, k4r = planar_rhs(vx + h * k3x, vy + h * k3y,
-                                   wr + h * k3r, torque, steer, pv, xp)
+        k2x, k2y, k2r = _rhs(vx + half_h * k1x, vy + half_h * k1y,
+                             wr + half_h * k1r, drive, steer, cd, sd, vc, xp)
+        k3x, k3y, k3r = _rhs(vx + half_h * k2x, vy + half_h * k2y,
+                             wr + half_h * k2r, drive, steer, cd, sd, vc, xp)
+        k4x, k4y, k4r = _rhs(vx + h * k3x, vy + h * k3y,
+                             wr + h * k3r, drive, steer, cd, sd, vc, xp)
         vx = vx + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         vy = vy + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         wr = wr + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
     return vx, vy, wr
+
+
+def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv, xp=math):
+    """Classical RK4 advance of the planar model over dt, zero-order-hold input."""
+    vc = vehicle_constants(pv)
+    return _rk4(vx, vy, wr, torque / vc[5], steer, xp.cos(steer),
+                xp.sin(steer), dt, substeps, vc, xp)
 
 
 def simulate_path(x0, torques, steers, dt, substeps, pv):
@@ -103,9 +134,10 @@ def simulate_path(x0, torques, steers, dt, substeps, pv):
 
     states[k] holds the state at t=k*dt, accels[k] the body-frame sensor
     accelerations there under input k (ax = dVx - Vy*wr, ay = dVy + Vx*wr).
-    fail_index >= 0 flags the first step where Vx fell to the validity floor.
-    The loop runs on Python floats and writes each step into the
-    preallocated outputs through flat memoryviews.
+    fail_index >= 0 flags the first step where Vx fell to the validity floor
+    or became NaN. The loop runs on Python floats, derives the vehicle
+    constants once and the input terms once per step, and writes each step
+    into the preallocated outputs through flat memoryviews.
     """
     n = torques.shape[0]
     states = np.zeros((n, 3))
@@ -114,23 +146,28 @@ def simulate_path(x0, torques, steers, dt, substeps, pv):
     out_a = memoryview(accels.reshape(-1))
     torque_k = memoryview(np.ascontiguousarray(torques, dtype=np.float64))
     steer_k = memoryview(np.ascontiguousarray(steers, dtype=np.float64))
+    vc = vehicle_constants(pv)
+    rw = vc[5]
+    cos, sin = math.cos, math.sin
     vx, vy, wr = (float(v) for v in x0)
     fail = -1
     for k in range(n):
-        if vx <= VALIDITY_FLOOR:
+        if not (vx > VALIDITY_FLOOR):
             fail = k
             break
-        torque = torque_k[k]
+        drive = torque_k[k] / rw
         steer = steer_k[k]
+        cd = cos(steer)
+        sd = sin(steer)
         out_x[3 * k] = vx
         out_x[3 * k + 1] = vy
         out_x[3 * k + 2] = wr
-        deriv = planar_rhs(vx, vy, wr, torque, steer, pv)
+        deriv = _rhs(vx, vy, wr, drive, steer, cd, sd, vc, math)
         out_a[2 * k] = deriv[0] - vy * wr
         out_a[2 * k + 1] = deriv[1] + vx * wr
         if k < n - 1:
-            vx, vy, wr = rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv,
-                                  k1=deriv)
+            vx, vy, wr = _rk4(vx, vy, wr, drive, steer, cd, sd, dt, substeps,
+                              vc, math, deriv)
     return states, accels, fail
 
 

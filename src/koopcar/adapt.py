@@ -21,13 +21,14 @@ An adapter is strictly sequential and single-owner; run one per stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .koopman import (KoopmanModel, check_sample_time, lift,
                       one_step_predictions)
-from .vehicle import Trajectory
+from .vehicle import Trajectory, write_rows
 
 MODES = ("SWLS", "RLS", "FFRLS", "frozen")
 
@@ -137,9 +138,9 @@ class AdapterState:
             self._fill += 1
         elif not recompute:
             g_old = self._regressors[:, slot]
-            self._gram -= np.outer(g_old, g_old)
-            self._cross -= np.outer(self._targets[:, slot] - self.h_init @ g_old,
-                                    g_old)
+            self._gram -= g_old[:, None] * g_old
+            self._cross -= ((self._targets[:, slot] - self.h_init @ g_old)[:, None]
+                            * g_old)
         self._regressors[:, slot] = g
         self._targets[:, slot] = target
         if recompute:
@@ -148,8 +149,8 @@ class AdapterState:
             self._cross = (self._targets[:, :self._fill]
                            - self.h_init @ g_mat) @ g_mat.T
         else:
-            self._gram += np.outer(g, g)
-            self._cross += np.outer(target - self.h_init @ g, g)
+            self._gram += g[:, None] * g
+            self._cross += (target - self.h_init @ g)[:, None] * g
 
 
 def init(A0: np.ndarray, B0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
@@ -179,7 +180,7 @@ def _solve_window(state: AdapterState) -> None:
         h_new = np.linalg.lstsq(state._regressors[:, :state._fill].T,
                                 state._targets[:, :state._fill].T,
                                 rcond=None)[0].T
-    if not np.all(np.isfinite(h_new)):
+    if not np.isfinite(h_new).all():
         cond = float(np.linalg.cond(state._gram))
         raise np.linalg.LinAlgError(
             f"singular window Gram (cond~{cond:.3g}) with eps_reg={state.eps}")
@@ -191,8 +192,8 @@ def _rls_step(state: AdapterState, g: np.ndarray, target: np.ndarray,
     pg = state.P @ g
     gain = pg / (lam + g @ pg)
     residual = target - state.h_est @ g
-    state.h_est = state.h_est + np.outer(residual, gain)
-    p_new = (state.P - np.outer(gain, pg)) / lam
+    state.h_est = state.h_est + residual[:, None] * gain
+    p_new = (state.P - gain[:, None] * pg) / lam
     state.P = 0.5 * (p_new + p_new.T)
 
 
@@ -208,7 +209,7 @@ def update(state: AdapterState, z_k: np.ndarray,
     u_prev = np.asarray(u_prev, dtype=np.float64).ravel()
     if z_k.shape[0] != state.zdim or u_prev.shape[0] != state.udim:
         raise ValueError("lifted/input dim mismatch")
-    if not (np.all(np.isfinite(z_k)) and np.all(np.isfinite(u_prev))):
+    if not (np.isfinite(z_k).all() and np.isfinite(u_prev).all()):
         raise ValueError("non-finite measurement")
     g = np.concatenate((state.z_prev, u_prev))
     mode = state.config.mode
@@ -236,6 +237,12 @@ class AdaptRunResult:
     final_A: np.ndarray
     final_B: np.ndarray
     config: AdapterConfig
+
+
+def _frobenius(diff: np.ndarray) -> float:
+    """Frobenius norm, computed as np.linalg.norm does, without its dispatch."""
+    flat = diff.ravel()
+    return math.sqrt(flat.dot(flat))
 
 
 def _sym_cond(gram: np.ndarray) -> float:
@@ -286,8 +293,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         z_hat = state.h_est @ g
         preds_n[k - 1] = z_hat[:n]
         update(state, z_all[k], un[k - 1])
-        drift_a[k - 1] = np.linalg.norm(state.A_k - a0)
-        drift_b[k - 1] = np.linalg.norm(state.B_k - b0)
+        drift_a[k - 1] = _frobenius(state.A_k - a0)
+        drift_b[k - 1] = _frobenius(state.B_k - b0)
         if windowed:
             cond[k - 1] = _sym_cond(state.window_gram())
     preds = model.denormalize_states(preds_n)
@@ -301,7 +308,6 @@ def write_estimate_history(path, result: AdaptRunResult) -> None:
     """Columnar diagnostics dump: k,frob_dA,frob_dB,cond_gram."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ESTIMATE_HISTORY_HEADER + "\n")
-        for k in range(result.drift_a.shape[0]):
-            fh.write("%d,%.17g,%.17g,%.17g\n"
-                     % (k + 1, result.drift_a[k], result.drift_b[k],
-                        result.cond_gram[k]))
+        write_rows(fh, "%d,%.17g,%.17g,%.17g\n",
+                   (result.drift_a, result.drift_b, result.cond_gram),
+                   first_index=1)

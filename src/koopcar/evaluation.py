@@ -20,7 +20,7 @@ from .adapt import AdapterConfig, adapt_run
 from .koopman import KoopmanModel, check_sample_time, one_step_predictions
 from .scenarios import Scenario, make_scenario, run_scenario
 from .vehicle import (VALIDITY_FLOOR, ModelValidityError, Trajectory,
-                      VehicleParams)
+                      VehicleParams, write_rows)
 
 MS_TO_KMH = 3.6
 RAD_TO_DEG = 180.0 / np.pi
@@ -231,10 +231,8 @@ def write_report_files(report: ComparisonReport, table_path, machine_path,
     with open(series_path, "w", encoding="utf-8") as fh:
         fh.write("method,k,err_Vx_kmh,err_Vy_kmh,err_wr_degs\n")
         for res in report.results:
-            err = report.errors_by_method[res.name]
-            for k in range(err.shape[0]):
-                fh.write("%s,%d,%.17g,%.17g,%.17g\n"
-                         % (res.name, k + 1, err[k, 0], err[k, 1], err[k, 2]))
+            write_rows(fh, res.name.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g\n",
+                       (report.errors_by_method[res.name],), first_index=1)
 
 
 def write_timing_sidecar(report: ComparisonReport, path) -> None:

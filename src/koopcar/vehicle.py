@@ -23,6 +23,9 @@ from ._kernels import GRAVITY, VALIDITY_FLOOR
 MAX_STEER = math.pi / 4
 
 TRAJECTORY_HEADER = "t,Vx,Vy,wr,T,delta_f,ax,ay"
+_TRAJECTORY_ROW = ",".join(["%.17g"] * 8) + "\n"
+
+ROW_BLOCK = 1024  # rows formatted per block by `write_rows`
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,8 @@ def tire_lateral_force(alpha: float, Fz: float, params: MagicFormulaParams,
         raise ValueError("non-finite slip angle")
     if Fz <= 0:
         raise ValueError("normal load must be positive")
-    return _kernels.tire_lateral(alpha, Fz, params.b_stiff, params.c_shape,
-                                 params.d_peak_scale, params.e_curv, mu)
+    return _kernels.tire_lateral(alpha, mu * params.d_peak_scale * Fz,
+                                 params.b_stiff, params.c_shape, params.e_curv)
 
 
 def derivatives(state: VehicleState, control: ControlInput,
@@ -207,11 +210,8 @@ class Trajectory:
         """Write the columnar text format (17 significant digits, exact round-trip)."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
-            for k in range(len(self)):
-                row = (self.t[k], self.states[k, 0], self.states[k, 1],
-                       self.states[k, 2], self.inputs[k, 0], self.inputs[k, 1],
-                       self.accels[k, 0], self.accels[k, 1])
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            write_rows(fh, _TRAJECTORY_ROW,
+                       (self.t, self.states, self.inputs, self.accels))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -235,6 +235,24 @@ class Trajectory:
                    accels=arr[:, 6:8])
 
 
+def write_rows(fh, fmt: str, columns, first_index: int | None = None) -> None:
+    """Write `fmt % row` for each row of the side-by-side `columns` (1-D or
+    2-D arrays with equal row counts); with `first_index` each row starts
+    with its integer index, counted from there.
+
+    Rows are converted to Python floats and formatted `ROW_BLOCK` at a time,
+    so memory stays bounded for any length.
+    """
+    n = columns[0].shape[0]
+    for s in range(0, n, ROW_BLOCK):
+        block = np.column_stack([c[s:s + ROW_BLOCK] for c in columns]).tolist()
+        if first_index is None:
+            fh.writelines([fmt % tuple(row) for row in block])
+        else:
+            fh.writelines([fmt % (k, *row)
+                           for k, row in enumerate(block, first_index + s)])
+
+
 def _scan_rows(lines: list[str]) -> np.ndarray:
     """Per-line parse of trajectory body lines (file line 2 onward) that
     names the first malformed row by its file line number."""
@@ -255,16 +273,26 @@ def _scan_rows(lines: list[str]) -> np.ndarray:
 
 def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
                  dt: float, params: VehicleParams, substeps: int = 1) -> Trajectory:
-    """Simulate a zero-order-hold input schedule sampled at dt."""
+    """Simulate a zero-order-hold input schedule sampled at dt.
+
+    Raises ValueError naming the first step with a non-finite input, and
+    ModelValidityError where Vx falls to the validity floor or becomes NaN.
+    """
     _check_state(x0.Vx, x0.Vy, x0.wr)
     n = torques.shape[0]
     if steers.shape[0] != n:
         raise ValueError("torque and steering schedules must have equal length")
+    bad = np.flatnonzero(~(np.isfinite(torques) & np.isfinite(steers)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"non-finite input at step {k} (t={k * dt:.3f} s): "
+                         f"T={float(torques[k])}, delta_f={float(steers[k])}")
     states, accels, fail = _kernels.simulate_path(
         x0.as_array(), torques, steers, dt, substeps, params.packed())
     if fail >= 0:
         raise ModelValidityError(
-            f"Vx hit the validity floor at t={fail * dt:.3f} s (step {fail})")
+            f"Vx hit the validity floor or became NaN at t={fail * dt:.3f} s "
+            f"(step {fail})")
     t = np.arange(n) * dt
     return Trajectory(t=t, states=states,
                       inputs=np.column_stack((torques, steers)), accels=accels)

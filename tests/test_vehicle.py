@@ -1,13 +1,17 @@
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from koopcar import _kernels, backend_name
-from koopcar.vehicle import (MAX_STEER, ControlInput, MagicFormulaParams,
-                             ModelValidityError, Snapshot, Trajectory,
-                             VehicleParams, VehicleState,
+from koopcar.evaluation import scenario_suite
+from koopcar.vehicle import (MAX_STEER, ROW_BLOCK, ControlInput,
+                             MagicFormulaParams, ModelValidityError, Snapshot,
+                             Trajectory, VehicleParams, VehicleState,
                              derivatives, equilibrium_torque, rk4_generic,
                              run_schedule, sensor_accels, step_rk4,
-                             tire_lateral_force)
+                             tire_lateral_force, write_rows)
 from koopcar.scenarios import (InputProgram, Scenario, make_scenario,
                                run_scenario, scenario_from_config,
                                scenario_to_config)
@@ -326,6 +330,53 @@ def test_run_schedule_validates_lengths():
         run_schedule(VehicleState(15.0), np.zeros(5), np.zeros(4), 0.025, P)
 
 
+@pytest.mark.parametrize("column, value", [
+    ("torque", np.nan), ("steer", np.inf), ("steer", np.nan),
+    ("torque", -np.inf)])
+def test_run_schedule_rejects_non_finite_inputs(column, value):
+    torques = np.full(40, 300.0)
+    steers = np.zeros(40)
+    (torques if column == "torque" else steers)[17] = value
+    with pytest.raises(ValueError, match=r"non-finite input at step 17 \(t=0\.425 s\)"):
+        run_schedule(VehicleState(15.0), torques, steers, 0.025, P)
+
+
+def test_simulate_path_stops_at_a_nan_state():
+    pv = P.packed()
+    torques, steers = np.full(10, 300.0), np.zeros(10)
+    *_, fail = _kernels.simulate_path(np.array([np.nan, 0.0, 0.0]), torques,
+                                      steers, 0.025, 1, pv)
+    assert fail == 0
+    # a NaN lateral velocity reaches Vx through the slip angles in one step
+    states, _, fail = _kernels.simulate_path(np.array([15.0, np.nan, 0.0]),
+                                             torques, steers, 0.025, 1, pv)
+    assert fail == 1
+    assert states[0, 0] == 15.0 and not states[1:].any()
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_simulate_path_equals_public_stepping_bitwise(substeps):
+    # the loop hoists vehicle constants and input terms out of the RK4
+    # stages; stepping the public kernels sample by sample must give the
+    # same bits on every suite scenario
+    for sc in scenario_suite():
+        sc = replace(sc, duration=10.0)
+        torques, steers = sc.input_program.sample(sc.time_grid(), sc.params)
+        pv = sc.params.packed()
+        x0 = sc.initial_state.as_array()
+        states, accels, fail = _kernels.simulate_path(x0, torques, steers,
+                                                      sc.dt, substeps, pv)
+        assert fail == -1
+        vx, vy, wr = map(float, x0)
+        for k in range(torques.shape[0]):
+            torque, steer = float(torques[k]), float(steers[k])
+            dvx, dvy, _ = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv)
+            assert tuple(states[k]) == (vx, vy, wr), (sc.name, k)
+            assert tuple(accels[k]) == (dvx - vy * wr, dvy + vx * wr), (sc.name, k)
+            vx, vy, wr = _kernels.rk4_step(vx, vy, wr, torque, steer, sc.dt,
+                                           substeps, pv)
+
+
 # ---------------------------------------------------------------------------
 # trajectory file round-trip and scenario config round-trip
 
@@ -338,6 +389,27 @@ def test_trajectory_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(tr.states, back.states)
     assert np.array_equal(tr.inputs, back.inputs)
     assert np.array_equal(tr.accels, back.accels)
+
+
+@pytest.mark.parametrize("n_rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_write_rows_equals_per_row_formatting(n_rows):
+    rng = np.random.default_rng(n_rows)
+    scale = 10.0 ** rng.integers(-300, 300, (n_rows, 2))
+    wide = rng.standard_normal((n_rows, 2)) * scale
+    col = rng.standard_normal(n_rows)
+    extremes = [-0.0, 1e-300, 1e300, -1e300, 5e-324, np.nan, np.inf]
+    col[:len(extremes)] = extremes[:n_rows]
+    wide[-1] = (-0.0, 1e300)
+    fmt = "M,%d,%.17g,%.17g,%.17g\n"
+    expect = "".join(fmt % (k + 1, col[k], wide[k, 0], wide[k, 1])
+                     for k in range(n_rows))
+    fh = io.StringIO()
+    write_rows(fh, fmt, (col, wide), first_index=1)
+    assert fh.getvalue() == expect
+    fh = io.StringIO()
+    write_rows(fh, "%.17g,%.17g,%.17g\n", (col, wide))
+    assert fh.getvalue() == "".join("%.17g,%.17g,%.17g\n" % (col[k], *wide[k])
+                                    for k in range(n_rows))
 
 
 def test_trajectory_csv_rejects_malformed(tmp_path):
