@@ -1,20 +1,37 @@
 """Online adaptation of the lifted-space matrices [A B].
 
-Streams lifted measurements and re-estimates the one-step linear map over a
-sliding window of the most recent pairs (SWLS), with recursive least squares
-(RLS), exponentially forgetting RLS (FFRLS), and a frozen baseline for
-comparison. SWLS re-solves the windowed least-squares problem every step,
-anchored at the trained estimate by a small fixed ridge:
+Re-estimates the one-step linear map of lifted measurements over a sliding
+window of the most recent pairs (SWLS), with recursive least squares (RLS),
+exponentially forgetting RLS (FFRLS), and a frozen baseline for comparison.
+SWLS re-solves the windowed least-squares problem every step, anchored at
+the trained estimate by a small fixed ridge:
 
     H = H0 + C (S + eps I)^{-1},   S = G G^T,   C = (T - H0 G) G^T
 
 With eps fixed at init this is exactly textbook RLS while the window is still
 growing, and within O(eps) of the plain windowed solution once it slides.
-The window lives in ring buffers, and S and C are kept up to date with
-rank-1 terms: the new column is added and the evicted one subtracted. Every
-M pushes both are recomputed exactly from the buffers, which bounds the
-cancellation drift of the downdates (Golub & Van Loan, Matrix Computations).
-C stays in residual form: forming T G^T - H0 S instead cancels badly.
+RLS is the same solve over a window that never slides, with the prior
+1/FFRLS_P0_SCALE in place of eps. C stays in residual form: forming
+T G^T - H0 S instead cancels badly.
+
+Two paths compute these estimates:
+
+* Streaming, `init` + `update`: the online API, one measurement at a time.
+  The SWLS window lives in ring buffers, and S and C are kept up to date with
+  rank-1 terms: the new column is added and the evicted one subtracted. Every
+  M pushes both are recomputed exactly from the buffers, which bounds the
+  cancellation drift of the downdates (Golub & Van Loan, Matrix
+  Computations). RLS and FFRLS propagate the covariance P.
+* Batched, inside `adapt_run`, for SWLS with eps > 0 and for RLS over a known
+  trajectory. It works in chunks of BATCH_CHUNK steps: the growing windows
+  (and every RLS step) take S and C from a running `cumsum`, each full
+  window takes them from one matmul over a `sliding_window_view` of its M
+  pairs (exact per window, no downdates), and one batched solve gives the
+  chunk's estimates. It agrees with streaming to rounding.
+
+FFRLS stays on the streaming path: the P-form recursion winds up at
+lambda < 1, so its information form would change its outputs, not only
+their rounding. SWLS with eps = 0 (min-norm lstsq) stays streaming too.
 
 An adapter is strictly sequential and single-owner; run one per stream.
 """
@@ -25,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .koopman import (KoopmanModel, check_sample_time, lift,
                       one_step_predictions)
@@ -33,6 +51,9 @@ from .vehicle import Trajectory, write_rows
 MODES = ("SWLS", "RLS", "FFRLS", "frozen")
 
 FFRLS_P0_SCALE = 1e4
+# Steps per batched solve in `adapt_run`. Small chunks keep the per-chunk
+# regressors, window Grams and their solve in cache and bound the RSS.
+BATCH_CHUNK = 64
 ESTIMATE_HISTORY_HEADER = "k,frob_dA,frob_dB,cond_gram"
 
 
@@ -181,10 +202,14 @@ def _solve_window(state: AdapterState) -> None:
                                 state._targets[:, :state._fill].T,
                                 rcond=None)[0].T
     if not np.isfinite(h_new).all():
-        cond = float(np.linalg.cond(state._gram))
-        raise np.linalg.LinAlgError(
-            f"singular window Gram (cond~{cond:.3g}) with eps_reg={state.eps}")
+        raise _singular(state._gram, state.eps)
     state.h_est = h_new
+
+
+def _singular(gram: np.ndarray, eps: float) -> np.linalg.LinAlgError:
+    cond = float(np.linalg.cond(gram))
+    return np.linalg.LinAlgError(
+        f"singular window Gram (cond~{cond:.3g}) with eps_reg={eps}")
 
 
 def _rls_step(state: AdapterState, g: np.ndarray, target: np.ndarray,
@@ -225,7 +250,7 @@ def update(state: AdapterState, z_k: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# streaming runs over trajectories
+# runs over known trajectories
 
 @dataclass
 class AdaptRunResult:
@@ -245,25 +270,120 @@ def _frobenius(diff: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _sym_cond(gram: np.ndarray) -> float:
+def _sym_cond(gram: np.ndarray) -> np.ndarray:
+    """Condition number of each symmetric matrix in `gram`; inf if singular."""
     ev = np.linalg.eigvalsh(gram)
-    return np.inf if ev[0] <= 0.0 else float(ev[-1] / ev[0])
+    lo, hi = ev[..., 0], ev[..., -1]
+    return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0.0)
+
+
+def _running_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """carry + cumsum(terms), added left to right as the rank-1 updates are."""
+    out = np.concatenate((carry[None], terms))
+    return np.cumsum(out, axis=0, out=out)[1:]
+
+
+def _streamed(state: AdapterState, z_all: np.ndarray, un: np.ndarray, n: int):
+    """Per-step `update` loop; returns (preds_n, drift_a, drift_b, cond, H)."""
+    steps = z_all.shape[0] - 1
+    a0 = state.A_k.copy()
+    b0 = state.B_k.copy()
+    preds_n = np.empty((steps, n))
+    drift_a = np.empty(steps)
+    drift_b = np.empty(steps)
+    cond = np.full(steps, np.nan)
+    windowed = state.config.mode == "SWLS"
+    for k in range(1, steps + 1):
+        g = np.concatenate((state.z_prev, un[k - 1]))
+        z_hat = state.h_est @ g
+        preds_n[k - 1] = z_hat[:n]
+        update(state, z_all[k], un[k - 1])
+        drift_a[k - 1] = _frobenius(state.A_k - a0)
+        drift_b[k - 1] = _frobenius(state.B_k - b0)
+        if windowed:
+            cond[k - 1] = _sym_cond(state.window_gram())
+    return preds_n, drift_a, drift_b, cond, state.h_est
+
+
+def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
+             config: AdapterConfig, reg: float):
+    """SWLS and RLS estimates of every step, BATCH_CHUNK steps per solve.
+
+    Pair j is (g_j, z_{j+1}) with g_j = [z_j; u_j]. Its estimate is
+    H0 + C_j (S_j + reg I)^{-1} over the pairs [max(0, j-M+1), j] for SWLS
+    and [0, j] for RLS. Returns (preds_n, drift_a, drift_b, cond, H) like
+    `_streamed`.
+    """
+    zdim, gdim = h0.shape
+    steps = z_all.shape[0] - 1
+    windowed = config.mode == "SWLS"
+    m = config.window
+    grow_end = min(m - 1, steps) if windowed else steps   # first full window
+    ridge = reg * np.eye(gdim)
+    preds_n = np.empty((steps, n))
+    drift_a = np.empty(steps)
+    drift_b = np.empty(steps)
+    cond = np.full(steps, np.nan)
+    h_prev = h0
+    gram_sum = np.zeros((gdim, gdim))
+    cross_t_sum = np.zeros((gdim, zdim))
+    for c0 in range(0, steps, BATCH_CHUNK):
+        c1 = min(c0 + BATCH_CHUNK, steps)
+        f0 = max(c0, grow_end)
+        lo = f0 - m + 1 if f0 < c1 else c0   # oldest pair a window here reads
+        g = np.concatenate((z_all[lo:c1], un[lo:c1]), axis=1)
+        r = z_all[lo + 1:c1 + 1] - g @ h0.T
+        gram = np.empty((c1 - c0, gdim, gdim))
+        cross_t = np.empty((c1 - c0, gdim, zdim))   # C^T, laid out for the solve
+        grown = min(f0, c1) - c0
+        if grown > 0:      # windows still growing: running sums
+            gg = g[c0 - lo:c0 - lo + grown]
+            rr = r[c0 - lo:c0 - lo + grown]
+            gram[:grown] = _running_sum(gram_sum, gg[:, :, None] * gg[:, None, :])
+            cross_t[:grown] = _running_sum(cross_t_sum, gg[:, :, None] * rr[:, None, :])
+            gram_sum, cross_t_sum = gram[grown - 1], cross_t[grown - 1]
+        if grown < c1 - c0:   # full windows: one product over M pairs each
+            gw = sliding_window_view(g, m, axis=0)   # (windows, gdim, M)
+            np.matmul(gw, gw.mT, out=gram[grown:])
+            np.matmul(gw, sliding_window_view(r, m, axis=0).mT, out=cross_t[grown:])
+        lhs = gram + ridge
+        try:
+            corr = np.linalg.solve(lhs, cross_t).mT
+        except np.linalg.LinAlgError:
+            corr = (np.linalg.pinv(lhs) @ cross_t).mT
+        finite = np.isfinite(corr).all(axis=(1, 2))
+        if not finite.all():
+            raise _singular(gram[np.argmin(finite)], reg)
+        h = h0 + corr
+        h_before = np.concatenate((h_prev[None], h[:-1]))
+        preds_n[c0:c1] = (h_before[:, :n] @ g[c0 - lo:, :, None])[:, :, 0]
+        drift_a[c0:c1] = np.linalg.norm(corr[:, :, :zdim], axis=(1, 2))
+        drift_b[c0:c1] = np.linalg.norm(corr[:, :, zdim:], axis=(1, 2))
+        if windowed:
+            cond[c0:c1] = _sym_cond(gram)
+        h_prev = h[-1]
+    return preds_n, drift_a, drift_b, cond, h_prev
 
 
 def adapt_run(model: KoopmanModel, trajectory: Trajectory,
               config: AdapterConfig) -> AdaptRunResult:
-    """Stream a trajectory through lift -> predict -> update.
+    """Run a trajectory through lift -> predict -> update.
 
     Each step k is predicted from the estimate that has only seen data through
-    k-1, then the measurement at k updates the estimate. Frozen mode delegates
-    to the vectorized one-step rollout, so it matches it bit for bit.
-    `cond_gram` is the condition number of the window Gram for SWLS and NaN
-    for the modes that keep no window.
+    k-1, then the measurement at k updates the estimate. SWLS with eps > 0
+    and RLS take the batched path; FFRLS and SWLS with eps = 0 step through
+    `update`. Frozen mode delegates to the vectorized one-step rollout, so it
+    matches it bit for bit. `cond_gram` is the condition number of the window
+    Gram for SWLS and NaN for the modes that keep no window. Raises
+    ValueError on a sample-time mismatch or a non-finite measurement.
     """
     n_snap = len(trajectory)
     if n_snap < 2:
         raise ValueError("trajectory too short to adapt over")
     check_sample_time(model, trajectory)
+    if not (np.isfinite(trajectory.states).all()
+            and np.isfinite(trajectory.inputs).all()):
+        raise ValueError("non-finite measurement")
     n = model.dims.n
     truth = trajectory.states[1:].copy()
     if config.mode == "frozen":
@@ -279,29 +399,21 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     xn = model.normalize_states(trajectory.states)
     un = model.normalize_inputs(trajectory.inputs)
     z_all = lift(model, xn)
+    if not np.isfinite(z_all).all():
+        raise ValueError("non-finite measurement")
     state = init(model.A, model.B, z_all[0], un[0], config)
-    a0 = state.A_k.copy()
-    b0 = state.B_k.copy()
-
-    preds_n = np.empty((n_snap - 1, n))
-    drift_a = np.empty(n_snap - 1)
-    drift_b = np.empty(n_snap - 1)
-    cond = np.full(n_snap - 1, np.nan)
-    windowed = config.mode == "SWLS"
-    for k in range(1, n_snap):
-        g = np.concatenate((state.z_prev, un[k - 1]))
-        z_hat = state.h_est @ g
-        preds_n[k - 1] = z_hat[:n]
-        update(state, z_all[k], un[k - 1])
-        drift_a[k - 1] = _frobenius(state.A_k - a0)
-        drift_b[k - 1] = _frobenius(state.B_k - b0)
-        if windowed:
-            cond[k - 1] = _sym_cond(state.window_gram())
-    preds = model.denormalize_states(preds_n)
-    return AdaptRunResult(predictions=preds, truth=truth, drift_a=drift_a,
-                          drift_b=drift_b, cond_gram=cond,
-                          final_A=state.A_k.copy(), final_B=state.B_k.copy(),
-                          config=config)
+    if config.mode == "RLS":
+        out = _batched(state.h_init, z_all, un, n, config, 1.0 / FFRLS_P0_SCALE)
+    elif config.mode == "SWLS" and state.eps > 0.0:
+        out = _batched(state.h_init, z_all, un, n, config, state.eps)
+    else:
+        out = _streamed(state, z_all, un, n)
+    preds_n, drift_a, drift_b, cond, h_end = out
+    zdim = z_all.shape[1]
+    return AdaptRunResult(predictions=model.denormalize_states(preds_n),
+                          truth=truth, drift_a=drift_a, drift_b=drift_b,
+                          cond_gram=cond, final_A=h_end[:, :zdim].copy(),
+                          final_B=h_end[:, zdim:].copy(), config=config)
 
 
 def write_estimate_history(path, result: AdaptRunResult) -> None:

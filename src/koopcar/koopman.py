@@ -639,24 +639,17 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
 
 
 def rollout(model: KoopmanModel, x0: np.ndarray, inputs: np.ndarray,
-            horizon: int, measured_states: np.ndarray | None = None) -> np.ndarray:
-    """Predicted state sequence for steps 1..horizon (physical units).
+            horizon: int) -> np.ndarray:
+    """Open-loop predicted states for steps 1..horizon (physical units).
 
-    Open-loop by default: lift x0 once and iterate the lifted dynamics.
-    With `measured_states` (states at steps 0..horizon-1), re-encodes the
-    measurement each step instead (one-step-ahead mode).
+    Lifts x0 once and iterates the lifted dynamics; `one_step_predictions`
+    is the one-step-ahead counterpart that re-encodes every measurement.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     if horizon > inputs.shape[0]:
         raise ValueError("horizon exceeds the input sequence length")
     if horizon == 0:
         return np.zeros((0, model.dims.n))
-    if measured_states is not None:
-        measured_states = np.asarray(measured_states, dtype=np.float64)
-        if measured_states.shape[0] < horizon:
-            raise ValueError("need a measured state per step")
-        return one_step_predictions(model, measured_states[:horizon],
-                                    inputs[:horizon])
     un = model.normalize_inputs(inputs[:horizon])
     z = lift(model, model.normalize_states(np.asarray(x0, dtype=np.float64)))
     a_mat, b_mat = model.A, model.B

@@ -1,10 +1,15 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from koopcar.adapt import (AdapterConfig, adapt_run, init, update,
-                           write_estimate_history)
-from koopcar.koopman import one_step_predictions
+from koopcar import adapt
+from koopcar.adapt import (BATCH_CHUNK, AdapterConfig, adapt_run, init,
+                           update, write_estimate_history)
+from koopcar.koopman import lift, one_step_predictions
 from koopcar.scenarios import make_scenario, run_scenario
+from koopcar.vehicle import Trajectory
 
 ZDIM, UDIM = 15, 2
 GDIM = ZDIM + UDIM
@@ -310,6 +315,12 @@ def test_m_equals_one_window_documented_behavior():
 # ---------------------------------------------------------------------------
 # adapt_run over trajectories
 
+@pytest.fixture(scope="module")
+def heavy_mixed():
+    """60 s mixed run of a plant 160 kg heavier than the training one."""
+    return run_scenario(make_scenario("mixed", duration=60.0, dm=160.0))
+
+
 def test_adapt_run_frozen_identity(short_mixed, quick_model):
     res = adapt_run(quick_model, short_mixed, AdapterConfig(mode="frozen"))
     direct = one_step_predictions(quick_model, short_mixed.states[:-1],
@@ -327,10 +338,10 @@ def test_adapt_run_swls_not_worse_on_training_plant(short_mixed, quick_model):
     assert np.all(rmse_swls <= rmse_frozen)
 
 
-def test_adapt_run_swls_beats_frozen_on_perturbed_plant(quick_model):
-    heavy = run_scenario(make_scenario("mixed", duration=60.0, dm=160.0))
-    frozen = adapt_run(quick_model, heavy, AdapterConfig(mode="frozen"))
-    swls = adapt_run(quick_model, heavy, AdapterConfig(mode="SWLS", window=100))
+def test_adapt_run_swls_beats_frozen_on_perturbed_plant(quick_model, heavy_mixed):
+    frozen = adapt_run(quick_model, heavy_mixed, AdapterConfig(mode="frozen"))
+    swls = adapt_run(quick_model, heavy_mixed,
+                     AdapterConfig(mode="SWLS", window=100))
     rmse_frozen = np.sqrt(np.mean((frozen.predictions - frozen.truth) ** 2, axis=0))
     rmse_swls = np.sqrt(np.mean((swls.predictions - swls.truth) ** 2, axis=0))
     assert np.all(rmse_swls < rmse_frozen)
@@ -374,3 +385,123 @@ def test_estimate_history_dump_format(tmp_path, short_mixed, quick_model):
     assert len(lines) == len(short_mixed)  # header + one row per step
     first = lines[1].split(",")
     assert first[0] == "1" and len(first) == 4
+
+
+# ---------------------------------------------------------------------------
+# batched adapt_run (SWLS with eps > 0, RLS) against the per-step update loop
+
+def stepped_run(h0, z, u, config, n):
+    """The per-step `update` loop over lifted data: normalized predictions
+    of rows :n, drifts, cond_gram (NaN without a window), final A and B."""
+    zdim = z.shape[1]
+    st = init(h0[:, :zdim], h0[:, zdim:], z[0], u[0], config)
+    steps = z.shape[0] - 1
+    preds = np.empty((steps, n))
+    drift_a = np.empty(steps)
+    drift_b = np.empty(steps)
+    cond = np.full(steps, np.nan)
+    for k in range(1, steps + 1):
+        preds[k - 1] = (st.h_est @ np.concatenate((z[k - 1], u[k - 1])))[:n]
+        a_k, b_k = update(st, z[k], u[k - 1])
+        drift_a[k - 1] = np.linalg.norm(a_k - h0[:, :zdim])
+        drift_b[k - 1] = np.linalg.norm(b_k - h0[:, zdim:])
+        if config.mode == "SWLS":
+            ev = np.linalg.eigvalsh(st.window_gram())
+            cond[k - 1] = ev[-1] / ev[0] if ev[0] > 0.0 else np.inf
+    return preds, drift_a, drift_b, cond, st.A_k, st.B_k
+
+
+def noisy_stream(seed, steps):
+    """Stable random system driven by inputs and process noise, so that every
+    window of at least GDIM pairs has a well-conditioned Gram."""
+    a_true, b_true, rng = random_system(seed, radius=0.5)
+    z = np.empty((steps, ZDIM))
+    z[0] = rng.normal(size=ZDIM)
+    u = rng.normal(size=(steps, UDIM))
+    w = rng.normal(size=(steps, ZDIM))
+    for k in range(steps - 1):
+        z[k + 1] = a_true @ z[k] + b_true @ u[k] + w[k]
+    return z, u
+
+
+def identity_lift_run(monkeypatch, h0, z, u, config):
+    """adapt_run on a model whose lift of the states z[:, :3] is z itself
+    and whose normalizers are the identity."""
+    monkeypatch.setattr(adapt, "lift", lambda model, xn: z)
+    same = lambda a: a  # noqa: E731
+    model = SimpleNamespace(dims=SimpleNamespace(n=3), dt=0.025,
+                            A=h0[:, :ZDIM], B=h0[:, ZDIM:],
+                            normalize_states=same, normalize_inputs=same,
+                            denormalize_states=same)
+    k = z.shape[0]
+    trajectory = Trajectory(t=0.025 * np.arange(k), states=z[:, :3].copy(),
+                            inputs=u, accels=np.zeros((k, 2)))
+    return adapt_run(model, trajectory, config)
+
+
+def rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("steps", [BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1,
+                                   3 * BATCH_CHUNK + 7])
+@pytest.mark.parametrize("mode, window", [("SWLS", 1), ("SWLS", 25),
+                                          ("SWLS", 100), ("SWLS", 10 ** 6),
+                                          ("RLS", 100)])
+def test_batched_run_equals_update_loop(monkeypatch, steps, mode, window):
+    z, u = noisy_stream(steps, steps + 1)
+    h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    config = AdapterConfig(mode=mode, window=window, eps_reg=1e-3)
+    res = identity_lift_run(monkeypatch, h0, z, u, config)
+    preds, drift_a, drift_b, cond, a_end, b_end = stepped_run(h0, z, u, config, 3)
+    for got, ref in ((res.predictions, preds), (res.drift_a, drift_a),
+                     (res.drift_b, drift_b), (res.final_A, a_end),
+                     (res.final_B, b_end)):
+        assert rel_err(got, ref) < 1e-10
+    assert np.array_equal(res.truth, z[1:, :3])
+    if mode == "RLS":
+        assert np.all(np.isnan(res.cond_gram))
+    else:
+        # a window of fewer than GDIM pairs is singular, its cond rounding noise
+        full_rank = np.minimum(np.arange(1, steps + 1), window) >= GDIM
+        if full_rank.any():
+            assert rel_err(res.cond_gram[full_rank], cond[full_rank]) < 1e-10
+
+
+def lifted(model, trajectory):
+    un = model.normalize_inputs(trajectory.inputs)
+    return lift(model, model.normalize_states(trajectory.states)), un
+
+
+def test_batched_auto_eps_swls_matches_update_loop_on_drift_run(quick_model,
+                                                               heavy_mixed):
+    config = AdapterConfig(mode="SWLS", window=100)
+    res = adapt_run(quick_model, heavy_mixed, config)
+    z, un = lifted(quick_model, heavy_mixed)
+    h0 = np.hstack((quick_model.A, quick_model.B))
+    preds = quick_model.denormalize_states(stepped_run(h0, z, un, config, 3)[0])
+    assert rel_err(res.predictions, preds) < 1e-9
+
+
+def test_ffrls_run_is_bitwise_the_update_loop(short_mixed, quick_model):
+    config = AdapterConfig(mode="FFRLS", forgetting=0.95)
+    res = adapt_run(quick_model, short_mixed, config)
+    z, un = lifted(quick_model, short_mixed)
+    h0 = np.hstack((quick_model.A, quick_model.B))
+    preds, drift_a, drift_b, _, a_end, b_end = stepped_run(h0, z, un, config, 3)
+    assert np.array_equal(res.predictions, quick_model.denormalize_states(preds))
+    assert np.array_equal(res.drift_a, drift_a)
+    assert np.array_equal(res.drift_b, drift_b)
+    assert np.array_equal(res.final_A, a_end)
+    assert np.array_equal(res.final_B, b_end)
+
+
+@pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS", "frozen"])
+@pytest.mark.parametrize("column", ["states", "inputs"])
+def test_adapt_run_rejects_a_non_finite_measurement(short_mixed, quick_model,
+                                                    mode, column):
+    bad = getattr(short_mixed, column).copy()
+    bad[len(short_mixed) // 2, 1] = np.nan
+    broken = dataclasses.replace(short_mixed, **{column: bad})
+    with pytest.raises(ValueError, match="non-finite measurement"):
+        adapt_run(quick_model, broken, AdapterConfig(mode=mode))

@@ -72,6 +72,23 @@ def test_simulate_custom_scenario_config(tmp_path):
     assert np.all(tr.states == tr.states[0])
 
 
+def test_simulate_rejects_torque_beyond_max_torque(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join([
+        "scenario.name = custom_eq",
+        "scenario.duration = 1.0",
+        "scenario.dt = 0.025",
+        "initial.Vx = 15.0",
+        "input.kind = equilibrium",
+        "input.speed = 15.0",
+        "params.max_torque = 50.0",   # below the ~127 N m that holds 15 m/s
+    ]) + "\n")
+    out = tmp_path / "custom.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert "max_torque at step 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -516,23 +516,12 @@ def test_rollout_persistence_is_constant():
     assert np.allclose(preds, x0, atol=1e-12)
 
 
-def test_rollout_one_step_mode_on_exact_linear_data(short_mixed, quick_model):
-    # frozen-quality sanity: one-step mode matches the vectorized predictor
-    states = short_mixed.states[:50]
-    inputs = short_mixed.inputs[:50]
-    one = rollout(quick_model, states[0], inputs, horizon=49,
-                  measured_states=states[:49])
-    direct = one_step_predictions(quick_model, states[:49], inputs[:49])
-    assert np.array_equal(one, direct)
-
-
 def test_open_loop_error_accumulates_beyond_one_step(short_mixed, quick_model):
     n = 400
     truth = short_mixed.states[1:n + 1]
     inputs = short_mixed.inputs[:n]
     open_loop = rollout(quick_model, short_mixed.states[0], inputs, horizon=n)
-    one_step = rollout(quick_model, short_mixed.states[0], inputs, horizon=n,
-                       measured_states=short_mixed.states[:n])
+    one_step = one_step_predictions(quick_model, short_mixed.states[:n], inputs)
     rmse_open = np.sqrt(np.mean((open_loop - truth) ** 2))
     rmse_one = np.sqrt(np.mean((one_step - truth) ** 2))
     assert rmse_open >= rmse_one

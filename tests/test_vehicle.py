@@ -341,6 +341,17 @@ def test_run_schedule_rejects_non_finite_inputs(column, value):
         run_schedule(VehicleState(15.0), torques, steers, 0.025, P)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_run_schedule_rejects_torque_beyond_max(sign):
+    torques = np.full(40, 300.0)
+    torques[23] = sign * 4000.5
+    torques[31] = sign * 5000.0
+    with pytest.raises(ValueError, match=r"max_torque at step 23 \(t=0\.575 s\)"):
+        run_schedule(VehicleState(15.0), torques, np.zeros(40), 0.025, P)
+    torques[23] = torques[31] = sign * P.max_torque   # the bound itself is allowed
+    run_schedule(VehicleState(15.0), torques, np.zeros(40), 0.025, P)
+
+
 def test_simulate_path_stops_at_a_nan_state():
     pv = P.packed()
     torques, steers = np.full(10, 300.0), np.zeros(10)
