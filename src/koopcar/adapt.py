@@ -29,9 +29,13 @@ Two paths compute these estimates:
   pairs (exact per window, no downdates), and one batched solve gives the
   chunk's estimates. It agrees with streaming to rounding.
 
-FFRLS stays on the streaming path: the P-form recursion winds up at
-lambda < 1, so its information form would change its outputs, not only
-their rounding. SWLS with eps = 0 (min-norm lstsq) stays streaming too.
+FFRLS keeps the P-form recursion: it winds up at lambda < 1, so its
+information form would change its outputs, not only their rounding. Inside
+`adapt_run`, FFRLS and SWLS with eps = 0 (min-norm lstsq) do not call
+`update`: a lean loop steps the same kernels (`_rls_step`; `_push` and
+`_solve_window`) on the run's checked inputs, bit for bit. When the windup
+overflows P, both `update` and `adapt_run` raise LinAlgError naming the
+first non-finite step.
 
 An adapter is strictly sequential and single-owner; run one per stream.
 """
@@ -55,6 +59,7 @@ FFRLS_P0_SCALE = 1e4
 # regressors, window Grams and their solve in cache and bound the RSS.
 BATCH_CHUNK = 64
 ESTIMATE_HISTORY_HEADER = "k,frob_dA,frob_dB,cond_gram"
+PREDICTIONS_HEADER = "pred_Vx,pred_Vy,pred_wr,true_Vx,true_Vy,true_wr"
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,9 @@ class AdapterState:
         else:
             self.eps = float(config.eps_reg)
         self._ridge = self.eps * np.eye(self.gdim)
-        self.P = (FFRLS_P0_SCALE * np.eye(self.gdim)
-                  if config.mode in ("RLS", "FFRLS") else None)
+        recursive = config.mode in ("RLS", "FFRLS")
+        self.P = FFRLS_P0_SCALE * np.eye(self.gdim) if recursive else None
+        self._work = np.empty((self.gdim, self.gdim)) if recursive else None
 
     # --- exposed histories --------------------------------------------------
     @property
@@ -212,14 +218,27 @@ def _singular(gram: np.ndarray, eps: float) -> np.linalg.LinAlgError:
         f"singular window Gram (cond~{cond:.3g}) with eps_reg={eps}")
 
 
-def _rls_step(state: AdapterState, g: np.ndarray, target: np.ndarray,
-              lam: float) -> None:
-    pg = state.P @ g
-    gain = pg / (lam + g @ pg)
-    residual = target - state.h_est @ g
-    state.h_est = state.h_est + residual[:, None] * gain
-    p_new = (state.P - gain[:, None] * pg) / lam
-    state.P = 0.5 * (p_new + p_new.T)
+def _rls_step(h: np.ndarray, p: np.ndarray, g: np.ndarray,
+              residual: np.ndarray, lam: float, work: np.ndarray) -> None:
+    """One P-form RLS step on H and P, in place, with `residual` = target - H g:
+
+        pg = P g,  gain = pg / (lam + g^T pg),  H += residual gain^T,
+        P' = (P - gain pg^T) / lam,  P = (P' + P'^T) / 2
+
+    `work` is scratch of P's shape that holds P'.
+    """
+    pg = p.dot(g)
+    gain = pg / (lam + g.dot(pg))
+    h += residual[:, None] * gain
+    np.multiply(gain[:, None], pg, out=work)
+    np.subtract(p, work, out=work)
+    np.divide(work, lam, out=work)
+    np.add(work, work.T, out=p)
+    np.multiply(p, 0.5, out=p)
+
+
+def _forgetting(config: AdapterConfig) -> float:
+    return 1.0 if config.mode == "RLS" else config.forgetting
 
 
 def update(state: AdapterState, z_k: np.ndarray,
@@ -229,6 +248,8 @@ def update(state: AdapterState, z_k: np.ndarray,
     The completed pair (z_{k-1}, u_prev) -> z_k enters the SWLS window,
     evicting the oldest pair once the window holds M of them. RLS and FFRLS
     (lambda=1 reduces FFRLS to RLS) fold it into the recursive estimate.
+    Raises LinAlgError when the estimate or P turns non-finite (the P-form
+    windup of FFRLS); the state is then spent.
     """
     z_k = np.asarray(z_k, dtype=np.float64).ravel()
     u_prev = np.asarray(u_prev, dtype=np.float64).ravel()
@@ -242,8 +263,13 @@ def update(state: AdapterState, z_k: np.ndarray,
         state._push(g, z_k)
         _solve_window(state)
     elif mode != "frozen":
-        lam = 1.0 if mode == "RLS" else state.config.forgetting
-        _rls_step(state, g, z_k, lam)
+        lam = _forgetting(state.config)
+        _rls_step(state.h_est, state.P, g, z_k - state.h_est.dot(g), lam,
+                  state._work)
+        if not (np.isfinite(state.h_est).all() and np.isfinite(state.P).all()):
+            raise np.linalg.LinAlgError(
+                f"non-finite {mode} estimate at step {state.k + 1} "
+                f"(covariance windup, forgetting={lam})")
     state.z_prev = z_k
     state.k += 1
     return state.A_k.copy(), state.B_k.copy()
@@ -284,24 +310,46 @@ def _running_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _streamed(state: AdapterState, z_all: np.ndarray, un: np.ndarray, n: int):
-    """Per-step `update` loop; returns (preds_n, drift_a, drift_b, cond, H)."""
+    """FFRLS, and SWLS with eps = 0, one step at a time; returns (preds_n,
+    drift_a, drift_b, cond, H).
+
+    It runs the kernels of `update` on inputs that `adapt_run` has already
+    checked, without its per-step conversions, checks and copies, so it
+    computes the same operations in the same order, bit for bit. Raises
+    LinAlgError at the first step where `update` would.
+    """
     steps = z_all.shape[0] - 1
+    zdim = state.zdim
     a0 = state.A_k.copy()
     b0 = state.B_k.copy()
+    g_all = np.concatenate((z_all[:-1], un[:-1]), axis=1)
     preds_n = np.empty((steps, n))
     drift_a = np.empty(steps)
     drift_b = np.empty(steps)
     cond = np.full(steps, np.nan)
     windowed = state.config.mode == "SWLS"
+    lam = _forgetting(state.config)
     for k in range(1, steps + 1):
-        g = np.concatenate((state.z_prev, un[k - 1]))
-        z_hat = state.h_est @ g
+        g = g_all[k - 1]
+        z_hat = state.h_est.dot(g)
         preds_n[k - 1] = z_hat[:n]
-        update(state, z_all[k], un[k - 1])
-        drift_a[k - 1] = _frobenius(state.A_k - a0)
-        drift_b[k - 1] = _frobenius(state.B_k - b0)
         if windowed:
-            cond[k - 1] = _sym_cond(state.window_gram())
+            state._push(g, z_all[k])
+            _solve_window(state)
+            cond[k - 1] = _sym_cond(state._gram)
+        else:
+            _rls_step(state.h_est, state.P, g, z_all[k] - z_hat, lam,
+                      state._work)
+        state.k += 1
+        drift_a[k - 1] = _frobenius(state.h_est[:, :zdim] - a0)
+        drift_b[k - 1] = _frobenius(state.h_est[:, zdim:] - b0)
+    if not (windowed or (np.isfinite(state.h_est).all()
+                         and np.isfinite(state.P).all())):
+        # Non-finite values persist once they appear, so one check of the
+        # end state suffices; replaying through `update` names the step.
+        replay = init(a0, b0, z_all[0], un[0], state.config)
+        for k in range(1, steps + 1):
+            update(replay, z_all[k], un[k - 1])
     return preds_n, drift_a, drift_b, cond, state.h_est
 
 
@@ -371,11 +419,13 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
 
     Each step k is predicted from the estimate that has only seen data through
     k-1, then the measurement at k updates the estimate. SWLS with eps > 0
-    and RLS take the batched path; FFRLS and SWLS with eps = 0 step through
-    `update`. Frozen mode delegates to the vectorized one-step rollout, so it
-    matches it bit for bit. `cond_gram` is the condition number of the window
-    Gram for SWLS and NaN for the modes that keep no window. Raises
-    ValueError on a sample-time mismatch or a non-finite measurement.
+    and RLS take the batched path; FFRLS and SWLS with eps = 0 step the
+    kernels of `update` one step at a time, bit for bit. Frozen mode
+    delegates to the vectorized one-step rollout, so it matches it bit for
+    bit. `cond_gram` is the condition number of the window Gram for SWLS
+    and NaN for the modes that keep no window. Raises ValueError on a
+    sample-time mismatch or a non-finite measurement, and LinAlgError on a
+    singular window or a non-finite RLS/FFRLS estimate.
     """
     n_snap = len(trajectory)
     if n_snap < 2:
@@ -423,3 +473,11 @@ def write_estimate_history(path, result: AdaptRunResult) -> None:
         write_rows(fh, "%d,%.17g,%.17g,%.17g\n",
                    (result.drift_a, result.drift_b, result.cond_gram),
                    first_index=1)
+
+
+def write_predictions(path, result: AdaptRunResult) -> None:
+    """Predictions beside the measured states: pred_*, true_* per step."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(PREDICTIONS_HEADER + "\n")
+        write_rows(fh, ",".join(["%.17g"] * 6) + "\n",
+                   (result.predictions, result.truth))

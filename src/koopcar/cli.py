@@ -294,11 +294,7 @@ def cmd_adapt(args) -> int:
         print(f"  {name}: max {m.max_abs[ci]:.4f} {unit}, "
               f"rmse {m.rmse[ci]:.4f} {unit}")
     if cfg.get("out"):
-        np.savetxt(cfg["out"],
-                   np.column_stack((result.predictions, result.truth)),
-                   delimiter=",", fmt="%.17g",
-                   header="pred_Vx,pred_Vy,pred_wr,true_Vx,true_Vy,true_wr",
-                   comments="")
+        adapt_mod.write_predictions(cfg["out"], result)
         print(f"wrote predictions to {cfg['out']}")
     if cfg.get("history"):
         adapt_mod.write_estimate_history(cfg["history"], result)

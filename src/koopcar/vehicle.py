@@ -240,17 +240,19 @@ def write_rows(fh, fmt: str, columns, first_index: int | None = None) -> None:
     2-D arrays with equal row counts); with `first_index` each row starts
     with its integer index, counted from there.
 
-    Rows are converted to Python floats and formatted `ROW_BLOCK` at a time,
-    so memory stays bounded for any length.
+    Rows are formatted `ROW_BLOCK` at a time by one `%` over `fmt` repeated
+    once per row, so memory stays bounded for any length. The index column
+    travels as exact floats, which `%d` prints as the integers they are.
     """
     n = columns[0].shape[0]
     for s in range(0, n, ROW_BLOCK):
-        block = np.column_stack([c[s:s + ROW_BLOCK] for c in columns]).tolist()
-        if first_index is None:
-            fh.writelines([fmt % tuple(row) for row in block])
-        else:
-            fh.writelines([fmt % (k, *row)
-                           for k, row in enumerate(block, first_index + s)])
+        e = min(s + ROW_BLOCK, n)
+        parts = [c[s:e] for c in columns]
+        if first_index is not None:
+            parts.insert(0, np.arange(first_index + s, first_index + e,
+                                      dtype=np.float64))
+        flat = np.column_stack(parts).ravel().tolist()
+        fh.write((fmt * (e - s)) % tuple(flat))
 
 
 def _scan_rows(lines: list[str]) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from koopcar import adapt
 from koopcar.adapt import (BATCH_CHUNK, AdapterConfig, adapt_run, init,
-                           update, write_estimate_history)
+                           update, write_estimate_history, write_predictions)
 from koopcar.koopman import lift, one_step_predictions
 from koopcar.scenarios import make_scenario, run_scenario
 from koopcar.vehicle import Trajectory
@@ -375,6 +375,23 @@ def test_adapt_run_rejects_sample_time_mismatch(quick_model, mode):
         adapt_run(quick_model, coarse, AdapterConfig(mode=mode))
 
 
+def test_predictions_file_is_the_savetxt_output(tmp_path, short_mixed,
+                                               quick_model):
+    res = adapt_run(quick_model, short_mixed,
+                    AdapterConfig(mode="SWLS", window=50))
+    preds = res.predictions.copy()
+    preds[:6, 0] = (-0.0, 1e-300, -1e300, 5e-324, np.nan, -np.inf)
+    res = dataclasses.replace(res, predictions=preds)
+    path = tmp_path / "pred.csv"
+    write_predictions(path, res)
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, np.column_stack((res.predictions, res.truth)),
+               delimiter=",", fmt="%.17g",
+               header="pred_Vx,pred_Vy,pred_wr,true_Vx,true_Vy,true_wr",
+               comments="")
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_estimate_history_dump_format(tmp_path, short_mixed, quick_model):
     res = adapt_run(quick_model, short_mixed,
                     AdapterConfig(mode="SWLS", window=50))
@@ -494,6 +511,59 @@ def test_ffrls_run_is_bitwise_the_update_loop(short_mixed, quick_model):
     assert np.array_equal(res.drift_b, drift_b)
     assert np.array_equal(res.final_A, a_end)
     assert np.array_equal(res.final_B, b_end)
+
+
+@pytest.mark.parametrize("steps", [BATCH_CHUNK + 1, 3 * BATCH_CHUNK + 7])
+@pytest.mark.parametrize("kw", [dict(mode="SWLS", window=1, eps_reg=0.0),
+                                dict(mode="SWLS", window=25, eps_reg=0.0),
+                                dict(mode="SWLS", window=100, eps_reg=0.0),
+                                dict(mode="FFRLS", forgetting=0.95),
+                                dict(mode="FFRLS", forgetting=1.0)])
+def test_streamed_run_is_bitwise_the_update_loop(monkeypatch, steps, kw):
+    z, u = noisy_stream(steps, steps + 1)
+    h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    config = AdapterConfig(**kw)
+    res = identity_lift_run(monkeypatch, h0, z, u, config)
+    preds, drift_a, drift_b, cond, a_end, b_end = stepped_run(h0, z, u, config, 3)
+    assert np.array_equal(res.predictions, preds)
+    assert np.array_equal(res.drift_a, drift_a)
+    assert np.array_equal(res.drift_b, drift_b)
+    assert np.array_equal(res.cond_gram, cond, equal_nan=True)
+    assert np.array_equal(res.final_A, a_end)
+    assert np.array_equal(res.final_B, b_end)
+
+
+def unexcited_stream(steps):
+    """Regressors that excite only 3 of the 15 lifted directions and one of
+    the two inputs: at lambda < 1 the other directions of P grow as
+    lambda^-k until they overflow."""
+    rng = np.random.default_rng(3)
+    z = np.zeros((steps, ZDIM))
+    z[:, :3] = rng.normal(size=(steps, 3))
+    u = np.zeros((steps, UDIM))
+    u[:, 0] = rng.normal(size=steps)
+    return z, u
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_ffrls_windup_raises_at_the_first_non_finite_step(monkeypatch):
+    # P grows from 1e4 as 2^k, so it overflows near step 1,010
+    z, u = unexcited_stream(1100)
+    h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    config = AdapterConfig(mode="FFRLS", forgetting=0.5)
+    st = init(h0[:, :ZDIM], h0[:, ZDIM:], z[0], u[0], config)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite FFRLS") as online:
+        for k in range(1, len(z)):
+            update(st, z[k], u[k - 1])
+    assert 900 < k < len(z) - 1
+    assert f"at step {k} " in str(online.value)
+    with pytest.raises(np.linalg.LinAlgError) as run:
+        identity_lift_run(monkeypatch, h0, z, u, config)
+    assert str(run.value) == str(online.value)
+    # one step fewer stays finite in both
+    res = identity_lift_run(monkeypatch, h0, z[:k], u[:k], config)
+    assert np.isfinite(res.predictions).all() and np.isfinite(res.final_A).all()
 
 
 @pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS", "frozen"])

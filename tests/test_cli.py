@@ -205,6 +205,22 @@ def test_adapt_writes_history_and_metrics(workdir, tmp_path, capsys):
     assert lines[0] == "k,frob_dA,frob_dB,cond_gram"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_adapt_ffrls_windup_exits_2_without_output(workdir, tmp_path, capsys):
+    # a constant regressor leaves all but one direction of P unexcited
+    k = 1100
+    Trajectory(t=0.025 * np.arange(k), states=np.tile([10.0, 0.0, 0.0], (k, 1)),
+               inputs=np.tile([100.0, 0.0], (k, 1)),
+               accels=np.zeros((k, 2))).to_csv(tmp_path / "const.csv")
+    out = tmp_path / "pred.csv"
+    assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
+                   "--data", str(tmp_path / "const.csv"), "--mode", "FFRLS",
+                   "--forgetting", "0.5", "--out", str(out)) == 2
+    assert "non-finite FFRLS estimate at step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_adapt_rejects_sample_time_mismatch(workdir, tmp_path, capsys):
     coarse = tmp_path / "coarse.csv"
     assert run_cli("simulate", "--scenario", "mixed", "--duration", "5",

@@ -402,7 +402,8 @@ def test_trajectory_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(tr.accels, back.accels)
 
 
-@pytest.mark.parametrize("n_rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+@pytest.mark.parametrize("n_rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                    2 * ROW_BLOCK + 5])
 def test_write_rows_equals_per_row_formatting(n_rows):
     rng = np.random.default_rng(n_rows)
     scale = 10.0 ** rng.integers(-300, 300, (n_rows, 2))
@@ -411,12 +412,13 @@ def test_write_rows_equals_per_row_formatting(n_rows):
     extremes = [-0.0, 1e-300, 1e300, -1e300, 5e-324, np.nan, np.inf]
     col[:len(extremes)] = extremes[:n_rows]
     wide[-1] = (-0.0, 1e300)
-    fmt = "M,%d,%.17g,%.17g,%.17g\n"
-    expect = "".join(fmt % (k + 1, col[k], wide[k, 0], wide[k, 1])
-                     for k in range(n_rows))
-    fh = io.StringIO()
-    write_rows(fh, fmt, (col, wide), first_index=1)
-    assert fh.getvalue() == expect
+    fmt = "M%%,%d,%.17g,%.17g,%.17g\n"
+    for first in (1, 2 ** 52):
+        expect = "".join(fmt % (first + k, col[k], wide[k, 0], wide[k, 1])
+                         for k in range(n_rows))
+        fh = io.StringIO()
+        write_rows(fh, fmt, (col, wide), first_index=first)
+        assert fh.getvalue() == expect
     fh = io.StringIO()
     write_rows(fh, "%.17g,%.17g,%.17g\n", (col, wide))
     assert fh.getvalue() == "".join("%.17g,%.17g,%.17g\n" % (col[k], *wide[k])
