@@ -3,15 +3,21 @@
 Re-estimates the one-step linear map of lifted measurements over a sliding
 window of the most recent pairs (SWLS), with recursive least squares (RLS),
 exponentially forgetting RLS (FFRLS), and a frozen baseline for comparison.
-SWLS re-solves the windowed least-squares problem every step, anchored at
-the trained estimate by a small fixed ridge:
+Every adaptive mode solves one ridge problem per step, anchored at the
+trained estimate H0:
 
-    H = H0 + C (S + eps I)^{-1},   S = G G^T,   C = (T - H0 G) G^T
+    H = H0 + C (S + R)^{-1},   S = sum g g^T,   C = sum (z+ - H0 g) g^T
 
-With eps fixed at init this is exactly textbook RLS while the window is still
+SWLS sums over the last M pairs with the fixed ridge R = eps I; with eps
+fixed at init this is exactly textbook RLS while the window is still
 growing, and within O(eps) of the plain windowed solution once it slides.
-RLS is the same solve over a window that never slides, with the prior
-1/FFRLS_P0_SCALE in place of eps. C stays in residual form: forming
+RLS and FFRLS are the information form of the recursive estimator: S and C
+sum every pair seen, weighted by lambda^(k-i) (lambda = 1 for RLS), and
+R = lambda^k / FFRLS_P0_SCALE I is the decayed prior. In exact arithmetic
+this is the covariance (P-form) recursion started from P0 = FFRLS_P0_SCALE I,
+with P = (S + R)^{-1} (Ljung & Soderstrom, Theory and Practice of Recursive
+Identification), but no covariance is propagated, so nothing winds up in
+directions the data do not excite. C stays in residual form: forming
 T G^T - H0 S instead cancels badly.
 
 Two paths compute these estimates:
@@ -21,21 +27,18 @@ Two paths compute these estimates:
   rank-1 terms: the new column is added and the evicted one subtracted. Every
   M pushes both are recomputed exactly from the buffers, which bounds the
   cancellation drift of the downdates (Golub & Van Loan, Matrix
-  Computations). RLS and FFRLS propagate the covariance P.
-* Batched, inside `adapt_run`, for SWLS with eps > 0 and for RLS over a known
-  trajectory. It works in chunks of BATCH_CHUNK steps: the growing windows
-  (and every RLS step) take S and C from a running `cumsum`, each full
-  window takes them from one matmul over a `sliding_window_view` of its M
-  pairs (exact per window, no downdates), and one batched solve gives the
-  chunk's estimates. It agrees with streaming to rounding.
+  Computations). RLS and FFRLS scale S and C by lambda and add the new pair.
+* Batched, inside `adapt_run`, for SWLS with eps > 0, RLS and FFRLS over a
+  known trajectory. It works in chunks of BATCH_CHUNK steps: the growing
+  windows and every RLS/FFRLS step take S and C from a lambda-scaled running
+  `cumsum`, each full window takes them from one matmul over a
+  `sliding_window_view` of its M pairs (exact per window, no downdates), and
+  one batched one-column solve per chunk gives the one-step predictions. The
+  drift diagnostics (a solve for all of H) and `cond_gram` (an `eigvalsh`)
+  are computed only on request. It agrees with streaming to rounding.
 
-FFRLS keeps the P-form recursion: it winds up at lambda < 1, so its
-information form would change its outputs, not only their rounding. Inside
-`adapt_run`, FFRLS and SWLS with eps = 0 (min-norm lstsq) do not call
-`update`: a lean loop steps the same kernels (`_rls_step`; `_push` and
-`_solve_window`) on the run's checked inputs, bit for bit. When the windup
-overflows P, both `update` and `adapt_run` raise LinAlgError naming the
-first non-finite step.
+SWLS with eps = 0 (min-norm lstsq) steps `_push` and `_solve_window` one
+step at a time inside `adapt_run`, bit for bit the `update` loop.
 
 An adapter is strictly sequential and single-owner; run one per stream.
 """
@@ -58,8 +61,17 @@ FFRLS_P0_SCALE = 1e4
 # Steps per batched solve in `adapt_run`. Small chunks keep the per-chunk
 # regressors, window Grams and their solve in cache and bound the RSS.
 BATCH_CHUNK = 64
+# The running sums of a chunk scale its pairs by up to lambda^-(steps - 1);
+# chunks are shortened so that this weight stays below 1e100.
+_LOG_MAX_WEIGHT = math.log(1e100)
+# LAPACK's LU turns a zero column under a subnormal pivot into NaN, so the
+# decayed prior of RLS/FFRLS stops at the smallest normal float.
+_TINY = np.finfo(np.float64).tiny
 ESTIMATE_HISTORY_HEADER = "k,frob_dA,frob_dB,cond_gram"
 PREDICTIONS_HEADER = "pred_Vx,pred_Vy,pred_wr,true_Vx,true_Vy,true_wr"
+# What the ridge of each mode's solve is, for error messages.
+_RIDGE_SOURCE = {"SWLS": "eps_reg", "RLS": "1/FFRLS_P0_SCALE",
+                 "FFRLS": "forgetting^k/FFRLS_P0_SCALE"}
 
 
 @dataclass(frozen=True)
@@ -83,9 +95,10 @@ class AdapterConfig:
 class AdapterState:
     """Estimator state; mutate only through `update`.
 
-    SWLS keeps its window in ring buffers whose capacity grows geometrically
-    up to M, so a huge M costs memory only for the pairs actually pushed.
-    RLS/FFRLS keep the covariance `P` and no window; frozen keeps neither.
+    Every adaptive mode keeps the Gram S and the cross term C of its solve.
+    SWLS also keeps its window in ring buffers whose capacity grows
+    geometrically up to M, so a huge M costs memory only for the pairs
+    actually pushed; RLS/FFRLS fold each pair into S and C and keep no window.
     """
 
     def __init__(self, h0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
@@ -112,31 +125,11 @@ class AdapterState:
             self.eps = 1e-8 * float(np.trace(np.outer(g0, g0))) / self.gdim
         else:
             self.eps = float(config.eps_reg)
-        self._ridge = self.eps * np.eye(self.gdim)
-        recursive = config.mode in ("RLS", "FFRLS")
-        self.P = FFRLS_P0_SCALE * np.eye(self.gdim) if recursive else None
-        self._work = np.empty((self.gdim, self.gdim)) if recursive else None
 
-    # --- exposed histories --------------------------------------------------
     @property
     def window_fill(self) -> int:
         """Completed pairs held: min(k, M) for SWLS, 0 for the other modes."""
         return self._fill
-
-    # Views of the window in ring-storage order (not chronological); the
-    # least-squares fit does not depend on the column order.
-    @property
-    def Psi(self) -> np.ndarray:
-        """Lifted-state regressor columns of the completed window pairs."""
-        return self._regressors[:self.zdim, :self._fill]
-
-    @property
-    def Uhist(self) -> np.ndarray:
-        return self._regressors[self.zdim:, :self._fill]
-
-    @property
-    def Ztargets(self) -> np.ndarray:
-        return self._targets[:, :self._fill]
 
     @property
     def A_k(self) -> np.ndarray:
@@ -147,7 +140,7 @@ class AdapterState:
         return self.h_est[:, self.zdim:]
 
     def window_gram(self) -> np.ndarray:
-        """S = G G^T of the current window (a copy)."""
+        """S of the current solve (a copy): the window Gram for SWLS."""
         return self._gram.copy()
 
     def _push(self, g: np.ndarray, target: np.ndarray) -> None:
@@ -194,51 +187,45 @@ def init(A0: np.ndarray, B0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
     return AdapterState(np.hstack((A0, B0)), z0, u0, config)
 
 
-def _solve_window(state: AdapterState) -> None:
-    if state.eps > 0.0:
-        gram = state._gram + state._ridge
-        try:
-            corr = np.linalg.solve(gram, state._cross.T).T
-        except np.linalg.LinAlgError:
-            corr = state._cross @ np.linalg.pinv(gram)
-        h_new = state.h_init + corr
+def _ridge_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs^{-1} rhs for one matrix or a stack; pinv when one is singular."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(lhs) @ rhs
+
+
+def _solve_window(state: AdapterState, reg: float) -> None:
+    """Set H = H0 + C (S + reg I)^{-1}, or with reg = 0 (SWLS with eps = 0)
+    the plain min-norm windowed LS. Raises LinAlgError if H is not finite."""
+    if reg > 0.0:
+        lhs = state._gram + reg * np.eye(state.gdim)
+        h_new = state.h_init + _ridge_solve(lhs, state._cross.T).T
     else:
         # pseudo-inverse path: plain min-norm windowed LS via SVD
         h_new = np.linalg.lstsq(state._regressors[:, :state._fill].T,
                                 state._targets[:, :state._fill].T,
                                 rcond=None)[0].T
     if not np.isfinite(h_new).all():
-        raise _singular(state._gram, state.eps)
+        raise _singular(state.config.mode, state._gram, reg)
     state.h_est = h_new
 
 
-def _singular(gram: np.ndarray, eps: float) -> np.linalg.LinAlgError:
-    cond = float(np.linalg.cond(gram))
+def _singular(mode: str, gram: np.ndarray, reg: float) -> np.linalg.LinAlgError:
+    cond = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.inf
     return np.linalg.LinAlgError(
-        f"singular window Gram (cond~{cond:.3g}) with eps_reg={eps}")
-
-
-def _rls_step(h: np.ndarray, p: np.ndarray, g: np.ndarray,
-              residual: np.ndarray, lam: float, work: np.ndarray) -> None:
-    """One P-form RLS step on H and P, in place, with `residual` = target - H g:
-
-        pg = P g,  gain = pg / (lam + g^T pg),  H += residual gain^T,
-        P' = (P - gain pg^T) / lam,  P = (P' + P'^T) / 2
-
-    `work` is scratch of P's shape that holds P'.
-    """
-    pg = p.dot(g)
-    gain = pg / (lam + g.dot(pg))
-    h += residual[:, None] * gain
-    np.multiply(gain[:, None], pg, out=work)
-    np.subtract(p, work, out=work)
-    np.divide(work, lam, out=work)
-    np.add(work, work.T, out=p)
-    np.multiply(p, 0.5, out=p)
+        f"non-finite {mode} estimate: singular solve (Gram cond~{cond:.3g}, "
+        f"ridge {_RIDGE_SOURCE[mode]}={reg:.3g})")
 
 
 def _forgetting(config: AdapterConfig) -> float:
     return 1.0 if config.mode == "RLS" else config.forgetting
+
+
+def _prior(lam: float, k):
+    """The ridge lam^k / FFRLS_P0_SCALE of RLS/FFRLS after k pairs (k an int
+    or an array of them), no smaller than the smallest normal float."""
+    return np.maximum(np.power(lam, k) / FFRLS_P0_SCALE, _TINY)
 
 
 def update(state: AdapterState, z_k: np.ndarray,
@@ -247,9 +234,9 @@ def update(state: AdapterState, z_k: np.ndarray,
 
     The completed pair (z_{k-1}, u_prev) -> z_k enters the SWLS window,
     evicting the oldest pair once the window holds M of them. RLS and FFRLS
-    (lambda=1 reduces FFRLS to RLS) fold it into the recursive estimate.
-    Raises LinAlgError when the estimate or P turns non-finite (the P-form
-    windup of FFRLS); the state is then spent.
+    (lambda=1 reduces FFRLS to RLS) scale their sums by lambda and add it.
+    Raises LinAlgError when the solve gives a non-finite estimate; the state
+    is then spent.
     """
     z_k = np.asarray(z_k, dtype=np.float64).ravel()
     u_prev = np.asarray(u_prev, dtype=np.float64).ravel()
@@ -261,15 +248,14 @@ def update(state: AdapterState, z_k: np.ndarray,
     mode = state.config.mode
     if mode == "SWLS":
         state._push(g, z_k)
-        _solve_window(state)
+        _solve_window(state, state.eps)
     elif mode != "frozen":
         lam = _forgetting(state.config)
-        _rls_step(state.h_est, state.P, g, z_k - state.h_est.dot(g), lam,
-                  state._work)
-        if not (np.isfinite(state.h_est).all() and np.isfinite(state.P).all()):
-            raise np.linalg.LinAlgError(
-                f"non-finite {mode} estimate at step {state.k + 1} "
-                f"(covariance windup, forgetting={lam})")
+        state._gram *= lam
+        state._gram += g[:, None] * g
+        state._cross *= lam
+        state._cross += (z_k - state.h_init @ g)[:, None] * g
+        _solve_window(state, _prior(lam, state.k + 1))
     state.z_prev = z_k
     state.k += 1
     return state.A_k.copy(), state.B_k.copy()
@@ -282,9 +268,10 @@ def update(state: AdapterState, z_k: np.ndarray,
 class AdaptRunResult:
     predictions: np.ndarray   # (K-1, n) physical one-step predictions for steps 1..K-1
     truth: np.ndarray         # (K-1, n) measured states at those steps
-    drift_a: np.ndarray       # ||A_k - A_0||_F after each step
-    drift_b: np.ndarray
-    cond_gram: np.ndarray
+    # Diagnostics, None unless adapt_run(..., diagnostics=True):
+    drift_a: np.ndarray | None    # ||A_k - A_0||_F after each step
+    drift_b: np.ndarray | None
+    cond_gram: np.ndarray | None  # cond(S) of the SWLS window, NaN otherwise
     final_A: np.ndarray
     final_B: np.ndarray
     config: AdapterConfig
@@ -303,20 +290,41 @@ def _sym_cond(gram: np.ndarray) -> np.ndarray:
     return np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0.0)
 
 
-def _running_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """carry + cumsum(terms), added left to right as the rank-1 updates are."""
-    out = np.concatenate((carry[None], terms))
-    return np.cumsum(out, axis=0, out=out)[1:]
+def _running_sum(carry: np.ndarray, rows: np.ndarray, lam: float) -> np.ndarray:
+    """lam carry + sum_{s<=t} lam^-s g_s [g_s | r_s] for every t of a chunk.
+
+    `rows` holds [g_s | r_s] and `carry` is [S | C^T] before the chunk. Step t
+    of the result is lam^-t times the [S | C^T] of the information form,
+    lam^(t+1) carry + sum_{s<=t} lam^(t-s) g_s [g_s | r_s]: one cumsum adds
+    the terms left to right. At lam = 1 every scaling is exact, so the sums
+    are added as the rank-1 updates of `update` are.
+    """
+    gdim = carry.shape[0]
+    weights = np.power(lam, -np.arange(len(rows)))
+    out = np.empty((len(rows) + 1, *carry.shape))
+    out[0] = lam * carry
+    np.multiply((rows[:, :gdim] * weights[:, None])[:, :, None], rows[:, None, :],
+                out=out[1:])
+    np.cumsum(out, axis=0, out=out)
+    return out[1:]
 
 
-def _streamed(state: AdapterState, z_all: np.ndarray, un: np.ndarray, n: int):
-    """FFRLS, and SWLS with eps = 0, one step at a time; returns (preds_n,
-    drift_a, drift_b, cond, H).
+def _chunk_steps(lam: float) -> int:
+    """BATCH_CHUNK, or fewer steps when lam^-(steps - 1) would pass 1e100."""
+    decay = -math.log(lam)
+    if decay * (BATCH_CHUNK - 1) <= _LOG_MAX_WEIGHT:
+        return BATCH_CHUNK
+    return 1 + int(_LOG_MAX_WEIGHT / decay)
+
+
+def _streamed(state: AdapterState, z_all: np.ndarray, un: np.ndarray, n: int,
+              diagnostics: bool):
+    """SWLS with eps = 0, one step at a time; returns (preds_n, diag, H) like
+    `_batched`.
 
     It runs the kernels of `update` on inputs that `adapt_run` has already
     checked, without its per-step conversions, checks and copies, so it
-    computes the same operations in the same order, bit for bit. Raises
-    LinAlgError at the first step where `update` would.
+    computes the same operations in the same order, bit for bit.
     """
     steps = z_all.shape[0] - 1
     zdim = state.zdim
@@ -324,108 +332,116 @@ def _streamed(state: AdapterState, z_all: np.ndarray, un: np.ndarray, n: int):
     b0 = state.B_k.copy()
     g_all = np.concatenate((z_all[:-1], un[:-1]), axis=1)
     preds_n = np.empty((steps, n))
-    drift_a = np.empty(steps)
-    drift_b = np.empty(steps)
-    cond = np.full(steps, np.nan)
-    windowed = state.config.mode == "SWLS"
-    lam = _forgetting(state.config)
+    diag = np.empty((3, steps)) if diagnostics else None
     for k in range(1, steps + 1):
         g = g_all[k - 1]
-        z_hat = state.h_est.dot(g)
-        preds_n[k - 1] = z_hat[:n]
-        if windowed:
-            state._push(g, z_all[k])
-            _solve_window(state)
-            cond[k - 1] = _sym_cond(state._gram)
-        else:
-            _rls_step(state.h_est, state.P, g, z_all[k] - z_hat, lam,
-                      state._work)
+        preds_n[k - 1] = state.h_est.dot(g)[:n]
+        state._push(g, z_all[k])
+        _solve_window(state, 0.0)
         state.k += 1
-        drift_a[k - 1] = _frobenius(state.h_est[:, :zdim] - a0)
-        drift_b[k - 1] = _frobenius(state.h_est[:, zdim:] - b0)
-    if not (windowed or (np.isfinite(state.h_est).all()
-                         and np.isfinite(state.P).all())):
-        # Non-finite values persist once they appear, so one check of the
-        # end state suffices; replaying through `update` names the step.
-        replay = init(a0, b0, z_all[0], un[0], state.config)
-        for k in range(1, steps + 1):
-            update(replay, z_all[k], un[k - 1])
-    return preds_n, drift_a, drift_b, cond, state.h_est
+        if diagnostics:
+            diag[0, k - 1] = _frobenius(state.h_est[:, :zdim] - a0)
+            diag[1, k - 1] = _frobenius(state.h_est[:, zdim:] - b0)
+            diag[2, k - 1] = _sym_cond(state._gram)
+    return preds_n, diag, state.h_est
 
 
 def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
-             config: AdapterConfig, reg: float):
-    """SWLS and RLS estimates of every step, BATCH_CHUNK steps per solve.
+             config: AdapterConfig, eps: float, diagnostics: bool):
+    """SWLS (ridge eps > 0), RLS and FFRLS over every step, one chunk of
+    steps per batched solve.
 
-    Pair j is (g_j, z_{j+1}) with g_j = [z_j; u_j]. Its estimate is
-    H0 + C_j (S_j + reg I)^{-1} over the pairs [max(0, j-M+1), j] for SWLS
-    and [0, j] for RLS. Returns (preds_n, drift_a, drift_b, cond, H) like
-    `_streamed`.
+    Pair j is (g_j, z_{j+1}) with g_j = [z_j; u_j] and r_j = z_{j+1} - H0 g_j.
+    After pair j the estimate is H_j = H0 + C_j (S_j + R_j I)^{-1}, where S_j
+    and C_j sum g_i g_i^T and r_i g_i^T over the pairs [max(0, j-M+1), j]
+    with R_j = eps for SWLS, and over [0, j] weighted by lam^(j-i) with
+    R_j = _prior(lam, j+1) for RLS (lam = 1) and FFRLS. The prediction of
+    z_{j+1} takes one column: H0[:n] g_{j+1} + C_j[:n] (S_j + R_j I)^{-1} g_{j+1},
+    so only the rows :n of C are summed per step unless `diagnostics` asks
+    for the drift of every H_j. Within a chunk, S, C and R are all kept
+    scaled by lam^-t (see `_running_sum`), which leaves H_j and cond(S_j)
+    unchanged.
+
+    Returns (preds_n, diag, H_end): the normalized predictions of rows :n;
+    with `diagnostics`, a (3, steps) array of the drifts of A and B and
+    cond(S) (NaN for RLS/FFRLS), else None; and the final estimate, from one
+    solve over the last window (SWLS) or all pairs.
     """
     zdim, gdim = h0.shape
     steps = z_all.shape[0] - 1
     windowed = config.mode == "SWLS"
+    lam = 1.0 if windowed else _forgetting(config)
     m = config.window
     grow_end = min(m - 1, steps) if windowed else steps   # first full window
-    ridge = reg * np.eye(gdim)
+    cols = gdim + (zdim if diagnostics else n)   # columns of [S | C^T] per step
+    g = np.concatenate((z_all, un), axis=1)      # g_0 .. g_steps
+    hg = g @ h0.T
+    r = z_all[1:] - hg[:-1]
+    rows = np.concatenate((g[:-1], r[:, :cols - gdim]), axis=1)
     preds_n = np.empty((steps, n))
-    drift_a = np.empty(steps)
-    drift_b = np.empty(steps)
-    cond = np.full(steps, np.nan)
-    h_prev = h0
-    gram_sum = np.zeros((gdim, gdim))
-    cross_t_sum = np.zeros((gdim, zdim))
-    for c0 in range(0, steps, BATCH_CHUNK):
-        c1 = min(c0 + BATCH_CHUNK, steps)
+    preds_n[0] = hg[0, :n]
+    diag = np.full((3, steps), np.nan) if diagnostics else None
+    carry = np.zeros((gdim, cols))   # [S | C^T] after the last growing step
+    chunk = _chunk_steps(lam)
+    for c0 in range(0, steps, chunk):
+        c1 = min(c0 + chunk, steps)
         f0 = max(c0, grow_end)
-        lo = f0 - m + 1 if f0 < c1 else c0   # oldest pair a window here reads
-        g = np.concatenate((z_all[lo:c1], un[lo:c1]), axis=1)
-        r = z_all[lo + 1:c1 + 1] - g @ h0.T
-        gram = np.empty((c1 - c0, gdim, gdim))
-        cross_t = np.empty((c1 - c0, gdim, zdim))   # C^T, laid out for the solve
+        sums = np.empty((c1 - c0, gdim, cols))   # [S | C^T] of each step
         grown = min(f0, c1) - c0
-        if grown > 0:      # windows still growing: running sums
-            gg = g[c0 - lo:c0 - lo + grown]
-            rr = r[c0 - lo:c0 - lo + grown]
-            gram[:grown] = _running_sum(gram_sum, gg[:, :, None] * gg[:, None, :])
-            cross_t[:grown] = _running_sum(cross_t_sum, gg[:, :, None] * rr[:, None, :])
-            gram_sum, cross_t_sum = gram[grown - 1], cross_t[grown - 1]
+        if grown > 0:      # windows still growing, and RLS/FFRLS: running sums
+            sums[:grown] = _running_sum(carry, rows[c0:c0 + grown], lam)
+            carry = sums[grown - 1] * lam ** (grown - 1)
         if grown < c1 - c0:   # full windows: one product over M pairs each
-            gw = sliding_window_view(g, m, axis=0)   # (windows, gdim, M)
-            np.matmul(gw, gw.mT, out=gram[grown:])
-            np.matmul(gw, sliding_window_view(r, m, axis=0).mT, out=cross_t[grown:])
-        lhs = gram + ridge
-        try:
-            corr = np.linalg.solve(lhs, cross_t).mT
-        except np.linalg.LinAlgError:
-            corr = (np.linalg.pinv(lhs) @ cross_t).mT
-        finite = np.isfinite(corr).all(axis=(1, 2))
+            win = sliding_window_view(rows[f0 - m + 1:c1], m, axis=0)   # (.., cols, M)
+            np.matmul(win[:, :gdim], win.mT, out=sums[grown:])
+        reg = (np.full(c1 - c0, eps) if windowed
+               else _prior(lam, np.arange(c0 + 1, c1 + 1)))
+        lhs = sums[:, :, :gdim].copy()
+        lhs.reshape(c1 - c0, -1)[:, ::gdim + 1] += (
+            reg * np.power(lam, -np.arange(c1 - c0)))[:, None]
+        # the last pair's solve would predict past the end
+        ahead = min(c1, steps - 1) - c0
+        x = _ridge_solve(lhs[:ahead], g[c0 + 1:c0 + 1 + ahead, :, None])
+        corr_pred = (x.mT @ sums[:ahead, :, gdim:gdim + n])[:, 0]
+        finite = np.isfinite(corr_pred).all(axis=1)
         if not finite.all():
-            raise _singular(gram[np.argmin(finite)], reg)
-        h = h0 + corr
-        h_before = np.concatenate((h_prev[None], h[:-1]))
-        preds_n[c0:c1] = (h_before[:, :n] @ g[c0 - lo:, :, None])[:, :, 0]
-        drift_a[c0:c1] = np.linalg.norm(corr[:, :, :zdim], axis=(1, 2))
-        drift_b[c0:c1] = np.linalg.norm(corr[:, :, zdim:], axis=(1, 2))
-        if windowed:
-            cond[c0:c1] = _sym_cond(gram)
-        h_prev = h[-1]
-    return preds_n, drift_a, drift_b, cond, h_prev
+            bad = np.argmin(finite)
+            raise _singular(config.mode, sums[bad, :, :gdim], reg[bad])
+        preds_n[c0 + 1:c0 + 1 + ahead] = hg[c0 + 1:c0 + 1 + ahead, :n] + corr_pred
+        if diagnostics:
+            corr_t = _ridge_solve(lhs, sums[:, :, gdim:])
+            diag[0, c0:c1] = np.linalg.norm(corr_t[:, :zdim], axis=(1, 2))
+            diag[1, c0:c1] = np.linalg.norm(corr_t[:, zdim:], axis=(1, 2))
+            if windowed:
+                diag[2, c0:c1] = _sym_cond(sums[:, :, :gdim])
+    first = max(0, steps - m) if windowed else 0
+    gw = g[first:steps] * np.power(lam, np.arange(steps - 1 - first, -1, -1))[:, None]
+    gram = gw.T @ g[first:steps]
+    reg_end = eps if windowed else _prior(lam, steps)
+    h_end = h0 + _ridge_solve(gram + reg_end * np.eye(gdim), gw.T @ r[first:]).T
+    if not np.isfinite(h_end).all():
+        raise _singular(config.mode, gram, reg_end)
+    return preds_n, diag, h_end
 
 
 def adapt_run(model: KoopmanModel, trajectory: Trajectory,
-              config: AdapterConfig) -> AdaptRunResult:
+              config: AdapterConfig, *, diagnostics: bool = False) -> AdaptRunResult:
     """Run a trajectory through lift -> predict -> update.
 
     Each step k is predicted from the estimate that has only seen data through
-    k-1, then the measurement at k updates the estimate. SWLS with eps > 0
-    and RLS take the batched path; FFRLS and SWLS with eps = 0 step the
-    kernels of `update` one step at a time, bit for bit. Frozen mode
-    delegates to the vectorized one-step rollout, so it matches it bit for
-    bit. `cond_gram` is the condition number of the window Gram for SWLS
-    and NaN for the modes that keep no window. Raises ValueError on a
-    sample-time mismatch or a non-finite measurement, and LinAlgError on a
-    singular window or a non-finite RLS/FFRLS estimate.
+    k-1, then the measurement at k updates the estimate. SWLS with eps > 0,
+    RLS and FFRLS take the batched path; SWLS with eps = 0 steps the kernels
+    of `update` one step at a time, bit for bit. Frozen mode delegates to the
+    vectorized one-step rollout, so it matches it bit for bit.
+
+    With `diagnostics`, the result also holds the drifts ||A_k - A_0||_F and
+    ||B_k - B_0||_F after every step and `cond_gram`, the condition number of
+    the SWLS window Gram (NaN for the modes that keep no window); without,
+    these three are None and cost nothing. The predictions and the final
+    estimate do not depend on `diagnostics`.
+
+    Raises ValueError on a sample-time mismatch or a non-finite measurement,
+    and LinAlgError when a solve gives a non-finite estimate.
     """
     n_snap = len(trajectory)
     if n_snap < 2:
@@ -439,12 +455,11 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     if config.mode == "frozen":
         preds = one_step_predictions(model, trajectory.states[:-1],
                                      trajectory.inputs[:-1])
-        zeros = np.zeros(n_snap - 1)
-        return AdaptRunResult(predictions=preds, truth=truth, drift_a=zeros,
-                              drift_b=zeros.copy(),
-                              cond_gram=np.full(n_snap - 1, np.nan),
-                              final_A=model.A.copy(), final_B=model.B.copy(),
-                              config=config)
+        diag = None
+        if diagnostics:
+            diag = np.zeros((3, n_snap - 1))
+            diag[2] = np.nan
+        return _result(preds, truth, diag, model.A.copy(), model.B.copy(), config)
 
     xn = model.normalize_states(trajectory.states)
     un = model.normalize_inputs(trajectory.inputs)
@@ -452,22 +467,31 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     if not np.isfinite(z_all).all():
         raise ValueError("non-finite measurement")
     state = init(model.A, model.B, z_all[0], un[0], config)
-    if config.mode == "RLS":
-        out = _batched(state.h_init, z_all, un, n, config, 1.0 / FFRLS_P0_SCALE)
-    elif config.mode == "SWLS" and state.eps > 0.0:
-        out = _batched(state.h_init, z_all, un, n, config, state.eps)
+    if config.mode == "SWLS" and state.eps == 0.0:
+        preds_n, diag, h_end = _streamed(state, z_all, un, n, diagnostics)
     else:
-        out = _streamed(state, z_all, un, n)
-    preds_n, drift_a, drift_b, cond, h_end = out
+        preds_n, diag, h_end = _batched(state.h_init, z_all, un, n, config,
+                                        state.eps, diagnostics)
     zdim = z_all.shape[1]
-    return AdaptRunResult(predictions=model.denormalize_states(preds_n),
-                          truth=truth, drift_a=drift_a, drift_b=drift_b,
-                          cond_gram=cond, final_A=h_end[:, :zdim].copy(),
-                          final_B=h_end[:, zdim:].copy(), config=config)
+    return _result(model.denormalize_states(preds_n), truth, diag,
+                   h_end[:, :zdim].copy(), h_end[:, zdim:].copy(), config)
+
+
+def _result(preds, truth, diag, final_a, final_b, config) -> AdaptRunResult:
+    drift_a, drift_b, cond = (None, None, None) if diag is None else diag
+    return AdaptRunResult(predictions=preds, truth=truth, drift_a=drift_a,
+                          drift_b=drift_b, cond_gram=cond, final_A=final_a,
+                          final_B=final_b, config=config)
 
 
 def write_estimate_history(path, result: AdaptRunResult) -> None:
-    """Columnar diagnostics dump: k,frob_dA,frob_dB,cond_gram."""
+    """Columnar diagnostics dump: k,frob_dA,frob_dB,cond_gram.
+
+    Raises ValueError for a result computed without diagnostics.
+    """
+    if result.drift_a is None:
+        raise ValueError("no estimate history: the run was computed without "
+                         "adapt_run(..., diagnostics=True)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(ESTIMATE_HISTORY_HEADER + "\n")
         write_rows(fh, "%d,%.17g,%.17g,%.17g\n",

@@ -288,7 +288,8 @@ def cmd_adapt(args) -> int:
     config = adapt_mod.AdapterConfig(
         mode=cfg["mode"], window=int(cfg["window"]),
         forgetting=float(cfg["forgetting"]), eps_reg=eps)
-    result = adapt_mod.adapt_run(model, trajectory, config)
+    result = adapt_mod.adapt_run(model, trajectory, config,
+                                 diagnostics=bool(cfg.get("history")))
     m = ev.metrics(result.predictions, result.truth)
     for ci, (name, unit) in enumerate(zip(ev.CHANNEL_NAMES, ev.CHANNEL_UNITS)):
         print(f"  {name}: max {m.max_abs[ci]:.4f} {unit}, "

@@ -126,7 +126,8 @@ def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
     if spec.adapter is None or spec.adapter.mode == "frozen":
         return one_step_predictions(spec.model, trajectory.states[:-1],
                                     trajectory.inputs[:-1])
-    return adapt_run(spec.model, trajectory, spec.adapter).predictions
+    return adapt_run(spec.model, trajectory, spec.adapter,
+                     diagnostics=False).predictions
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from koopcar import adapt
-from koopcar.adapt import (BATCH_CHUNK, AdapterConfig, adapt_run, init,
-                           update, write_estimate_history, write_predictions)
+from koopcar.adapt import (BATCH_CHUNK, FFRLS_P0_SCALE, AdapterConfig,
+                           adapt_run, init, update, write_estimate_history,
+                           write_predictions)
 from koopcar.koopman import lift, one_step_predictions
 from koopcar.scenarios import make_scenario, run_scenario
 from koopcar.vehicle import Trajectory
@@ -106,9 +107,10 @@ def test_window_discipline_and_eviction():
     for k in range(1, 120):
         update(st, z[k], u[k - 1])
         assert st.window_fill == min(k, window)
-    # evicted data has zero influence: re-solve from the exposed window alone
-    g_mat = np.vstack((st.Psi, st.Uhist))
-    h_window = np.linalg.lstsq(g_mat.T, st.Ztargets.T, rcond=None)[0].T
+    # evicted data has zero influence: re-solve from the last `window` pairs
+    lo = len(z) - 1 - window
+    g_mat = np.vstack((z[lo:-1].T, u[lo:-1].T))
+    h_window = np.linalg.lstsq(g_mat.T, z[lo + 1:], rcond=None)[0].T
     assert np.abs(np.hstack((st.A_k, st.B_k)) - h_window).max() < 1e-10
 
 
@@ -122,8 +124,9 @@ def test_window_views_resolve_ridge_estimate():
                      window=window)
     for k in range(1, 130):   # ends between two exact recomputes
         update(st, z[k], u[k - 1])
-    g_mat = np.vstack((st.Psi, st.Uhist))
-    resid = st.Ztargets - h0 @ g_mat
+    lo = len(z) - 1 - window
+    g_mat = np.vstack((z[lo:-1].T, u[lo:-1].T))
+    resid = z[lo + 1:].T - h0 @ g_mat
     gram = g_mat @ g_mat.T + st.eps * np.eye(GDIM)
     h_window = h0 + np.linalg.solve(gram, (resid @ g_mat.T).T).T
     assert np.abs(np.hstack((st.A_k, st.B_k)) - h_window).max() < 1e-10
@@ -277,15 +280,27 @@ def test_forgetting_tracks_plant_switch_faster():
     assert fast < slow
 
 
-def test_p_stays_symmetric_under_updates():
-    a_true, b_true, rng = random_system(14)
-    z, u = stream(a_true, b_true, rng, 400)
-    for mode in ("RLS", "FFRLS"):
-        st = fresh_state(np.eye(ZDIM), np.zeros((ZDIM, UDIM)), z, u,
-                         mode=mode, window=50, forgetting=0.97)
-        for k in range(1, 400):
-            update(st, z[k], u[k - 1])
-            assert np.abs(st.P - st.P.T).max() < 1e-9
+@pytest.mark.parametrize("lam", [0.95, 0.98])
+def test_ffrls_matches_textbook_covariance_recursion(lam):
+    # independently coded P-form FFRLS from P0 = FFRLS_P0_SCALE I, which the
+    # information form of `update` equals in exact arithmetic
+    z, u = noisy_stream(14, 1000)
+    h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    st = fresh_state(h0[:, :ZDIM], h0[:, ZDIM:], z, u, mode="FFRLS",
+                     forgetting=lam)
+    h_rls = h0.copy()
+    p_rls = FFRLS_P0_SCALE * np.eye(GDIM)
+    worst = 0.0
+    for k in range(1, len(z)):
+        a_k, b_k = update(st, z[k], u[k - 1])
+        g = np.concatenate((z[k - 1], u[k - 1]))
+        pg = p_rls @ g
+        gain = pg / (lam + g @ pg)
+        h_rls = h_rls + np.outer(z[k] - h_rls @ g, gain)
+        p_rls = (p_rls - np.outer(gain, pg)) / lam
+        p_rls = 0.5 * (p_rls + p_rls.T)
+        worst = max(worst, np.abs(np.hstack((a_k, b_k)) - h_rls).max())
+    assert worst < 1e-8
 
 
 def test_rejects_nonpositive_lambda():
@@ -306,10 +321,10 @@ def test_m_equals_one_window_documented_behavior():
         a_k, b_k = update(st, z[k], u[k - 1])
         assert st.window_fill == 1
         assert np.all(np.isfinite(a_k))
-    g = np.concatenate((st.Psi[:, 0], st.Uhist[:, 0]))
+    g = np.concatenate((z[-2], u[-2]))
     fit = st.h_est @ g
     # newest pair is fit well along its own regressor direction
-    assert np.linalg.norm(fit - st.Ztargets[:, 0]) < 1e-3 * np.linalg.norm(g)
+    assert np.linalg.norm(fit - z[-1]) < 1e-3 * np.linalg.norm(g)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +337,8 @@ def heavy_mixed():
 
 
 def test_adapt_run_frozen_identity(short_mixed, quick_model):
-    res = adapt_run(quick_model, short_mixed, AdapterConfig(mode="frozen"))
+    res = adapt_run(quick_model, short_mixed, AdapterConfig(mode="frozen"),
+                    diagnostics=True)
     direct = one_step_predictions(quick_model, short_mixed.states[:-1],
                                   short_mixed.inputs[:-1])
     assert np.array_equal(res.predictions, direct)
@@ -349,7 +365,7 @@ def test_adapt_run_swls_beats_frozen_on_perturbed_plant(quick_model, heavy_mixed
 
 def test_adapt_run_reports_drift_and_conditioning(short_mixed, quick_model):
     res = adapt_run(quick_model, short_mixed,
-                    AdapterConfig(mode="SWLS", window=50))
+                    AdapterConfig(mode="SWLS", window=50), diagnostics=True)
     n = len(short_mixed) - 1
     assert res.predictions.shape == (n, 3)
     assert res.drift_a.shape == (n,) and res.drift_b.shape == (n,)
@@ -361,7 +377,7 @@ def test_adapt_run_reports_drift_and_conditioning(short_mixed, quick_model):
 @pytest.mark.parametrize("mode", ["RLS", "FFRLS", "frozen"])
 def test_adapt_run_cond_gram_nan_without_window(short_mixed, quick_model, mode):
     res = adapt_run(quick_model, short_mixed,
-                    AdapterConfig(mode=mode, forgetting=0.98))
+                    AdapterConfig(mode=mode, forgetting=0.98), diagnostics=True)
     assert res.cond_gram.shape == (len(short_mixed) - 1,)
     assert np.all(np.isnan(res.cond_gram))
     assert np.all(np.isfinite(res.drift_a))
@@ -394,7 +410,7 @@ def test_predictions_file_is_the_savetxt_output(tmp_path, short_mixed,
 
 def test_estimate_history_dump_format(tmp_path, short_mixed, quick_model):
     res = adapt_run(quick_model, short_mixed,
-                    AdapterConfig(mode="SWLS", window=50))
+                    AdapterConfig(mode="SWLS", window=50), diagnostics=True)
     path = tmp_path / "hist.csv"
     write_estimate_history(path, res)
     lines = path.read_text().splitlines()
@@ -404,8 +420,19 @@ def test_estimate_history_dump_format(tmp_path, short_mixed, quick_model):
     assert first[0] == "1" and len(first) == 4
 
 
+@pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS", "frozen"])
+def test_estimate_history_needs_diagnostics(tmp_path, short_mixed, quick_model,
+                                            mode):
+    res = adapt_run(quick_model, short_mixed, AdapterConfig(mode=mode))
+    assert res.drift_a is None and res.cond_gram is None
+    with pytest.raises(ValueError, match="diagnostics"):
+        write_estimate_history(tmp_path / "hist.csv", res)
+    assert not (tmp_path / "hist.csv").exists()
+
+
 # ---------------------------------------------------------------------------
-# batched adapt_run (SWLS with eps > 0, RLS) against the per-step update loop
+# batched adapt_run (SWLS with eps > 0, RLS, FFRLS) against the per-step
+# update loop
 
 def stepped_run(h0, z, u, config, n):
     """The per-step `update` loop over lifted data: normalized predictions
@@ -441,7 +468,7 @@ def noisy_stream(seed, steps):
     return z, u
 
 
-def identity_lift_run(monkeypatch, h0, z, u, config):
+def identity_lift_run(monkeypatch, h0, z, u, config, diagnostics=True):
     """adapt_run on a model whose lift of the states z[:, :3] is z itself
     and whose normalizers are the identity."""
     monkeypatch.setattr(adapt, "lift", lambda model, xn: z)
@@ -453,30 +480,50 @@ def identity_lift_run(monkeypatch, h0, z, u, config):
     k = z.shape[0]
     trajectory = Trajectory(t=0.025 * np.arange(k), states=z[:, :3].copy(),
                             inputs=u, accels=np.zeros((k, 2)))
-    return adapt_run(model, trajectory, config)
+    return adapt_run(model, trajectory, config, diagnostics=diagnostics)
 
 
 def rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
 
 
-@pytest.mark.parametrize("steps", [BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1,
-                                   3 * BATCH_CHUNK + 7])
-@pytest.mark.parametrize("mode, window", [("SWLS", 1), ("SWLS", 25),
-                                          ("SWLS", 100), ("SWLS", 10 ** 6),
-                                          ("RLS", 100)])
-def test_batched_run_equals_update_loop(monkeypatch, steps, mode, window):
+@pytest.mark.parametrize("steps", [1, BATCH_CHUNK - 1, BATCH_CHUNK,
+                                   BATCH_CHUNK + 1, 3 * BATCH_CHUNK + 7])
+@pytest.mark.parametrize("mode, window, forgetting, tol", [
+    pytest.param("SWLS", 1, 1.0, 1e-10, id="SWLS-1"),
+    pytest.param("SWLS", 25, 1.0, 1e-10, id="SWLS-25"),
+    pytest.param("SWLS", 100, 1.0, 1e-10, id="SWLS-100"),
+    pytest.param("SWLS", 10 ** 6, 1.0, 1e-10, id="SWLS-1000000"),
+    pytest.param("RLS", 100, 1.0, 1e-10, id="RLS-100"),
+    # While fewer than GDIM pairs are in, S + R has cond ~1e6 and the prior
+    # decays as 0.95^k; the per-step sums of `update` and the scaled cumsum
+    # then each land up to 1.2e-10 from a 50-digit solve, and 1.3e-10 apart.
+    pytest.param("FFRLS", 100, 0.95, 3e-10, id="FFRLS-0.95"),
+    pytest.param("FFRLS", 100, 1.0, 1e-10, id="FFRLS-1.0"),
+    # lambda^-63 overflows, so the chunks of the scaled sums shorten. With
+    # S ~ sum 1e-6^(k-i) g g^T of cond ~1e96 no two roundings agree: the
+    # run must only stay finite.
+    pytest.param("FFRLS", 100, 1e-6, None, id="FFRLS-1e-06")])
+def test_batched_run_equals_update_loop(monkeypatch, steps, mode, window,
+                                        forgetting, tol):
     z, u = noisy_stream(steps, steps + 1)
     h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
-    config = AdapterConfig(mode=mode, window=window, eps_reg=1e-3)
+    config = AdapterConfig(mode=mode, window=window, forgetting=forgetting,
+                           eps_reg=1e-3)
     res = identity_lift_run(monkeypatch, h0, z, u, config)
     preds, drift_a, drift_b, cond, a_end, b_end = stepped_run(h0, z, u, config, 3)
     for got, ref in ((res.predictions, preds), (res.drift_a, drift_a),
                      (res.drift_b, drift_b), (res.final_A, a_end),
                      (res.final_B, b_end)):
-        assert rel_err(got, ref) < 1e-10
+        assert np.isfinite(got).all()
+        assert tol is None or rel_err(got, ref) < tol
     assert np.array_equal(res.truth, z[1:, :3])
-    if mode == "RLS":
+    # the diagnostics never change the predictions or the final estimate
+    bare = identity_lift_run(monkeypatch, h0, z, u, config, diagnostics=False)
+    assert np.array_equal(bare.predictions, res.predictions)
+    assert np.array_equal(bare.final_A, res.final_A)
+    assert np.array_equal(bare.final_B, res.final_B)
+    if mode != "SWLS":
         assert np.all(np.isnan(res.cond_gram))
     else:
         # a window of fewer than GDIM pairs is singular, its cond rounding noise
@@ -500,25 +547,10 @@ def test_batched_auto_eps_swls_matches_update_loop_on_drift_run(quick_model,
     assert rel_err(res.predictions, preds) < 1e-9
 
 
-def test_ffrls_run_is_bitwise_the_update_loop(short_mixed, quick_model):
-    config = AdapterConfig(mode="FFRLS", forgetting=0.95)
-    res = adapt_run(quick_model, short_mixed, config)
-    z, un = lifted(quick_model, short_mixed)
-    h0 = np.hstack((quick_model.A, quick_model.B))
-    preds, drift_a, drift_b, _, a_end, b_end = stepped_run(h0, z, un, config, 3)
-    assert np.array_equal(res.predictions, quick_model.denormalize_states(preds))
-    assert np.array_equal(res.drift_a, drift_a)
-    assert np.array_equal(res.drift_b, drift_b)
-    assert np.array_equal(res.final_A, a_end)
-    assert np.array_equal(res.final_B, b_end)
-
-
 @pytest.mark.parametrize("steps", [BATCH_CHUNK + 1, 3 * BATCH_CHUNK + 7])
 @pytest.mark.parametrize("kw", [dict(mode="SWLS", window=1, eps_reg=0.0),
                                 dict(mode="SWLS", window=25, eps_reg=0.0),
-                                dict(mode="SWLS", window=100, eps_reg=0.0),
-                                dict(mode="FFRLS", forgetting=0.95),
-                                dict(mode="FFRLS", forgetting=1.0)])
+                                dict(mode="SWLS", window=100, eps_reg=0.0)])
 def test_streamed_run_is_bitwise_the_update_loop(monkeypatch, steps, kw):
     z, u = noisy_stream(steps, steps + 1)
     h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
@@ -535,8 +567,8 @@ def test_streamed_run_is_bitwise_the_update_loop(monkeypatch, steps, kw):
 
 def unexcited_stream(steps):
     """Regressors that excite only 3 of the 15 lifted directions and one of
-    the two inputs: at lambda < 1 the other directions of P grow as
-    lambda^-k until they overflow."""
+    the two inputs: at lambda < 1 the covariance of the P-form grows as
+    lambda^-k in the other directions."""
     rng = np.random.default_rng(3)
     z = np.zeros((steps, ZDIM))
     z[:, :3] = rng.normal(size=(steps, 3))
@@ -545,25 +577,41 @@ def unexcited_stream(steps):
     return z, u
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-def test_ffrls_windup_raises_at_the_first_non_finite_step(monkeypatch):
-    # P grows from 1e4 as 2^k, so it overflows near step 1,010
+def test_ffrls_unexcited_stream_stays_finite(monkeypatch):
+    # the P-form overflowed near step 1,010 here; the prior 0.5^k/p0 of the
+    # information form reaches the smallest normal float at about that step
     z, u = unexcited_stream(1100)
     h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
     config = AdapterConfig(mode="FFRLS", forgetting=0.5)
+    preds, _, _, _, a_end, b_end = stepped_run(h0, z, u, config, 3)
+    res = identity_lift_run(monkeypatch, h0, z, u, config)
+    for got, ref in ((res.predictions, preds), (res.final_A, a_end),
+                     (res.final_B, b_end)):
+        assert np.isfinite(got).all()
+        assert rel_err(got, ref) < 1e-10
+    # the unexcited directions keep their seed estimate
+    assert np.array_equal(res.final_A[:, 3:], h0[:, 3:ZDIM])
+    assert np.array_equal(res.final_B[:, 1], h0[:, ZDIM + 1])
+
+
+@pytest.mark.parametrize("mode, ridge", [("SWLS", "eps_reg=0.001"),
+                                         ("RLS", "1/FFRLS_P0_SCALE=0.0001"),
+                                         ("FFRLS", "forgetting^k/FFRLS_P0_SCALE=9e-05")])
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_non_finite_solve_names_mode_and_ridge(monkeypatch, mode, ridge):
+    # a seed estimate this large overflows the residuals of the first pair
+    z, u = noisy_stream(5, 40)
+    h0 = np.full((ZDIM, GDIM), 1e308)
+    config = AdapterConfig(mode=mode, forgetting=0.9, eps_reg=1e-3)
     st = init(h0[:, :ZDIM], h0[:, ZDIM:], z[0], u[0], config)
-    with pytest.raises(np.linalg.LinAlgError, match="non-finite FFRLS") as online:
-        for k in range(1, len(z)):
-            update(st, z[k], u[k - 1])
-    assert 900 < k < len(z) - 1
-    assert f"at step {k} " in str(online.value)
+    with pytest.raises(np.linalg.LinAlgError) as online:
+        update(st, z[1], u[0])
     with pytest.raises(np.linalg.LinAlgError) as run:
-        identity_lift_run(monkeypatch, h0, z, u, config)
-    assert str(run.value) == str(online.value)
-    # one step fewer stays finite in both
-    res = identity_lift_run(monkeypatch, h0, z[:k], u[:k], config)
-    assert np.isfinite(res.predictions).all() and np.isfinite(res.final_A).all()
+        identity_lift_run(monkeypatch, h0, z, u, config, diagnostics=False)
+    for err in (online, run):
+        assert f"non-finite {mode} estimate" in str(err.value)
+        assert f"ridge {ridge})" in str(err.value)
 
 
 @pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS", "frozen"])

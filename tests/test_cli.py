@@ -205,10 +205,9 @@ def test_adapt_writes_history_and_metrics(workdir, tmp_path, capsys):
     assert lines[0] == "k,frob_dA,frob_dB,cond_gram"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-def test_adapt_ffrls_windup_exits_2_without_output(workdir, tmp_path, capsys):
-    # a constant regressor leaves all but one direction of P unexcited
+def test_adapt_ffrls_constant_input_finishes_finite(workdir, tmp_path, capsys):
+    # a constant regressor leaves all but one direction unexcited; the P-form
+    # covariance overflowed there near step 1,010
     k = 1100
     Trajectory(t=0.025 * np.arange(k), states=np.tile([10.0, 0.0, 0.0], (k, 1)),
                inputs=np.tile([100.0, 0.0], (k, 1)),
@@ -216,9 +215,26 @@ def test_adapt_ffrls_windup_exits_2_without_output(workdir, tmp_path, capsys):
     out = tmp_path / "pred.csv"
     assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
                    "--data", str(tmp_path / "const.csv"), "--mode", "FFRLS",
-                   "--forgetting", "0.5", "--out", str(out)) == 2
-    assert "non-finite FFRLS estimate at step" in capsys.readouterr().err
-    assert not out.exists()
+                   "--forgetting", "0.5", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (k - 1, 6)
+    assert np.isfinite(rows).all()
+    # every step after the first, which the seed estimate predicts
+    assert np.abs(rows[1:, :3] - rows[1:, 3:]).max() < 1e-3
+
+
+@pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS"])
+def test_adapt_history_never_changes_the_predictions(workdir, tmp_path, mode):
+    outs = []
+    for history in ([], ["--history", str(tmp_path / "hist.csv")]):
+        outs.append(tmp_path / f"pred{len(history)}.csv")
+        assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
+                       "--data", str(workdir["traj"]), "--mode", mode,
+                       "--forgetting", "0.95", "--out", str(outs[-1]),
+                       *history) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert (tmp_path / "hist.csv").exists()
 
 
 def test_adapt_rejects_sample_time_mismatch(workdir, tmp_path, capsys):
