@@ -547,6 +547,22 @@ def test_batched_auto_eps_swls_matches_update_loop_on_drift_run(quick_model,
     assert rel_err(res.predictions, preds) < 1e-9
 
 
+def test_batched_ffrls_predicts_as_the_update_loop(short_mixed, quick_model):
+    # At lambda 0.95 the weighted Gram of this run has cond ~2.5e15, so the
+    # estimate is fixed only in its excited directions and the two summation
+    # orders leave different rounding in the rest; the predictions, which
+    # use the excited directions, agree (measured 2.3e-7).
+    config = AdapterConfig(mode="FFRLS", forgetting=0.95)
+    res = adapt_run(quick_model, short_mixed, config, diagnostics=True)
+    z, un = lifted(quick_model, short_mixed)
+    h0 = np.hstack((quick_model.A, quick_model.B))
+    preds = quick_model.denormalize_states(stepped_run(h0, z, un, config, 3)[0])
+    assert rel_err(res.predictions, preds) < 1e-6
+    assert np.array_equal(res.truth, short_mixed.states[1:])
+    for got in (res.drift_a, res.drift_b, res.final_A, res.final_B):
+        assert np.isfinite(got).all()
+
+
 @pytest.mark.parametrize("steps", [BATCH_CHUNK + 1, 3 * BATCH_CHUNK + 7])
 @pytest.mark.parametrize("kw", [dict(mode="SWLS", window=1, eps_reg=0.0),
                                 dict(mode="SWLS", window=25, eps_reg=0.0),
