@@ -17,8 +17,8 @@ steering angle) by the caller of the stages. The hoisted expressions keep
 their operand order, so the results are bitwise those of evaluating
 everything in every stage.
 
-The dense-network kernels work on a flat parameter vector; friendly wrappers
-live in the public modules.
+The dense-network kernels work on a flat parameter vector at the offsets of
+an `mlp.MlpLayout`; `koopman.lift` and the training loss call them directly.
 """
 
 import math

@@ -28,6 +28,8 @@ Two paths compute these estimates:
   M pushes both are recomputed exactly from the buffers, which bounds the
   cancellation drift of the downdates (Golub & Van Loan, Matrix
   Computations). RLS and FFRLS scale S and C by lambda and add the new pair.
+  `adapt_run` steps `update` for SWLS with eps = 0, whose min-norm lstsq per
+  window has no batched form.
 * Batched, inside `adapt_run`, for SWLS with eps > 0, RLS and FFRLS over a
   known trajectory. It works in chunks of BATCH_CHUNK steps: the growing
   windows and every RLS/FFRLS step take S and C from a lambda-scaled running
@@ -36,9 +38,6 @@ Two paths compute these estimates:
   one batched one-column solve per chunk gives the one-step predictions. The
   drift diagnostics (a solve for all of H) and `cond_gram` (an `eigvalsh`)
   are computed only on request. It agrees with streaming to rounding.
-
-SWLS with eps = 0 (min-norm lstsq) steps `_push` and `_solve_window` one
-step at a time inside `adapt_run`, bit for bit the `update` loop.
 
 An adapter is strictly sequential and single-owner; run one per stream.
 """
@@ -277,12 +276,6 @@ class AdaptRunResult:
     config: AdapterConfig
 
 
-def _frobenius(diff: np.ndarray) -> float:
-    """Frobenius norm, computed as np.linalg.norm does, without its dispatch."""
-    flat = diff.ravel()
-    return math.sqrt(flat.dot(flat))
-
-
 def _sym_cond(gram: np.ndarray) -> np.ndarray:
     """Condition number of each symmetric matrix in `gram`; inf if singular."""
     ev = np.linalg.eigvalsh(gram)
@@ -315,35 +308,6 @@ def _chunk_steps(lam: float) -> int:
     if decay * (BATCH_CHUNK - 1) <= _LOG_MAX_WEIGHT:
         return BATCH_CHUNK
     return 1 + int(_LOG_MAX_WEIGHT / decay)
-
-
-def _streamed(state: AdapterState, z_all: np.ndarray, un: np.ndarray, n: int,
-              diagnostics: bool):
-    """SWLS with eps = 0, one step at a time; returns (preds_n, diag, H) like
-    `_batched`.
-
-    It runs the kernels of `update` on inputs that `adapt_run` has already
-    checked, without its per-step conversions, checks and copies, so it
-    computes the same operations in the same order, bit for bit.
-    """
-    steps = z_all.shape[0] - 1
-    zdim = state.zdim
-    a0 = state.A_k.copy()
-    b0 = state.B_k.copy()
-    g_all = np.concatenate((z_all[:-1], un[:-1]), axis=1)
-    preds_n = np.empty((steps, n))
-    diag = np.empty((3, steps)) if diagnostics else None
-    for k in range(1, steps + 1):
-        g = g_all[k - 1]
-        preds_n[k - 1] = state.h_est.dot(g)[:n]
-        state._push(g, z_all[k])
-        _solve_window(state, 0.0)
-        state.k += 1
-        if diagnostics:
-            diag[0, k - 1] = _frobenius(state.h_est[:, :zdim] - a0)
-            diag[1, k - 1] = _frobenius(state.h_est[:, zdim:] - b0)
-            diag[2, k - 1] = _sym_cond(state._gram)
-    return preds_n, diag, state.h_est
 
 
 def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
@@ -430,9 +394,9 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
 
     Each step k is predicted from the estimate that has only seen data through
     k-1, then the measurement at k updates the estimate. SWLS with eps > 0,
-    RLS and FFRLS take the batched path; SWLS with eps = 0 steps the kernels
-    of `update` one step at a time, bit for bit. Frozen mode delegates to the
-    vectorized one-step rollout, so it matches it bit for bit.
+    RLS and FFRLS take the batched path; SWLS with eps = 0 steps `update`.
+    Frozen mode delegates to the vectorized one-step rollout, so it matches
+    it bit for bit.
 
     With `diagnostics`, the result also holds the drifts ||A_k - A_0||_F and
     ||B_k - B_0||_F after every step and `cond_gram`, the condition number of
@@ -440,8 +404,9 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     these three are None and cost nothing. The predictions and the final
     estimate do not depend on `diagnostics`.
 
-    Raises ValueError on a sample-time mismatch or a non-finite measurement,
-    and LinAlgError when a solve gives a non-finite estimate.
+    Raises ValueError on unevenly spaced snapshots, a sample-time mismatch or
+    a non-finite measurement, and LinAlgError when a solve gives a non-finite
+    estimate.
     """
     n_snap = len(trajectory)
     if n_snap < 2:
@@ -467,12 +432,25 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     if not np.isfinite(z_all).all():
         raise ValueError("non-finite measurement")
     state = init(model.A, model.B, z_all[0], un[0], config)
+    zdim = z_all.shape[1]
     if config.mode == "SWLS" and state.eps == 0.0:
-        preds_n, diag, h_end = _streamed(state, z_all, un, n, diagnostics)
+        # the min-norm lstsq of each window has no batched form: step `update`
+        steps = n_snap - 1
+        preds_n = np.empty((steps, n))
+        diag = np.empty((3, steps)) if diagnostics else None
+        a0, b0 = state.A_k.copy(), state.B_k.copy()
+        for k in range(1, n_snap):
+            g = np.concatenate((z_all[k - 1], un[k - 1]))
+            preds_n[k - 1] = (state.h_est @ g)[:n]
+            update(state, z_all[k], un[k - 1])
+            if diagnostics:
+                diag[0, k - 1] = np.linalg.norm(state.A_k - a0)
+                diag[1, k - 1] = np.linalg.norm(state.B_k - b0)
+                diag[2, k - 1] = _sym_cond(state.window_gram())
+        h_end = state.h_est
     else:
         preds_n, diag, h_end = _batched(state.h_init, z_all, un, n, config,
                                         state.eps, diagnostics)
-    zdim = z_all.shape[1]
     return _result(model.denormalize_states(preds_n), truth, diag,
                    h_end[:, :zdim].copy(), h_end[:, zdim:].copy(), config)
 

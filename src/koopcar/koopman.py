@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels, mlp
 from .mlp import (AdamState, LayerSpec, MlpLayout, Normalizer, adam_step,
                   mlp_specs)
-from .vehicle import Snapshot, Trajectory
+from .vehicle import Trajectory
 
 CHANNELS = ("Vx", "Vy", "wr", "T", "delta_f")
 CHECKPOINT_VERSION = 1
@@ -129,11 +129,6 @@ class KoopmanModel:
         d, m = self.dims.lifted, self.dims.m
         return self.theta[self.layout.b_off:self.layout.b_off + d * m].reshape(d, m)
 
-    def with_theta(self, theta: np.ndarray) -> "KoopmanModel":
-        return KoopmanModel(self.dims, self.enc_specs, self.dec_specs, theta,
-                            self.normalizer, self.dt, self.weights,
-                            self.squared_norms, self.meta)
-
     # --- normalization helpers -------------------------------------------
     def normalize_states(self, x: np.ndarray) -> np.ndarray:
         return self.normalizer.select(slice(0, self.dims.n)).apply(x)
@@ -212,30 +207,12 @@ class PairBatch:
 
     @classmethod
     def from_trajectory(cls, tr: Trajectory) -> "PairBatch":
+        """Every consecutive pair of a uniformly sampled trajectory."""
         if len(tr) < 2:
             raise ValueError("need at least two snapshots to form pairs")
-        steps = np.diff(tr.t)
-        dt = float(steps[0])
-        if not np.allclose(steps, dt, rtol=0.0, atol=1e-9):
-            raise ValueError("snapshots are not uniformly spaced")
         return cls(x_now=tr.states[:-1].copy(), u_now=tr.inputs[:-1].copy(),
                    x_next=tr.states[1:].copy(), acc_next=tr.accels[1:].copy(),
-                   dt=dt)
-
-    @classmethod
-    def from_snapshots(cls, first: Snapshot, second: Snapshot,
-                       dt: float | None = None) -> "PairBatch":
-        spacing = second.t - first.t
-        if dt is not None and abs(spacing - dt) > 1e-9:
-            raise ValueError(f"snapshots are not consecutive: spacing {spacing}")
-        if spacing <= 0:
-            raise ValueError("second snapshot must follow the first")
-        return cls(
-            x_now=first.state.as_array()[None, :],
-            u_now=np.array([[first.input.T, first.input.delta_f]]),
-            x_next=second.state.as_array()[None, :],
-            acc_next=np.array([[second.ax, second.ay]]),
-            dt=spacing)
+                   dt=tr.dt)
 
 
 def measured_accel_combination(x_next: np.ndarray,
@@ -347,47 +324,9 @@ def loss_components(model: KoopmanModel, batch: PairBatch) -> LossTerms:
     return terms
 
 
-def loss_total(model: KoopmanModel, batch: PairBatch,
-               weights: LossWeights | None = None,
-               dt: float | None = None) -> float:
-    """Weighted combination of the four batch-mean terms."""
-    if dt is not None and abs(dt - batch.dt) > 1e-12:
-        raise ValueError("dt does not match the batch spacing")
-    terms = loss_components(model, batch)
-    return terms.total(weights if weights is not None else model.weights)
-
-
-def _pair_term(model, first, second, name):
-    batch = PairBatch.from_snapshots(first, second, dt=model.dt)
-    return getattr(loss_components(model, batch), name)
-
-
-def loss_linear(model: KoopmanModel, first: Snapshot, second: Snapshot) -> float:
-    """One-step linearity error of the lifted state for one consecutive pair."""
-    return _pair_term(model, first, second, "linear")
-
-
-def loss_recon(model: KoopmanModel, first: Snapshot, second: Snapshot) -> float:
-    """Encoder/decoder reconstruction error at the pair's first state."""
-    return _pair_term(model, first, second, "recon")
-
-
-def loss_pred(model: KoopmanModel, first: Snapshot, second: Snapshot) -> float:
-    """One-step prediction error in the original (normalized) state space."""
-    return _pair_term(model, first, second, "pred")
-
-
-def loss_accel(model: KoopmanModel, first: Snapshot, second: Snapshot,
-               dt: float | None = None) -> float:
-    """Mismatch between predicted velocity change rate and sensor-derived one."""
-    if dt is not None and abs((second.t - first.t) - dt) > 1e-9:
-        raise ValueError("pair spacing does not match dt")
-    return _pair_term(model, first, second, "accel")
-
-
 def loss_gradient(model: KoopmanModel, batch: PairBatch,
                   weights: LossWeights | None = None) -> np.ndarray:
-    """Flat gradient of loss_total over the joint parameter vector."""
+    """Flat gradient of the weighted loss total over the joint parameter vector."""
     if len(batch) == 0:
         raise ValueError("empty batch")
     w = weights if weights is not None else model.weights
@@ -617,10 +556,11 @@ def write_training_log(path, history: list[EpochRecord]) -> None:
 # prediction
 
 def check_sample_time(model: KoopmanModel, trajectory: Trajectory) -> None:
-    """Raise ValueError unless the trajectory is sampled at the model's dt
-    (to 1e-9 relative): A and B are one-step maps for that dt only."""
-    if abs(trajectory.dt - model.dt) > 1e-9 * model.dt:
-        raise ValueError(f"trajectory sample time {trajectory.dt:g} s does not "
+    """Raise ValueError unless the trajectory is uniformly sampled at the
+    model's dt (to 1e-9 relative): A and B are one-step maps for that dt only."""
+    dt = trajectory.dt
+    if abs(dt - model.dt) > 1e-9 * model.dt:
+        raise ValueError(f"trajectory sample time {dt:g} s does not "
                          f"match the model's dt={model.dt:g} s")
 
 

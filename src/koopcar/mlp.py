@@ -1,9 +1,10 @@
-"""Minimal dense feed-forward network engine on a flat parameter vector.
+"""Dense layer specs and their kernel layouts, Adam, and the normalizer.
 
 Parameters of a network (and, one level up, of the whole lifted-space model)
 live in a single float64 vector. That keeps Adam, checkpointing, and
-finite-difference gradient checks trivial, and lets the dense kernels in
-`_kernels` slice weights by offset. All arithmetic is 64-bit.
+finite-difference gradient checks trivial: an `MlpLayout` gives the offsets
+at which the dense passes in `_kernels` slice the weights. All arithmetic is
+64-bit.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import ACT_LINEAR, ACT_RELU, ACT_TANH
 
 _ACT_CODES = {"linear": ACT_LINEAR, "tanh": ACT_TANH, "relu": ACT_RELU}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -93,74 +92,6 @@ def init_theta(specs: tuple[LayerSpec, ...], rng: np.random.Generator) -> np.nda
         w = rng.uniform(-bound, bound, size=s.out_dim * s.in_dim)
         theta[layout.w_off[j]:layout.w_off[j] + w.size] = w
     return theta
-
-
-class MlpNetwork:
-    """Layer specs plus their flat parameter vector (possibly a view)."""
-
-    def __init__(self, specs: tuple[LayerSpec, ...], theta: np.ndarray):
-        self.specs = tuple(specs)
-        self.layout = MlpLayout.build(self.specs)
-        if theta.shape != (self.layout.size,):
-            raise ValueError(f"theta must have shape ({self.layout.size},)")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("non-finite network parameters")
-        self.theta = theta
-
-    @classmethod
-    def create(cls, specs: tuple[LayerSpec, ...],
-               rng: np.random.Generator) -> "MlpNetwork":
-        return cls(specs, init_theta(tuple(specs), rng))
-
-    @property
-    def in_dim(self) -> int:
-        return self.specs[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.specs[-1].out_dim
-
-    def weights(self, j: int) -> np.ndarray:
-        s = self.specs[j]
-        off = self.layout.w_off[j]
-        return self.theta[off:off + s.out_dim * s.in_dim].reshape(s.out_dim, s.in_dim)
-
-    def bias(self, j: int) -> np.ndarray | None:
-        if not self.specs[j].has_bias:
-            return None
-        off = self.layout.b_off[j]
-        return self.theta[off:off + self.specs[j].out_dim]
-
-
-def forward(net: MlpNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the network to a vector or batch; returns (output, cache).
-
-    The cache holds the input and every post-activation block and is exactly
-    what `backward` consumes.
-    """
-    single = x.ndim == 1
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if xb.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {xb.shape[1]} != network input {net.in_dim}")
-    cache = np.empty((xb.shape[0], net.layout.cache_width))
-    lay = net.layout
-    y = _kernels.dense_forward(net.theta, lay.shapes, lay.w_off, lay.b_off,
-                               lay.acts, np.ascontiguousarray(xb), cache)
-    return (y[0] if single else y), cache
-
-
-def backward(net: MlpNetwork, cache: np.ndarray,
-             output_grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients: returns (flat parameter gradient, input gradient)."""
-    single = output_grad.ndim == 1
-    gy = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
-    if gy.shape != (cache.shape[0], net.out_dim):
-        raise ValueError("output_grad shape does not match the forward cache")
-    grad = np.zeros(net.layout.size)
-    lay = net.layout
-    gx = _kernels.dense_backward(net.theta, lay.shapes, lay.w_off, lay.b_off,
-                                 lay.acts, cache, np.ascontiguousarray(gy), grad)
-    return grad, (gx[0] if single else gx)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +177,3 @@ class Normalizer:
     def select(self, idx) -> "Normalizer":
         """Sub-normalizer over a subset of channels."""
         return Normalizer(lo=self.lo[idx].copy(), hi=self.hi[idx].copy())
-
-
-def fit_normalizer(columns: np.ndarray) -> Normalizer:
-    return Normalizer.fit(columns)

@@ -161,9 +161,6 @@ class Scenario:
                      self.params, self.substeps))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
-    def with_params(self, params: VehicleParams, suffix: str = "") -> "Scenario":
-        return replace(self, params=params, name=self.name + suffix)
-
 
 def run_scenario(scenario: Scenario) -> Trajectory:
     """Simulate the scenario; one snapshot per sample interval including t=0."""

@@ -199,12 +199,19 @@ class Trajectory:
             ay=float(self.accels[k, 1]),
         )
 
-    def snapshots(self) -> list[Snapshot]:
-        return [self[k] for k in range(len(self))]
-
     @property
     def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if len(self) > 1 else 0.0
+        """The sample interval (0.0 for one snapshot); raises ValueError
+        unless every interval is within 1e-9 s of the first."""
+        if len(self) < 2:
+            return 0.0
+        steps = np.diff(self.t)
+        off = np.flatnonzero(~(np.abs(steps - steps[0]) <= 1e-9))   # NaN is off
+        if off.size:
+            k = off[0]
+            raise ValueError(f"snapshots are not uniformly spaced: {steps[k]:g} s "
+                             f"after t={self.t[k]:g} s, against dt={steps[0]:g} s")
+        return float(steps[0])
 
     def to_csv(self, path) -> None:
         """Write the columnar text format (17 significant digits, exact round-trip)."""

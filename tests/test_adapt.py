@@ -581,6 +581,18 @@ def test_streamed_run_is_bitwise_the_update_loop(monkeypatch, steps, kw):
     assert np.array_equal(res.final_B, b_end)
 
 
+def test_streamed_run_predicts_the_same_without_diagnostics(short_mixed,
+                                                             quick_model):
+    config = AdapterConfig(mode="SWLS", window=25, eps_reg=0.0)
+    full = adapt_run(quick_model, short_mixed, config, diagnostics=True)
+    bare = adapt_run(quick_model, short_mixed, config)
+    assert bare.drift_a is None and bare.cond_gram is None
+    assert np.isfinite(full.drift_a).all() and full.drift_a[-1] > 0.0
+    assert np.array_equal(bare.predictions, full.predictions)
+    assert np.array_equal(bare.final_A, full.final_A)
+    assert np.array_equal(bare.final_B, full.final_B)
+
+
 def unexcited_stream(steps):
     """Regressors that excite only 3 of the 15 lifted directions and one of
     the two inputs: at lambda < 1 the covariance of the P-form grows as

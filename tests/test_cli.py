@@ -177,6 +177,31 @@ def test_compare_requires_known_scenario(workdir, tmp_path):
                    "--out", str(tmp_path / "x")) == 1
 
 
+def test_compare_timings_write_sidecars_only(workdir, tmp_path):
+    methods = ["PHYS-BASELINE", "ALDK", "ALDK-SWLS"]
+    for timings in ("off", "on"):
+        (tmp_path / timings).mkdir()
+        assert run_cli("compare", "--methods", ",".join(methods),
+                       "--checkpoint-aldk", str(workdir["ckpt"]),
+                       "--scenario", "suite", "--scenario-duration", "5",
+                       "--seed", "3", "--timings", timings,
+                       "--out", str(tmp_path / timings / "cmp")) == 0
+    off = sorted(p.name for p in (tmp_path / "off").iterdir())
+    on = sorted(p.name for p in (tmp_path / "on").iterdir())
+    stems = sorted(name[:-len(".table.txt")] for name in off
+                   if name.endswith(".table.txt"))
+    assert len(stems) == 7 and len(off) == 3 * 7
+    assert on == sorted(off + [stem + ".timing.csv" for stem in stems])
+    for name in off:
+        assert (tmp_path / "on" / name).read_bytes() == (
+            tmp_path / "off" / name).read_bytes()
+    for stem in stems:
+        rows = (tmp_path / "on" / (stem + ".timing.csv")).read_text().splitlines()
+        assert rows[0] == "method,runtime_s"
+        assert [r.split(",")[0] for r in rows[1:]] == methods
+        assert all(float(r.split(",")[1]) >= 0.0 for r in rows[1:])
+
+
 def test_compare_window_sweep_emits_summary(workdir, tmp_path):
     prefix = tmp_path / "sw"
     assert run_cli("compare", "--methods", "ALDK-SWLS",
@@ -244,6 +269,21 @@ def test_adapt_rejects_sample_time_mismatch(workdir, tmp_path, capsys):
     assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
                    "--data", str(coarse), "--mode", "SWLS") == 2
     assert "sample time" in capsys.readouterr().err
+
+
+def test_adapt_rejects_gapped_trajectory(workdir, tmp_path, capsys):
+    # every tenth snapshot dropped: the first interval is still the model's dt
+    lines = workdir["traj"].read_text().splitlines()
+    gapped = tmp_path / "gapped.csv"
+    gapped.write_text("\n".join(lines[:1] + [line for k, line in
+                                              enumerate(lines[1:], 1)
+                                              if k % 10]) + "\n")
+    out = tmp_path / "pred.csv"
+    assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
+                   "--data", str(gapped), "--mode", "SWLS",
+                   "--out", str(out)) == 2
+    assert "not uniformly spaced" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_rejects_sample_time_mismatch(tmp_path, capsys):

@@ -4,13 +4,11 @@ import pytest
 from koopcar import mlp as mlp_mod
 from koopcar.koopman import (KoopmanDims, KoopmanModel, LossWeights, PairBatch,
                              TrainConfig, _build_layout, edmd_fit, lift,
-                             load_checkpoint, loss_accel, loss_components,
-                             loss_gradient, loss_linear, loss_pred, loss_recon,
-                             loss_total, one_step_predictions, predict_one_step,
-                             project, rollout, save_checkpoint, split_pairs,
-                             train)
+                             load_checkpoint, loss_components, loss_gradient,
+                             one_step_predictions, predict_one_step, project,
+                             rollout, save_checkpoint, split_pairs, train)
 from koopcar.mlp import LayerSpec, Normalizer, mlp_specs
-from koopcar.vehicle import ControlInput, Snapshot, VehicleState
+from koopcar.vehicle import Trajectory
 
 NORM5 = Normalizer(lo=np.array([5.0, -1.0, -0.5, -500.0, -0.1]),
                    hi=np.array([25.0, 1.0, 0.5, 1500.0, 0.1]))
@@ -68,6 +66,14 @@ def test_lift_with_zero_encoder_appends_zeros():
     model = build_model(dims, mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
     z = lift(model, np.array([0.5, 0.1, -0.3]))
     assert np.array_equal(z, [0.5, 0.1, -0.3, 0.0, 0.0])
+
+
+def test_lift_rejects_wrong_state_dim():
+    model = tiny_model()
+    with pytest.raises(ValueError, match="state dim"):
+        lift(model, np.zeros(5))
+    with pytest.raises(ValueError, match="state dim"):
+        lift(model, np.zeros((4, 2)))
 
 
 def test_lift_is_injective_on_states():
@@ -130,17 +136,7 @@ def test_predict_matches_triple_loop_oracle():
 # ---------------------------------------------------------------------------
 # pair construction
 
-def test_pairs_require_consecutive_snapshots():
-    s0 = Snapshot(0.0, VehicleState(10.0), ControlInput(100.0), 0.1, 0.0)
-    s1 = Snapshot(0.05, VehicleState(10.1), ControlInput(100.0), 0.1, 0.0)
-    with pytest.raises(ValueError):
-        PairBatch.from_snapshots(s0, s1, dt=0.025)
-    pair = PairBatch.from_snapshots(s0, s1, dt=0.05)
-    assert len(pair) == 1
-
-
 def test_pairs_reject_nonuniform_spacing():
-    from koopcar.vehicle import Trajectory
     tr = Trajectory(t=np.array([0.0, 0.025, 0.08]), states=np.zeros((3, 3)),
                     inputs=np.zeros((3, 2)), accels=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="uniform"):
@@ -257,31 +253,31 @@ def test_accel_loss_quadratic_around_its_minimum():
         assert abs(loss_components(model, probe).accel - eps ** 2) < 1e-12
 
 
-def test_pair_level_loss_wrappers():
+def test_batch_terms_are_the_mean_of_pair_terms():
     model = tiny_model(seed=11)
-    s0 = Snapshot(0.0, VehicleState(12.0, 0.3, -0.1), ControlInput(250.0, 0.02),
-                  0.5, -0.2)
-    s1 = Snapshot(0.025, VehicleState(12.1, 0.25, -0.08), ControlInput(240.0, 0.02),
-                  0.8, -0.4)
-    batch = PairBatch.from_snapshots(s0, s1)
+    tr = Trajectory(t=0.025 * np.arange(3),
+                    states=np.array([[12.0, 0.3, -0.1], [12.1, 0.25, -0.08],
+                                     [12.15, 0.2, -0.05]]),
+                    inputs=np.array([[250.0, 0.02], [240.0, 0.02], [230.0, 0.01]]),
+                    accels=np.array([[0.5, -0.2], [0.8, -0.4], [0.7, -0.3]]))
+    batch = PairBatch.from_trajectory(tr)
     terms = loss_components(model, batch)
-    assert loss_linear(model, s0, s1) == terms.linear
-    assert loss_recon(model, s0, s1) == terms.recon
-    assert loss_pred(model, s0, s1) == terms.pred
-    assert loss_accel(model, s0, s1, dt=0.025) == terms.accel
-    with pytest.raises(ValueError):
-        loss_accel(model, s0, s1, dt=0.05)
+    pairs = [loss_components(model, batch.subset([k])) for k in range(2)]
+    for name in terms._fields:
+        mean = 0.5 * (getattr(pairs[0], name) + getattr(pairs[1], name))
+        # to BLAS reassociation of the one- and two-row passes
+        assert abs(getattr(terms, name) - mean) <= 1e-13 * abs(mean)
 
 
 def test_loss_total_weight_algebra():
     model = tiny_model(seed=12)
     batch = random_batch(16, seed=13)
     terms = loss_components(model, batch)
-    assert loss_total(model, batch, LossWeights(1, 0, 0, 0)) == terms.linear
-    full = loss_total(model, batch, LossWeights())
-    assert abs(full - sum(terms)) < 1e-12
+    assert terms.total(LossWeights(1, 0, 0, 0)) == terms.linear
+    assert terms.total(LossWeights(0, 0, 0, 2)) == 2 * terms.accel
+    assert abs(terms.total(LossWeights()) - sum(terms)) < 1e-12
     with pytest.raises(ValueError):
-        loss_total(model, batch.subset(np.array([], dtype=int)))
+        loss_components(model, batch.subset(np.array([], dtype=int)))
     with pytest.raises(ValueError):
         LossWeights(0, 0, 0, 0)
 

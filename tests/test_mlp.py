@@ -2,12 +2,29 @@ import numpy as np
 import pytest
 
 from koopcar import _kernels
-from koopcar.mlp import (AdamState, LayerSpec, MlpNetwork, adam_step,
-                         backward, fit_normalizer, forward, mlp_specs)
+from koopcar.mlp import (AdamState, LayerSpec, MlpLayout, Normalizer, adam_step,
+                         init_theta, mlp_specs)
 
 
-def net_from_arrays(layers):
-    """Build a network from explicit (W, b_or_None, activation) triples."""
+def dense(specs, theta):
+    """(forward, backward) of the `_kernels` dense passes over the layers
+    `specs`, called as `lift` and `_loss_and_grad` call them."""
+    lay = MlpLayout.build(tuple(specs))
+    args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts)
+
+    def forward(x):
+        cache = np.empty((x.shape[0], lay.cache_width))
+        return _kernels.dense_forward(*args, x, cache), cache
+
+    def backward(cache, gy):
+        grad = np.zeros(lay.size)
+        return grad, _kernels.dense_backward(*args, cache, gy, grad)
+
+    return forward, backward
+
+
+def from_arrays(layers):
+    """(specs, theta) of explicit (W, b_or_None, activation) triples."""
     specs = []
     chunks = []
     for w, b, act in layers:
@@ -15,22 +32,23 @@ def net_from_arrays(layers):
         chunks.append(w.ravel())
         if b is not None:
             chunks.append(b)
-    return MlpNetwork(tuple(specs), np.concatenate(chunks).astype(np.float64))
+    return tuple(specs), np.concatenate(chunks).astype(np.float64)
+
+
+def forward_of(layers, x):
+    return dense(*from_arrays(layers))[0](x[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
 # forward
 
 def test_identity_linear_layer():
-    net = net_from_arrays([(np.eye(4), np.zeros(4), "linear")])
     x = np.array([0.3, -1.2, 5.0, 0.0])
-    y, _ = forward(net, x)
-    assert np.array_equal(y, x)
+    assert np.array_equal(forward_of([(np.eye(4), np.zeros(4), "linear")], x), x)
 
 
 def test_tanh_layer_at_zero_weights():
-    net = net_from_arrays([(np.zeros((3, 2)), np.zeros(3), "tanh")])
-    y, _ = forward(net, np.array([0.7, -0.4]))
+    y = forward_of([(np.zeros((3, 2)), np.zeros(3), "tanh")], np.array([0.7, -0.4]))
     assert np.array_equal(y, np.zeros(3))
 
 
@@ -40,35 +58,28 @@ def test_two_layer_frozen_oracle():
     b1 = np.array([0.01, -0.02, 0.03])
     w2 = np.array([[0.5, -0.4, 0.2]])
     b2 = np.array([0.1])
-    net = net_from_arrays([(w1, b1, "tanh"), (w2, b2, "linear")])
-    y, _ = forward(net, np.array([0.7, -0.3]))
+    y = forward_of([(w1, b1, "tanh"), (w2, b2, "linear")], np.array([0.7, -0.3]))
     assert abs(y[0] - 0.070475154080701388) < 1e-15
 
 
 def test_forward_batch_matches_single_rows():
     # same values up to BLAS kernel reassociation (gemm vs gemv)
     rng = np.random.default_rng(0)
-    net = MlpNetwork.create(mlp_specs((3, 5, 2)), rng)
+    specs = mlp_specs((3, 5, 2))
+    forward, _ = dense(specs, init_theta(specs, rng))
     xb = rng.normal(size=(6, 3))
-    yb, _ = forward(net, xb)
+    yb, _ = forward(xb)
     for i in range(6):
-        yi, _ = forward(net, xb[i])
-        assert np.allclose(yb[i], yi, rtol=1e-14, atol=1e-15)
-
-
-def test_forward_dim_mismatch():
-    net = MlpNetwork.create(mlp_specs((3, 4, 2)), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        forward(net, np.zeros(5))
+        yi, _ = forward(xb[i:i + 1])
+        assert np.allclose(yb[i], yi[0], rtol=1e-14, atol=1e-15)
 
 
 def test_forward_determinism():
     rng = np.random.default_rng(1)
-    net = MlpNetwork.create(mlp_specs((4, 8, 8, 3)), rng)
+    specs = mlp_specs((4, 8, 8, 3))
+    forward, _ = dense(specs, init_theta(specs, rng))
     x = np.random.default_rng(2).normal(size=(10, 4))
-    y1, _ = forward(net, x)
-    y2, _ = forward(net, x)
-    assert np.array_equal(y1, y2)
+    assert np.array_equal(forward(x)[0], forward(x)[0])
 
 
 def test_cache_free_forward_equals_cached_forward():
@@ -76,22 +87,21 @@ def test_cache_free_forward_equals_cached_forward():
     rng = np.random.default_rng(11)
     specs = (LayerSpec(3, 7, "tanh"), LayerSpec(7, 5, "relu", has_bias=False),
              LayerSpec(5, 4, "linear"))
-    net = MlpNetwork.create(specs, rng)
-    net.theta[:] += 0.1 * rng.normal(size=net.theta.size)
-    lay = net.layout
+    theta = init_theta(specs, rng)
+    theta += 0.1 * rng.normal(size=theta.size)
+    lay = MlpLayout.build(specs)
     x = rng.normal(size=(9, 3))
     cache = np.empty((9, lay.cache_width))
-    args = (net.theta, lay.shapes, lay.w_off, lay.b_off, lay.acts, x)
+    args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts, x)
     cached = _kernels.dense_forward(*args, cache)
     free = _kernels.dense_forward(*args, None)
     assert np.array_equal(free, cached)
     assert np.array_equal(cache[:, -4:], cached)
-    assert np.array_equal(free, forward(net, x)[0])
 
 
 def test_layer_chain_validation():
-    with pytest.raises(ValueError):
-        MlpNetwork((LayerSpec(3, 4), LayerSpec(5, 2)), np.zeros(16 + 4 + 10 + 2))
+    with pytest.raises(ValueError, match="does not chain"):
+        MlpLayout.build((LayerSpec(3, 4), LayerSpec(5, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,40 +109,39 @@ def test_layer_chain_validation():
 
 def test_zero_output_grad_gives_zero_gradients():
     rng = np.random.default_rng(3)
-    net = MlpNetwork.create(mlp_specs((3, 6, 2)), rng)
-    _, cache = forward(net, rng.normal(size=(4, 3)))
-    grad, gx = backward(net, cache, np.zeros((4, 2)))
+    specs = mlp_specs((3, 6, 2))
+    forward, backward = dense(specs, init_theta(specs, rng))
+    _, cache = forward(rng.normal(size=(4, 3)))
+    grad, gx = backward(cache, np.zeros((4, 2)))
     assert np.all(grad == 0.0)
     assert np.all(gx == 0.0)
 
 
 def test_linear_layer_closed_form_gradient():
     w = np.array([[0.5, -0.2, 0.1], [0.0, 0.3, -0.4]])
-    net = net_from_arrays([(w, None, "linear")])
+    forward, backward = dense(*from_arrays([(w, None, "linear")]))
     x = np.array([1.0, -2.0, 0.5])
-    _, cache = forward(net, x)
+    _, cache = forward(x[None])
     g_out = np.array([2.0, -1.0])
-    grad, gx = backward(net, cache, g_out)
+    grad, gx = backward(cache, g_out[None])
     assert np.allclose(grad.reshape(2, 3), np.outer(g_out, x), atol=1e-15)
-    assert np.allclose(gx, w.T @ g_out, atol=1e-15)
+    assert np.allclose(gx[0], w.T @ g_out, atol=1e-15)
 
 
-def _fd_check(net, x, h=1e-5):
+def _fd_check(specs, theta, x, h=1e-5):
     """Relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(99)
-    c = rng.normal(size=net.out_dim)  # fixed linear readout -> scalar loss
+    c = rng.normal(size=specs[-1].out_dim)  # fixed linear readout -> scalar loss
 
-    def loss(theta):
-        probe = MlpNetwork(net.specs, theta)
-        y, _ = forward(probe, x)
-        return float(np.sum(y @ c))
+    def loss(th):
+        return float(np.sum(dense(specs, th)[0](x)[0] @ c))
 
-    _, cache = forward(net, x)
-    grad, _ = backward(net, cache, np.tile(c, (x.shape[0], 1)))
+    forward, backward = dense(specs, theta)
+    grad, _ = backward(forward(x)[1], np.tile(c, (x.shape[0], 1)))
     worst = 0.0
-    for i in range(net.theta.size):
-        tp = net.theta.copy(); tp[i] += h
-        tm = net.theta.copy(); tm[i] -= h
+    for i in range(theta.size):
+        tp = theta.copy(); tp[i] += h
+        tm = theta.copy(); tm[i] -= h
         fd = (loss(tp) - loss(tm)) / (2 * h)
         worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8))
     return worst
@@ -140,9 +149,10 @@ def _fd_check(net, x, h=1e-5):
 
 def test_three_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    net = MlpNetwork.create(mlp_specs((4, 8, 6, 3)), rng)
+    specs = mlp_specs((4, 8, 6, 3))
+    theta = init_theta(specs, rng)
     x = rng.normal(size=(5, 4))
-    assert _fd_check(net, x) < 1e-6
+    assert _fd_check(specs, theta, x) < 1e-6
 
 
 def test_gradient_property_over_random_structures():
@@ -155,17 +165,9 @@ def test_gradient_property_over_random_structures():
         specs = tuple(LayerSpec(dims[j], dims[j + 1], acts[j],
                                 has_bias=bool(rng.random() < 0.8))
                       for j in range(n_layers))
-        net = MlpNetwork.create(specs, rng)
+        theta = init_theta(specs, rng)
         x = rng.normal(size=(3, dims[0]))
-        assert _fd_check(net, x) < 1e-6, f"trial {trial}: {specs}"
-
-
-def test_backward_shape_mismatch():
-    rng = np.random.default_rng(5)
-    net = MlpNetwork.create(mlp_specs((3, 4, 2)), rng)
-    _, cache = forward(net, rng.normal(size=(4, 3)))
-    with pytest.raises(ValueError):
-        backward(net, cache, np.zeros((4, 3)))
+        assert _fd_check(specs, theta, x) < 1e-6, f"trial {trial}: {specs}"
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,7 @@ def test_adam_rejects_nonfinite_gradient():
 # normalizer
 
 def test_normalizer_endpoints():
-    norm = fit_normalizer(np.array([[0.0, -3.0], [10.0, 5.0], [5.0, 1.0]]))
+    norm = Normalizer.fit(np.array([[0.0, -3.0], [10.0, 5.0], [5.0, 1.0]]))
     assert np.array_equal(norm.apply(np.array([0.0, -3.0])), [-1.0, -1.0])
     assert np.array_equal(norm.apply(np.array([10.0, 5.0])), [1.0, 1.0])
 
@@ -218,13 +220,13 @@ def test_normalizer_endpoints():
 def test_normalizer_roundtrip():
     rng = np.random.default_rng(9)
     data = rng.uniform(-5, 20, size=(50, 4))
-    norm = fit_normalizer(data)
+    norm = Normalizer.fit(data)
     x = rng.uniform(data.min(axis=0), data.max(axis=0), size=(30, 4))
     assert np.allclose(norm.invert(norm.apply(x)), x, atol=1e-12)
 
 
 def test_normalizer_constant_channel_rule():
-    norm = fit_normalizer(np.array([[5.0, 1.0], [5.0, 2.0]]))
+    norm = Normalizer.fit(np.array([[5.0, 1.0], [5.0, 2.0]]))
     out = norm.apply(np.array([5.0, 1.5]))
     assert out[0] == 0.0
     assert norm.invert(np.array([0.0, 0.0]))[0] == 5.0
@@ -232,11 +234,11 @@ def test_normalizer_constant_channel_rule():
 
 def test_normalizer_rejects_empty():
     with pytest.raises(ValueError):
-        fit_normalizer(np.zeros((0, 3)))
+        Normalizer.fit(np.zeros((0, 3)))
 
 
 def test_normalizer_select_subset():
-    norm = fit_normalizer(np.array([[0.0, 10.0, -1.0], [2.0, 20.0, 1.0]]))
+    norm = Normalizer.fit(np.array([[0.0, 10.0, -1.0], [2.0, 20.0, 1.0]]))
     sub = norm.select(slice(0, 2))
     assert np.array_equal(sub.lo, [0.0, 10.0])
     assert np.array_equal(sub.hi, [2.0, 20.0])

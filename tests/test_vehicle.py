@@ -470,6 +470,20 @@ def test_snapshot_view_matches_arrays():
     assert snap.ax == tr.accels[7, 0]
 
 
+def test_trajectory_dt_rejects_uneven_spacing():
+    tr = run_scenario(make_scenario("mixed", duration=300.0))
+    assert tr.dt == 0.025          # t = k * dt, rounded, is uniform
+    for t in (np.array([0.0, 0.025, 0.075, 0.1]),
+              np.array([0.0, 0.025, np.nan, 0.075])):
+        gapped = Trajectory(t=t, states=np.zeros((4, 3)), inputs=np.zeros((4, 2)),
+                            accels=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="not uniformly spaced.*t=0.025"):
+            gapped.dt
+    one = Trajectory(t=np.zeros(1), states=np.zeros((1, 3)),
+                     inputs=np.zeros((1, 2)), accels=np.zeros((1, 2)))
+    assert one.dt == 0.0
+
+
 def test_scenario_config_roundtrip():
     sc = make_scenario("slalom")
     cfg = scenario_to_config(sc)
