@@ -195,14 +195,18 @@ def _build_methods(cfg: dict[str, str]) -> list[ev.MethodSpec]:
     return specs
 
 
-def _compare_once(cfg, scenario_list, out_prefix, tag="") -> dict[str, ev.ComparisonReport]:
+def _compare_once(cfg, scenario_list, out_prefix, tag="",
+                  trajectories=None) -> dict[str, ev.ComparisonReport]:
+    """One comparison per scenario; `trajectories`, when given, holds each
+    scenario's simulated run so it is not simulated again."""
     import hashlib
     fingerprint = hashlib.sha256(
         repr(sorted(cfg.items())).encode()).hexdigest()[:16]
     methods = _build_methods(cfg)
     reports = {}
-    for scenario in scenario_list:
-        report = ev.run_comparison(methods, scenario, fingerprint)
+    for scenario, trajectory in zip(
+            scenario_list, trajectories or [None] * len(scenario_list)):
+        report = ev.run_comparison(methods, scenario, fingerprint, trajectory)
         stem = f"{out_prefix}_{scenario.name}{tag}"
         ev.write_report_files(report, stem + ".table.txt",
                               stem + ".metrics.csv", stem + ".series.csv")
@@ -244,12 +248,13 @@ def cmd_compare(args) -> int:
 
     if cfg.get("sweep_window"):
         windows = [int(w) for w in cfg["sweep_window"].split(",") if w]
+        trajectories = [sc.run_scenario(s) for s in scenario_list]
         summary_rows = []
         for m_len in windows:
             sweep_cfg = dict(cfg)
             sweep_cfg["window"] = str(m_len)
             reports = _compare_once(sweep_cfg, scenario_list, cfg["out"],
-                                    tag=f"_M{m_len}")
+                                    tag=f"_M{m_len}", trajectories=trajectories)
             for scen_name, report in reports.items():
                 for res in report.results:
                     if res.name.upper() == "ALDK-SWLS":

@@ -158,12 +158,17 @@ def _trajectory_sha(tr: Trajectory) -> str:
 
 
 def run_comparison(methods: list[MethodSpec], scenario: Scenario,
-                   config_fingerprint: str = "") -> ComparisonReport:
-    """Evaluate every method on one shared trajectory of the scenario."""
+                   config_fingerprint: str = "",
+                   trajectory: Trajectory | None = None) -> ComparisonReport:
+    """Evaluate every method on one shared trajectory of the scenario.
+
+    The scenario is simulated here unless its `trajectory` is passed in.
+    """
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("method names must be unique in a comparison")
-    trajectory = run_scenario(scenario)
+    if trajectory is None:
+        trajectory = run_scenario(scenario)
     sha = _trajectory_sha(trajectory)
     truth = trajectory.states[1:]
     report = ComparisonReport(scenario_name=scenario.name,

@@ -28,6 +28,8 @@ CHECKPOINT_VERSION = 1
 TRAIN_LOG_HEADER = ("epoch,loss_total,loss_linear,loss_recon,loss_pred,"
                     "loss_accel,holdout_total")
 
+HOLDOUT_CHUNK = 4096  # holdout pairs per loss evaluation in `train`
+
 
 @dataclass(frozen=True)
 class KoopmanDims:
@@ -207,12 +209,15 @@ class PairBatch:
 
     @classmethod
     def from_trajectory(cls, tr: Trajectory) -> "PairBatch":
-        """Every consecutive pair of a uniformly sampled trajectory."""
+        """Every consecutive pair of a uniformly sampled trajectory.
+
+        The fields are views: they share memory with the trajectory's arrays,
+        so writing to one writes to the other.
+        """
         if len(tr) < 2:
             raise ValueError("need at least two snapshots to form pairs")
-        return cls(x_now=tr.states[:-1].copy(), u_now=tr.inputs[:-1].copy(),
-                   x_next=tr.states[1:].copy(), acc_next=tr.accels[1:].copy(),
-                   dt=tr.dt)
+        return cls(x_now=tr.states[:-1], u_now=tr.inputs[:-1],
+                   x_next=tr.states[1:], acc_next=tr.accels[1:], dt=tr.dt)
 
 
 def measured_accel_combination(x_next: np.ndarray,
@@ -446,12 +451,17 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     """Mini-batch Adam over encoder, decoder, A, B; returns the best-holdout model.
 
     The pair set is split (seeded shuffle) into train/holdout; the normalizer
-    is fit on the training split only. Aborts on a non-finite loss naming the
-    offending batch. Passing `init_model` resumes from its parameters and
-    normalizer (epoch numbering continues from its recorded final epoch).
+    is fit on the training split only. The holdout loss is evaluated in
+    chunks of `HOLDOUT_CHUNK` pairs, each weighted by its length, so its
+    temporaries stay bounded for any data length. Aborts on a non-finite loss
+    naming the offending batch. Passing `init_model` resumes from its
+    parameters and normalizer (epoch numbering continues from its recorded
+    final epoch); its dt must be the pairs' sample time.
     """
     if abs(pairs.dt - config.dt) > 1e-9:
         raise ValueError(f"dataset spacing {pairs.dt} != configured dt {config.dt}")
+    if init_model is not None:
+        check_sample_time(init_model, pairs)
     if len(pairs) < 4:
         raise ValueError("need at least 4 pairs to train")
     rng = np.random.default_rng(config.seed)
@@ -482,6 +492,7 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
                              config.dt, config.weights, config.squared_norms)
     arr_train = _prepared_arrays(model, train_pairs)
     arr_hold = _prepared_arrays(model, hold_pairs)
+    del train_pairs, hold_pairs   # only the prepared arrays are read below
     if init_model is None:
         if config.warm_start:
             _warm_start_ab(theta, layout, dims, arr_train["xi"],
@@ -493,13 +504,18 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     vel_half = normalizer.half_range[:2]
     vel_mid = normalizer.mid[:2]
     adam = AdamState.create(layout.size, lr=config.learning_rate)
-    n_train = len(train_pairs)
+    n_train, n_hold = len(train_idx), len(hold_idx)
 
     def holdout_total(th):
-        terms, _ = _loss_and_grad(th, layout, dims, arr_hold, config.weights,
-                                  config.dt, vel_half, vel_mid,
-                                  config.squared_norms, want_grad=False)
-        return terms.total(config.weights)
+        sums = np.zeros(4)
+        for start in range(0, n_hold, HOLDOUT_CHUNK):
+            stop = min(start + HOLDOUT_CHUNK, n_hold)
+            arrs = {k: v[start:stop] for k, v in arr_hold.items()}
+            terms, _ = _loss_and_grad(th, layout, dims, arrs, config.weights,
+                                      config.dt, vel_half, vel_mid,
+                                      config.squared_norms, False)
+            sums += np.array(terms) * (stop - start)
+        return LossTerms(*(sums / n_hold)).total(config.weights)
 
     best_theta = theta.copy()
     best_hold = holdout_total(theta)
@@ -555,9 +571,11 @@ def write_training_log(path, history: list[EpochRecord]) -> None:
 # ---------------------------------------------------------------------------
 # prediction
 
-def check_sample_time(model: KoopmanModel, trajectory: Trajectory) -> None:
-    """Raise ValueError unless the trajectory is uniformly sampled at the
-    model's dt (to 1e-9 relative): A and B are one-step maps for that dt only."""
+def check_sample_time(model: KoopmanModel,
+                      trajectory: Trajectory | PairBatch) -> None:
+    """Raise ValueError unless the trajectory (or pair set) is uniformly
+    sampled at the model's dt (to 1e-9 relative): A and B are one-step maps
+    for that dt only."""
     dt = trajectory.dt
     if abs(dt - model.dt) > 1e-9 * model.dt:
         raise ValueError(f"trajectory sample time {dt:g} s does not "

@@ -223,21 +223,25 @@ class Trajectory:
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
         """Read the format written by `to_csv`; blank lines are skipped and a
-        malformed row is named by its file line number (`row N`)."""
+        malformed row is named by its file line number (`row N`).
+
+        The body streams from the open file into the parser; its lines are
+        read again one by one only when that parse fails."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != TRAJECTORY_HEADER:
                 raise ValueError(f"unexpected trajectory header: {header!r}")
-            lines = fh.readlines()
-        body = [line for line in lines if not line.isspace()]
-        if not body:
-            raise ValueError("empty trajectory file")
-        try:
-            arr = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            arr = None
-        if arr is None or arr.shape[1] != 8:
-            arr = _scan_rows(lines)
+            body = fh.tell()
+            if all(line.isspace() for line in iter(fh.readline, "")):
+                raise ValueError("empty trajectory file")
+            fh.seek(body)
+            try:
+                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:   # a malformed or whitespace-only line
+                arr = None
+            if arr is None or arr.shape[1] != 8:
+                fh.seek(body)
+                arr = _scan_rows(fh)
         return cls(t=arr[:, 0], states=arr[:, 1:4], inputs=arr[:, 4:6],
                    accels=arr[:, 6:8])
 
@@ -262,9 +266,10 @@ def write_rows(fh, fmt: str, columns, first_index: int | None = None) -> None:
         fh.write((fmt * (e - s)) % tuple(flat))
 
 
-def _scan_rows(lines: list[str]) -> np.ndarray:
-    """Per-line parse of trajectory body lines (file line 2 onward) that
-    names the first malformed row by its file line number."""
+def _scan_rows(lines) -> np.ndarray:
+    """Per-line parse of trajectory body lines (file line 2 onward, any
+    iterable of strings) that names the first malformed row by its file line
+    number."""
     rows = []
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()

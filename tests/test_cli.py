@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from koopcar import evaluation, scenarios
 from koopcar.cli import main, read_config_file, resolve
 from koopcar.koopman import load_checkpoint
 from koopcar.vehicle import TRAJECTORY_HEADER, Trajectory
@@ -137,6 +138,20 @@ def test_train_resume_continues_epoch_counter(workdir, tmp_path):
     assert rows[2].split(",")[0] == "5"
 
 
+def test_train_resume_rejects_other_sample_time(workdir, tmp_path, capsys):
+    coarse = tmp_path / "coarse.csv"
+    assert run_cli("simulate", "--scenario", "mixed", "--duration", "20",
+                   "--dt", "0.05", "--out", str(coarse)) == 0
+    capsys.readouterr()
+    out = tmp_path / "resumed.json"
+    assert run_cli("train", "--data", str(coarse), "--seed", "6",
+                   "--epochs", "1", "--resume", str(workdir["ckpt"]),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "0.05" in err and "0.025" in err
+    assert not out.exists()
+
+
 def test_train_reports_malformed_dataset_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(TRAJECTORY_HEADER + "\n0,1,2,3,4,5,6,7\nnot,a,row\n")
@@ -214,6 +229,35 @@ def test_compare_window_sweep_emits_summary(workdir, tmp_path):
     summary = (tmp_path / "sw_sweep.csv").read_text().splitlines()
     assert summary[0] == "M,scenario,channel,rmse"
     assert len(summary) == 1 + 2 * 3  # two windows x three channels
+
+
+def test_compare_window_sweep_simulates_each_scenario_once(
+        workdir, tmp_path, monkeypatch):
+    calls = []
+    simulate = scenarios.run_scenario
+
+    def counting(scenario):
+        calls.append(scenario.name)
+        return simulate(scenario)
+
+    monkeypatch.setattr(scenarios, "run_scenario", counting)
+    monkeypatch.setattr(evaluation, "run_scenario", counting)
+    common = ["compare", "--methods", "PHYS-BASELINE,ALDK-SWLS",
+              "--checkpoint-aldk", str(workdir["ckpt"]),
+              "--scenario", "suite", "--scenario-duration", "5", "--seed", "3"]
+    assert run_cli(*common, "--sweep-window", "25,50",
+                   "--out", str(tmp_path / "sw")) == 0
+    assert len(calls) == 7
+    for m_len in (25, 50):
+        plain = tmp_path / f"plain{m_len}"
+        assert run_cli(*common, "--window", str(m_len), "--out", str(plain)) == 0
+        names = sorted(p.name[len(plain.name):] for p in tmp_path.iterdir()
+                       if p.name.startswith(plain.name + "_"))
+        assert len(names) == 3 * 7
+        for name in names:
+            stem, ext = name.split(".", 1)
+            swept = tmp_path / f"sw{stem}_M{m_len}.{ext}"
+            assert swept.read_bytes() == (tmp_path / (plain.name + name)).read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from koopcar import koopman
 from koopcar import mlp as mlp_mod
-from koopcar.koopman import (KoopmanDims, KoopmanModel, LossWeights, PairBatch,
-                             TrainConfig, _build_layout, edmd_fit, lift,
+from koopcar.koopman import (HOLDOUT_CHUNK, KoopmanDims, KoopmanModel,
+                             LossWeights, PairBatch, TrainConfig,
+                             _build_layout, edmd_fit, lift,
                              load_checkpoint, loss_components, loss_gradient,
                              one_step_predictions, predict_one_step, project,
                              rollout, save_checkpoint, split_pairs, train)
@@ -141,6 +143,17 @@ def test_pairs_reject_nonuniform_spacing():
                     inputs=np.zeros((3, 2)), accels=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="uniform"):
         PairBatch.from_trajectory(tr)
+
+
+def test_pairs_are_views_of_the_trajectory():
+    tr = Trajectory(t=0.025 * np.arange(4), states=np.ones((4, 3)),
+                    inputs=np.ones((4, 2)), accels=np.ones((4, 2)))
+    b = PairBatch.from_trajectory(tr)
+    assert np.shares_memory(b.x_now, tr.states)
+    assert np.shares_memory(b.x_next, tr.states)
+    assert np.shares_memory(b.u_now, tr.inputs)
+    assert np.shares_memory(b.acc_next, tr.accels)
+    assert np.array_equal(b.x_next, tr.states[1:])
 
 
 def test_pairs_reject_nonfinite_accels():
@@ -475,6 +488,31 @@ def test_train_matches_pinned_history(short_mixed):
                      r.loss_accel, r.holdout_total] for r in res.history])
     assert [r.epoch for r in res.history] == [1, 2, 3, 4, 5]
     np.testing.assert_allclose(got, PINNED_HISTORY_SEED42, rtol=1e-12, atol=0.0)
+
+
+# holdouts of 4,500 pairs (two chunks, the last one partial) and 750 (one)
+@pytest.mark.parametrize("n_pairs,fraction,n_chunks", [(9000, 0.5, 2),
+                                                       (2500, 0.3, 1)])
+def test_chunked_holdout_matches_single_batch(monkeypatch, n_pairs, fraction,
+                                              n_chunks):
+    pairs = synthetic_linear_pairs(n=n_pairs, seed=27)
+    calls = []
+    loss_and_grad = koopman._loss_and_grad
+
+    def counting(*args):
+        calls.append(args[9])
+        return loss_and_grad(*args)
+
+    monkeypatch.setattr(koopman, "_loss_and_grad", counting)
+    cfg = TrainConfig(seed=27, dt=pairs.dt, epochs=0, hidden=(8,),
+                      feature_dim=2, holdout_fraction=fraction)
+    res = train(pairs, KoopmanDims(p=2), cfg)
+    monkeypatch.undo()
+    assert len(res.holdout_idx) % HOLDOUT_CHUNK != 0
+    assert calls == [False] * n_chunks
+    whole = loss_components(res.model, pairs.subset(res.holdout_idx))
+    np.testing.assert_allclose(res.best_holdout, whole.total(cfg.weights),
+                               rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
