@@ -395,8 +395,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     Each step k is predicted from the estimate that has only seen data through
     k-1, then the measurement at k updates the estimate. SWLS with eps > 0,
     RLS and FFRLS take the batched path; SWLS with eps = 0 steps `update`.
-    Frozen mode delegates to the vectorized one-step rollout, so it matches
-    it bit for bit.
+    Frozen mode delegates to `one_step_predictions`, so it matches it bit
+    for bit.
 
     With `diagnostics`, the result also holds the drifts ||A_k - A_0||_F and
     ||B_k - B_0||_F after every step and `cond_gram`, the condition number of

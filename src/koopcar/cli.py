@@ -2,8 +2,9 @@
 
 Config resolution precedence: command-line flags > config file > defaults.
 Config files are flat `key = value` lines ('#' comments allowed; schema in
-README). Every subcommand echoes its fully resolved configuration before
-doing any work. Exit codes: 0 success, 1 usage error, 2 runtime error.
+README); a key the subcommand does not read is a usage error. Every
+subcommand echoes its fully resolved configuration before doing any work.
+Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -52,16 +53,23 @@ def resolve(defaults: dict, file_cfg: dict, flag_cfg: dict) -> dict[str, str]:
     return out
 
 
-def echo_config(name: str, cfg: dict[str, str]) -> None:
-    print(f"[{name}] resolved config:")
+def _config(args, defaults: dict, prefixes: tuple[str, ...] = ()) -> dict[str, str]:
+    """Resolve a subcommand's config from its parsed flags (every argparse
+    dest but `command`, `func` and `config`), its config file and `defaults`,
+    and echo it. A file key that is neither a default, a flag dest nor under
+    one of `prefixes` is a usage error."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "func", "config")}
+    file_cfg = read_config_file(args.config) if args.config else {}
+    for key in file_cfg:
+        if key not in defaults and key not in flags and not key.startswith(prefixes):
+            raise UsageError(f"{args.config}: unknown key {key!r} "
+                             f"for {args.command}")
+    cfg = resolve(defaults, file_cfg, flags)
+    print(f"[{args.command}] resolved config:")
     for key in sorted(cfg):
         print(f"  {key} = {cfg[key]}")
-
-
-def _require_seed(cfg: dict[str, str]) -> int:
-    if "seed" not in cfg or cfg["seed"] in ("", "None"):
-        raise UsageError("a seed is required (--seed or 'seed' in the config file)")
-    return int(cfg["seed"])
+    return cfg
 
 
 def _flag_on(value: str) -> bool:
@@ -72,12 +80,8 @@ def _flag_on(value: str) -> bool:
 # simulate
 
 def cmd_simulate(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    flag_cfg = {"scenario": args.scenario, "duration": args.duration,
-                "dt": args.dt, "dm": args.dm, "dIz": args.dIz,
-                "out": args.out, "seed": args.seed}
-    cfg = resolve({"scenario": "mixed", "dm": 0.0, "dIz": 0.0}, file_cfg, flag_cfg)
-    echo_config("simulate", cfg)
+    cfg = _config(args, {"scenario": "mixed", "dm": 0.0, "dIz": 0.0},
+                  prefixes=("scenario.", "initial.", "input.", "params."))
     if "out" not in cfg:
         raise UsageError("an output path is required (--out)")
 
@@ -103,20 +107,14 @@ def cmd_simulate(args) -> int:
 # train
 
 def cmd_train(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    flag_cfg = {"data": args.data, "out": args.out, "seed": args.seed,
-                "epochs": args.epochs, "batch_size": args.batch_size,
-                "learning_rate": args.learning_rate, "hidden": args.hidden,
-                "feature_dim": args.feature_dim, "accel_loss": args.accel_loss,
-                "log": args.log, "resume": args.resume}
     defaults = {"epochs": 200, "batch_size": 256, "learning_rate": 1e-3,
                 "hidden": "32,32", "feature_dim": 12, "accel_loss": "on",
                 "holdout_fraction": 0.3, "warm_start": "on",
                 "w_linear": 1.0, "w_recon": 1.0, "w_pred": 1.0, "w_accel": 1.0,
                 "squared_norms": "on"}
-    cfg = resolve(defaults, file_cfg, flag_cfg)
-    echo_config("train", cfg)
-    seed = _require_seed(cfg)
+    cfg = _config(args, defaults)
+    if cfg.get("seed", "") in ("", "None"):
+        raise UsageError("a seed is required (--seed or 'seed' in the config file)")
     for key in ("data", "out"):
         if key not in cfg:
             raise UsageError(f"'{key}' is required for train")
@@ -128,7 +126,7 @@ def cmd_train(args) -> int:
                              recon=float(cfg["w_recon"]),
                              pred=float(cfg["w_pred"]), accel=w_accel)
     config = km.TrainConfig(
-        seed=seed, dt=pairs.dt, epochs=int(cfg["epochs"]),
+        seed=int(cfg["seed"]), dt=pairs.dt, epochs=int(cfg["epochs"]),
         batch_size=int(cfg["batch_size"]),
         learning_rate=float(cfg["learning_rate"]), weights=weights,
         hidden=tuple(int(h) for h in cfg["hidden"].split(",") if h),
@@ -199,14 +197,11 @@ def _compare_once(cfg, scenario_list, out_prefix, tag="",
                   trajectories=None) -> dict[str, ev.ComparisonReport]:
     """One comparison per scenario; `trajectories`, when given, holds each
     scenario's simulated run so it is not simulated again."""
-    import hashlib
-    fingerprint = hashlib.sha256(
-        repr(sorted(cfg.items())).encode()).hexdigest()[:16]
     methods = _build_methods(cfg)
     reports = {}
     for scenario, trajectory in zip(
             scenario_list, trajectories or [None] * len(scenario_list)):
-        report = ev.run_comparison(methods, scenario, fingerprint, trajectory)
+        report = ev.run_comparison(methods, scenario, trajectory)
         stem = f"{out_prefix}_{scenario.name}{tag}"
         ev.write_report_files(report, stem + ".table.txt",
                               stem + ".metrics.csv", stem + ".series.csv")
@@ -218,21 +213,10 @@ def _compare_once(cfg, scenario_list, out_prefix, tag="",
 
 
 def cmd_compare(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    flag_cfg = {"methods": args.methods, "scenario": args.scenario,
-                "scenario_duration": args.scenario_duration,
-                "window": args.window, "forgetting": args.forgetting,
-                "out": args.out, "seed": args.seed,
-                "checkpoint.dk": args.checkpoint_dk,
-                "checkpoint.aldk": args.checkpoint_aldk,
-                "sweep_window": args.sweep_window,
-                "timings": args.timings}
     defaults = {"methods": "PHYS-BASELINE,ALDK,ALDK-RLS,ALDK-FFRLS,ALDK-SWLS",
                 "scenario": "suite", "window": 100, "forgetting": 0.95,
                 "eps_reg": "auto", "timings": "off"}
-    cfg = resolve(defaults, file_cfg, flag_cfg)
-    echo_config("compare", cfg)
-    _require_seed(cfg)
+    cfg = _config(args, defaults)
     if "out" not in cfg:
         raise UsageError("an output prefix is required (--out)")
 
@@ -275,15 +259,8 @@ def cmd_compare(args) -> int:
 # adapt
 
 def cmd_adapt(args) -> int:
-    file_cfg = read_config_file(args.config) if args.config else {}
-    flag_cfg = {"checkpoint": args.checkpoint, "data": args.data,
-                "mode": args.mode, "window": args.window,
-                "forgetting": args.forgetting, "out": args.out,
-                "history": args.history, "seed": args.seed}
-    defaults = {"mode": "SWLS", "window": 100, "forgetting": 0.95,
-                "eps_reg": "auto"}
-    cfg = resolve(defaults, file_cfg, flag_cfg)
-    echo_config("adapt", cfg)
+    cfg = _config(args, {"mode": "SWLS", "window": 100, "forgetting": 0.95,
+                         "eps_reg": "auto"})
     for key in ("checkpoint", "data"):
         if key not in cfg:
             raise UsageError(f"'{key}' is required for adapt")
@@ -367,8 +344,10 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--methods", help="comma list, e.g. ALDK,ALDK-SWLS")
     p_cmp.add_argument("--scenario", help="'suite' or a scenario name")
     p_cmp.add_argument("--scenario-duration", dest="scenario_duration", type=float)
-    p_cmp.add_argument("--checkpoint-dk", dest="checkpoint_dk")
-    p_cmp.add_argument("--checkpoint-aldk", dest="checkpoint_aldk")
+    p_cmp.add_argument("--checkpoint-dk", dest="checkpoint.dk",
+                       metavar="CHECKPOINT_DK")
+    p_cmp.add_argument("--checkpoint-aldk", dest="checkpoint.aldk",
+                       metavar="CHECKPOINT_ALDK")
     p_cmp.add_argument("--window", type=int)
     p_cmp.add_argument("--forgetting", type=float)
     p_cmp.add_argument("--sweep-window", dest="sweep_window",

@@ -1,10 +1,10 @@
-"""Comparison harness: five modeling approaches on shared trajectories.
+"""Comparison harness: six modeling approaches on shared trajectories.
 
 Each method produces one-step-ahead predictions over the same simulated
 trajectory; reports collect per-channel max |error| and RMSE in km/h for
 velocities and deg/s for yaw rate. Report files are deterministic given
-(config, seed); per-method wall-clock timings stay on the in-memory report
-and an optional sidecar, never in the deterministic files.
+the config; per-method wall-clock timings stay on the in-memory report and
+an optional sidecar, never in the deterministic files.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class MethodSpec:
     model: KoopmanModel | None = None
     adapter: AdapterConfig | None = None
     assumed_params: VehicleParams | None = None
-    substeps: int = 1
 
     def __post_init__(self):
         if self.name.upper().startswith("PHYS"):
@@ -93,8 +92,7 @@ def baseline_params(plant: VehicleParams = VehicleParams()) -> VehicleParams:
 
 
 def physics_baseline(params_assumed: VehicleParams,
-                     trajectory: Trajectory,
-                     substeps: int = 1) -> np.ndarray:
+                     trajectory: Trajectory) -> np.ndarray:
     """One-step-ahead predictions from the physical model under assumed params.
 
     Raises ModelValidityError at the first source row whose Vx is at or below
@@ -110,8 +108,7 @@ def physics_baseline(params_assumed: VehicleParams,
             f"(t={trajectory.t[k]:.3f} s) is at or below the "
             f"{VALIDITY_FLOOR} m/s validity floor")
     return _kernels.one_step_batch(states, inputs[:, 0], inputs[:, 1],
-                                   trajectory.dt, substeps,
-                                   params_assumed.packed())
+                                   trajectory.dt, 1, params_assumed.packed())
 
 
 def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
@@ -121,7 +118,7 @@ def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
     is not the model's dt.
     """
     if spec.name.upper().startswith("PHYS"):
-        return physics_baseline(spec.assumed_params, trajectory, spec.substeps)
+        return physics_baseline(spec.assumed_params, trajectory)
     check_sample_time(spec.model, trajectory)
     if spec.adapter is None or spec.adapter.mode == "frozen":
         return one_step_predictions(spec.model, trajectory.states[:-1],
@@ -138,14 +135,12 @@ class MethodResult:
     name: str
     metrics: ChannelMetrics
     runtime_s: float
-    trajectory_sha: str
 
 
 @dataclass
 class ComparisonReport:
     scenario_name: str
-    scenario_fingerprint: str
-    config_fingerprint: str
+    trajectory_sha: str
     results: list[MethodResult] = field(default_factory=list)
     errors_by_method: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -158,7 +153,6 @@ def _trajectory_sha(tr: Trajectory) -> str:
 
 
 def run_comparison(methods: list[MethodSpec], scenario: Scenario,
-                   config_fingerprint: str = "",
                    trajectory: Trajectory | None = None) -> ComparisonReport:
     """Evaluate every method on one shared trajectory of the scenario.
 
@@ -169,18 +163,16 @@ def run_comparison(methods: list[MethodSpec], scenario: Scenario,
         raise ValueError("method names must be unique in a comparison")
     if trajectory is None:
         trajectory = run_scenario(scenario)
-    sha = _trajectory_sha(trajectory)
     truth = trajectory.states[1:]
     report = ComparisonReport(scenario_name=scenario.name,
-                              scenario_fingerprint=scenario.fingerprint(),
-                              config_fingerprint=config_fingerprint)
+                              trajectory_sha=_trajectory_sha(trajectory))
     for spec in methods:
         t0 = time.perf_counter()
         preds = run_method(spec, trajectory)
         elapsed = time.perf_counter() - t0
         report.results.append(MethodResult(
             name=spec.name, metrics=metrics(preds, truth),
-            runtime_s=elapsed, trajectory_sha=sha))
+            runtime_s=elapsed))
         report.errors_by_method[spec.name] = error_series(preds, truth)
     return report
 
@@ -207,7 +199,7 @@ def scenario_suite(base_duration: float = 120.0) -> list[Scenario]:
 def format_report_table(report: ComparisonReport) -> str:
     """Aligned human-readable table, one row per method, Max/RMSE per channel."""
     lines = [f"Scenario: {report.scenario_name}  "
-             f"[traj {report.results[0].trajectory_sha if report.results else '-'}]"]
+             f"[traj {report.trajectory_sha if report.results else '-'}]"]
     header = f"{'Estimation Error':<16s}"
     for name, unit in zip(CHANNEL_NAMES, CHANNEL_UNITS):
         header += f"  {name + ' (' + unit + ')':>18s}"

@@ -421,13 +421,12 @@ class TrainResult:
     history: list[EpochRecord]
     best_epoch: int
     best_holdout: float
-    train_idx: np.ndarray
     holdout_idx: np.ndarray
 
 
 def split_pairs(n_pairs: int, holdout_fraction: float,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded shuffled split into (train_idx, holdout_idx)."""
+    """Seeded shuffled split into sorted (train, holdout) row indices."""
     perm = rng.permutation(n_pairs)
     n_train = int(round(n_pairs * (1.0 - holdout_fraction)))
     n_train = min(max(n_train, 1), n_pairs - 1)
@@ -465,9 +464,9 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     if len(pairs) < 4:
         raise ValueError("need at least 4 pairs to train")
     rng = np.random.default_rng(config.seed)
-    train_idx, hold_idx = split_pairs(len(pairs), config.holdout_fraction, rng)
-    train_pairs = pairs.subset(train_idx)
-    hold_pairs = pairs.subset(hold_idx)
+    train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
+    train_pairs = pairs.subset(train_rows)
+    hold_pairs = pairs.subset(hold_rows)
 
     epoch0 = 0
     if init_model is not None:
@@ -504,7 +503,7 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     vel_half = normalizer.half_range[:2]
     vel_mid = normalizer.mid[:2]
     adam = AdamState.create(layout.size, lr=config.learning_rate)
-    n_train, n_hold = len(train_idx), len(hold_idx)
+    n_train, n_hold = len(train_rows), len(hold_rows)
 
     def holdout_total(th):
         sums = np.zeros(4)
@@ -557,8 +556,7 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     final = KoopmanModel(dims, enc_specs, dec_specs, best_theta, normalizer,
                          config.dt, config.weights, config.squared_norms, meta)
     return TrainResult(model=final, history=history, best_epoch=best_epoch,
-                       best_holdout=best_hold, train_idx=train_idx,
-                       holdout_idx=hold_idx)
+                       best_holdout=best_hold, holdout_idx=hold_rows)
 
 
 def write_training_log(path, history: list[EpochRecord]) -> None:
@@ -594,28 +592,6 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
     z = lift(model, xn)
     z_next = predict_one_step(model, z, un)
     return model.denormalize_states(project(z_next, model.dims.n))
-
-
-def rollout(model: KoopmanModel, x0: np.ndarray, inputs: np.ndarray,
-            horizon: int) -> np.ndarray:
-    """Open-loop predicted states for steps 1..horizon (physical units).
-
-    Lifts x0 once and iterates the lifted dynamics; `one_step_predictions`
-    is the one-step-ahead counterpart that re-encodes every measurement.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if horizon > inputs.shape[0]:
-        raise ValueError("horizon exceeds the input sequence length")
-    if horizon == 0:
-        return np.zeros((0, model.dims.n))
-    un = model.normalize_inputs(inputs[:horizon])
-    z = lift(model, model.normalize_states(np.asarray(x0, dtype=np.float64)))
-    a_mat, b_mat = model.A, model.B
-    out = np.empty((horizon, model.dims.n))
-    for k in range(horizon):
-        z = a_mat @ z + b_mat @ un[k]
-        out[k] = z[:model.dims.n]
-    return model.denormalize_states(out)
 
 
 # ---------------------------------------------------------------------------

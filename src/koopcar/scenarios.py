@@ -7,9 +7,8 @@ file (see `scenario_to_config` / `scenario_from_config`; schema in README).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -153,14 +152,6 @@ class Scenario:
     def time_grid(self) -> np.ndarray:
         return np.arange(self.n_samples()) * self.dt
 
-    def fingerprint(self) -> str:
-        """Stable content hash of everything that determines the trajectory."""
-        text = repr((self.name, self.duration, self.dt,
-                     (self.initial_state.Vx, self.initial_state.Vy, self.initial_state.wr),
-                     self.input_program.kind, self.input_program.args,
-                     self.params, self.substeps))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
 
 def run_scenario(scenario: Scenario) -> Trajectory:
     """Simulate the scenario; one snapshot per sample interval including t=0."""
@@ -229,6 +220,29 @@ SCENARIO_NAMES = ("mixed", "slalom", "step_steer", "constant_radius", "aggressiv
 # ---------------------------------------------------------------------------
 # flat key=value config round-trip
 
+def _params_to_config(obj, prefix: str, cfg: dict[str, str]) -> None:
+    """`prefix<field>` keys for every parameter field; nested parameter
+    sets (the tire) add their own `<field>.` level."""
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if is_dataclass(val):
+            _params_to_config(val, f"{prefix}{f.name}.", cfg)
+        else:
+            cfg[prefix + f.name] = "%.17g" % val
+
+
+def _params_from_config(cls, prefix: str, cfg: dict[str, str]):
+    """Inverse of `_params_to_config`; a missing key keeps the field default."""
+    kwargs = {}
+    for f in fields(cls):
+        key = prefix + f.name
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _params_from_config(f.default_factory, key + ".", cfg)
+        elif key in cfg:
+            kwargs[f.name] = float(cfg[key])
+    return cls(**kwargs)
+
+
 def scenario_to_config(s: Scenario) -> dict[str, str]:
     cfg = {
         "scenario.name": s.name,
@@ -242,24 +256,11 @@ def scenario_to_config(s: Scenario) -> dict[str, str]:
     }
     for key, val in s.input_program.args:
         cfg[f"input.{key}"] = "%.17g" % val
-    p = s.params
-    cfg.update({
-        "params.m": "%.17g" % p.m, "params.Iz": "%.17g" % p.Iz,
-        "params.lf": "%.17g" % p.lf, "params.lr": "%.17g" % p.lr,
-        "params.wB": "%.17g" % p.wB, "params.rw": "%.17g" % p.rw,
-        "params.mu": "%.17g" % p.mu, "params.drag": "%.17g" % p.drag,
-        "params.roll": "%.17g" % p.roll, "params.max_torque": "%.17g" % p.max_torque,
-        "params.tire.b_stiff": "%.17g" % p.tire.b_stiff,
-        "params.tire.c_shape": "%.17g" % p.tire.c_shape,
-        "params.tire.d_peak_scale": "%.17g" % p.tire.d_peak_scale,
-        "params.tire.e_curv": "%.17g" % p.tire.e_curv,
-    })
+    _params_to_config(s.params, "params.", cfg)
     return cfg
 
 
 def scenario_from_config(cfg: dict[str, str]) -> Scenario:
-    from .vehicle import MagicFormulaParams
-
     def f(key, default=None):
         if key in cfg:
             return float(cfg[key])
@@ -267,17 +268,6 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
             raise ValueError(f"scenario config missing required key {key!r}")
         return default
 
-    tire = MagicFormulaParams(
-        b_stiff=f("params.tire.b_stiff", 10.0),
-        c_shape=f("params.tire.c_shape", 1.9),
-        d_peak_scale=f("params.tire.d_peak_scale", 1.0),
-        e_curv=f("params.tire.e_curv", 0.97))
-    params = VehicleParams(
-        m=f("params.m", 2070.0), Iz=f("params.Iz", 3658.0),
-        lf=f("params.lf", 1.315), lr=f("params.lr", 1.355),
-        wB=f("params.wB", 1.715), rw=f("params.rw", 0.325),
-        mu=f("params.mu", 0.85), tire=tire, drag=f("params.drag", 0.38),
-        roll=f("params.roll", 0.015), max_torque=f("params.max_torque", 4000.0))
     args = {k.split(".", 1)[1]: float(v) for k, v in cfg.items()
             if k.startswith("input.") and k != "input.kind"}
     return Scenario(
@@ -287,5 +277,5 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         initial_state=VehicleState(Vx=f("initial.Vx"), Vy=f("initial.Vy", 0.0),
                                    wr=f("initial.wr", 0.0)),
         input_program=InputProgram.make(cfg.get("input.kind", "constant"), **args),
-        params=params,
+        params=_params_from_config(VehicleParams, "params.", cfg),
         substeps=int(f("scenario.substeps", 1.0)))

@@ -289,9 +289,10 @@ def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
                  dt: float, params: VehicleParams, substeps: int = 1) -> Trajectory:
     """Simulate a zero-order-hold input schedule sampled at dt.
 
-    Raises ValueError naming the first step with a non-finite input or a
-    torque beyond params.max_torque, and ModelValidityError where Vx falls to
-    the validity floor or becomes NaN.
+    Raises ValueError naming the first step with a non-finite input, a
+    torque beyond params.max_torque or a steering angle beyond MAX_STEER,
+    and ModelValidityError where Vx falls to the validity floor or becomes
+    NaN.
     """
     _check_state(x0.Vx, x0.Vy, x0.wr)
     n = torques.shape[0]
@@ -306,6 +307,11 @@ def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
         k = int(np.flatnonzero(np.abs(torques) > params.max_torque)[0])
         raise ValueError(f"torque beyond max_torque at step {k} (t={k * dt:.3f} s): "
                          f"|T|={abs(float(torques[k]))} > {params.max_torque}")
+    if n and max(steers.max(), -steers.min()) > MAX_STEER:
+        k = int(np.flatnonzero(np.abs(steers) > MAX_STEER)[0])
+        raise ValueError(f"steering angle beyond MAX_STEER at step {k} "
+                         f"(t={k * dt:.3f} s): |delta_f|={abs(float(steers[k]))} "
+                         f"> {MAX_STEER}")
     states, accels, fail = _kernels.simulate_path(
         x0.as_array(), torques, steers, dt, substeps, params.packed())
     if fail >= 0:

@@ -90,6 +90,22 @@ def test_simulate_rejects_torque_beyond_max_torque(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_rejects_steering_beyond_max_steer(tmp_path, capsys):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join([
+        "scenario.duration = 1.0",
+        "scenario.dt = 0.025",
+        "initial.Vx = 15.0",
+        "input.kind = constant",
+        "input.torque = 300.0",
+        "input.steer = 1.0",          # beyond MAX_STEER = pi/4
+    ]) + "\n")
+    out = tmp_path / "custom.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert "MAX_STEER at step 0 (t=0.000 s)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -174,6 +190,17 @@ def test_compare_runs_selected_methods_in_order(workdir, tmp_path):
     assert rows[0] == "method,channel,max,rmse"
     methods = [r.split(",")[0] for r in rows[1:]]
     assert methods == (["ALDK"] * 3 + ["PHYS-BASELINE"] * 3 + ["ALDK-SWLS"] * 3)
+
+
+def test_compare_needs_no_seed(workdir, tmp_path):
+    common = ["compare", "--methods", "PHYS-BASELINE,ALDK-SWLS",
+              "--checkpoint-aldk", str(workdir["ckpt"]),
+              "--scenario", "step_steer", "--scenario-duration", "5"]
+    assert run_cli(*common, "--out", str(tmp_path / "none")) == 0
+    assert run_cli(*common, "--seed", "3", "--out", str(tmp_path / "seed3")) == 0
+    for ext in ("table.txt", "metrics.csv", "series.csv"):
+        assert ((tmp_path / f"none_step_steer.{ext}").read_bytes()
+                == (tmp_path / f"seed3_step_steer.{ext}").read_bytes())
 
 
 def test_compare_missing_checkpoint_is_runtime_error(tmp_path, capsys):
@@ -367,6 +394,24 @@ def test_resolution_precedence():
     resolved = resolve({"a": "1", "b": "1"}, {"b": "2", "c": "2"},
                        {"c": "3", "d": None})
     assert resolved == {"a": "1", "b": "2", "c": "3"}
+
+
+def test_unknown_config_key_is_usage_error(workdir, tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"data = {workdir['traj']}\nseed = 5\nepochs = 1\n"
+                   "hidden = 8\nfeature_dim = 2\nlearning_rat = 0.01\n")
+    out = tmp_path / "typo.json"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "'learning_rat'" in err and str(cfg) in err
+    assert not out.exists()
+    # keys of another subcommand are unknown too; flag dests and defaults are known
+    cfg.write_text("window = 50\n")
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 1
+    cfg.write_text(f"checkpoint.aldk = {workdir['ckpt']}\neps_reg = 1e-6\n"
+                   "scenario_duration = 5\n")
+    assert run_cli("compare", "--config", str(cfg), "--methods", "ALDK-SWLS",
+                   "--scenario", "step_steer", "--out", str(tmp_path / "c")) == 0
 
 
 def test_flag_overrides_config_file(workdir, tmp_path):

@@ -8,7 +8,7 @@ from koopcar.koopman import (HOLDOUT_CHUNK, KoopmanDims, KoopmanModel,
                              _build_layout, edmd_fit, lift,
                              load_checkpoint, loss_components, loss_gradient,
                              one_step_predictions, predict_one_step, project,
-                             rollout, save_checkpoint, split_pairs, train)
+                             save_checkpoint, split_pairs, train)
 from koopcar.mlp import LayerSpec, Normalizer, mlp_specs
 from koopcar.vehicle import Trajectory
 
@@ -534,38 +534,6 @@ def test_split_is_seeded_and_disjoint():
     assert np.array_equal(tr1, tr2) and np.array_equal(ho1, ho2)
     assert len(tr1) == 700 and len(ho1) == 300
     assert not set(tr1) & set(ho1)
-
-
-# ---------------------------------------------------------------------------
-# rollout
-
-def test_rollout_persistence_is_constant():
-    model = tiny_model(seed=27)
-    d = model.dims.lifted
-    model.theta[model.layout.a_off:model.layout.a_off + d * d] = np.eye(d).ravel()
-    model.theta[model.layout.b_off:] = 0.0
-    x0 = np.array([12.0, 0.3, -0.1])
-    inputs = np.tile([100.0, 0.01], (10, 1))
-    preds = rollout(model, x0, inputs, horizon=10)
-    assert np.allclose(preds, x0, atol=1e-12)
-
-
-def test_open_loop_error_accumulates_beyond_one_step(short_mixed, quick_model):
-    n = 400
-    truth = short_mixed.states[1:n + 1]
-    inputs = short_mixed.inputs[:n]
-    open_loop = rollout(quick_model, short_mixed.states[0], inputs, horizon=n)
-    one_step = one_step_predictions(quick_model, short_mixed.states[:n], inputs)
-    rmse_open = np.sqrt(np.mean((open_loop - truth) ** 2))
-    rmse_one = np.sqrt(np.mean((one_step - truth) ** 2))
-    assert rmse_open >= rmse_one
-
-
-def test_rollout_edge_cases(quick_model):
-    x0 = np.array([12.0, 0.0, 0.0])
-    assert rollout(quick_model, x0, np.zeros((5, 2)), horizon=0).shape == (0, 3)
-    with pytest.raises(ValueError):
-        rollout(quick_model, x0, np.zeros((5, 2)), horizon=6)
 
 
 # ---------------------------------------------------------------------------

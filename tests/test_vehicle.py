@@ -354,6 +354,18 @@ def test_run_schedule_rejects_torque_beyond_max(sign):
     run_schedule(VehicleState(15.0), torques, np.zeros(40), 0.025, P)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_run_schedule_rejects_steering_beyond_max_steer(sign):
+    torques = np.full(41, 300.0)
+    steers = np.zeros(41)
+    steers[3] = steers[9] = sign * 1.0
+    with pytest.raises(ValueError, match=r"MAX_STEER at step 3 \(t=0\.075 s\)"):
+        run_schedule(VehicleState(15.0), torques, steers, 0.025, P)
+    steers[3] = steers[9] = sign * MAX_STEER   # the bound itself is allowed
+    tr = run_schedule(VehicleState(15.0), torques, steers, 0.025, P)
+    assert tr[3].input.delta_f == sign * MAX_STEER
+
+
 def test_simulate_path_stops_at_a_nan_state():
     pv = P.packed()
     torques, steers = np.full(10, 300.0), np.zeros(10)
@@ -524,7 +536,10 @@ def test_scenario_config_roundtrip():
     assert back.dt == sc.dt
     assert back.params == sc.params
     assert back.input_program == sc.input_program
-    assert back.fingerprint() == sc.fingerprint()
+    assert back == sc
+    # without params.* keys every parameter keeps its VehicleParams default
+    plain = {k: v for k, v in cfg.items() if not k.startswith("params.")}
+    assert scenario_from_config(plain).params == VehicleParams()
 
 
 def test_mass_perturbation_knob():
@@ -532,4 +547,4 @@ def test_mass_perturbation_knob():
     heavy = make_scenario("mixed", duration=10.0, dm=160.0)
     assert heavy.params.m == base.params.m + 160.0
     assert heavy.params.Iz == base.params.Iz
-    assert heavy.fingerprint() != base.fingerprint()
+    assert heavy != base
