@@ -10,6 +10,12 @@ in one call (numpy >= 2 provides the `np.atan`/`np.atan2` names). The two
 paths perform the same operations in the same order, so they differ only by
 the last-bit rounding of numpy's and libm's transcendental functions.
 
+The package reaches the plant through two entry points, both columnar and
+both with `substeps` = 1: `vehicle.run_schedule` calls `simulate_path`, and
+the physics baseline (`evaluation.physics_baseline`) calls `one_step_batch`.
+`tire_lateral`, `planar_rhs` and `rk4_step` are the per-sample kernels those
+two are built from; the tests call them directly.
+
 Work that does not change between RK4 stages is done once: the per-vehicle
 constants (axle loads, tire peaks, rolling force, half track) by
 `vehicle_constants`, the per-step input terms (torque/rw, cos and sin of the

@@ -79,15 +79,29 @@ def _flag_on(value: str) -> bool:
 # ---------------------------------------------------------------------------
 # simulate
 
+_SCENARIO_PREFIXES = ("scenario.", "initial.", "input.", "params.")
+
+
 def cmd_simulate(args) -> int:
     cfg = _config(args, {"scenario": "mixed", "dm": 0.0, "dIz": 0.0},
-                  prefixes=("scenario.", "initial.", "input.", "params."))
+                  prefixes=_SCENARIO_PREFIXES)
     if "out" not in cfg:
         raise UsageError("an output path is required (--out)")
 
     if "input.kind" in cfg or "scenario.duration" in cfg:
+        # the keys scenario_from_config reads are those its inverse writes;
+        # input.* names are the program's own arguments and stay free-form
+        known = sc.scenario_to_config(sc.make_scenario("mixed"))
+        for key in cfg:
+            if key.startswith(("scenario.", "initial.", "params.")) and key not in known:
+                raise UsageError(f"{args.config}: unknown key {key!r} "
+                                 f"for a custom scenario")
         scenario = sc.scenario_from_config(cfg)
     else:
+        for key in cfg:
+            if key.startswith(_SCENARIO_PREFIXES):
+                raise UsageError(f"{args.config}: key {key!r} needs a custom "
+                                 f"scenario (input.kind or scenario.duration)")
         name = cfg["scenario"]
         if name not in sc.SCENARIO_NAMES:
             raise UsageError(f"unknown scenario {name!r}; "

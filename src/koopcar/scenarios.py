@@ -8,7 +8,7 @@ file (see `scenario_to_config` / `scenario_from_config`; schema in README).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -137,7 +137,6 @@ class Scenario:
     initial_state: VehicleState
     input_program: InputProgram
     params: VehicleParams = field(default_factory=VehicleParams)
-    substeps: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -158,63 +157,46 @@ def run_scenario(scenario: Scenario) -> Trajectory:
     t = scenario.time_grid()
     torques, steers = scenario.input_program.sample(t, scenario.params)
     return run_schedule(scenario.initial_state, torques, steers, scenario.dt,
-                        scenario.params, scenario.substeps)
+                        scenario.params)
 
 
 # ---------------------------------------------------------------------------
 # built-in library
 
-def _nominal_params(mu: float = 0.85) -> VehicleParams:
-    return VehicleParams(mu=mu)
+# name -> (default duration [s], initial Vx [m/s], mu, program kind, program args)
+_LIBRARY = {
+    "mixed": (1400.0, 14.0, 0.85, "mixed",
+              dict(v_mid=14.0, v_span=2.5, ay_max=12.0)),
+    "slalom": (200.0, 5.556, 0.6, "slalom",
+               dict(period=100.0, steer_amp=0.015, speed0=5.556, speed1=25.0)),
+    "step_steer": (30.0, 15.0, 0.85, "step_steer",
+                   dict(speed=15.0, step_time=5.0, steer=0.03)),
+    "constant_radius": (60.0, 8.0, 0.85, "constant_radius",
+                        dict(steer=0.025, speed0=8.0, speed1=22.0)),
+    "aggressive": (90.0, 10.0, 0.85, "mixed",
+                   dict(v_mid=10.0, v_span=3.0, ay_max=16.0, torque_chirp=250.0)),
+}
+
+SCENARIO_NAMES = tuple(_LIBRARY)
 
 
 def make_scenario(name: str, duration: float | None = None,
                   dm: float = 0.0, dIz: float = 0.0,
                   dt: float = 0.025) -> Scenario:
     """Instantiate a library scenario, optionally perturbing mass/inertia."""
-    builders = {
-        "mixed": lambda d: Scenario(
-            name="mixed", duration=d or 1400.0, dt=dt,
-            initial_state=VehicleState(Vx=14.0),
-            input_program=InputProgram.make("mixed", v_mid=14.0, v_span=2.5,
-                                            ay_max=12.0),
-            params=_nominal_params(0.85)),
-        "slalom": lambda d: Scenario(
-            name="slalom", duration=d or 200.0, dt=dt,
-            initial_state=VehicleState(Vx=5.556),
-            input_program=InputProgram.make("slalom", period=100.0,
-                                            steer_amp=0.015, speed0=5.556, speed1=25.0),
-            params=_nominal_params(0.6)),
-        "step_steer": lambda d: Scenario(
-            name="step_steer", duration=d or 30.0, dt=dt,
-            initial_state=VehicleState(Vx=15.0),
-            input_program=InputProgram.make("step_steer", speed=15.0,
-                                            step_time=5.0, steer=0.03),
-            params=_nominal_params(0.85)),
-        "constant_radius": lambda d: Scenario(
-            name="constant_radius", duration=d or 60.0, dt=dt,
-            initial_state=VehicleState(Vx=8.0),
-            input_program=InputProgram.make("constant_radius", steer=0.025,
-                                            speed0=8.0, speed1=22.0),
-            params=_nominal_params(0.85)),
-        "aggressive": lambda d: Scenario(
-            name="aggressive", duration=d or 90.0, dt=dt,
-            initial_state=VehicleState(Vx=10.0),
-            input_program=InputProgram.make("mixed", v_mid=10.0, v_span=3.0,
-                                            ay_max=16.0, torque_chirp=250.0),
-            params=_nominal_params(0.85)),
-    }
     try:
-        scenario = builders[name](duration)
+        default_duration, vx0, mu, kind, args = _LIBRARY[name]
     except KeyError:
-        raise ValueError(f"unknown scenario {name!r}; known: {sorted(builders)}") from None
+        raise ValueError(f"unknown scenario {name!r}; "
+                         f"known: {sorted(_LIBRARY)}") from None
+    params = VehicleParams(mu=mu)
     if dm or dIz:
-        scenario = replace(scenario, params=scenario.params.perturbed(dm, dIz),
-                           name=f"{scenario.name}_dm{dm:+g}_dIz{dIz:+g}")
-    return scenario
-
-
-SCENARIO_NAMES = ("mixed", "slalom", "step_steer", "constant_radius", "aggressive")
+        params = params.perturbed(dm, dIz)
+        name = f"{name}_dm{dm:+g}_dIz{dIz:+g}"
+    return Scenario(name=name, duration=duration or default_duration, dt=dt,
+                    initial_state=VehicleState(Vx=vx0),
+                    input_program=InputProgram.make(kind, **args),
+                    params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +230,6 @@ def scenario_to_config(s: Scenario) -> dict[str, str]:
         "scenario.name": s.name,
         "scenario.duration": "%.17g" % s.duration,
         "scenario.dt": "%.17g" % s.dt,
-        "scenario.substeps": str(s.substeps),
         "initial.Vx": "%.17g" % s.initial_state.Vx,
         "initial.Vy": "%.17g" % s.initial_state.Vy,
         "initial.wr": "%.17g" % s.initial_state.wr,
@@ -277,5 +258,4 @@ def scenario_from_config(cfg: dict[str, str]) -> Scenario:
         initial_state=VehicleState(Vx=f("initial.Vx"), Vy=f("initial.Vy", 0.0),
                                    wr=f("initial.wr", 0.0)),
         input_program=InputProgram.make(cfg.get("input.kind", "constant"), **args),
-        params=_params_from_config(VehicleParams, "params.", cfg),
-        substeps=int(f("scenario.substeps", 1.0)))
+        params=_params_from_config(VehicleParams, "params.", cfg))

@@ -4,7 +4,14 @@ State is x = [Vx, Vy, wr] (longitudinal velocity, lateral velocity, yaw rate),
 input is u = [T, delta_f] (total driving torque, front steering angle). The
 model uses magic-formula lateral tires on static normal loads, an even torque
 split across four wheels, and lumped rolling/aero resistance. Body-frame
-sensor accelerations accompany every emitted snapshot.
+sensor accelerations accompany every emitted snapshot: ax = dVx - Vy*wr and
+ay = dVy + Vx*wr, so [ax + Vy*wr, ay - Vx*wr] recovers the velocity
+derivatives exactly.
+
+The tire model, the planar dynamics and RK4 are the kernels of `_kernels`;
+this module holds the parameter sets, the trajectory container and its CSV
+format, and `run_schedule`, which checks an input schedule and runs it
+through `_kernels.simulate_path`.
 
 All operations are pure; trajectories are deterministic functions of the
 scenario.
@@ -91,26 +98,6 @@ class VehicleState:
         return np.array([self.Vx, self.Vy, self.wr])
 
 
-@dataclass(frozen=True)
-class ControlInput:
-    T: float
-    delta_f: float = 0.0
-
-    def __post_init__(self):
-        if not (abs(self.delta_f) <= MAX_STEER):
-            raise ValueError("steering angle out of range")
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """One timestamped sample: state, held input, and body-frame accelerations."""
-    t: float
-    state: VehicleState
-    input: ControlInput
-    ax: float
-    ay: float
-
-
 class ModelValidityError(ValueError):
     """Raised when the state leaves the model's validity region (Vx at the floor)."""
 
@@ -121,57 +108,6 @@ def _check_state(vx, vy, wr):
     if vx <= VALIDITY_FLOOR:
         raise ModelValidityError(
             f"Vx={vx:.4g} m/s at or below the {VALIDITY_FLOOR} m/s validity floor")
-
-
-def tire_lateral_force(alpha: float, Fz: float, params: MagicFormulaParams,
-                       mu: float) -> float:
-    """Lateral force [N] at slip angle alpha [rad] and normal load Fz [N]."""
-    if not math.isfinite(alpha):
-        raise ValueError("non-finite slip angle")
-    if Fz <= 0:
-        raise ValueError("normal load must be positive")
-    return _kernels.tire_lateral(alpha, mu * params.d_peak_scale * Fz,
-                                 params.b_stiff, params.c_shape, params.e_curv)
-
-
-def derivatives(state: VehicleState, control: ControlInput,
-                params: VehicleParams) -> tuple[float, float, float]:
-    """(dVx, dVy, dwr) of the planar model at the given state and held input."""
-    _check_state(state.Vx, state.Vy, state.wr)
-    return _kernels.planar_rhs(state.Vx, state.Vy, state.wr,
-                               control.T, control.delta_f, params.packed())
-
-
-def sensor_accels(state: VehicleState,
-                  derivs: tuple[float, float, float]) -> tuple[float, float]:
-    """Body-frame accelerations (ax, ay) seen by an IMU at the c.g.
-
-    ax = dVx - Vy*wr and ay = dVy + Vx*wr, so [ax + Vy*wr, ay - Vx*wr]
-    recovers the velocity derivatives exactly.
-    """
-    dvx, dvy, _ = derivs
-    return dvx - state.Vy * state.wr, dvy + state.Vx * state.wr
-
-
-def step_rk4(state: VehicleState, control: ControlInput, dt: float,
-             params: VehicleParams, substeps: int = 1) -> VehicleState:
-    """Advance one sample interval with classical RK4 under zero-order-hold input."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_state(state.Vx, state.Vy, state.wr)
-    vx, vy, wr = _kernels.rk4_step(state.Vx, state.Vy, state.wr,
-                                   control.T, control.delta_f, dt, substeps,
-                                   params.packed())
-    return VehicleState(vx, vy, wr)
-
-
-def rk4_generic(f, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dx/dt = f(x) for an arbitrary vector field."""
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def equilibrium_torque(vx: float, params: VehicleParams) -> float:
@@ -189,15 +125,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    def __getitem__(self, k: int) -> Snapshot:
-        return Snapshot(
-            t=float(self.t[k]),
-            state=VehicleState(*self.states[k]),
-            input=ControlInput(*self.inputs[k]),
-            ax=float(self.accels[k, 0]),
-            ay=float(self.accels[k, 1]),
-        )
 
     @property
     def dt(self) -> float:
@@ -286,14 +213,17 @@ def _scan_rows(lines) -> np.ndarray:
 
 
 def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
-                 dt: float, params: VehicleParams, substeps: int = 1) -> Trajectory:
-    """Simulate a zero-order-hold input schedule sampled at dt.
+                 dt: float, params: VehicleParams) -> Trajectory:
+    """Simulate a zero-order-hold input schedule sampled at dt, one RK4 step
+    per sample.
 
-    Raises ValueError naming the first step with a non-finite input, a
-    torque beyond params.max_torque or a steering angle beyond MAX_STEER,
-    and ModelValidityError where Vx falls to the validity floor or becomes
-    NaN.
+    Raises ValueError for dt <= 0 and naming the first step with a
+    non-finite input, a torque beyond params.max_torque or a steering angle
+    beyond MAX_STEER, and ModelValidityError where Vx falls to the validity
+    floor or becomes NaN.
     """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     _check_state(x0.Vx, x0.Vy, x0.wr)
     n = torques.shape[0]
     if steers.shape[0] != n:
@@ -313,7 +243,7 @@ def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
                          f"(t={k * dt:.3f} s): |delta_f|={abs(float(steers[k]))} "
                          f"> {MAX_STEER}")
     states, accels, fail = _kernels.simulate_path(
-        x0.as_array(), torques, steers, dt, substeps, params.packed())
+        x0.as_array(), torques, steers, dt, 1, params.packed())
     if fail >= 0:
         raise ModelValidityError(
             f"Vx hit the validity floor or became NaN at t={fail * dt:.3f} s "

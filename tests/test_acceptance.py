@@ -5,11 +5,15 @@ the DK/ALDK pair once at desk-scale defaults (seed 42) on the 20-minute
 mixed-excitation trajectory; everything else reuses it.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from koopcar import _kernels
 from koopcar import mlp as mlp_mod
 from koopcar.adapt import AdapterConfig, adapt_run, init, update
 from koopcar.cli import main as cli_main
@@ -20,8 +24,7 @@ from koopcar.koopman import (KoopmanDims, KoopmanModel, LossWeights, PairBatch,
 from koopcar.mlp import Normalizer, mlp_specs
 from koopcar.evaluation import metrics
 from koopcar.scenarios import make_scenario, run_scenario
-from koopcar.vehicle import (ControlInput, VehicleParams, VehicleState,
-                             derivatives, step_rk4)
+from koopcar.vehicle import VehicleParams
 
 SEED = 42
 
@@ -46,16 +49,41 @@ def mixed_1200():
     return run_scenario(make_scenario("mixed", duration=1200.0))
 
 
+def _train_all(jobs):
+    """`train(*job)` for every job: in two `spawn` worker processes when
+    there are two cores, else (or when the workers cannot start) one after
+    another. Training is bound by numpy dispatch, not BLAS, so each worker
+    gets one BLAS thread; the results are bitwise those of the serial run.
+    A worker that dies breaks the pool, which raises instead of hanging."""
+    if (os.cpu_count() or 1) >= 2:
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"   # read as each worker imports numpy
+        try:
+            with ProcessPoolExecutor(
+                    2, mp_context=multiprocessing.get_context("spawn")) as pool:
+                futures = [pool.submit(train, *job) for job in jobs]
+                return [f.result() for f in futures]
+        except OSError:
+            pass   # no worker could start: train in this process
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+    return [train(*job) for job in jobs]
+
+
 @pytest.fixture(scope="session")
 def trained(mixed_1200):
-    """DK and ALDK trained at desk-scale defaults on the 20-minute run."""
+    """DK and ALDK trained at desk-scale defaults on the 20-minute run, side
+    by side when two cores are there."""
     pairs = PairBatch.from_trajectory(mixed_1200)
-    models = {}
-    for tag, w_accel in (("DK", 0.0), ("ALDK", 1.0)):
-        cfg = TrainConfig(seed=SEED, dt=pairs.dt, epochs=200, batch_size=256,
-                          weights=LossWeights(accel=w_accel))
-        models[tag] = train(pairs, KoopmanDims(), cfg)
-    return {"pairs": pairs, **models}
+    dk, aldk = _train_all([
+        (pairs, KoopmanDims(),
+         TrainConfig(seed=SEED, dt=pairs.dt, epochs=200, batch_size=256,
+                     weights=LossWeights(accel=w_accel)))
+        for w_accel in (0.0, 1.0)])
+    return {"pairs": pairs, "DK": dk, "ALDK": aldk}
 
 
 # ---------------------------------------------------------------------------
@@ -182,51 +210,44 @@ def test_criterion_04_joint_loss_gradient_correctness():
 
 
 def test_criterion_05_simulator_physics_suite():
-    params = VehicleParams()
+    pv = VehicleParams().packed()
     rng = np.random.default_rng(105)
     reflect_ok = True
     for _ in range(200):
-        s = VehicleState(rng.uniform(2, 30), rng.uniform(-1.5, 1.5),
-                         rng.uniform(-0.6, 0.6))
-        c = ControlInput(rng.uniform(-1000, 2000), rng.uniform(-0.4, 0.4))
-        d = derivatives(s, c, params)
-        m = derivatives(VehicleState(s.Vx, -s.Vy, -s.wr),
-                        ControlInput(c.T, -c.delta_f), params)
+        vx, vy, wr = (rng.uniform(2, 30), rng.uniform(-1.5, 1.5),
+                      rng.uniform(-0.6, 0.6))
+        torque, steer = rng.uniform(-1000, 2000), rng.uniform(-0.4, 0.4)
+        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv)
+        m = _kernels.planar_rhs(vx, -vy, -wr, torque, -steer, pv)
         reflect_ok &= (abs(m[0] - d[0]) <= 1e-12 and abs(m[1] + d[1]) <= 1e-12
                        and abs(m[2] + d[2]) <= 1e-12)
 
     manifold_ok = True
     for torque in (-300.0, 0.0, 800.0):
-        _, dvy, dwr = derivatives(VehicleState(12.0, 0.0, 0.0),
-                                  ControlInput(torque, 0.0), params)
+        _, dvy, dwr = _kernels.planar_rhs(12.0, 0.0, 0.0, torque, 0.0, pv)
         manifold_ok &= (dvy == 0.0 and dwr == 0.0)
 
-    tr = run_scenario(make_scenario("mixed", duration=30.0))
+    scenario = make_scenario("mixed", duration=30.0)
+    tr = run_scenario(scenario)
+    pv_run = scenario.params.packed()
     identity_ok = True
-    for k in range(len(tr)):
-        snap = tr[k]
-        d = derivatives(snap.state, snap.input, tr_params())
-        identity_ok &= (abs((snap.ax + snap.state.Vy * snap.state.wr) - d[0]) <= 1e-12
-                        and abs((snap.ay - snap.state.Vx * snap.state.wr) - d[1]) <= 1e-12)
+    for (vx, vy, wr), (torque, steer), (ax, ay) in zip(
+            tr.states.tolist(), tr.inputs.tolist(), tr.accels.tolist()):
+        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv_run)
+        identity_ok &= (abs((ax + vy * wr) - d[0]) <= 1e-12
+                        and abs((ay - vx * wr) - d[1]) <= 1e-12)
 
-    s = VehicleState(15.0, 0.4, 0.15)
-    c = ControlInput(300.0, 0.04)
-    ref = step_rk4(s, c, 0.4, params, substeps=512)
-    ref_v = np.array([ref.Vx, ref.Vy, ref.wr])
+    ref = np.array(_kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, pv))
     errs = []
     for n in (4, 8, 16, 32):
-        a = step_rk4(s, c, 0.4, params, substeps=n)
-        errs.append(np.linalg.norm(np.array([a.Vx, a.Vy, a.wr]) - ref_v))
+        a = _kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, pv)
+        errs.append(np.linalg.norm(np.array(a) - ref))
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     rk4_ok = all(12.0 <= r <= 20.0 for r in ratios)
 
     check(5, "reflection symmetry, zero-steer manifold, sensor identity, RK4 order",
           reflect_ok and manifold_ok and identity_ok and rk4_ok,
           f"RK4 halving ratios {[f'{r:.1f}' for r in ratios]}")
-
-
-def tr_params():
-    return VehicleParams(mu=0.85)
 
 
 def test_criterion_06_accel_loss_improves_lateral_channels(trained):

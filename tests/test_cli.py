@@ -73,6 +73,38 @@ def test_simulate_custom_scenario_config(tmp_path):
     assert np.all(tr.states == tr.states[0])
 
 
+def test_simulate_named_scenario_rejects_scenario_keys(tmp_path, capsys):
+    # these keys shape only a custom scenario, so beside a named one they
+    # would be dropped without a word
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text("params.mu = 0.3\nparams.mass = 1900\n")
+    out = tmp_path / "named.csv"
+    assert run_cli("simulate", "--scenario", "step_steer", "--duration", "2",
+                   "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "'params.mu'" in err and str(cfg) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["scenario.substeps = 4", "params.mass = 1900",
+                                 "initial.vx = 3.0"])
+def test_simulate_custom_scenario_rejects_unread_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join([
+        "scenario.duration = 1.0",
+        "scenario.dt = 0.025",
+        "initial.Vx = 15.0",
+        "input.kind = equilibrium",
+        "input.speed = 15.0",
+        key,
+    ]) + "\n")
+    out = tmp_path / "custom.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"'{key.split(' = ')[0]}'" in err and str(cfg) in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_torque_beyond_max_torque(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("\n".join([

@@ -8,18 +8,39 @@ import pytest
 
 from koopcar import _kernels, backend_name
 from koopcar.evaluation import scenario_suite
-from koopcar.vehicle import (MAX_STEER, ROW_BLOCK, ControlInput,
-                             MagicFormulaParams, ModelValidityError, Snapshot,
-                             Trajectory, VehicleParams, VehicleState,
-                             derivatives, equilibrium_torque, rk4_generic,
-                             run_schedule, sensor_accels, step_rk4,
-                             tire_lateral_force, write_rows)
+from koopcar.vehicle import (MAX_STEER, ROW_BLOCK, MagicFormulaParams,
+                             ModelValidityError, Trajectory, VehicleParams,
+                             VehicleState, equilibrium_torque, run_schedule,
+                             write_rows)
 from koopcar.scenarios import (InputProgram, Scenario, make_scenario,
                                run_scenario, scenario_from_config,
                                scenario_to_config)
 
 P = VehicleParams()
+PV = P.packed()
 TIRE = MagicFormulaParams()
+
+
+def tire_force(alpha, fz, mu):
+    """Lateral force of the default tire at normal load fz on adhesion mu."""
+    return _kernels.tire_lateral(alpha, mu * TIRE.d_peak_scale * fz,
+                                 TIRE.b_stiff, TIRE.c_shape, TIRE.e_curv)
+
+
+def rk4_generic(f, x, dt):
+    """One classical RK4 step of dx/dt = f(x) for an arbitrary vector field."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+
+def accels_at(vx, vy, wr, torque, steer):
+    """(ax, ay) that `run_schedule` emits for one sample at this state."""
+    tr = run_schedule(VehicleState(vx, vy, wr), np.array([torque]),
+                      np.array([steer]), 0.025, P)
+    return tr.accels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -27,13 +48,13 @@ TIRE = MagicFormulaParams()
 
 def test_tire_zero_slip_gives_zero_force():
     for fz in (1000.0, 5000.0, 9000.0):
-        assert tire_lateral_force(0.0, fz, TIRE, 0.85) == 0.0
+        assert tire_force(0.0, fz, 0.85) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
 def test_tire_odd_symmetry(alpha):
-    f_pos = tire_lateral_force(alpha, 5000.0, TIRE, 0.85)
-    f_neg = tire_lateral_force(-alpha, 5000.0, TIRE, 0.85)
+    f_pos = tire_force(alpha, 5000.0, 0.85)
+    f_neg = tire_force(-alpha, 5000.0, 0.85)
     assert f_neg == -f_pos
     assert f_pos > 0.0
 
@@ -42,15 +63,8 @@ def test_tire_peak_bound_grid_sweep():
     # numeric sweep oracle over 10^4 grid points
     fz, mu = 5000.0, 0.85
     grid = np.linspace(-0.5, 0.5, 10_000)
-    forces = np.array([tire_lateral_force(a, fz, TIRE, mu) for a in grid])
+    forces = np.array([tire_force(a, fz, mu) for a in grid])
     assert np.abs(forces).max() <= mu * TIRE.d_peak_scale * fz + 1e-9
-
-
-def test_tire_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        tire_lateral_force(float("nan"), 5000.0, TIRE, 0.85)
-    with pytest.raises(ValueError):
-        tire_lateral_force(0.1, -10.0, TIRE, 0.85)
 
 
 def test_tire_param_invariants():
@@ -67,8 +81,7 @@ def test_tire_param_invariants():
 
 def test_straight_driving_has_no_lateral_response():
     for torque in (-500.0, 0.0, 400.0, 2000.0):
-        dvx, dvy, dwr = derivatives(VehicleState(15.0, 0.0, 0.0),
-                                    ControlInput(torque, 0.0), P)
+        dvx, dvy, dwr = _kernels.planar_rhs(15.0, 0.0, 0.0, torque, 0.0, PV)
         assert dvy == 0.0
         assert dwr == 0.0
 
@@ -81,9 +94,8 @@ def test_reflection_symmetry_of_derivatives():
         wr = rng.uniform(-0.6, 0.6)
         torque = rng.uniform(-1000.0, 2000.0)
         steer = rng.uniform(-0.4, 0.4)
-        d = derivatives(VehicleState(vx, vy, wr), ControlInput(torque, steer), P)
-        mirrored = derivatives(VehicleState(vx, -vy, -wr),
-                               ControlInput(torque, -steer), P)
+        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, PV)
+        mirrored = _kernels.planar_rhs(vx, -vy, -wr, torque, -steer, PV)
         assert abs(mirrored[0] - d[0]) <= 1e-12
         assert abs(mirrored[1] + d[1]) <= 1e-12
         assert abs(mirrored[2] + d[2]) <= 1e-12
@@ -91,17 +103,10 @@ def test_reflection_symmetry_of_derivatives():
 
 def test_derivatives_frozen_hand_oracle():
     # independent term-by-term evaluation (frozen from an offline script)
-    got = derivatives(VehicleState(20.0, 0.5, 0.1), ControlInput(400.0, 0.05), P)
+    got = _kernels.planar_rhs(20.0, 0.5, 0.1, 400.0, 0.05, PV)
     expect = (0.35268658469509967, -1.9358666465600258, 2.1106556649351638)
     for g, e in zip(got, expect):
         assert abs(g - e) < 1e-10
-
-
-def test_derivatives_validity_floor():
-    with pytest.raises(ModelValidityError):
-        derivatives(VehicleState(0.05, 0.0, 0.0), ControlInput(100.0, 0.0), P)
-    with pytest.raises(ValueError):
-        derivatives(VehicleState(float("inf"), 0.0, 0.0), ControlInput(0.0, 0.0), P)
 
 
 def test_vehicle_param_invariants():
@@ -109,36 +114,27 @@ def test_vehicle_param_invariants():
         VehicleParams(m=-1.0)
     with pytest.raises(ValueError):
         VehicleParams(mu=1.5)
-    with pytest.raises(ValueError):
-        ControlInput(0.0, 1.0)  # |delta_f| <= pi/4
 
 
 # ---------------------------------------------------------------------------
 # sensor accelerations
 
 def test_sensor_accels_no_coupling_at_rest_axes():
-    s = VehicleState(12.0, 0.0, 0.0)
-    d = derivatives(s, ControlInput(300.0, 0.0), P)
-    ax, ay = sensor_accels(s, d)
+    ax, ay = accels_at(12.0, 0.0, 0.0, 300.0, 0.0)
+    d = _kernels.planar_rhs(12.0, 0.0, 0.0, 300.0, 0.0, PV)
     assert ax == d[0] and ay == d[1]
 
 
 def test_sensor_accel_reconstruction_identity():
     rng = np.random.default_rng(5)
     for _ in range(100):
-        s = VehicleState(rng.uniform(2, 25), rng.uniform(-1, 1),
-                         rng.uniform(-0.5, 0.5))
-        d = derivatives(s, ControlInput(rng.uniform(-500, 1500),
-                                        rng.uniform(-0.3, 0.3)), P)
-        ax, ay = sensor_accels(s, d)
-        assert abs((ax + s.Vy * s.wr) - d[0]) <= 1e-12
-        assert abs((ay - s.Vx * s.wr) - d[1]) <= 1e-12
-
-
-def test_sensor_accels_direct_arithmetic():
-    ax, ay = sensor_accels(VehicleState(10.0, 1.0, 0.2), (0.5, -0.3, 0.0))
-    assert abs(ax - 0.3) < 1e-15
-    assert abs(ay - 1.7) < 1e-15
+        vx, vy, wr = (rng.uniform(2, 25), rng.uniform(-1, 1),
+                      rng.uniform(-0.5, 0.5))
+        torque, steer = rng.uniform(-500, 1500), rng.uniform(-0.3, 0.3)
+        ax, ay = accels_at(vx, vy, wr, torque, steer)
+        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, PV)
+        assert abs((ax + vy * wr) - d[0]) <= 1e-12
+        assert abs((ay - vx * wr) - d[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +142,18 @@ def test_sensor_accels_direct_arithmetic():
 
 def test_rk4_equilibrium_fixed_point():
     t_eq = equilibrium_torque(15.0, P)
-    s1 = step_rk4(VehicleState(15.0, 0.0, 0.0), ControlInput(t_eq, 0.0), 0.025, P)
-    assert abs(s1.Vx - 15.0) <= 1e-9
-    assert s1.Vy == 0.0 and s1.wr == 0.0
+    vx, vy, wr = _kernels.rk4_step(15.0, 0.0, 0.0, t_eq, 0.0, 0.025, 1, PV)
+    assert abs(vx - 15.0) <= 1e-9
+    assert vy == 0.0 and wr == 0.0
 
 
 def test_rk4_fourth_order_global_convergence():
     # Richardson study over a fixed 0.4 s interval
-    s = VehicleState(15.0, 0.4, 0.15)
-    u = ControlInput(300.0, 0.04)
-    ref = step_rk4(s, u, 0.4, P, substeps=512)
-    ref_v = np.array([ref.Vx, ref.Vy, ref.wr])
+    ref = np.array(_kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, PV))
     errs = []
     for n in (4, 8, 16, 32):
-        a = step_rk4(s, u, 0.4, P, substeps=n)
-        errs.append(np.linalg.norm(np.array([a.Vx, a.Vy, a.wr]) - ref_v))
+        a = _kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, PV)
+        errs.append(np.linalg.norm(np.array(a) - ref))
     for coarse, fine in zip(errs, errs[1:]):
         assert 12.0 <= coarse / fine <= 20.0
 
@@ -176,15 +169,12 @@ def test_rk4_generic_matches_matrix_exponential():
 
 
 def test_vehicle_step_matches_generic_rk4():
-    s = VehicleState(14.0, 0.3, 0.1)
-    u = ControlInput(250.0, 0.03)
-
     def rhs(x):
-        return np.array(derivatives(VehicleState(*x), u, P))
+        return np.array(_kernels.planar_rhs(*x, 250.0, 0.03, PV))
 
-    expect = rk4_generic(rhs, s.as_array(), 0.025)
-    got = step_rk4(s, u, 0.025, P)
-    assert np.allclose([got.Vx, got.Vy, got.wr], expect, rtol=0, atol=1e-13)
+    expect = rk4_generic(rhs, np.array([14.0, 0.3, 0.1]), 0.025)
+    got = _kernels.rk4_step(14.0, 0.3, 0.1, 250.0, 0.03, 0.025, 1, PV)
+    assert np.allclose(got, expect, rtol=0, atol=1e-13)
 
 
 def _state_grid():
@@ -234,8 +224,12 @@ def test_packed_params_are_python_floats():
 
 
 def test_rk4_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        step_rk4(VehicleState(10.0), ControlInput(0.0), -0.01, P)
+    # run_schedule is the one way into the RK4 loop; a zero dt would return
+    # every row at t = 0 and a negative one would integrate backwards
+    torques, steers = np.full(5, 300.0), np.zeros(5)
+    for dt in (0.0, -0.025, float("nan")):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            run_schedule(VehicleState(15.0), torques, steers, dt, P)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +280,13 @@ def test_coastdown_speed_strictly_decreasing():
 
 def test_emitted_snapshots_satisfy_accel_identity():
     tr = run_scenario(make_scenario("mixed", duration=20.0))
+    pv = VehicleParams(mu=0.85).packed()   # the library scenario's plant
     for k in range(0, len(tr), 37):
-        snap = tr[k]
-        d = derivatives(snap.state, snap.input, tr_params(tr, snap))
-        assert abs((snap.ax + snap.state.Vy * snap.state.wr) - d[0]) <= 1e-12
-        assert abs((snap.ay - snap.state.Vx * snap.state.wr) - d[1]) <= 1e-12
-
-
-def tr_params(tr, snap):
-    # the library scenario uses nominal params with mu=0.85
-    return VehicleParams(mu=0.85)
+        (vx, vy, wr), (torque, steer), (ax, ay) = (
+            tr.states[k], tr.inputs[k], tr.accels[k])
+        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv)
+        assert abs((ax + vy * wr) - d[0]) <= 1e-12
+        assert abs((ay - vx * wr) - d[1]) <= 1e-12
 
 
 def test_mixed_run_matches_pinned_states():
@@ -325,6 +316,14 @@ def test_run_determinism_bit_identical():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.accels, b.accels)
     assert np.array_equal(a.inputs, b.inputs)
+
+
+def test_run_schedule_rejects_invalid_initial_state():
+    torques, steers = np.full(5, 100.0), np.zeros(5)
+    with pytest.raises(ModelValidityError, match="validity floor"):
+        run_schedule(VehicleState(0.05), torques, steers, 0.025, P)
+    with pytest.raises(ValueError, match="non-finite vehicle state"):
+        run_schedule(VehicleState(float("inf")), torques, steers, 0.025, P)
 
 
 def test_run_schedule_validates_lengths():
@@ -363,7 +362,7 @@ def test_run_schedule_rejects_steering_beyond_max_steer(sign):
         run_schedule(VehicleState(15.0), torques, steers, 0.025, P)
     steers[3] = steers[9] = sign * MAX_STEER   # the bound itself is allowed
     tr = run_schedule(VehicleState(15.0), torques, steers, 0.025, P)
-    assert tr[3].input.delta_f == sign * MAX_STEER
+    assert tr.inputs[3, 1] == sign * MAX_STEER
 
 
 def test_simulate_path_stops_at_a_nan_state():
@@ -505,15 +504,6 @@ def test_trajectory_csv_reader_memory_is_bounded(tmp_path):
     assert peak < 2 * nbytes, (peak, nbytes)
 
 
-def test_snapshot_view_matches_arrays():
-    tr = run_scenario(make_scenario("mixed", duration=2.0))
-    snap = tr[7]
-    assert isinstance(snap, Snapshot)
-    assert snap.t == tr.t[7]
-    assert snap.state.Vx == tr.states[7, 0]
-    assert snap.ax == tr.accels[7, 0]
-
-
 def test_trajectory_dt_rejects_uneven_spacing():
     tr = run_scenario(make_scenario("mixed", duration=300.0))
     assert tr.dt == 0.025          # t = k * dt, rounded, is uniform
@@ -548,3 +538,4 @@ def test_mass_perturbation_knob():
     assert heavy.params.m == base.params.m + 160.0
     assert heavy.params.Iz == base.params.Iz
     assert heavy != base
+    assert heavy.name == "mixed_dm+160_dIz+0"   # suite report file names use it
