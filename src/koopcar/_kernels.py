@@ -1,27 +1,16 @@
 """Vehicle-physics and dense-network kernels.
 
-The vehicle kernels (`tire_lateral`, `planar_rhs`, `rk4_step`) are written
-once for single values and arrays alike. They take the vehicle parameters as
-the tuple of Python floats from `VehicleParams.packed()` and a math namespace
-`xp`: with the default `math` they run on floats, which is what the
-sequential time loop in `simulate_path` uses; with `xp=np` the same source
-runs elementwise on arrays, which is how `one_step_batch` advances every row
-in one call (numpy >= 2 provides the `np.atan`/`np.atan2` names). The two
-paths perform the same operations in the same order, so they differ only by
-the last-bit rounding of numpy's and libm's transcendental functions.
-
-The package reaches the plant through two entry points, both columnar and
-both with `substeps` = 1: `vehicle.run_schedule` calls `simulate_path`, and
-the physics baseline (`evaluation.physics_baseline`) calls `one_step_batch`.
-`tire_lateral`, `planar_rhs` and `rk4_step` are the per-sample kernels those
-two are built from; the tests call them directly.
-
-Work that does not change between RK4 stages is done once: the per-vehicle
-constants (axle loads, tire peaks, rolling force, half track) by
-`vehicle_constants`, the per-step input terms (torque/rw, cos and sin of the
-steering angle) by the caller of the stages. The hoisted expressions keep
-their operand order, so the results are bitwise those of evaluating
-everything in every stage.
+`rk4_stepper` is the one place the plant's equations are written: the four
+Magic Formula tires, the planar dynamics and the RK4 stages, one Python call
+per step. With `xp=math` it runs on Python floats, as the sequential time
+loop `simulate_path` (called by `vehicle.run_schedule`) uses it; with
+`xp=np` the same source runs elementwise on arrays, as `one_step_batch`
+(called by `evaluation.physics_baseline`) advances many rows at once. Both
+perform the same operations in the same order, so they differ only by the
+last-bit rounding of numpy's and libm's transcendental functions. Values
+that do not change between stages are computed once, with their operands
+in the same order, so the results are bitwise those of evaluating each tire
+and each term separately in every stage.
 
 The dense-network kernels work on a flat parameter vector at the offsets of
 an `mlp.MlpLayout`; `koopman.lift` and the training loss call them directly.
@@ -33,13 +22,7 @@ import numpy as np
 
 GRAVITY = 9.81
 VALIDITY_FLOOR = 0.1  # m/s; slip angles degenerate at standstill
-
-
-def tire_lateral(alpha, d_peak, b_stiff, c_shape, e_curv, xp=math):
-    """Lateral tire force: peak d_peak (= mu*d_scale*Fz), sine-of-arctangent
-    shape, odd in alpha."""
-    ba = b_stiff * alpha
-    return d_peak * xp.sin(c_shape * xp.atan(ba - e_curv * (ba - xp.atan(ba))))
+BATCH_ROWS = 4096  # rows per block of `one_step_batch`; bounds its temporaries
 
 
 def vehicle_constants(pv):
@@ -57,93 +40,81 @@ def vehicle_constants(pv):
             tb, tc, te, drag, roll * m * GRAVITY)
 
 
-def _rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp):
-    """planar_rhs on the per-vehicle constants `vc` and the per-step input
-    terms drive = torque/rw, cd = cos(steer), sd = sin(steer)."""
+def rk4_stepper(vc, h, xp=math):
+    """Return `step(vx, vy, wr, drive, steer, cd, sd, stages=4)`: one RK4
+    step over `h` of the planar four-wheel model with the constants `vc` of
+    `vehicle_constants`, holding the input (drive = torque/rw, cd =
+    cos(steer), sd = sin(steer)). It returns (vx', vy', wr', dvx, dvy, dwr):
+    the state after `h` and the derivative at the start; with stages=1, the
+    derivative (dvx, dvy, dwr) alone.
+
+    Wheels are 1 front-left, 2 front-right, 3 rear-left, 4 rear-right. The
+    torque and the lumped rolling and aero resistance split evenly over the
+    wheels. Each lateral force is the Magic Formula
+    d*sin(C*atan(B*a - E*(B*a - atan(B*a)))) of the wheel's slip angle a on
+    its axle's peak d.
+    """
     m, iz, lf, lr, half_wb, rw, d_front, d_rear, tb, tc, te, drag, roll_force = vc
-
-    # per-wheel longitudinal force (identical on all four wheels)
-    fx = 0.25 * (drive - (roll_force + drag * vx * vx))
-
-    half_track = half_wb * wr
-    vy_front = vy + lf * wr
-    vy_rear = vy - lr * wr
-    a1 = steer - xp.atan2(vy_front, vx - half_track)
-    a2 = steer - xp.atan2(vy_front, vx + half_track)
-    a3 = -xp.atan2(vy_rear, vx - half_track)
-    a4 = -xp.atan2(vy_rear, vx + half_track)
-
-    fy1 = tire_lateral(a1, d_front, tb, tc, te, xp)
-    fy2 = tire_lateral(a2, d_front, tb, tc, te, xp)
-    fy3 = tire_lateral(a3, d_rear, tb, tc, te, xp)
-    fy4 = tire_lateral(a4, d_rear, tb, tc, te, xp)
-
-    fx_front = fx + fx
-    fy_front = fy1 + fy2
-    fy_rear = fy3 + fy4
-
-    dvx = (fx_front * cd - fy_front * sd + (fx + fx)) / m + vy * wr
-    dvy = (fx_front * sd + fy_front * cd + fy_rear) / m - vx * wr
-    dwr = (half_wb * ((fy1 - fy2) * sd)
-           + lf * (fx_front * sd + fy_front * cd)
-           - lr * fy_rear) / iz
-    return dvx, dvy, dwr
-
-
-def planar_rhs(vx, vy, wr, torque, steer, pv, xp=math):
-    """Time derivatives (dVx, dVy, dwr) of the planar four-wheel model.
-
-    Wheel order: 1 front-left, 2 front-right, 3 rear-left, 4 rear-right.
-    Driving torque splits evenly across the four wheels; rolling and aero
-    resistance are lumped and split evenly too, so per-side longitudinal
-    force differences vanish identically.
-    """
-    vc = vehicle_constants(pv)
-    return _rhs(vx, vy, wr, torque / vc[5], steer, xp.cos(steer),
-                xp.sin(steer), vc, xp)
-
-
-def _rk4(vx, vy, wr, drive, steer, cd, sd, dt, substeps, vc, xp, k1=None):
-    """rk4_step on the terms `_rhs` takes; the input is held over all stages.
-
-    `k1` optionally supplies `_rhs` at the starting state, which a caller
-    that has already evaluated it can pass to save one evaluation.
-    """
-    h = dt / substeps
     half_h = 0.5 * h
-    for _ in range(substeps):
-        if k1 is None:
-            k1 = _rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp)
-        k1x, k1y, k1r = k1
-        k1 = None
-        k2x, k2y, k2r = _rhs(vx + half_h * k1x, vy + half_h * k1y,
-                             wr + half_h * k1r, drive, steer, cd, sd, vc, xp)
-        k3x, k3y, k3r = _rhs(vx + half_h * k2x, vy + half_h * k2y,
-                             wr + half_h * k2r, drive, steer, cd, sd, vc, xp)
-        k4x, k4y, k4r = _rhs(vx + h * k3x, vy + h * k3y,
-                             wr + h * k3r, drive, steer, cd, sd, vc, xp)
-        vx = vx + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
-        vy = vy + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
-        wr = wr + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
-    return vx, vy, wr
+    atan, atan2, sin = xp.atan, xp.atan2, xp.sin
 
+    def step(vx, vy, wr, drive, steer, cd, sd, stages=4):
+        x, y, r = vx, vy, wr
+        for stage in range(stages):
+            # per-wheel longitudinal force (identical on all four wheels)
+            fx = 0.25 * (drive - (roll_force + drag * x * x))
 
-def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv, xp=math):
-    """Classical RK4 advance of the planar model over dt, zero-order-hold input."""
-    vc = vehicle_constants(pv)
-    return _rk4(vx, vy, wr, torque / vc[5], steer, xp.cos(steer),
-                xp.sin(steer), dt, substeps, vc, xp)
+            half_track = half_wb * r
+            vy_front = y + lf * r
+            vy_rear = y - lr * r
+            b1 = tb * (steer - atan2(vy_front, x - half_track))
+            b2 = tb * (steer - atan2(vy_front, x + half_track))
+            b3 = tb * -atan2(vy_rear, x - half_track)
+            b4 = tb * -atan2(vy_rear, x + half_track)
+            fy1 = d_front * sin(tc * atan(b1 - te * (b1 - atan(b1))))
+            fy2 = d_front * sin(tc * atan(b2 - te * (b2 - atan(b2))))
+            fy3 = d_rear * sin(tc * atan(b3 - te * (b3 - atan(b3))))
+            fy4 = d_rear * sin(tc * atan(b4 - te * (b4 - atan(b4))))
+
+            fx_front = fx + fx
+            fy_front = fy1 + fy2
+            fy_rear = fy3 + fy4
+            lat_front = fx_front * sd + fy_front * cd
+
+            dvx = (fx_front * cd - fy_front * sd + fx_front) / m + y * r
+            dvy = (lat_front + fy_rear) / m - x * r
+            dwr = (half_wb * ((fy1 - fy2) * sd) + lf * lat_front
+                   - lr * fy_rear) / iz
+
+            # s accumulates k1 + 2*k2 + 2*k3 + k4 in that order
+            if stage == 0:
+                kx, ky, kr = sx, sy, sr = dvx, dvy, dwr
+            elif stage < 3:
+                sx = sx + 2.0 * dvx
+                sy = sy + 2.0 * dvy
+                sr = sr + 2.0 * dwr
+            else:
+                return (vx + h * (sx + dvx) / 6.0, vy + h * (sy + dvy) / 6.0,
+                        wr + h * (sr + dwr) / 6.0, kx, ky, kr)
+            c = h if stage == 2 else half_h
+            x = vx + c * dvx
+            y = vy + c * dvy
+            r = wr + c * dwr
+        return kx, ky, kr
+
+    return step
 
 
 def simulate_path(x0, torques, steers, dt, substeps, pv):
-    """Integrate a full input schedule; returns (states, accels, fail_index).
+    """Integrate a full input schedule, `substeps` RK4 steps per sample;
+    returns (states, accels, fail_index).
 
     states[k] holds the state at t=k*dt, accels[k] the body-frame sensor
     accelerations there under input k (ax = dVx - Vy*wr, ay = dVy + Vx*wr).
     fail_index >= 0 flags the first step where Vx fell to the validity floor
-    or became NaN. The loop runs on Python floats, derives the vehicle
-    constants once and the input terms once per step, and writes each step
-    into the preallocated outputs through flat memoryviews.
+    or became NaN. The loop runs on Python floats, computes the input terms
+    once per sample, and writes each sample into the preallocated outputs
+    through flat memoryviews.
     """
     n = torques.shape[0]
     states = np.zeros((n, 3))
@@ -154,8 +125,10 @@ def simulate_path(x0, torques, steers, dt, substeps, pv):
     steer_k = memoryview(np.ascontiguousarray(steers, dtype=np.float64))
     vc = vehicle_constants(pv)
     rw = vc[5]
+    step = rk4_stepper(vc, dt / substeps)
     cos, sin = math.cos, math.sin
     vx, vy, wr = (float(v) for v in x0)
+    last = n - 1
     fail = -1
     for k in range(n):
         if not (vx > VALIDITY_FLOOR):
@@ -168,20 +141,34 @@ def simulate_path(x0, torques, steers, dt, substeps, pv):
         out_x[3 * k] = vx
         out_x[3 * k + 1] = vy
         out_x[3 * k + 2] = wr
-        deriv = _rhs(vx, vy, wr, drive, steer, cd, sd, vc, math)
-        out_a[2 * k] = deriv[0] - vy * wr
-        out_a[2 * k + 1] = deriv[1] + vx * wr
-        if k < n - 1:
-            vx, vy, wr = _rk4(vx, vy, wr, drive, steer, cd, sd, dt, substeps,
-                              vc, math, deriv)
+        if k < last:
+            nx, ny, nr, dvx, dvy, _ = step(vx, vy, wr, drive, steer, cd, sd)
+            for _ in range(1, substeps):
+                nx, ny, nr, *_ = step(nx, ny, nr, drive, steer, cd, sd)
+        else:   # the last sample needs only its derivative
+            dvx, dvy, _ = step(vx, vy, wr, drive, steer, cd, sd, 1)
+        out_a[2 * k] = dvx - vy * wr
+        out_a[2 * k + 1] = dvy + vx * wr
+        if k < last:
+            vx, vy, wr = nx, ny, nr
     return states, accels, fail
 
 
 def one_step_batch(states, torques, steers, dt, substeps, pv):
-    """One RK4 step from every row of `states`, all rows at once."""
-    vx, vy, wr = rk4_step(states[:, 0], states[:, 1], states[:, 2], torques,
-                          steers, dt, substeps, pv, np)
-    return np.column_stack((vx, vy, wr))
+    """One sample interval of `substeps` RK4 steps from every row of
+    `states`, `BATCH_ROWS` rows at a time."""
+    vc = vehicle_constants(pv)
+    step = rk4_stepper(vc, dt / substeps, np)
+    out = np.empty((states.shape[0], 3))
+    for s in range(0, states.shape[0], BATCH_ROWS):
+        e = s + BATCH_ROWS
+        steer = steers[s:e]
+        drive, cd, sd = torques[s:e] / vc[5], np.cos(steer), np.sin(steer)
+        vx, vy, wr = states[s:e, 0], states[s:e, 1], states[s:e, 2]
+        for _ in range(substeps):
+            vx, vy, wr, *_ = step(vx, vy, wr, drive, steer, cd, sd)
+        out[s:e, 0], out[s:e, 1], out[s:e, 2] = vx, vy, wr
+    return out
 
 
 # ---------------------------------------------------------------------------

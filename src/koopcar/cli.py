@@ -80,6 +80,7 @@ def _flag_on(value: str) -> bool:
 # simulate
 
 _SCENARIO_PREFIXES = ("scenario.", "initial.", "input.", "params.")
+_NAMED_SCENARIO_KEYS = ("scenario", "duration", "dt", "dm", "dIz")
 
 
 def cmd_simulate(args) -> int:
@@ -89,6 +90,13 @@ def cmd_simulate(args) -> int:
         raise UsageError("an output path is required (--out)")
 
     if "input.kind" in cfg or "scenario.duration" in cfg:
+        file_cfg = read_config_file(args.config)
+        given = [f"--{k}" for k in _NAMED_SCENARIO_KEYS if getattr(args, k) is not None]
+        given += [f"{args.config}: key {k!r}" for k in _NAMED_SCENARIO_KEYS if k in file_cfg]
+        if given:
+            raise UsageError(f"{', '.join(given)}: set only a named scenario, "
+                             f"but the config describes a custom one "
+                             f"(input.kind or scenario.duration)")
         # the keys scenario_from_config reads are those its inverse writes;
         # input.* names are the program's own arguments and stay free-form
         known = sc.scenario_to_config(sc.make_scenario("mixed"))

@@ -139,8 +139,10 @@ class Scenario:
     params: VehicleParams = field(default_factory=VehicleParams)
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
         if self.duration < self.dt:
             raise ValueError("duration must cover at least one sample interval")
 
@@ -193,7 +195,8 @@ def make_scenario(name: str, duration: float | None = None,
     if dm or dIz:
         params = params.perturbed(dm, dIz)
         name = f"{name}_dm{dm:+g}_dIz{dIz:+g}"
-    return Scenario(name=name, duration=duration or default_duration, dt=dt,
+    return Scenario(name=name, dt=dt,
+                    duration=default_duration if duration is None else duration,
                     initial_state=VehicleState(Vx=vx0),
                     input_program=InputProgram.make(kind, **args),
                     params=params)

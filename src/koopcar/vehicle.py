@@ -8,7 +8,7 @@ sensor accelerations accompany every emitted snapshot: ax = dVx - Vy*wr and
 ay = dVy + Vx*wr, so [ax + Vy*wr, ay - Vx*wr] recovers the velocity
 derivatives exactly.
 
-The tire model, the planar dynamics and RK4 are the kernels of `_kernels`;
+The tire model, the planar dynamics and RK4 are `_kernels.rk4_stepper`;
 this module holds the parameter sets, the trajectory container and its CSV
 format, and `run_schedule`, which checks an input schedule and runs it
 through `_kernels.simulate_path`.
@@ -69,8 +69,9 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("m", "Iz", "lf", "lr", "wB", "rw"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:   # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not (0 < self.mu <= 1.2):
             raise ValueError("mu must be in (0, 1.2]")
 

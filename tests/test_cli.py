@@ -105,6 +105,52 @@ def test_simulate_custom_scenario_rejects_unread_keys(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra_key", [None, "dIz = 5"])
+def test_simulate_custom_scenario_rejects_named_scenario_settings(
+        tmp_path, capsys, extra_key):
+    # these flags and keys set only a named scenario; beside a custom one
+    # they were echoed and then ignored
+    cfg = tmp_path / "scenario.cfg"
+    lines = ["scenario.duration = 2", "scenario.dt = 0.025", "initial.Vx = 15",
+             "input.kind = constant", "input.torque = 300"]
+    cfg.write_text("\n".join(lines + [extra_key or ""]) + "\n")
+    out = tmp_path / "custom.csv"
+    if extra_key:
+        args, named = (), [f"{cfg}: key 'dIz'"]
+    else:
+        args = ("--duration", "5", "--dm", "500", "--dt", "0.05",
+                "--scenario", "slalom")
+        named = ["--duration", "--dm", "--dt", "--scenario"]
+    assert run_cli("simulate", "--config", str(cfg), *args,
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert all(n in err for n in named), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--duration", "0"), "duration must cover at least one sample interval"),
+    (("--duration", "nan"), "duration must be finite, got nan"),
+    (("--duration", "inf"), "duration must be finite, got inf"),
+    (("--dIz", "nan"), "Iz must be positive and finite, got nan"),
+    (("--dm", "inf"), "m must be positive and finite, got inf")],
+    ids=["duration-0", "duration-nan", "duration-inf", "dIz-nan", "dm-inf"])
+def test_simulate_rejects_degenerate_scenario(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.csv"
+    assert run_cli("simulate", "--scenario", "step_steer", "--duration", "2",
+                   *flags, "--out", str(out)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_rejects_zero_scenario_duration(tmp_path, capsys):
+    assert run_cli("compare", "--methods", "PHYS-BASELINE",
+                   "--scenario-duration", "0", "--out", str(tmp_path / "x")) == 2
+    assert "duration must cover at least one sample interval" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_rejects_torque_beyond_max_torque(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("\n".join([

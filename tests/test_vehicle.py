@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -6,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import planar_rhs, rk4_step
 from koopcar import _kernels, backend_name
 from koopcar.evaluation import scenario_suite
 from koopcar.vehicle import (MAX_STEER, ROW_BLOCK, MagicFormulaParams,
@@ -22,9 +24,68 @@ TIRE = MagicFormulaParams()
 
 
 def tire_force(alpha, fz, mu):
-    """Lateral force of the default tire at normal load fz on adhesion mu."""
-    return _kernels.tire_lateral(alpha, mu * TIRE.d_peak_scale * fz,
-                                 TIRE.b_stiff, TIRE.c_shape, TIRE.e_curv)
+    """Lateral force of the default tire at normal load fz on adhesion mu.
+
+    Read from the stepper's dVy on a vehicle where only the front tires act:
+    mass 2, no rear grip, no resistance and no drive, at zero Vy and wr with
+    the steering terms cos 1 and sin 0, so both front slip angles are alpha
+    and dVy = (F + F) / 2 = F exactly.
+    """
+    vc = (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, mu * TIRE.d_peak_scale * fz, 0.0,
+          TIRE.b_stiff, TIRE.c_shape, TIRE.e_curv, 0.0, 0.0)
+    step = _kernels.rk4_stepper(vc, 0.0)
+    return step(10.0, 0.0, 0.0, 0.0, alpha, 1.0, 0.0, 1)[1]
+
+
+# ---------------------------------------------------------------------------
+# oracle: the tire, the planar dynamics and RK4 as separate calls, in the
+# operation order the stepper must reproduce bit for bit
+
+def oracle_tire_lateral(alpha, d_peak, b_stiff, c_shape, e_curv, xp):
+    ba = b_stiff * alpha
+    return d_peak * xp.sin(c_shape * xp.atan(ba - e_curv * (ba - xp.atan(ba))))
+
+
+def oracle_rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp):
+    m, iz, lf, lr, half_wb, rw, d_front, d_rear, tb, tc, te, drag, roll_force = vc
+    fx = 0.25 * (drive - (roll_force + drag * vx * vx))
+    half_track = half_wb * wr
+    vy_front = vy + lf * wr
+    vy_rear = vy - lr * wr
+    a1 = steer - xp.atan2(vy_front, vx - half_track)
+    a2 = steer - xp.atan2(vy_front, vx + half_track)
+    a3 = -xp.atan2(vy_rear, vx - half_track)
+    a4 = -xp.atan2(vy_rear, vx + half_track)
+    fy1 = oracle_tire_lateral(a1, d_front, tb, tc, te, xp)
+    fy2 = oracle_tire_lateral(a2, d_front, tb, tc, te, xp)
+    fy3 = oracle_tire_lateral(a3, d_rear, tb, tc, te, xp)
+    fy4 = oracle_tire_lateral(a4, d_rear, tb, tc, te, xp)
+    fx_front = fx + fx
+    fy_front = fy1 + fy2
+    fy_rear = fy3 + fy4
+    dvx = (fx_front * cd - fy_front * sd + (fx + fx)) / m + vy * wr
+    dvy = (fx_front * sd + fy_front * cd + fy_rear) / m - vx * wr
+    dwr = (half_wb * ((fy1 - fy2) * sd)
+           + lf * (fx_front * sd + fy_front * cd)
+           - lr * fy_rear) / iz
+    return dvx, dvy, dwr
+
+
+def oracle_rk4(vx, vy, wr, drive, steer, cd, sd, dt, substeps, vc, xp):
+    h = dt / substeps
+    half_h = 0.5 * h
+    for _ in range(substeps):
+        k1x, k1y, k1r = oracle_rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp)
+        k2x, k2y, k2r = oracle_rhs(vx + half_h * k1x, vy + half_h * k1y,
+                                   wr + half_h * k1r, drive, steer, cd, sd, vc, xp)
+        k3x, k3y, k3r = oracle_rhs(vx + half_h * k2x, vy + half_h * k2y,
+                                   wr + half_h * k2r, drive, steer, cd, sd, vc, xp)
+        k4x, k4y, k4r = oracle_rhs(vx + h * k3x, vy + h * k3y,
+                                   wr + h * k3r, drive, steer, cd, sd, vc, xp)
+        vx = vx + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        vy = vy + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        wr = wr + h * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
+    return vx, vy, wr
 
 
 def rk4_generic(f, x, dt):
@@ -65,6 +126,10 @@ def test_tire_peak_bound_grid_sweep():
     grid = np.linspace(-0.5, 0.5, 10_000)
     forces = np.array([tire_force(a, fz, mu) for a in grid])
     assert np.abs(forces).max() <= mu * TIRE.d_peak_scale * fz + 1e-9
+    assert np.array_equal(forces, [
+        oracle_tire_lateral(a, mu * TIRE.d_peak_scale * fz, TIRE.b_stiff,
+                            TIRE.c_shape, TIRE.e_curv, math)
+        for a in grid.tolist()])
 
 
 def test_tire_param_invariants():
@@ -81,7 +146,7 @@ def test_tire_param_invariants():
 
 def test_straight_driving_has_no_lateral_response():
     for torque in (-500.0, 0.0, 400.0, 2000.0):
-        dvx, dvy, dwr = _kernels.planar_rhs(15.0, 0.0, 0.0, torque, 0.0, PV)
+        dvx, dvy, dwr = planar_rhs(15.0, 0.0, 0.0, torque, 0.0, PV)
         assert dvy == 0.0
         assert dwr == 0.0
 
@@ -94,8 +159,8 @@ def test_reflection_symmetry_of_derivatives():
         wr = rng.uniform(-0.6, 0.6)
         torque = rng.uniform(-1000.0, 2000.0)
         steer = rng.uniform(-0.4, 0.4)
-        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, PV)
-        mirrored = _kernels.planar_rhs(vx, -vy, -wr, torque, -steer, PV)
+        d = planar_rhs(vx, vy, wr, torque, steer, PV)
+        mirrored = planar_rhs(vx, -vy, -wr, torque, -steer, PV)
         assert abs(mirrored[0] - d[0]) <= 1e-12
         assert abs(mirrored[1] + d[1]) <= 1e-12
         assert abs(mirrored[2] + d[2]) <= 1e-12
@@ -103,7 +168,7 @@ def test_reflection_symmetry_of_derivatives():
 
 def test_derivatives_frozen_hand_oracle():
     # independent term-by-term evaluation (frozen from an offline script)
-    got = _kernels.planar_rhs(20.0, 0.5, 0.1, 400.0, 0.05, PV)
+    got = planar_rhs(20.0, 0.5, 0.1, 400.0, 0.05, PV)
     expect = (0.35268658469509967, -1.9358666465600258, 2.1106556649351638)
     for g, e in zip(got, expect):
         assert abs(g - e) < 1e-10
@@ -114,6 +179,12 @@ def test_vehicle_param_invariants():
         VehicleParams(m=-1.0)
     with pytest.raises(ValueError):
         VehicleParams(mu=1.5)
+    # NaN passes a `<= 0` test; the error must name the field, not a later state
+    for name in ("m", "Iz", "lf", "lr", "wB", "rw"):
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be positive and finite"):
+                VehicleParams(**{name: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +192,7 @@ def test_vehicle_param_invariants():
 
 def test_sensor_accels_no_coupling_at_rest_axes():
     ax, ay = accels_at(12.0, 0.0, 0.0, 300.0, 0.0)
-    d = _kernels.planar_rhs(12.0, 0.0, 0.0, 300.0, 0.0, PV)
+    d = planar_rhs(12.0, 0.0, 0.0, 300.0, 0.0, PV)
     assert ax == d[0] and ay == d[1]
 
 
@@ -132,7 +203,7 @@ def test_sensor_accel_reconstruction_identity():
                       rng.uniform(-0.5, 0.5))
         torque, steer = rng.uniform(-500, 1500), rng.uniform(-0.3, 0.3)
         ax, ay = accels_at(vx, vy, wr, torque, steer)
-        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, PV)
+        d = planar_rhs(vx, vy, wr, torque, steer, PV)
         assert abs((ax + vy * wr) - d[0]) <= 1e-12
         assert abs((ay - vx * wr) - d[1]) <= 1e-12
 
@@ -142,17 +213,17 @@ def test_sensor_accel_reconstruction_identity():
 
 def test_rk4_equilibrium_fixed_point():
     t_eq = equilibrium_torque(15.0, P)
-    vx, vy, wr = _kernels.rk4_step(15.0, 0.0, 0.0, t_eq, 0.0, 0.025, 1, PV)
+    vx, vy, wr = rk4_step(15.0, 0.0, 0.0, t_eq, 0.0, 0.025, 1, PV)
     assert abs(vx - 15.0) <= 1e-9
     assert vy == 0.0 and wr == 0.0
 
 
 def test_rk4_fourth_order_global_convergence():
     # Richardson study over a fixed 0.4 s interval
-    ref = np.array(_kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, PV))
+    ref = np.array(rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, PV))
     errs = []
     for n in (4, 8, 16, 32):
-        a = _kernels.rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, PV)
+        a = rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, PV)
         errs.append(np.linalg.norm(np.array(a) - ref))
     for coarse, fine in zip(errs, errs[1:]):
         assert 12.0 <= coarse / fine <= 20.0
@@ -170,10 +241,10 @@ def test_rk4_generic_matches_matrix_exponential():
 
 def test_vehicle_step_matches_generic_rk4():
     def rhs(x):
-        return np.array(_kernels.planar_rhs(*x, 250.0, 0.03, PV))
+        return np.array(planar_rhs(*x, 250.0, 0.03, PV))
 
     expect = rk4_generic(rhs, np.array([14.0, 0.3, 0.1]), 0.025)
-    got = _kernels.rk4_step(14.0, 0.3, 0.1, 250.0, 0.03, 0.025, 1, PV)
+    got = rk4_step(14.0, 0.3, 0.1, 250.0, 0.03, 0.025, 1, PV)
     assert np.allclose(got, expect, rtol=0, atol=1e-13)
 
 
@@ -200,7 +271,7 @@ def test_one_step_batch_matches_scalar_rk4_rows(substeps):
     batch = _kernels.one_step_batch(np.column_stack((vx, vy, wr)), torque,
                                     steer, 0.025, substeps, pv)
     scalar = np.array([
-        _kernels.rk4_step(*map(float, row), 0.025, substeps, pv)
+        rk4_step(*map(float, row), 0.025, substeps, pv)
         for row in zip(vx, vy, wr, torque, steer)])
     assert batch.shape == scalar.shape == (vx.size, 3)
     assert _rows_close(batch, scalar, 1e-15)
@@ -209,9 +280,9 @@ def test_one_step_batch_matches_scalar_rk4_rows(substeps):
 def test_array_planar_rhs_matches_scalar_elementwise():
     vx, vy, wr, torque, steer = _state_grid()
     pv = P.packed()
-    arrays = np.column_stack(_kernels.planar_rhs(vx, vy, wr, torque, steer,
+    arrays = np.column_stack(planar_rhs(vx, vy, wr, torque, steer,
                                                  pv, np))
-    scalar = np.array([_kernels.planar_rhs(*map(float, row), pv)
+    scalar = np.array([planar_rhs(*map(float, row), pv)
                        for row in zip(vx, vy, wr, torque, steer)])
     assert _rows_close(arrays, scalar, 1e-15)
 
@@ -241,6 +312,18 @@ def test_run_scenario_snapshot_count():
                   input_program=InputProgram.make("equilibrium", speed=15.0))
     tr = run_scenario(sc)
     assert len(tr) == 41  # duration/dt + 1, including t=0
+
+
+def test_scenario_rejects_zero_and_non_finite_duration():
+    # a zero duration once meant "not given" and ran the 1400 s default
+    with pytest.raises(ValueError, match="cover at least one sample interval"):
+        make_scenario("mixed", duration=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^duration must be finite"):
+            make_scenario("step_steer", duration=bad)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        make_scenario("step_steer", dt=float("nan"))
+    assert make_scenario("step_steer").duration == 30.0   # None: the default
 
 
 def test_run_scenario_equilibrium_is_constant():
@@ -284,7 +367,7 @@ def test_emitted_snapshots_satisfy_accel_identity():
     for k in range(0, len(tr), 37):
         (vx, vy, wr), (torque, steer), (ax, ay) = (
             tr.states[k], tr.inputs[k], tr.accels[k])
-        d = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv)
+        d = planar_rhs(vx, vy, wr, torque, steer, pv)
         assert abs((ax + vy * wr) - d[0]) <= 1e-12
         assert abs((ay - vx * wr) - d[1]) <= 1e-12
 
@@ -379,14 +462,15 @@ def test_simulate_path_stops_at_a_nan_state():
 
 
 @pytest.mark.parametrize("substeps", [1, 3])
-def test_simulate_path_equals_public_stepping_bitwise(substeps):
-    # the loop hoists vehicle constants and input terms out of the RK4
-    # stages; stepping the public kernels sample by sample must give the
+def test_simulate_path_equals_oracle_bitwise(substeps):
+    # the stepper writes the tire inline and shares subexpressions between
+    # the derivatives; stepping the oracle sample by sample must give the
     # same bits on every suite scenario
     for sc in scenario_suite():
         sc = replace(sc, duration=10.0)
         torques, steers = sc.input_program.sample(sc.time_grid(), sc.params)
         pv = sc.params.packed()
+        vc = _kernels.vehicle_constants(pv)
         x0 = sc.initial_state.as_array()
         states, accels, fail = _kernels.simulate_path(x0, torques, steers,
                                                       sc.dt, substeps, pv)
@@ -394,11 +478,25 @@ def test_simulate_path_equals_public_stepping_bitwise(substeps):
         vx, vy, wr = map(float, x0)
         for k in range(torques.shape[0]):
             torque, steer = float(torques[k]), float(steers[k])
-            dvx, dvy, _ = _kernels.planar_rhs(vx, vy, wr, torque, steer, pv)
+            terms = (torque / vc[5], steer, math.cos(steer), math.sin(steer))
+            dvx, dvy, _ = oracle_rhs(vx, vy, wr, *terms, vc, math)
             assert tuple(states[k]) == (vx, vy, wr), (sc.name, k)
             assert tuple(accels[k]) == (dvx - vy * wr, dvy + vx * wr), (sc.name, k)
-            vx, vy, wr = _kernels.rk4_step(vx, vy, wr, torque, steer, sc.dt,
-                                           substeps, pv)
+            vx, vy, wr = oracle_rk4(vx, vy, wr, *terms, sc.dt, substeps, vc, math)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_one_step_batch_equals_oracle_bitwise(substeps, monkeypatch):
+    vx, vy, wr, torque, steer = _state_grid()
+    vc = _kernels.vehicle_constants(PV)
+    expect = np.column_stack(oracle_rk4(
+        vx, vy, wr, torque / vc[5], steer, np.cos(steer), np.sin(steer),
+        0.025, substeps, vc, np))
+    for rows in (_kernels.BATCH_ROWS, 1000):   # one block, then four
+        monkeypatch.setattr(_kernels, "BATCH_ROWS", rows)
+        batch = _kernels.one_step_batch(np.column_stack((vx, vy, wr)), torque,
+                                        steer, 0.025, substeps, PV)
+        assert np.array_equal(batch, expect), rows
 
 
 # ---------------------------------------------------------------------------
