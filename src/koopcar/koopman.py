@@ -28,7 +28,7 @@ CHECKPOINT_VERSION = 1
 TRAIN_LOG_HEADER = ("epoch,loss_total,loss_linear,loss_recon,loss_pred,"
                     "loss_accel,holdout_total")
 
-HOLDOUT_CHUNK = 4096  # holdout pairs per loss evaluation in `train`
+BLOCK_ROWS = 1024  # rows per inference block and per holdout chunk in `train`
 
 
 @dataclass(frozen=True)
@@ -142,17 +142,42 @@ class KoopmanModel:
         return self.normalizer.select(slice(0, self.dims.n)).invert(x)
 
 
+def _row_blocks(n_rows: int):
+    """(start, stop) of the blocks a row-blocked pass over `n_rows` rows
+    takes: max(1, n_rows // BLOCK_ROWS) blocks of near-equal length.
+
+    The temporaries of a pass then stay below 2 * BLOCK_ROWS rows for any
+    n_rows, and no block is shorter than BLOCK_ROWS unless it is the only
+    one: BLAS multiplies a short block with another kernel, which sums in
+    another order, so a short tail block would round its rows differently
+    from the same rows in one call.
+    """
+    k = max(1, n_rows // BLOCK_ROWS)
+    bounds = [i * n_rows // k for i in range(k + 1)]
+    return zip(bounds[:-1], bounds[1:])
+
+
 def lift(model: KoopmanModel, x: np.ndarray) -> np.ndarray:
-    """Lifted vector(s) z = [x; phi(x)] for normalized state(s) x."""
+    """Lifted vector(s) z = [x; phi(x)] for normalized state(s) x.
+
+    The features are encoded one `_row_blocks` block at a time into the
+    preallocated (N, n + p) result, so the encoder's layer outputs take
+    memory for a block of rows, not for all N; each row is bitwise what one
+    pass over all rows gives.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    if xb.shape[1] != model.dims.n:
-        raise ValueError(f"state dim {xb.shape[1]} != n={model.dims.n}")
+    n = model.dims.n
+    if xb.shape[1] != n:
+        raise ValueError(f"state dim {xb.shape[1]} != n={n}")
     enc = model.layout.enc
-    feats = _kernels.dense_forward(model.theta, enc.shapes, enc.w_off, enc.b_off,
-                                   enc.acts, np.ascontiguousarray(xb))
-    z = np.hstack((xb, feats))
+    z = np.empty((xb.shape[0], model.dims.lifted))
+    z[:, :n] = xb
+    for s, e in _row_blocks(xb.shape[0]):
+        z[s:e, n:] = _kernels.dense_forward(
+            model.theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
+            np.ascontiguousarray(xb[s:e]))
     return z[0] if single else z
 
 
@@ -450,12 +475,15 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     """Mini-batch Adam over encoder, decoder, A, B; returns the best-holdout model.
 
     The pair set is split (seeded shuffle) into train/holdout; the normalizer
-    is fit on the training split only. The holdout loss is evaluated in
-    chunks of `HOLDOUT_CHUNK` pairs, each weighted by its length, so its
-    temporaries stay bounded for any data length. Aborts on a non-finite loss
-    naming the offending batch. Passing `init_model` resumes from its
-    parameters and normalizer (epoch numbering continues from its recorded
-    final epoch); its dt must be the pairs' sample time.
+    is fit on the training split only. Every pair is normalized once into one
+    prepared table; each epoch gathers its shuffled training rows into one
+    preallocated buffer, whose contiguous slices are the batches. The holdout
+    loss is evaluated in chunks of `BLOCK_ROWS` pairs, gathered one chunk at
+    a time and weighted by their length, so its temporaries stay bounded for
+    any data length. Aborts on a non-finite loss naming the offending batch.
+    Passing `init_model` resumes from its parameters and normalizer (epoch
+    numbering continues from its recorded final epoch); its dt must be the
+    pairs' sample time.
     """
     if abs(pairs.dt - config.dt) > 1e-9:
         raise ValueError(f"dataset spacing {pairs.dt} != configured dt {config.dt}")
@@ -465,8 +493,6 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
         raise ValueError("need at least 4 pairs to train")
     rng = np.random.default_rng(config.seed)
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
-    train_pairs = pairs.subset(train_rows)
-    hold_pairs = pairs.subset(hold_rows)
 
     epoch0 = 0
     if init_model is not None:
@@ -479,7 +505,7 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
         model = init_model
     else:
         normalizer = Normalizer.fit(
-            np.hstack((train_pairs.x_now, train_pairs.u_now)))
+            np.hstack((pairs.x_now[train_rows], pairs.u_now[train_rows])))
         enc_specs = mlp_specs((dims.n, *config.hidden, dims.p))
         dec_specs = mlp_specs((dims.p, *tuple(reversed(config.hidden)), dims.n))
         layout = _build_layout(enc_specs, dec_specs, dims)
@@ -489,13 +515,20 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
             mlp.init_theta(dec_specs, rng))
         model = KoopmanModel(dims, enc_specs, dec_specs, theta, normalizer,
                              config.dt, config.weights, config.squared_norms)
-    arr_train = _prepared_arrays(model, train_pairs)
-    arr_hold = _prepared_arrays(model, hold_pairs)
-    del train_pairs, hold_pairs   # only the prepared arrays are read below
+    table = _prepared_arrays(model, pairs)
+    n_train, n_hold = len(train_rows), len(hold_rows)
+    epoch_arrs = {k: np.empty((n_train, v.shape[1])) for k, v in table.items()}
+
+    def gather(rows):
+        # mode="clip" writes straight into `out`; "raise" would buffer a copy
+        for k, v in table.items():
+            np.take(v, rows, axis=0, out=epoch_arrs[k], mode="clip")
+
     if init_model is None:
         if config.warm_start:
-            _warm_start_ab(theta, layout, dims, arr_train["xi"],
-                           arr_train["ui"], arr_train["xi1"])
+            gather(train_rows)
+            _warm_start_ab(theta, layout, dims, epoch_arrs["xi"],
+                           epoch_arrs["ui"], epoch_arrs["xi1"])
         else:
             d = dims.lifted
             theta[layout.a_off:layout.a_off + d * d] = np.eye(d).ravel()
@@ -503,17 +536,16 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     vel_half = normalizer.half_range[:2]
     vel_mid = normalizer.mid[:2]
     adam = AdamState.create(layout.size, lr=config.learning_rate)
-    n_train, n_hold = len(train_rows), len(hold_rows)
 
     def holdout_total(th):
         sums = np.zeros(4)
-        for start in range(0, n_hold, HOLDOUT_CHUNK):
-            stop = min(start + HOLDOUT_CHUNK, n_hold)
-            arrs = {k: v[start:stop] for k, v in arr_hold.items()}
+        for start in range(0, n_hold, BLOCK_ROWS):
+            rows = hold_rows[start:start + BLOCK_ROWS]
+            arrs = {k: v[rows] for k, v in table.items()}
             terms, _ = _loss_and_grad(th, layout, dims, arrs, config.weights,
                                       config.dt, vel_half, vel_mid,
                                       config.squared_norms, False)
-            sums += np.array(terms) * (stop - start)
+            sums += np.array(terms) * len(rows)
         return LossTerms(*(sums / n_hold)).total(config.weights)
 
     best_theta = theta.copy()
@@ -523,12 +555,11 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
 
     for epoch in range(1, config.epochs + 1):
         # one gather per epoch; batches are contiguous slices of it
-        perm = rng.permutation(n_train)
-        shuffled = {k: v[perm] for k, v in arr_train.items()}
+        gather(train_rows[rng.permutation(n_train)])
         sums = np.zeros(4)
         for bi, start in enumerate(range(0, n_train, config.batch_size)):
             stop = min(start + config.batch_size, n_train)
-            arrs = {k: v[start:stop] for k, v in shuffled.items()}
+            arrs = {k: v[start:stop] for k, v in epoch_arrs.items()}
             terms, grad = _loss_and_grad(theta, layout, dims, arrs,
                                          config.weights, config.dt, vel_half,
                                          vel_mid, config.squared_norms, True)
@@ -585,13 +616,23 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
     """Predicted x_{k+1} from each measured (x_k, u_k); physical units.
 
     Re-encodes the measured state every step; rows align with steps 1..K-1
-    of the source trajectory when given its first K-1 states/inputs.
+    of the source trajectory when given its first K-1 states/inputs. Rows
+    are normalized, lifted, predicted and denormalized one `_row_blocks`
+    block at a time into the preallocated result, so the temporaries take
+    memory for a block of rows, not for all of them.
     """
-    xn = model.normalize_states(np.asarray(states, dtype=np.float64))
-    un = model.normalize_inputs(np.asarray(inputs, dtype=np.float64))
-    z = lift(model, xn)
-    z_next = predict_one_step(model, z, un)
-    return model.denormalize_states(project(z_next, model.dims.n))
+    states = np.asarray(states, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if states.shape[0] != inputs.shape[0]:
+        raise ValueError("states and inputs must share the sample axis")
+    n = model.dims.n
+    out = np.empty((states.shape[0], n))
+    for s, e in _row_blocks(states.shape[0]):
+        z = lift(model, model.normalize_states(states[s:e]))
+        un = model.normalize_inputs(inputs[s:e])
+        out[s:e] = model.denormalize_states(
+            project(predict_one_step(model, z, un), n))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,15 @@ class MagicFormulaParams:
     e_curv: float = 0.97
 
     def __post_init__(self):
-        if not (self.b_stiff > 0 and self.c_shape > 0):
-            raise ValueError("tire stiffness and shape factors must be positive")
+        for name in ("b_stiff", "c_shape"):
+            if not 0 < getattr(self, name) < math.inf:   # NaN fails too
+                raise ValueError(f"tire {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         if not (0 < self.d_peak_scale <= 1.2):
             raise ValueError("d_peak_scale must be in (0, 1.2]")
-        if not (self.e_curv < 1):
-            raise ValueError("e_curv must be < 1")
+        if not -math.inf < self.e_curv < 1:
+            raise ValueError("tire e_curv must be finite and < 1, "
+                             f"got {self.e_curv}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,13 @@ class VehicleParams:
                                  f"got {getattr(self, name)}")
         if not (0 < self.mu <= 1.2):
             raise ValueError("mu must be in (0, 1.2]")
+        for name in ("drag", "roll"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 < self.max_torque < math.inf:
+            raise ValueError("max_torque must be positive and finite, "
+                             f"got {self.max_torque}")
 
     def packed(self) -> tuple[float, ...]:
         """Parameters as the tuple of Python floats the physics kernels unpack:

@@ -168,6 +168,28 @@ def test_simulate_rejects_torque_beyond_max_torque(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("drag", "nan"), ("roll", "-1"),
+                                       ("max_torque", "nan"),
+                                       ("tire.b_stiff", "inf")])
+def test_simulate_rejects_bad_plant_parameter(tmp_path, capsys, key, value):
+    # each was accepted: two failed later blaming the state, two wrote a CSV
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("\n".join([
+        "scenario.duration = 2",
+        "scenario.dt = 0.025",
+        "initial.Vx = 15",
+        "input.kind = constant",
+        "input.torque = 300",
+        f"params.{key} = {value}",
+    ]) + "\n")
+    out = tmp_path / "custom.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{key.replace('.', ' ')} must be" in err
+    assert "validity floor" not in err
+    assert not out.exists()
+
+
 def test_simulate_rejects_steering_beyond_max_steer(tmp_path, capsys):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text("\n".join([

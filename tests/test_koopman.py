@@ -1,15 +1,19 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from koopcar import koopman
+from koopcar import _kernels, koopman
 from koopcar import mlp as mlp_mod
-from koopcar.koopman import (HOLDOUT_CHUNK, KoopmanDims, KoopmanModel,
+from koopcar.koopman import (KoopmanDims, KoopmanModel,
                              LossWeights, PairBatch, TrainConfig,
                              _build_layout, edmd_fit, lift,
                              load_checkpoint, loss_components, loss_gradient,
                              one_step_predictions, predict_one_step, project,
                              save_checkpoint, split_pairs, train)
-from koopcar.mlp import LayerSpec, Normalizer, mlp_specs
+from koopcar.mlp import (AdamState, LayerSpec, Normalizer, adam_step,
+                         mlp_specs)
 from koopcar.vehicle import Trajectory
 
 NORM5 = Normalizer(lo=np.array([5.0, -1.0, -0.5, -500.0, -0.1]),
@@ -133,6 +137,65 @@ def test_predict_matches_triple_loop_oracle():
             acc += b_mat[r, c] * u[c]
         expect[r] = acc
     assert np.allclose(predict_one_step(model, z, u), expect, atol=1e-12)
+
+
+BLOCK_LENGTHS = [koopman.BLOCK_ROWS - 1, koopman.BLOCK_ROWS,
+                 koopman.BLOCK_ROWS + 1, 3 * koopman.BLOCK_ROWS + 7]
+
+
+def uniform_rows(model, n_rows, seed):
+    """States and inputs in physical units, uniform over the normalizer range."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.normalizer.lo, model.normalizer.hi
+    rows = rng.uniform(lo, hi, size=(n_rows, lo.size))
+    n = model.dims.n
+    return rows[:, :n], rows[:, n:]
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("n_rows", BLOCK_LENGTHS)
+def test_blocked_lift_and_predictions_equal_one_pass(quick_model, n_rows):
+    model = quick_model
+    states, inputs = uniform_rows(model, n_rows, seed=n_rows)
+    xn = model.normalize_states(states)
+    enc = model.layout.enc
+    feats = _kernels.dense_forward(model.theta, enc.shapes, enc.w_off,
+                                   enc.b_off, enc.acts, xn)
+    z = np.hstack((xn, feats))
+    assert np.array_equal(lift(model, xn), z)
+    z_next = z @ model.A.T + model.normalize_inputs(inputs) @ model.B.T
+    assert np.array_equal(one_step_predictions(model, states, inputs),
+                          model.denormalize_states(z_next[:, :3]))
+
+
+def test_one_step_predictions_rejects_length_mismatch(quick_model):
+    # one input row used to broadcast silently over every state row
+    states, inputs = uniform_rows(quick_model, 5, seed=6)
+    with pytest.raises(ValueError, match="share the sample axis"):
+        one_step_predictions(quick_model, states, inputs[:1])
+
+
+def test_one_step_predictions_memory_is_bounded_by_the_block(quick_model):
+    # Beyond its (N, 3) result a pass holds one block of fewer than
+    # 2 * BLOCK_ROWS rows. Measured: 0.45 MB over the result at both lengths
+    # (1.9 MB and 7.6 MB when all rows were encoded in one pass). The bound
+    # allows 64 float64 temporaries per row of the largest block.
+    bound = 64 * 8 * 2 * koopman.BLOCK_ROWS
+    for n_rows in (8 * koopman.BLOCK_ROWS, 32 * koopman.BLOCK_ROWS):
+        states, inputs = uniform_rows(quick_model, n_rows, seed=5)
+        out, peak = traced_peak(
+            lambda: one_step_predictions(quick_model, states, inputs))
+        assert peak - out.nbytes < bound, (n_rows, peak, out.nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +553,11 @@ def test_train_matches_pinned_history(short_mixed):
     np.testing.assert_allclose(got, PINNED_HISTORY_SEED42, rtol=1e-12, atol=0.0)
 
 
-# holdouts of 4,500 pairs (two chunks, the last one partial) and 750 (one)
-@pytest.mark.parametrize("n_pairs,fraction,n_chunks", [(9000, 0.5, 2),
-                                                       (2500, 0.3, 1)])
-def test_chunked_holdout_matches_single_batch(monkeypatch, n_pairs, fraction,
-                                              n_chunks):
-    pairs = synthetic_linear_pairs(n=n_pairs, seed=27)
+# holdouts of 2.5 chunks (several, the last one partial) and 0.75 (one)
+@pytest.mark.parametrize("chunks", [2.5, 0.75])
+def test_chunked_holdout_matches_single_batch(monkeypatch, chunks):
+    n_hold = int(chunks * koopman.BLOCK_ROWS)
+    pairs = synthetic_linear_pairs(n=2 * n_hold, seed=27)
     calls = []
     loss_and_grad = koopman._loss_and_grad
 
@@ -505,14 +567,87 @@ def test_chunked_holdout_matches_single_batch(monkeypatch, n_pairs, fraction,
 
     monkeypatch.setattr(koopman, "_loss_and_grad", counting)
     cfg = TrainConfig(seed=27, dt=pairs.dt, epochs=0, hidden=(8,),
-                      feature_dim=2, holdout_fraction=fraction)
+                      feature_dim=2, holdout_fraction=0.5)
     res = train(pairs, KoopmanDims(p=2), cfg)
     monkeypatch.undo()
-    assert len(res.holdout_idx) % HOLDOUT_CHUNK != 0
-    assert calls == [False] * n_chunks
+    assert len(res.holdout_idx) == n_hold
+    assert calls == [False] * math.ceil(chunks)
     whole = loss_components(res.model, pairs.subset(res.holdout_idx))
     np.testing.assert_allclose(res.best_holdout, whole.total(cfg.weights),
                                rtol=1e-12, atol=0.0)
+
+
+def train_by_subsets(pairs, dims, config):
+    """`train` with subset copies of both splits, a fresh `v[perm]` gather per
+    epoch and the holdout in one batch: the oracle for the one prepared
+    table, the gather buffer and the chunked holdout. Returns the best theta
+    and the history rows (four training terms, their total, holdout total)."""
+    rng = np.random.default_rng(config.seed)
+    train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
+    train_pairs, hold_pairs = pairs.subset(train_rows), pairs.subset(hold_rows)
+    normalizer = Normalizer.fit(np.hstack((train_pairs.x_now, train_pairs.u_now)))
+    enc = mlp_specs((dims.n, *config.hidden, dims.p))
+    dec = mlp_specs((dims.p, *reversed(config.hidden), dims.n))
+    layout = _build_layout(enc, dec, dims)
+    theta = np.zeros(layout.size)
+    theta[:layout.enc.size] = mlp_mod.init_theta(enc, rng)
+    theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
+        mlp_mod.init_theta(dec, rng))
+    model = KoopmanModel(dims, enc, dec, theta, normalizer, config.dt,
+                         config.weights, config.squared_norms)
+    arr_train = koopman._prepared_arrays(model, train_pairs)
+    arr_hold = koopman._prepared_arrays(model, hold_pairs)
+    koopman._warm_start_ab(theta, layout, dims, arr_train["xi"],
+                           arr_train["ui"], arr_train["xi1"])
+
+    def terms(th, arrs, want_grad):
+        return koopman._loss_and_grad(
+            th, layout, dims, arrs, config.weights, config.dt,
+            normalizer.half_range[:2], normalizer.mid[:2],
+            config.squared_norms, want_grad)
+
+    adam = AdamState.create(layout.size, lr=config.learning_rate)
+    best_theta = theta.copy()
+    best_hold = terms(theta, arr_hold, False)[0].total(config.weights)
+    n_train, history = len(train_rows), []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n_train)
+        shuffled = {k: v[perm] for k, v in arr_train.items()}
+        sums = np.zeros(4)
+        for start in range(0, n_train, config.batch_size):
+            arrs = {k: v[start:start + config.batch_size]
+                    for k, v in shuffled.items()}
+            batch_terms, grad = terms(theta, arrs, True)
+            theta, adam = adam_step(theta, grad, adam)
+            sums += np.array(batch_terms) * len(arrs["xi"])
+        mean_terms = koopman.LossTerms(*(sums / n_train))
+        hold = terms(theta, arr_hold, False)[0].total(config.weights)
+        history.append([*mean_terms, mean_terms.total(config.weights), hold])
+        if hold < best_hold:
+            best_hold, best_theta = hold, theta.copy()
+    return best_theta, np.array(history)
+
+
+def test_train_equals_subset_copy_data_flow(short_mixed):
+    pairs = PairBatch.from_trajectory(short_mixed)
+    cfg = TrainConfig(seed=31, dt=pairs.dt, epochs=3)
+    res = train(pairs, KoopmanDims(), cfg)
+    theta, expect = train_by_subsets(pairs, KoopmanDims(), cfg)
+    got = np.array([[r.loss_linear, r.loss_recon, r.loss_pred, r.loss_accel,
+                     r.loss_total, r.holdout_total] for r in res.history])
+    assert np.array_equal(res.model.theta, theta)
+    assert np.array_equal(got[:, :5], expect[:, :5])
+    np.testing.assert_allclose(got[:, 5], expect[:, 5], rtol=1e-12, atol=0.0)
+
+
+def test_train_memory_stays_under_measured_bound():
+    # 12,000 pairs, one epoch: measured traced peak 3.77 MB (7.34 MB with
+    # subset copies of both splits, two shuffled copies of the training split
+    # and 3,600 holdout pairs in one chunk)
+    pairs = synthetic_linear_pairs(n=12_000, seed=28)
+    cfg = TrainConfig(seed=28, dt=pairs.dt, epochs=1)
+    _, peak = traced_peak(lambda: train(pairs, KoopmanDims(), cfg))
+    assert peak < 4.5e6, peak
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -139,6 +139,16 @@ def test_tire_param_invariants():
         MagicFormulaParams(d_peak_scale=1.5)
     with pytest.raises(ValueError):
         MagicFormulaParams(e_curv=1.5)
+    # inf or NaN factors would otherwise surface later as a "Vx hit the
+    # validity floor" error that blames the state
+    for name in ("b_stiff", "c_shape"):
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError,
+                               match=f"^tire {name} must be positive and finite"):
+                MagicFormulaParams(**{name: bad})
+    for bad in (float("nan"), -float("inf"), 1.0):
+        with pytest.raises(ValueError, match="^tire e_curv must be finite and < 1"):
+            MagicFormulaParams(e_curv=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +195,17 @@ def test_vehicle_param_invariants():
             with pytest.raises(ValueError,
                                match=f"^{name} must be positive and finite"):
                 VehicleParams(**{name: bad})
+    for name in ("drag", "roll"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be non-negative and finite"):
+                VehicleParams(**{name: bad})
+        assert getattr(VehicleParams(**{name: 0.0}), name) == 0.0
+    # a NaN bound would let every torque pass the schedule's `>` check
+    for bad in (float("nan"), float("inf"), 0.0, -10.0):
+        with pytest.raises(ValueError,
+                           match="^max_torque must be positive and finite"):
+            VehicleParams(max_torque=bad)
 
 
 # ---------------------------------------------------------------------------
