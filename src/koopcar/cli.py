@@ -2,8 +2,10 @@
 
 Config resolution precedence: command-line flags > config file > defaults.
 Config files are flat `key = value` lines ('#' comments allowed; schema in
-README); a key the subcommand does not read is a usage error. Every
-subcommand echoes its fully resolved configuration before doing any work.
+README). Every key is a flag of its subcommand, spelled as the flag's dest,
+and its value is parsed by that flag's own argparse argument; a key the
+subcommand does not read is a usage error. Every subcommand echoes its fully
+resolved configuration before doing any work.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -31,97 +33,102 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _options(parser: _Parser) -> dict[str, str]:
+    """dest -> option string of each setting: every option but --help, --config."""
+    return {a.dest: a.option_strings[0] for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
 def read_config_file(path) -> dict[str, str]:
     cfg: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
+            key, eq, val = line.split("#", 1)[0].partition("=")
+            if eq:
+                cfg[key.strip()] = val.strip()
+            elif key.strip():
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = text.split("=", 1)
-            cfg[key.strip()] = val.strip()
     return cfg
 
 
-def resolve(defaults: dict, file_cfg: dict, flag_cfg: dict) -> dict[str, str]:
-    """flags > file > defaults; values normalized to strings."""
-    out = {k: str(v) for k, v in defaults.items()}
-    out.update({k: str(v) for k, v in file_cfg.items()})
-    out.update({k: str(v) for k, v in flag_cfg.items() if v is not None})
-    return out
+def _config(first: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
+    """Parse the config file's settings, then the command line `argv` (`first`
+    is its plain parse), into one namespace with the subcommand's own parser.
+    Adds `given`, each setting the file or a flag gave named as in messages,
+    and `prefixed`, the file's custom-scenario keys (simulate only)."""
+    parser, path = first.parser, first.config
+    options = _options(parser)
+    settings = read_config_file(path) if path else {}
+    tokens = {}
+    for key, value in settings.items():
+        if key in options:   # the `=` keeps a value such as -170 a value
+            tokens[key] = f"{options[key]}={value}"
+        elif not (first.command == "simulate" and key.startswith(
+                ("scenario.", "initial.", "input.", "params."))):
+            raise UsageError(f"{path}: unknown key {key!r} for {first.command}")
+    args = argparse.Namespace(command=first.command)
+    for key, token in tokens.items():
+        try:
+            parser.parse_args([token], args)
+        except UsageError as exc:
+            raise UsageError(f"{path}: key {key!r}: {exc}") from None
+    parser.parse_args(argv, args)   # the flags last, so that they win
+    flags = vars(parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(options))))
+    args.given = {key: f"{path}: key {key!r}" for key in tokens}
+    args.given.update((d, options[d]) for d in options if flags[d] is not None)
+    args.prefixed = {k: v for k, v in settings.items() if k not in tokens}
+    return args
 
 
-def _config(args, defaults: dict, prefixes: tuple[str, ...] = ()) -> dict[str, str]:
-    """Resolve a subcommand's config from its parsed flags (every argparse
-    dest but `command`, `func` and `config`), its config file and `defaults`,
-    and echo it. A file key that is neither a default, a flag dest nor under
-    one of `prefixes` is a usage error."""
-    flags = {k: v for k, v in vars(args).items()
-             if k not in ("command", "func", "config")}
-    file_cfg = read_config_file(args.config) if args.config else {}
-    for key in file_cfg:
-        if key not in defaults and key not in flags and not key.startswith(prefixes):
-            raise UsageError(f"{args.config}: unknown key {key!r} "
-                             f"for {args.command}")
-    cfg = resolve(defaults, file_cfg, flags)
-    print(f"[{args.command}] resolved config:")
-    for key in sorted(cfg):
-        print(f"  {key} = {cfg[key]}")
-    return cfg
+def _require(args, *keys: str) -> None:
+    for key in keys:
+        if getattr(args, key) in (None, ""):
+            raise UsageError(f"{key!r} is required for {args.command} "
+                             f"(--{key} or {key!r} in the config file)")
 
 
-def _flag_on(value: str) -> bool:
-    return value.strip().lower() in ("1", "true", "yes", "on")
+def _text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _echo(args) -> dict[str, str]:
+    """Print the settings that have a value and the custom-scenario keys;
+    return them as strings, sorted by key."""
+    echo = {d: _text(getattr(args, d)) for d in _options(args.parser)
+            if getattr(args, d) is not None}
+    echo = dict(sorted({**echo, **args.prefixed}.items()))
+    print(f"[{args.command}] resolved config:",
+          *(f"  {key} = {value}" for key, value in echo.items()), sep="\n")
+    return echo
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-_SCENARIO_PREFIXES = ("scenario.", "initial.", "input.", "params.")
-_NAMED_SCENARIO_KEYS = ("scenario", "duration", "dt", "dm", "dIz")
-
-
 def cmd_simulate(args) -> int:
-    cfg = _config(args, {"scenario": "mixed", "dm": 0.0, "dIz": 0.0},
-                  prefixes=_SCENARIO_PREFIXES)
-    if "out" not in cfg:
-        raise UsageError("an output path is required (--out)")
+    _echo(args)
+    _require(args, "out")
 
-    if "input.kind" in cfg or "scenario.duration" in cfg:
-        file_cfg = read_config_file(args.config)
-        given = [f"--{k}" for k in _NAMED_SCENARIO_KEYS if getattr(args, k) is not None]
-        given += [f"{args.config}: key {k!r}" for k in _NAMED_SCENARIO_KEYS if k in file_cfg]
+    if "input.kind" in args.prefixed or "scenario.duration" in args.prefixed:
+        given = [args.given[k] for k in ("scenario", "duration", "dt", "dm", "dIz")
+                 if k in args.given]
         if given:
             raise UsageError(f"{', '.join(given)}: set only a named scenario, "
                              f"but the config describes a custom one "
                              f"(input.kind or scenario.duration)")
-        # the keys scenario_from_config reads are those its inverse writes;
-        # input.* names are the program's own arguments and stay free-form
-        known = sc.scenario_to_config(sc.make_scenario("mixed"))
-        for key in cfg:
-            if key.startswith(("scenario.", "initial.", "params.")) and key not in known:
-                raise UsageError(f"{args.config}: unknown key {key!r} "
-                                 f"for a custom scenario")
-        scenario = sc.scenario_from_config(cfg)
+        try:
+            scenario = sc.scenario_from_config(args.prefixed)
+        except sc.ConfigError as exc:
+            raise UsageError(f"{args.config}: {exc}") from None
     else:
-        for key in cfg:
-            if key.startswith(_SCENARIO_PREFIXES):
-                raise UsageError(f"{args.config}: key {key!r} needs a custom "
-                                 f"scenario (input.kind or scenario.duration)")
-        name = cfg["scenario"]
-        if name not in sc.SCENARIO_NAMES:
-            raise UsageError(f"unknown scenario {name!r}; "
-                             f"known: {', '.join(sc.SCENARIO_NAMES)}")
-        scenario = sc.make_scenario(
-            name,
-            duration=float(cfg["duration"]) if "duration" in cfg else None,
-            dm=float(cfg["dm"]), dIz=float(cfg["dIz"]),
-            dt=float(cfg["dt"]) if "dt" in cfg else 0.025)
+        if args.prefixed:
+            raise UsageError(f"{args.config}: key {next(iter(args.prefixed))!r} needs "
+                             f"a custom scenario (input.kind or scenario.duration)")
+        scenario = sc.make_scenario(args.scenario, duration=args.duration,
+                                    dm=args.dm, dIz=args.dIz, dt=args.dt)
     trajectory = sc.run_scenario(scenario)
-    trajectory.to_csv(cfg["out"])
-    print(f"wrote {len(trajectory)} snapshots to {cfg['out']}")
+    trajectory.to_csv(args.out)
+    print(f"wrote {len(trajectory)} snapshots to {args.out}")
     return 0
 
 
@@ -129,105 +136,92 @@ def cmd_simulate(args) -> int:
 # train
 
 def cmd_train(args) -> int:
-    defaults = {"epochs": 200, "batch_size": 256, "learning_rate": 1e-3,
-                "hidden": "32,32", "feature_dim": 12, "accel_loss": "on",
-                "holdout_fraction": 0.3, "warm_start": "on",
-                "w_linear": 1.0, "w_recon": 1.0, "w_pred": 1.0, "w_accel": 1.0,
-                "squared_norms": "on"}
-    cfg = _config(args, defaults)
-    if cfg.get("seed", "") in ("", "None"):
-        raise UsageError("a seed is required (--seed or 'seed' in the config file)")
-    for key in ("data", "out"):
-        if key not in cfg:
-            raise UsageError(f"'{key}' is required for train")
+    init_model = km.load_checkpoint(args.resume) if args.resume else None
+    if init_model is not None:   # resuming keeps the checkpoint's network
+        saved = {"hidden": tuple(s.out_dim for s in init_model.enc_specs[:-1]),
+                 "feature_dim": init_model.dims.p}
+        for key, value in saved.items():
+            if key in args.given and getattr(args, key) != value:
+                raise ValueError(f"{args.given[key]}: {key} = {_text(getattr(args, key))}"
+                                 f", but {args.resume} has {key} = {_text(value)}")
+            setattr(args, key, value)
+    echo = _echo(args)
+    _require(args, "seed", "data", "out")
 
-    trajectory = Trajectory.from_csv(cfg["data"])
-    pairs = km.PairBatch.from_trajectory(trajectory)
-    w_accel = float(cfg["w_accel"]) if _flag_on(cfg["accel_loss"]) else 0.0
-    weights = km.LossWeights(linear=float(cfg["w_linear"]),
-                             recon=float(cfg["w_recon"]),
-                             pred=float(cfg["w_pred"]), accel=w_accel)
+    pairs = km.PairBatch.from_trajectory(Trajectory.from_csv(args.data))
+    weights = km.LossWeights(linear=args.w_linear, recon=args.w_recon, pred=args.w_pred,
+                             accel=args.w_accel if args.accel_loss == "on" else 0.0)
     config = km.TrainConfig(
-        seed=int(cfg["seed"]), dt=pairs.dt, epochs=int(cfg["epochs"]),
-        batch_size=int(cfg["batch_size"]),
-        learning_rate=float(cfg["learning_rate"]), weights=weights,
-        hidden=tuple(int(h) for h in cfg["hidden"].split(",") if h),
-        feature_dim=int(cfg["feature_dim"]),
-        holdout_fraction=float(cfg["holdout_fraction"]),
-        warm_start=_flag_on(cfg["warm_start"]),
-        squared_norms=_flag_on(cfg["squared_norms"]))
+        seed=args.seed, dt=pairs.dt, epochs=args.epochs, batch_size=args.batch_size,
+        learning_rate=args.learning_rate, weights=weights, hidden=args.hidden,
+        feature_dim=args.feature_dim, holdout_fraction=args.holdout_fraction,
+        warm_start=args.warm_start == "on", squared_norms=args.squared_norms == "on")
     dims = km.KoopmanDims(p=config.feature_dim)
-    init_model = km.load_checkpoint(cfg["resume"]) if cfg.get("resume") else None
     result = km.train(pairs, dims, config, init_model=init_model)
-    result.model.meta["config_echo"] = {k: cfg[k] for k in sorted(cfg)}
-    km.save_checkpoint(result.model, cfg["out"])
-    log_path = cfg.get("log") or (cfg["out"] + ".log.csv")
+    result.model.meta["config_echo"] = echo
+    km.save_checkpoint(result.model, args.out)
+    log_path = args.log or (args.out + ".log.csv")
     km.write_training_log(log_path, result.history)
     print(f"trained {config.epochs} epochs on {len(pairs)} pairs; "
           f"best holdout {result.best_holdout:.6g} at epoch {result.best_epoch}")
-    print(f"wrote checkpoint to {cfg['out']} and log to {log_path}")
+    print(f"wrote checkpoint to {args.out} and log to {log_path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # compare
 
-def _build_methods(cfg: dict[str, str]) -> list[ev.MethodSpec]:
-    names = [n.strip() for n in cfg["methods"].split(",") if n.strip()]
+def _adapter_config(args, mode: str, window: int) -> adapt_mod.AdapterConfig:
+    return adapt_mod.AdapterConfig(
+        mode=mode, window=window, forgetting=args.forgetting,
+        eps_reg=None if args.eps_reg == "auto" else args.eps_reg)
+
+
+def _build_methods(args, window: int) -> list[ev.MethodSpec]:
     models: dict[str, km.KoopmanModel] = {}
 
     def model_for(method: str) -> km.KoopmanModel:
         key = "checkpoint.dk" if method == "DK" else "checkpoint.aldk"
-        if key not in cfg:
+        path = getattr(args, key)
+        if path is None:
             raise UsageError(f"method {method} needs a checkpoint path ({key})")
         if key not in models:
-            path = cfg[key]
             if not Path(path).exists():
                 raise FileNotFoundError(f"method {method}: missing checkpoint {path}")
             models[key] = km.load_checkpoint(path)
         return models[key]
 
-    window = int(cfg["window"])
-    lam = float(cfg["forgetting"])
-    eps = None if cfg.get("eps_reg", "auto") == "auto" else float(cfg["eps_reg"])
     specs = []
-    for name in names:
+    for name in (n.strip() for n in args.methods.split(",") if n.strip()):
         upper = name.upper()
         if upper.startswith("PHYS"):
-            plant = sc.make_scenario("mixed").params
-            specs.append(ev.MethodSpec(name=name,
-                                       assumed_params=ev.baseline_params(plant)))
+            assumed = ev.baseline_params(sc.make_scenario("mixed").params)
+            specs.append(ev.MethodSpec(name=name, assumed_params=assumed))
         elif upper in ("DK", "ALDK"):
             specs.append(ev.MethodSpec(name=name, model=model_for(upper)))
-        elif upper.startswith("ALDK-"):
-            mode = upper.split("-", 1)[1]
-            if mode not in ("RLS", "FFRLS", "SWLS"):
-                raise UsageError(f"unknown method {name!r}")
-            specs.append(ev.MethodSpec(
-                name=name, model=model_for("ALDK"),
-                adapter=adapt_mod.AdapterConfig(
-                    mode=mode, window=window,
-                    forgetting=lam if mode == "FFRLS" else 1.0,
-                    eps_reg=eps)))
+        elif upper in ("ALDK-RLS", "ALDK-FFRLS", "ALDK-SWLS"):
+            adapter = _adapter_config(args, upper.split("-", 1)[1], window)
+            specs.append(ev.MethodSpec(name=name, model=model_for("ALDK"),
+                                       adapter=adapter))
         else:
             raise UsageError(f"unknown method {name!r}; "
                              f"known: {', '.join(ev.METHOD_NAMES)}")
     return specs
 
 
-def _compare_once(cfg, scenario_list, out_prefix, tag="",
+def _compare_once(args, window, scenario_list, tag="",
                   trajectories=None) -> dict[str, ev.ComparisonReport]:
     """One comparison per scenario; `trajectories`, when given, holds each
     scenario's simulated run so it is not simulated again."""
-    methods = _build_methods(cfg)
+    methods = _build_methods(args, window)
     reports = {}
     for scenario, trajectory in zip(
             scenario_list, trajectories or [None] * len(scenario_list)):
         report = ev.run_comparison(methods, scenario, trajectory)
-        stem = f"{out_prefix}_{scenario.name}{tag}"
+        stem = f"{args.out}_{scenario.name}{tag}"
         ev.write_report_files(report, stem + ".table.txt",
                               stem + ".metrics.csv", stem + ".series.csv")
-        if _flag_on(cfg.get("timings", "off")):
+        if args.timings == "on":
             ev.write_timing_sidecar(report, stem + ".timing.csv")
         print(ev.format_report_table(report))
         reports[scenario.name] = report
@@ -235,45 +229,29 @@ def _compare_once(cfg, scenario_list, out_prefix, tag="",
 
 
 def cmd_compare(args) -> int:
-    defaults = {"methods": "PHYS-BASELINE,ALDK,ALDK-RLS,ALDK-FFRLS,ALDK-SWLS",
-                "scenario": "suite", "window": 100, "forgetting": 0.95,
-                "eps_reg": "auto", "timings": "off"}
-    cfg = _config(args, defaults)
-    if "out" not in cfg:
-        raise UsageError("an output prefix is required (--out)")
+    _echo(args)
+    _require(args, "out")
 
-    duration = (float(cfg["scenario_duration"])
-                if "scenario_duration" in cfg else 120.0)
-    if cfg["scenario"] == "suite":
-        scenario_list = ev.scenario_suite(base_duration=duration)
-    else:
-        if cfg["scenario"] not in sc.SCENARIO_NAMES:
-            raise UsageError(f"unknown scenario {cfg['scenario']!r}; "
-                             f"known: suite, {', '.join(sc.SCENARIO_NAMES)}")
-        scenario_list = [sc.make_scenario(cfg["scenario"], duration=duration)]
+    scenario_list = (ev.scenario_suite(base_duration=args.scenario_duration)
+                     if args.scenario == "suite" else
+                     [sc.make_scenario(args.scenario, duration=args.scenario_duration)])
 
-    if cfg.get("sweep_window"):
-        windows = [int(w) for w in cfg["sweep_window"].split(",") if w]
+    if args.sweep_window:
         trajectories = [sc.run_scenario(s) for s in scenario_list]
-        summary_rows = []
-        for m_len in windows:
-            sweep_cfg = dict(cfg)
-            sweep_cfg["window"] = str(m_len)
-            reports = _compare_once(sweep_cfg, scenario_list, cfg["out"],
+        rows = []
+        for m_len in args.sweep_window:
+            reports = _compare_once(args, m_len, scenario_list,
                                     tag=f"_M{m_len}", trajectories=trajectories)
             for scen_name, report in reports.items():
                 for res in report.results:
                     if res.name.upper() == "ALDK-SWLS":
-                        for ci, ch in enumerate(ev.CHANNEL_NAMES):
-                            summary_rows.append(
-                                (m_len, scen_name, ch, res.metrics.rmse[ci]))
-        with open(f"{cfg['out']}_sweep.csv", "w", encoding="utf-8") as fh:
-            fh.write("M,scenario,channel,rmse\n")
-            for m_len, scen, ch, rmse in summary_rows:
-                fh.write("%d,%s,%s,%.17g\n" % (m_len, scen, ch, rmse))
-        print(f"wrote window sweep summary to {cfg['out']}_sweep.csv")
+                        rows += ["%d,%s,%s,%.17g\n" % (m_len, scen_name, ch, rmse)
+                                 for ch, rmse in zip(ev.CHANNEL_NAMES, res.metrics.rmse)]
+        with open(f"{args.out}_sweep.csv", "w", encoding="utf-8") as fh:
+            fh.writelines(["M,scenario,channel,rmse\n", *rows])
+        print(f"wrote window sweep summary to {args.out}_sweep.csv")
     else:
-        _compare_once(cfg, scenario_list, cfg["out"])
+        _compare_once(args, args.window, scenario_list)
     return 0
 
 
@@ -281,29 +259,22 @@ def cmd_compare(args) -> int:
 # adapt
 
 def cmd_adapt(args) -> int:
-    cfg = _config(args, {"mode": "SWLS", "window": 100, "forgetting": 0.95,
-                         "eps_reg": "auto"})
-    for key in ("checkpoint", "data"):
-        if key not in cfg:
-            raise UsageError(f"'{key}' is required for adapt")
-    model = km.load_checkpoint(cfg["checkpoint"])
-    trajectory = Trajectory.from_csv(cfg["data"])
-    eps = None if cfg["eps_reg"] == "auto" else float(cfg["eps_reg"])
-    config = adapt_mod.AdapterConfig(
-        mode=cfg["mode"], window=int(cfg["window"]),
-        forgetting=float(cfg["forgetting"]), eps_reg=eps)
-    result = adapt_mod.adapt_run(model, trajectory, config,
-                                 diagnostics=bool(cfg.get("history")))
+    _echo(args)
+    _require(args, "checkpoint", "data")
+    model = km.load_checkpoint(args.checkpoint)
+    config = _adapter_config(args, args.mode, args.window)
+    result = adapt_mod.adapt_run(model, Trajectory.from_csv(args.data), config,
+                                 diagnostics=bool(args.history))
     m = ev.metrics(result.predictions, result.truth)
     for ci, (name, unit) in enumerate(zip(ev.CHANNEL_NAMES, ev.CHANNEL_UNITS)):
         print(f"  {name}: max {m.max_abs[ci]:.4f} {unit}, "
               f"rmse {m.rmse[ci]:.4f} {unit}")
-    if cfg.get("out"):
-        adapt_mod.write_predictions(cfg["out"], result)
-        print(f"wrote predictions to {cfg['out']}")
-    if cfg.get("history"):
-        adapt_mod.write_estimate_history(cfg["history"], result)
-        print(f"wrote estimate history to {cfg['history']}")
+    if args.out:
+        adapt_mod.write_predictions(args.out, result)
+        print(f"wrote predictions to {args.out}")
+    if args.history:
+        adapt_mod.write_estimate_history(args.history, result)
+        print(f"wrote estimate history to {args.history}")
     return 0
 
 
@@ -335,55 +306,80 @@ def cmd_inspect(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in text.split(",") if w)
+
+
+def auto_or_float(text: str):
+    return text if text == "auto" else float(text)
+
+
+def _on_off(on: bool) -> dict:
+    return dict(choices=("on", "off"), default="on" if on else "off")
+
+
+def _add_adapter_args(p: _Parser) -> None:
+    p.add_argument("--window", type=int, default=adapt_mod.AdapterConfig.window)
+    p.add_argument("--forgetting", type=float, default=0.95, help="FFRLS lambda")
+    p.add_argument("--eps-reg", type=auto_or_float, default="auto",
+                   help="SWLS ridge: 'auto' or a number (0: min-norm lstsq)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="koopcar",
                      description="Deep Koopman vehicle-dynamics toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a trajectory CSV")
-    p_sim.add_argument("--scenario", help=f"one of {', '.join(sc.SCENARIO_NAMES)}")
-    p_sim.add_argument("--duration", type=float)
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--dm", type=float, help="mass delta [kg]")
-    p_sim.add_argument("--dIz", type=float, help="yaw-inertia delta [kg m^2]")
+    p_sim.add_argument("--scenario", choices=sc.SCENARIO_NAMES, default="mixed")
+    p_sim.add_argument("--duration", type=float, help="the scenario's own by default")
+    p_sim.add_argument("--dt", type=float, default=sc.DEFAULT_DT)
+    p_sim.add_argument("--dm", type=float, default=0.0, help="mass delta [kg]")
+    p_sim.add_argument("--dIz", type=float, default=0.0, help="yaw-inertia delta [kg m^2]")
     p_sim.set_defaults(func=cmd_simulate)
 
+    tc = km.TrainConfig
     p_train = sub.add_parser("train", help="train a lifted-space model")
     p_train.add_argument("--data", help="trajectory CSV")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_train.add_argument("--hidden", help="comma-separated hidden widths")
-    p_train.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p_train.add_argument("--accel-loss", dest="accel_loss",
-                         choices=("on", "off"),
+    p_train.add_argument("--epochs", type=int, default=tc.epochs)
+    p_train.add_argument("--batch-size", type=int, default=tc.batch_size)
+    p_train.add_argument("--learning-rate", type=float, default=tc.learning_rate)
+    p_train.add_argument("--hidden", type=int_list, default=tc.hidden,
+                         help="comma-separated hidden widths")
+    p_train.add_argument("--feature-dim", type=int, default=tc.feature_dim)
+    p_train.add_argument("--accel-loss", **_on_off(True),
                          help="include the acceleration loss term")
     p_train.add_argument("--log", help="training log CSV path")
     p_train.add_argument("--resume", help="checkpoint to continue from")
+    p_train.add_argument("--holdout-fraction", type=float, default=tc.holdout_fraction)
+    p_train.add_argument("--warm-start", **_on_off(tc.warm_start))
+    p_train.add_argument("--squared-norms", **_on_off(tc.squared_norms))
+    for term in ("linear", "recon", "pred", "accel"):
+        p_train.add_argument(f"--w-{term}", type=float,
+                             default=getattr(km.LossWeights, term))
     p_train.set_defaults(func=cmd_train)
 
     p_cmp = sub.add_parser("compare", help="run the method comparison")
-    p_cmp.add_argument("--methods", help="comma list, e.g. ALDK,ALDK-SWLS")
-    p_cmp.add_argument("--scenario", help="'suite' or a scenario name")
-    p_cmp.add_argument("--scenario-duration", dest="scenario_duration", type=float)
-    p_cmp.add_argument("--checkpoint-dk", dest="checkpoint.dk",
-                       metavar="CHECKPOINT_DK")
-    p_cmp.add_argument("--checkpoint-aldk", dest="checkpoint.aldk",
-                       metavar="CHECKPOINT_ALDK")
-    p_cmp.add_argument("--window", type=int)
-    p_cmp.add_argument("--forgetting", type=float)
-    p_cmp.add_argument("--sweep-window", dest="sweep_window",
+    p_cmp.add_argument("--methods", default="PHYS-BASELINE,ALDK,ALDK-RLS,ALDK-FFRLS,"
+                       "ALDK-SWLS", help="comma list, e.g. ALDK,ALDK-SWLS")
+    p_cmp.add_argument("--scenario", choices=("suite", *sc.SCENARIO_NAMES),
+                       default="suite")
+    p_cmp.add_argument("--scenario-duration", type=float, default=ev.SUITE_DURATION)
+    p_cmp.add_argument("--checkpoint-dk", dest="checkpoint.dk")
+    p_cmp.add_argument("--checkpoint-aldk", dest="checkpoint.aldk")
+    _add_adapter_args(p_cmp)
+    p_cmp.add_argument("--sweep-window", type=int_list,
                        help="comma list of window lengths")
-    p_cmp.add_argument("--timings", choices=("on", "off"),
+    p_cmp.add_argument("--timings", **_on_off(False),
                        help="write wall-clock sidecar files")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_adapt = sub.add_parser("adapt", help="stream one adaptation run")
     p_adapt.add_argument("--checkpoint")
     p_adapt.add_argument("--data")
-    p_adapt.add_argument("--mode", choices=adapt_mod.MODES)
-    p_adapt.add_argument("--window", type=int)
-    p_adapt.add_argument("--forgetting", type=float)
+    p_adapt.add_argument("--mode", choices=adapt_mod.MODES,
+                         default=adapt_mod.AdapterConfig.mode)
+    _add_adapter_args(p_adapt)
     p_adapt.add_argument("--history", help="estimate-history dump path")
     p_adapt.set_defaults(func=cmd_adapt)
 
@@ -395,20 +391,22 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output path (prefix for compare)")
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if "config" in args:   # every subcommand but inspect
+            args = _config(args, argv[1:])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # argparse --help
-        code = exc.code if isinstance(exc.code, int) else 0
-        return code
+        return exc.code if isinstance(exc.code, int) else 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

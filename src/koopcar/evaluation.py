@@ -29,6 +29,7 @@ CHANNEL_UNITS = ("km/h", "km/h", "deg/s")
 _UNIT_SCALE = np.array([MS_TO_KMH, MS_TO_KMH, RAD_TO_DEG])
 
 REPORT_TABLE_HEADER = "method,channel,max,rmse"
+SUITE_DURATION = 120.0   # s, each nominal and perturbed `mixed` run of the suite
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def run_comparison(methods: list[MethodSpec], scenario: Scenario,
     return report
 
 
-def scenario_suite(base_duration: float = 120.0) -> list[Scenario]:
+def scenario_suite(base_duration: float = SUITE_DURATION) -> list[Scenario]:
     """Canonical evaluation scenarios: nominal, mass/inertia perturbed,
     low-friction slalom, and an aggressive-cornering stand-in for extreme
     road geometry (the plant is planar, so geometry is emulated by inputs).

@@ -8,7 +8,7 @@ file (see `scenario_to_config` / `scenario_from_config`; schema in README).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -23,12 +23,21 @@ def _chirp(t: np.ndarray, amp: float, f0: float, f1: float, span: float) -> np.n
 
 @dataclass(frozen=True)
 class InputProgram:
-    """Named input schedule; `args` parameterize the generator `kind`."""
+    """Named input schedule: the generator `kind` gives (torques, steers) on a
+    time grid, and `args` hold every one of its keyword arguments (build one
+    with `make`; the defaults are in the generator's signature)."""
     kind: str
     args: tuple[tuple[str, float], ...] = ()
 
     @classmethod
     def make(cls, kind: str, **args: float) -> "InputProgram":
+        """Program `kind` with `args` over the defaults in its generator's
+        signature; ValueError for an unknown kind. The generator rejects an
+        argument it does not take when it is sampled."""
+        if kind not in _PROGRAMS:
+            raise ValueError(f"unknown input program {kind!r}; "
+                             f"known: {', '.join(_PROGRAMS)}")
+        args = {**_PROGRAMS[kind].__kwdefaults__, **args}
         return cls(kind=kind, args=tuple(sorted((k, float(v)) for k, v in args.items())))
 
     def arg_dict(self) -> dict[str, float]:
@@ -36,27 +45,19 @@ class InputProgram:
 
     def sample(self, t: np.ndarray, params: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate (torques, steers) on the time grid."""
-        gen = _PROGRAMS.get(self.kind)
-        if gen is None:
-            raise ValueError(f"unknown input program {self.kind!r}; "
-                             f"known: {sorted(_PROGRAMS)}")
-        torque, steer = gen(t, self.arg_dict(), params)
-        return torque, steer
+        return _PROGRAMS[self.kind](t, params, **self.arg_dict())
 
 
-def _prog_constant(t, a, params):
-    torque = np.full_like(t, a.get("torque", 0.0))
-    steer = np.full_like(t, a.get("steer", 0.0))
-    return torque, steer
+def _prog_constant(t, params, *, torque=0.0, steer=0.0):
+    return np.full_like(t, torque), np.full_like(t, steer)
 
 
-def _prog_equilibrium(t, a, params):
+def _prog_equilibrium(t, params, *, speed=15.0):
     """Torque holding the given speed exactly, zero steering."""
-    vx = a.get("speed", 15.0)
-    return np.full_like(t, equilibrium_torque(vx, params)), np.zeros_like(t)
+    return np.full_like(t, equilibrium_torque(speed, params)), np.zeros_like(t)
 
 
-def _prog_mixed(t, a, params):
+def _prog_mixed(t, params, *, v_mid=14.0, v_span=2.5, ay_max=12.0, torque_chirp=120.0):
     """Rich excitation: a meandering speed target tracked by feedforward torque
     with a chirp on top, and slow multi-tone + chirp steering whose amplitude
     is scheduled so the quasi-steady lateral-acceleration request reaches
@@ -69,10 +70,6 @@ def _prog_mixed(t, a, params):
     the input channels.
     """
     span = float(t[-1]) if t[-1] > 0 else 1.0
-    v_mid = a.get("v_mid", 14.0)
-    v_span = a.get("v_span", 2.5)
-    ay_max = a.get("ay_max", 12.0)
-    torque_chirp = a.get("torque_chirp", 120.0)
     w1, w2 = 2.0 * math.pi / 97.0, 2.0 * math.pi / 31.0
     v_target = v_mid + v_span * (0.6 * np.sin(w1 * t) + 0.4 * np.sin(w2 * t + 1.3))
     dv_target = v_span * (0.6 * w1 * np.cos(w1 * t) + 0.4 * w2 * np.cos(w2 * t + 1.3))
@@ -87,36 +84,29 @@ def _prog_mixed(t, a, params):
     return torque, steer_cap * wave
 
 
-def _prog_slalom(t, a, params):
+def _prog_slalom(t, params, *, period=100.0, steer_amp=0.015, speed0=5.556, speed1=25.0):
     """Sinusoidal steering with a fixed period plus a torque ramp to build speed."""
-    period = a.get("period", 100.0)
-    s_amp = a.get("steer_amp", 0.015)
-    v0 = a.get("speed0", 5.556)
-    v1 = a.get("speed1", 25.0)
-    steer = s_amp * np.sin(2.0 * math.pi * t / period)
+    steer = steer_amp * np.sin(2.0 * math.pi * t / period)
     span = float(t[-1]) if t[-1] > 0 else 1.0
-    v_target = v0 + (v1 - v0) * np.minimum(t / span, 1.0)
-    accel_force = params.m * (v1 - v0) / span
+    v_target = speed0 + (speed1 - speed0) * np.minimum(t / span, 1.0)
+    accel_force = params.m * (speed1 - speed0) / span
     torque = equilibrium_torque(v_target, params) + params.rw * accel_force
     return torque, steer
 
 
-def _prog_step_steer(t, a, params):
+def _prog_step_steer(t, params, *, speed=15.0, step_time=5.0, steer=0.03):
     """Hold speed, step the steering at step_time."""
-    vx = a.get("speed", 15.0)
-    steer = np.where(t >= a.get("step_time", 5.0), a.get("steer", 0.03), 0.0)
-    return np.full_like(t, equilibrium_torque(vx, params)), steer
+    steers = np.where(t >= step_time, steer, 0.0)
+    return np.full_like(t, equilibrium_torque(speed, params)), steers
 
 
-def _prog_constant_radius(t, a, params):
+def _prog_constant_radius(t, params, *, speed0=8.0, speed1=22.0, steer=0.025):
     """Fixed steering, slowly increasing speed (quasi-steady cornering sweep)."""
-    v0 = a.get("speed0", 8.0)
-    v1 = a.get("speed1", 22.0)
     span = float(t[-1]) if t[-1] > 0 else 1.0
-    v_target = v0 + (v1 - v0) * np.minimum(t / span, 1.0)
-    accel_force = params.m * (v1 - v0) / span
+    v_target = speed0 + (speed1 - speed0) * np.minimum(t / span, 1.0)
+    accel_force = params.m * (speed1 - speed0) / span
     torque = equilibrium_torque(v_target, params) + params.rw * accel_force
-    return torque, np.full_like(t, a.get("steer", 0.025))
+    return torque, np.full_like(t, steer)
 
 
 _PROGRAMS = {
@@ -165,26 +155,24 @@ def run_scenario(scenario: Scenario) -> Trajectory:
 # ---------------------------------------------------------------------------
 # built-in library
 
-# name -> (default duration [s], initial Vx [m/s], mu, program kind, program args)
+# name -> (default duration [s], initial Vx [m/s], mu, program kind,
+#          the program arguments it sets other than their defaults)
 _LIBRARY = {
-    "mixed": (1400.0, 14.0, 0.85, "mixed",
-              dict(v_mid=14.0, v_span=2.5, ay_max=12.0)),
-    "slalom": (200.0, 5.556, 0.6, "slalom",
-               dict(period=100.0, steer_amp=0.015, speed0=5.556, speed1=25.0)),
-    "step_steer": (30.0, 15.0, 0.85, "step_steer",
-                   dict(speed=15.0, step_time=5.0, steer=0.03)),
-    "constant_radius": (60.0, 8.0, 0.85, "constant_radius",
-                        dict(steer=0.025, speed0=8.0, speed1=22.0)),
+    "mixed": (1400.0, 14.0, 0.85, "mixed", {}),
+    "slalom": (200.0, 5.556, 0.6, "slalom", {}),
+    "step_steer": (30.0, 15.0, 0.85, "step_steer", {}),
+    "constant_radius": (60.0, 8.0, 0.85, "constant_radius", {}),
     "aggressive": (90.0, 10.0, 0.85, "mixed",
                    dict(v_mid=10.0, v_span=3.0, ay_max=16.0, torque_chirp=250.0)),
 }
 
 SCENARIO_NAMES = tuple(_LIBRARY)
+DEFAULT_DT = 0.025   # s, the sample interval of a named scenario
 
 
 def make_scenario(name: str, duration: float | None = None,
                   dm: float = 0.0, dIz: float = 0.0,
-                  dt: float = 0.025) -> Scenario:
+                  dt: float = DEFAULT_DT) -> Scenario:
     """Instantiate a library scenario, optionally perturbing mass/inertia."""
     try:
         default_duration, vx0, mu, kind, args = _LIBRARY[name]
@@ -206,8 +194,8 @@ def make_scenario(name: str, duration: float | None = None,
 # flat key=value config round-trip
 
 def _params_to_config(obj, prefix: str, cfg: dict[str, str]) -> None:
-    """`prefix<field>` keys for every parameter field; nested parameter
-    sets (the tire) add their own `<field>.` level."""
+    """`prefix<field>` keys for every field of a state or parameter set;
+    nested parameter sets (the tire) add their own `<field>.` level."""
     for f in fields(obj):
         val = getattr(obj, f.name)
         if is_dataclass(val):
@@ -216,49 +204,59 @@ def _params_to_config(obj, prefix: str, cfg: dict[str, str]) -> None:
             cfg[prefix + f.name] = "%.17g" % val
 
 
-def _params_from_config(cls, prefix: str, cfg: dict[str, str]):
+def _params_from_config(cls, prefix: str, values: dict[str, float]):
     """Inverse of `_params_to_config`; a missing key keeps the field default."""
     kwargs = {}
     for f in fields(cls):
         key = prefix + f.name
         if is_dataclass(f.default_factory):
-            kwargs[f.name] = _params_from_config(f.default_factory, key + ".", cfg)
-        elif key in cfg:
-            kwargs[f.name] = float(cfg[key])
+            kwargs[f.name] = _params_from_config(f.default_factory, key + ".", values)
+        elif key in values:
+            kwargs[f.name] = values[key]
     return cls(**kwargs)
 
 
 def scenario_to_config(s: Scenario) -> dict[str, str]:
-    cfg = {
-        "scenario.name": s.name,
-        "scenario.duration": "%.17g" % s.duration,
-        "scenario.dt": "%.17g" % s.dt,
-        "initial.Vx": "%.17g" % s.initial_state.Vx,
-        "initial.Vy": "%.17g" % s.initial_state.Vy,
-        "initial.wr": "%.17g" % s.initial_state.wr,
-        "input.kind": s.input_program.kind,
-    }
-    for key, val in s.input_program.args:
-        cfg[f"input.{key}"] = "%.17g" % val
+    cfg = {"scenario.name": s.name, "scenario.duration": "%.17g" % s.duration,
+           "scenario.dt": "%.17g" % s.dt}
+    _params_to_config(s.initial_state, "initial.", cfg)
+    cfg["input.kind"] = s.input_program.kind
+    cfg.update((f"input.{key}", "%.17g" % val) for key, val in s.input_program.args)
     _params_to_config(s.params, "params.", cfg)
     return cfg
 
 
-def scenario_from_config(cfg: dict[str, str]) -> Scenario:
-    def f(key, default=None):
-        if key in cfg:
-            return float(cfg[key])
-        if default is None:
-            raise ValueError(f"scenario config missing required key {key!r}")
-        return default
+class ConfigError(ValueError):
+    """A scenario config key that is missing or not read, or not a number."""
 
-    args = {k.split(".", 1)[1]: float(v) for k, v in cfg.items()
-            if k.startswith("input.") and k != "input.kind"}
+
+def scenario_from_config(cfg: dict[str, str]) -> Scenario:
+    """Inverse of `scenario_to_config`. Raises ConfigError, naming the key,
+    for a key it does not read, a value that is not a number or a missing
+    required key; ValueError for a scenario that cannot be simulated."""
+    try:
+        program = InputProgram.make(cfg.get("input.kind", "constant"))
+    except ValueError as exc:
+        raise ConfigError(f"key 'input.kind': {exc}") from None
+    # the keys read are those the inverse writes for this input program
+    known = scenario_to_config(replace(make_scenario("mixed"), input_program=program))
+    values = {}
+    for key, text in cfg.items():
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} for a custom scenario "
+                              f"of input program {program.kind!r}")
+        if key not in ("scenario.name", "input.kind"):
+            try:
+                values[key] = float(text)
+            except ValueError:
+                raise ConfigError(f"key {key!r}: {text!r} is not a number") from None
+    for key in ("scenario.duration", "scenario.dt", "initial.Vx"):
+        if key not in values:
+            raise ConfigError(f"missing required key {key!r}")
+    args = {k[len("input."):]: v for k, v in values.items() if k.startswith("input.")}
     return Scenario(
         name=cfg.get("scenario.name", "custom"),
-        duration=f("scenario.duration"),
-        dt=f("scenario.dt"),
-        initial_state=VehicleState(Vx=f("initial.Vx"), Vy=f("initial.Vy", 0.0),
-                                   wr=f("initial.wr", 0.0)),
-        input_program=InputProgram.make(cfg.get("input.kind", "constant"), **args),
-        params=_params_from_config(VehicleParams, "params.", cfg))
+        duration=values["scenario.duration"], dt=values["scenario.dt"],
+        initial_state=_params_from_config(VehicleState, "initial.", values),
+        input_program=InputProgram.make(program.kind, **args),
+        params=_params_from_config(VehicleParams, "params.", values))

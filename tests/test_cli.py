@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from koopcar import evaluation, scenarios
-from koopcar.cli import main, read_config_file, resolve
+from koopcar.cli import build_parser, main, read_config_file
 from koopcar.koopman import load_checkpoint
 from koopcar.vehicle import TRAJECTORY_HEADER, Trajectory
 
@@ -102,6 +103,24 @@ def test_simulate_custom_scenario_rejects_unread_keys(tmp_path, capsys, key):
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert f"'{key.split(' = ')[0]}'" in err and str(cfg) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("input.torqeu = 300", "unknown key 'input.torqeu'"),
+    ("input.torque = 3OO", "key 'input.torque': '3OO' is not a number"),
+    ("input.kind = coast", "key 'input.kind': unknown input program 'coast'")],
+    ids=["unread-argument", "not-a-number", "unknown-program"])
+def test_simulate_checks_input_program_keys(tmp_path, capsys, line, message):
+    # the misspelt argument was dropped, giving a coasting run; the bad
+    # number and the unknown program failed as runtime errors naming no key
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text("scenario.duration = 2\nscenario.dt = 0.025\ninitial.Vx = 15\n"
+                   f"input.kind = constant\n{line}\n")
+    out = tmp_path / "custom.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and message in err, err
     assert not out.exists()
 
 
@@ -266,6 +285,39 @@ def test_train_resume_rejects_other_sample_time(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0.05" in err and "0.025" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given", [("--hidden", "64,64"), ("--feature-dim", "20"),
+                                   ("hidden = 64,64",), ("feature_dim = 20",)],
+                         ids=["hidden-flag", "feature_dim-flag", "hidden-file",
+                              "feature_dim-file"])
+def test_train_resume_rejects_other_architecture(workdir, tmp_path, capsys, given):
+    # the resumed run trained the checkpoint's 8/2 network and recorded the
+    # given one in its echo
+    cfg = tmp_path / "arch.cfg"
+    cfg.write_text(given[0] + "\n" if len(given) == 1 else "")
+    flags = given if len(given) == 2 else ()
+    out = tmp_path / "resumed.json"
+    assert run_cli("train", "--data", str(workdir["traj"]), "--seed", "6",
+                   "--epochs", "1", "--resume", str(workdir["ckpt"]),
+                   "--config", str(cfg), *flags, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    key = "hidden" if "hidden" in given[0] else "feature_dim"
+    value, saved = ("64,64", "8") if key == "hidden" else ("20", "2")
+    assert f"{key} = {value}" in err and f"{key} = {saved}" in err
+    assert str(cfg) in err if not flags else flags[0] in err
+    assert not out.exists()
+
+
+def test_train_resume_records_checkpoint_architecture(workdir, tmp_path):
+    common = ["train", "--data", str(workdir["traj"]), "--seed", "6",
+              "--epochs", "1", "--resume", str(workdir["ckpt"])]
+    for name, flags in (("plain", ()), ("same", ("--hidden", "8", "--feature-dim", "2"))):
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*common, *flags, "--out", str(out)) == 0
+        echo = json.loads(out.read_text())["meta"]["config_echo"]
+        assert (echo["hidden"], echo["feature_dim"]) == ("8", "2")
+        assert load_checkpoint(out).dims.p == 2
 
 
 def test_train_reports_malformed_dataset_row(tmp_path, capsys):
@@ -490,10 +542,19 @@ def test_config_file_parsing(tmp_path):
     assert parsed == {"epochs": "7", "hidden": "16,16"}
 
 
-def test_resolution_precedence():
-    resolved = resolve({"a": "1", "b": "1"}, {"b": "2", "c": "2"},
-                       {"c": "3", "d": None})
-    assert resolved == {"a": "1", "b": "2", "c": "3"}
+def test_resolution_precedence(workdir, tmp_path):
+    # flag > config file > default, read back from the checkpoint's echo
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(f"data = {workdir['traj']}\nseed = 5\nepochs = 1\n"
+                   "hidden = 8\nfeature_dim = 2\nbatch_size = 64\n")
+    out = tmp_path / "precedence.json"
+    assert run_cli("train", "--config", str(cfg), "--epochs", "2",
+                   "--out", str(out)) == 0
+    echo = json.loads(out.read_text())["meta"]["config_echo"]
+    assert echo["epochs"] == "2"              # the flag over the file
+    assert echo["batch_size"] == "64"         # the file over the default
+    assert echo["learning_rate"] == "0.001"   # the default
+    assert "log" not in echo and "resume" not in echo   # unset, no default
 
 
 def test_unknown_config_key_is_usage_error(workdir, tmp_path, capsys):
@@ -505,7 +566,7 @@ def test_unknown_config_key_is_usage_error(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'learning_rat'" in err and str(cfg) in err
     assert not out.exists()
-    # keys of another subcommand are unknown too; flag dests and defaults are known
+    # keys of another subcommand are unknown too; flag dests are known
     cfg.write_text("window = 50\n")
     assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 1
     cfg.write_text(f"checkpoint.aldk = {workdir['ckpt']}\neps_reg = 1e-6\n"
@@ -531,3 +592,75 @@ def test_echoes_resolved_config(workdir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[simulate] resolved config:" in out
     assert "scenario = slalom" in out
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-").replace(".", "-")
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "epochs", "abc"), ("train", "learning_rate", "fast"),
+    ("train", "accel_loss", "ture"),
+    ("compare", "window", "1.5"), ("compare", "forgetting", "abc"),
+    ("compare", "timings", "yes"),
+    ("adapt", "window", "1.5"), ("adapt", "forgetting", "x"),
+    ("adapt", "mode", "swls")])
+def test_config_value_is_checked_like_its_flag(workdir, tmp_path, capsys,
+                                               command, key, value):
+    # as file values these exited 2 naming no key, or (accel_loss = ture,
+    # timings = yes) were read as off/on and the run went ahead
+    out = tmp_path / "out"
+    settings = {
+        "train": {"data": workdir["traj"], "seed": 5, "epochs": 1, "hidden": 8,
+                  "feature_dim": 2},
+        "compare": {"methods": "PHYS-BASELINE,ALDK-SWLS",
+                    "checkpoint.aldk": workdir["ckpt"], "scenario": "step_steer",
+                    "scenario_duration": 2},
+        "adapt": {"checkpoint": workdir["ckpt"], "data": workdir["traj"]},
+    }[command]
+    settings.pop(key, None)
+    flags = [arg for k, v in settings.items() for arg in (_flag(k), str(v))]
+    flags += ["--out", str(out)]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert run_cli(command, "--config", str(cfg), *flags) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and f"'{key}'" in err, err
+    assert not list(tmp_path.glob("out*"))
+    assert run_cli(command, *flags, _flag(key), value) == 1
+    assert _flag(key) in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_config_keys_are_the_flag_dests(tmp_path, capsys):
+    # drift guard: a config file sets exactly what the flags set (the custom
+    # scenario keys of simulate aside); the last eight keys were file-only
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    dests = {command: {a.dest for a in parser._actions if a.option_strings}
+             - {"help", "config"} for command, parser in action.choices.items()}
+    candidates = set().union(*dests.values()) | {
+        "holdout_fraction", "warm_start", "w_linear", "w_recon", "w_pred",
+        "w_accel", "squared_norms", "eps_reg"}
+    cfg = tmp_path / "probe.cfg"
+    for command in ("simulate", "train", "compare", "adapt"):
+        accepted = set()
+        for key in sorted(candidates):
+            cfg.write_text(f"{key} = 1\nnot_a_key = 1\n")
+            assert run_cli(command, "--config", str(cfg)) == 1
+            err = capsys.readouterr().err
+            assert "unknown key" in err, err
+            if "'not_a_key'" in err:
+                accepted.add(key)
+        assert accepted == dests[command], command
+
+
+def test_config_negative_value_is_a_value(tmp_path):
+    # a file value is handed to argparse as --dm=-170, never as an option
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text("scenario = step_steer\nduration = 2\ndm = -170\n")
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(by_file)) == 0
+    assert run_cli("simulate", "--scenario", "step_steer", "--duration", "2",
+                   "--dm", "-170", "--out", str(by_flag)) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
