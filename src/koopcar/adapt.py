@@ -20,6 +20,11 @@ Identification), but no covariance is propagated, so nothing winds up in
 directions the data do not excite. C stays in residual form: forming
 T G^T - H0 S instead cancels badly.
 
+Both paths below take each mode's lambda from `_lam`, its ridge after k
+pairs from `_ridge` and the SWLS eps (`eps_reg`, or 1e-8 |g0|^2 / dim of the
+first regressor g0) from `_eps`. `AdapterConfig.forgetting` holds the FFRLS
+default lambda = 0.95, which the CLI reads as its default.
+
 Two paths compute these estimates:
 
 * Streaming, `init` + `update`: the online API, one measurement at a time.
@@ -29,7 +34,7 @@ Two paths compute these estimates:
   cancellation drift of the downdates (Golub & Van Loan, Matrix
   Computations). RLS and FFRLS scale S and C by lambda and add the new pair.
   `adapt_run` steps `update` for SWLS with eps = 0, whose min-norm lstsq per
-  window has no batched form.
+  window has no batched form; it builds an `AdapterState` for nothing else.
 * Batched, inside `adapt_run`, for SWLS with eps > 0, RLS and FFRLS over a
   known trajectory. It works in chunks of BATCH_CHUNK steps: the growing
   windows and every RLS/FFRLS step take S and C from a lambda-scaled running
@@ -77,8 +82,8 @@ _RIDGE_SOURCE = {"SWLS": "eps_reg", "RLS": "1/FFRLS_P0_SCALE",
 class AdapterConfig:
     mode: str = "SWLS"
     window: int = 100            # M, steps
-    forgetting: float = 1.0      # lambda in (0, 1]
-    eps_reg: float | None = None  # None -> 1e-8 * trace(seed Gram)/dim; 0 -> min-norm lstsq
+    forgetting: float = 0.95     # lambda in (0, 1], FFRLS only
+    eps_reg: float | None = None  # None -> auto (`_eps`); 0 -> min-norm lstsq
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -111,19 +116,13 @@ class AdapterState:
         self.h_est = h0.copy()
         self.h_init = h0.copy()
         self.z_prev = np.asarray(z0, dtype=np.float64).copy()
-        self.u_seed = np.asarray(u0, dtype=np.float64).copy()
+        self.eps = _eps(config, np.concatenate((self.z_prev, u0)))
         self.k = 0
         self._fill = 0
         self._regressors = np.empty((self.gdim, 0))   # G, ring order
         self._targets = np.empty((self.zdim, 0))      # T, same columns
         self._gram = np.zeros((self.gdim, self.gdim))
         self._cross = np.zeros((self.zdim, self.gdim))
-
-        g0 = np.concatenate((self.z_prev, self.u_seed))
-        if config.eps_reg is None:
-            self.eps = 1e-8 * float(np.trace(np.outer(g0, g0))) / self.gdim
-        else:
-            self.eps = float(config.eps_reg)
 
     @property
     def window_fill(self) -> int:
@@ -217,14 +216,26 @@ def _singular(mode: str, gram: np.ndarray, reg: float) -> np.linalg.LinAlgError:
         f"ridge {_RIDGE_SOURCE[mode]}={reg:.3g})")
 
 
-def _forgetting(config: AdapterConfig) -> float:
-    return 1.0 if config.mode == "RLS" else config.forgetting
+def _lam(config: AdapterConfig) -> float:
+    """The mode's forgetting factor: FFRLS forgets, SWLS and RLS use 1."""
+    return config.forgetting if config.mode == "FFRLS" else 1.0
 
 
-def _prior(lam: float, k):
-    """The ridge lam^k / FFRLS_P0_SCALE of RLS/FFRLS after k pairs (k an int
-    or an array of them), no smaller than the smallest normal float."""
-    return np.maximum(np.power(lam, k) / FFRLS_P0_SCALE, _TINY)
+def _ridge(config: AdapterConfig, eps: float, k) -> np.ndarray:
+    """The ridge of the solve after k pairs (k an int or an array of them):
+    eps for SWLS; for RLS and FFRLS the decayed prior lam^k / FFRLS_P0_SCALE,
+    no smaller than the smallest normal float."""
+    if config.mode == "SWLS":
+        return np.full(np.shape(k), eps)
+    return np.maximum(np.power(_lam(config), k) / FFRLS_P0_SCALE, _TINY)
+
+
+def _eps(config: AdapterConfig, g0: np.ndarray) -> float:
+    """The SWLS ridge: `eps_reg`, or when it is None (auto) 1e-8 |g0|^2 / dim
+    of the first regressor g0 = [z0; u0]."""
+    if config.eps_reg is not None:
+        return float(config.eps_reg)
+    return 1e-8 * float(np.trace(np.outer(g0, g0))) / g0.shape[0]
 
 
 def update(state: AdapterState, z_k: np.ndarray,
@@ -244,17 +255,17 @@ def update(state: AdapterState, z_k: np.ndarray,
     if not (np.isfinite(z_k).all() and np.isfinite(u_prev).all()):
         raise ValueError("non-finite measurement")
     g = np.concatenate((state.z_prev, u_prev))
-    mode = state.config.mode
-    if mode == "SWLS":
+    config = state.config
+    if config.mode == "SWLS":
         state._push(g, z_k)
-        _solve_window(state, state.eps)
-    elif mode != "frozen":
-        lam = _forgetting(state.config)
+    elif config.mode != "frozen":
+        lam = _lam(config)
         state._gram *= lam
         state._gram += g[:, None] * g
         state._cross *= lam
         state._cross += (z_k - state.h_init @ g)[:, None] * g
-        _solve_window(state, _prior(lam, state.k + 1))
+    if config.mode != "frozen":
+        _solve_window(state, _ridge(config, state.eps, state.k + 1))
     state.z_prev = z_k
     state.k += 1
     return state.A_k.copy(), state.B_k.copy()
@@ -318,9 +329,9 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
     Pair j is (g_j, z_{j+1}) with g_j = [z_j; u_j] and r_j = z_{j+1} - H0 g_j.
     After pair j the estimate is H_j = H0 + C_j (S_j + R_j I)^{-1}, where S_j
     and C_j sum g_i g_i^T and r_i g_i^T over the pairs [max(0, j-M+1), j]
-    with R_j = eps for SWLS, and over [0, j] weighted by lam^(j-i) with
-    R_j = _prior(lam, j+1) for RLS (lam = 1) and FFRLS. The prediction of
-    z_{j+1} takes one column: H0[:n] g_{j+1} + C_j[:n] (S_j + R_j I)^{-1} g_{j+1},
+    for SWLS, and over [0, j] weighted by lam^(j-i) for RLS (lam = 1) and
+    FFRLS, and R_j = _ridge(config, eps, j+1). The prediction of z_{j+1}
+    takes one column: H0[:n] g_{j+1} + C_j[:n] (S_j + R_j I)^{-1} g_{j+1},
     so only the rows :n of C are summed per step unless `diagnostics` asks
     for the drift of every H_j. Within a chunk, S, C and R are all kept
     scaled by lam^-t (see `_running_sum`), which leaves H_j and cond(S_j)
@@ -334,7 +345,7 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
     zdim, gdim = h0.shape
     steps = z_all.shape[0] - 1
     windowed = config.mode == "SWLS"
-    lam = 1.0 if windowed else _forgetting(config)
+    lam = _lam(config)
     m = config.window
     grow_end = min(m - 1, steps) if windowed else steps   # first full window
     cols = gdim + (zdim if diagnostics else n)   # columns of [S | C^T] per step
@@ -358,8 +369,7 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
         if grown < c1 - c0:   # full windows: one product over M pairs each
             win = sliding_window_view(rows[f0 - m + 1:c1], m, axis=0)   # (.., cols, M)
             np.matmul(win[:, :gdim], win.mT, out=sums[grown:])
-        reg = (np.full(c1 - c0, eps) if windowed
-               else _prior(lam, np.arange(c0 + 1, c1 + 1)))
+        reg = _ridge(config, eps, np.arange(c0 + 1, c1 + 1))
         lhs = sums[:, :, :gdim].copy()
         lhs.reshape(c1 - c0, -1)[:, ::gdim + 1] += (
             reg * np.power(lam, -np.arange(c1 - c0)))[:, None]
@@ -381,7 +391,7 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
     first = max(0, steps - m) if windowed else 0
     gw = g[first:steps] * np.power(lam, np.arange(steps - 1 - first, -1, -1))[:, None]
     gram = gw.T @ g[first:steps]
-    reg_end = eps if windowed else _prior(lam, steps)
+    reg_end = _ridge(config, eps, steps)
     h_end = h0 + _ridge_solve(gram + reg_end * np.eye(gdim), gw.T @ r[first:]).T
     if not np.isfinite(h_end).all():
         raise _singular(config.mode, gram, reg_end)
@@ -394,7 +404,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
 
     Each step k is predicted from the estimate that has only seen data through
     k-1, then the measurement at k updates the estimate. SWLS with eps > 0,
-    RLS and FFRLS take the batched path; SWLS with eps = 0 steps `update`.
+    RLS and FFRLS take the batched path from H0 = [A B] and eps; SWLS with
+    eps = 0 steps `update`.
     Frozen mode delegates to `one_step_predictions`, so it matches it bit
     for bit.
 
@@ -431,10 +442,11 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     z_all = lift(model, xn)
     if not np.isfinite(z_all).all():
         raise ValueError("non-finite measurement")
-    state = init(model.A, model.B, z_all[0], un[0], config)
     zdim = z_all.shape[1]
-    if config.mode == "SWLS" and state.eps == 0.0:
+    eps = _eps(config, np.concatenate((z_all[0], un[0])))
+    if config.mode == "SWLS" and eps == 0.0:
         # the min-norm lstsq of each window has no batched form: step `update`
+        state = init(model.A, model.B, z_all[0], un[0], config)
         steps = n_snap - 1
         preds_n = np.empty((steps, n))
         diag = np.empty((3, steps)) if diagnostics else None
@@ -449,8 +461,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
                 diag[2, k - 1] = _sym_cond(state.window_gram())
         h_end = state.h_est
     else:
-        preds_n, diag, h_end = _batched(state.h_init, z_all, un, n, config,
-                                        state.eps, diagnostics)
+        preds_n, diag, h_end = _batched(np.hstack((model.A, model.B)), z_all,
+                                        un, n, config, eps, diagnostics)
     return _result(model.denormalize_states(preds_n), truth, diag,
                    h_end[:, :zdim].copy(), h_end[:, zdim:].copy(), config)
 

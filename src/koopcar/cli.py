@@ -29,6 +29,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):   # a flag is spelt out in full
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems exit 1, not argparse's 2
         raise UsageError(message)
 
@@ -177,11 +180,22 @@ def _adapter_config(args, mode: str, window: int) -> adapt_mod.AdapterConfig:
         eps_reg=None if args.eps_reg == "auto" else args.eps_reg)
 
 
+# The methods of `compare`, matched case-insensitively: name -> (checkpoint
+# key, adapter mode). The physics baseline has no checkpoint; a method without
+# an adapter predicts with the trained A and B.
+METHODS = {"PHYS-BASELINE": (None, None),
+           "DK": ("checkpoint.dk", None),
+           "ALDK": ("checkpoint.aldk", None),
+           "ALDK-RLS": ("checkpoint.aldk", "RLS"),
+           "ALDK-FFRLS": ("checkpoint.aldk", "FFRLS"),
+           "ALDK-SWLS": ("checkpoint.aldk", "SWLS")}
+
+
 def _build_methods(args, window: int) -> list[ev.MethodSpec]:
     models: dict[str, km.KoopmanModel] = {}
 
-    def model_for(method: str) -> km.KoopmanModel:
-        key = "checkpoint.dk" if method == "DK" else "checkpoint.aldk"
+    def model_for(key: str) -> km.KoopmanModel:
+        method = key.split(".")[1].upper()
         path = getattr(args, key)
         if path is None:
             raise UsageError(f"method {method} needs a checkpoint path ({key})")
@@ -193,19 +207,17 @@ def _build_methods(args, window: int) -> list[ev.MethodSpec]:
 
     specs = []
     for name in (n.strip() for n in args.methods.split(",") if n.strip()):
-        upper = name.upper()
-        if upper.startswith("PHYS"):
+        if name.upper() not in METHODS:
+            raise UsageError(f"unknown method {name!r}; "
+                             f"known: {', '.join(METHODS)}")
+        key, mode = METHODS[name.upper()]
+        if key is None:
             assumed = ev.baseline_params(sc.make_scenario("mixed").params)
             specs.append(ev.MethodSpec(name=name, assumed_params=assumed))
-        elif upper in ("DK", "ALDK"):
-            specs.append(ev.MethodSpec(name=name, model=model_for(upper)))
-        elif upper in ("ALDK-RLS", "ALDK-FFRLS", "ALDK-SWLS"):
-            adapter = _adapter_config(args, upper.split("-", 1)[1], window)
-            specs.append(ev.MethodSpec(name=name, model=model_for("ALDK"),
-                                       adapter=adapter))
         else:
-            raise UsageError(f"unknown method {name!r}; "
-                             f"known: {', '.join(ev.METHOD_NAMES)}")
+            adapter = None if mode is None else _adapter_config(args, mode, window)
+            specs.append(ev.MethodSpec(name=name, model=model_for(key),
+                                       adapter=adapter))
     return specs
 
 
@@ -244,7 +256,7 @@ def cmd_compare(args) -> int:
                                     tag=f"_M{m_len}", trajectories=trajectories)
             for scen_name, report in reports.items():
                 for res in report.results:
-                    if res.name.upper() == "ALDK-SWLS":
+                    if METHODS[res.name.upper()][1] == "SWLS":
                         rows += ["%d,%s,%s,%.17g\n" % (m_len, scen_name, ch, rmse)
                                  for ch, rmse in zip(ev.CHANNEL_NAMES, res.metrics.rmse)]
         with open(f"{args.out}_sweep.csv", "w", encoding="utf-8") as fh:
@@ -320,7 +332,8 @@ def _on_off(on: bool) -> dict:
 
 def _add_adapter_args(p: _Parser) -> None:
     p.add_argument("--window", type=int, default=adapt_mod.AdapterConfig.window)
-    p.add_argument("--forgetting", type=float, default=0.95, help="FFRLS lambda")
+    p.add_argument("--forgetting", type=float,
+                   default=adapt_mod.AdapterConfig.forgetting, help="FFRLS lambda")
     p.add_argument("--eps-reg", type=auto_or_float, default="auto",
                    help="SWLS ridge: 'auto' or a number (0: min-norm lstsq)")
 

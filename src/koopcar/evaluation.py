@@ -52,6 +52,9 @@ def metrics(predicted: np.ndarray, truth: np.ndarray) -> ChannelMetrics:
         raise ValueError("predicted/truth length mismatch")
     if predicted.shape[0] < 1:
         raise ValueError("need at least one sample")
+    bad = np.flatnonzero(~np.isfinite(predicted).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite prediction at row {bad[0]}")
     err = (predicted - truth) * _UNIT_SCALE
     return ChannelMetrics(
         max_abs=tuple(np.abs(err).max(axis=0)),
@@ -66,24 +69,21 @@ def error_series(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # methods
 
-METHOD_NAMES = ("PHYS-BASELINE", "DK", "ALDK", "ALDK-RLS", "ALDK-FFRLS",
-                "ALDK-SWLS")
-
-
 @dataclass(frozen=True)
 class MethodSpec:
-    """One comparison entry: a named approach plus what it needs to run."""
+    """One comparison entry: the physics baseline under `assumed_params` when
+    there is no model, else the model, re-fitted online by `adapter` if any."""
     name: str
     model: KoopmanModel | None = None
     adapter: AdapterConfig | None = None
     assumed_params: VehicleParams | None = None
 
     def __post_init__(self):
-        if self.name.upper().startswith("PHYS"):
-            if self.assumed_params is None:
-                raise ValueError(f"{self.name}: physics baseline needs assumed params")
-        elif self.model is None:
-            raise ValueError(f"{self.name}: data-driven method needs a model")
+        if (self.model is None) == (self.assumed_params is None):
+            raise ValueError(f"{self.name}: needs either a model or, for the "
+                             f"physics baseline, assumed params")
+        if self.model is None and self.adapter is not None:
+            raise ValueError(f"{self.name}: an adapter needs a model")
 
 
 def baseline_params(plant: VehicleParams = VehicleParams()) -> VehicleParams:
@@ -113,19 +113,20 @@ def physics_baseline(params_assumed: VehicleParams,
 
 
 def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
-    """One-step-ahead predictions for steps 1..K-1 of the trajectory.
+    """One-step-ahead predictions for steps 1..K-1 of the trajectory: the
+    physics baseline without a model, the trained A and B without an
+    adapter, else `adapt_run`.
 
     A data-driven method raises ValueError when the trajectory's sample time
     is not the model's dt.
     """
-    if spec.name.upper().startswith("PHYS"):
+    if spec.model is None:
         return physics_baseline(spec.assumed_params, trajectory)
-    check_sample_time(spec.model, trajectory)
-    if spec.adapter is None or spec.adapter.mode == "frozen":
+    if spec.adapter is None:
+        check_sample_time(spec.model, trajectory)
         return one_step_predictions(spec.model, trajectory.states[:-1],
                                     trajectory.inputs[:-1])
-    return adapt_run(spec.model, trajectory, spec.adapter,
-                     diagnostics=False).predictions
+    return adapt_run(spec.model, trajectory, spec.adapter).predictions
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,8 @@ def run_comparison(methods: list[MethodSpec], scenario: Scenario,
     """Evaluate every method on one shared trajectory of the scenario.
 
     The scenario is simulated here unless its `trajectory` is passed in.
+    Raises ValueError, naming the method and the scenario, when a method's
+    predictions are not finite.
     """
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
@@ -171,9 +174,12 @@ def run_comparison(methods: list[MethodSpec], scenario: Scenario,
         t0 = time.perf_counter()
         preds = run_method(spec, trajectory)
         elapsed = time.perf_counter() - t0
+        try:
+            scores = metrics(preds, truth)
+        except ValueError as exc:
+            raise ValueError(f"{spec.name} on {scenario.name}: {exc}") from None
         report.results.append(MethodResult(
-            name=spec.name, metrics=metrics(preds, truth),
-            runtime_s=elapsed))
+            name=spec.name, metrics=scores, runtime_s=elapsed))
         report.errors_by_method[spec.name] = error_series(preds, truth)
     return report
 

@@ -12,6 +12,7 @@ velocity change rates to measured body-frame accelerations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -55,10 +56,11 @@ class LossWeights:
     accel: float = 1.0
 
     def __post_init__(self):
-        vals = (self.linear, self.recon, self.pred, self.accel)
-        if any(v < 0 for v in vals):
-            raise ValueError("loss weights must be non-negative")
-        if all(v == 0 for v in vals):
+        for name, v in vars(self).items():
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"loss weight {name} must be non-negative "
+                                 f"and finite, got {v}")
+        if all(v == 0 for v in vars(self).values()):
             raise ValueError("at least one loss weight must be positive")
 
 
@@ -105,6 +107,9 @@ class KoopmanModel:
             raise ValueError("decoder dims must map p -> n")
         if normalizer.lo.shape[0] != dims.n + dims.m:
             raise ValueError("normalizer must cover state and input channels")
+        dt = float(dt)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"model dt must be positive and finite, got {dt}")
         self.dims = dims
         self.enc_specs = tuple(enc_specs)
         self.dec_specs = tuple(dec_specs)
@@ -115,7 +120,7 @@ class KoopmanModel:
             raise ValueError("non-finite model parameters")
         self.theta = theta
         self.normalizer = normalizer
-        self.dt = float(dt)
+        self.dt = dt
         self.weights = weights
         self.squared_norms = squared_norms
         self.meta = dict(meta or {})
@@ -679,8 +684,17 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
 
 
 def load_checkpoint(path) -> KoopmanModel:
+    """Read a checkpoint; raises ValueError naming a missing key, and on any
+    value the model rejects."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    try:
+        return _model_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path}: missing key {exc.args[0]!r}") from None
+
+
+def _model_from_doc(doc: dict) -> KoopmanModel:
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")

@@ -147,6 +147,11 @@ class Normalizer:
     def __post_init__(self):
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise ValueError("lo/hi must be equal-length vectors")
+        bad = np.flatnonzero(~(np.isfinite(self.lo) & np.isfinite(self.hi)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"normalizer channel {k} has min {self.lo[k]} and "
+                             f"max {self.hi[k]}; both must be finite")
         if np.any(self.hi < self.lo):
             raise ValueError("per-channel min must not exceed max")
 

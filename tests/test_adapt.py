@@ -51,7 +51,6 @@ def test_init_keeps_seed_estimates():
     assert st.k == 0
     assert st.window_fill == 0
     assert np.array_equal(st.z_prev, z[0])  # pending regressor column
-    assert np.array_equal(st.u_seed, u[0])
 
 
 def test_init_validates_shapes():
@@ -64,6 +63,44 @@ def test_init_validates_shapes():
         AdapterConfig(window=0)
     with pytest.raises(ValueError):
         AdapterConfig(forgetting=0.0)
+
+
+def test_each_mode_has_one_forgetting_factor_and_ridge():
+    k = np.arange(1, 4)
+    ffrls = AdapterConfig(mode="FFRLS", forgetting=0.5)
+    assert AdapterConfig().forgetting == 0.95
+    assert [adapt._lam(AdapterConfig(mode=m, forgetting=0.5))
+            for m in ("SWLS", "RLS", "FFRLS")] == [1.0, 1.0, 0.5]
+    assert np.array_equal(adapt._ridge(AdapterConfig(mode="SWLS"), 1e-3, k),
+                          [1e-3] * 3)
+    assert np.array_equal(adapt._ridge(AdapterConfig(mode="RLS", forgetting=0.5),
+                                       1e-3, k), [1 / FFRLS_P0_SCALE] * 3)
+    assert np.array_equal(adapt._ridge(ffrls, 1e-3, k),
+                          0.5 ** k / FFRLS_P0_SCALE)
+    # the decayed prior stops at the smallest normal float
+    assert adapt._ridge(ffrls, 1e-3, 5000) == np.finfo(np.float64).tiny
+
+
+def test_auto_eps_rule():
+    a_true, b_true, rng = random_system(1)
+    z, u = stream(a_true, b_true, rng, 3)
+    g0 = np.concatenate((z[0], u[0]))
+    st = fresh_state(a_true, b_true, z, u, mode="SWLS")
+    assert st.eps == adapt._eps(st.config, g0)
+    assert st.eps == pytest.approx(1e-8 * (g0 @ g0) / GDIM, rel=1e-12)
+    assert adapt._eps(AdapterConfig(eps_reg=0.0), g0) == 0.0
+
+
+@pytest.mark.parametrize("mode, eps_reg, steps", [
+    ("SWLS", 0.0, True), ("SWLS", None, False), ("SWLS", 1e-3, False),
+    ("RLS", None, False), ("FFRLS", None, False), ("frozen", None, False)])
+def test_adapt_run_builds_a_state_only_to_step_update(monkeypatch, quick_model,
+                                                      mode, eps_reg, steps):
+    built = []
+    monkeypatch.setattr(adapt, "init", lambda *a: built.append(a) or init(*a))
+    adapt_run(quick_model, run_scenario(make_scenario("mixed", duration=5.0)),
+              AdapterConfig(mode=mode, window=20, eps_reg=eps_reg))
+    assert len(built) == int(steps)
 
 
 # ---------------------------------------------------------------------------

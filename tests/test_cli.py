@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from koopcar import evaluation, scenarios
+from koopcar.adapt import AdapterConfig
 from koopcar.cli import build_parser, main, read_config_file
 from koopcar.koopman import load_checkpoint
 from koopcar.vehicle import TRAJECTORY_HEADER, Trajectory
@@ -364,6 +365,35 @@ def test_compare_missing_checkpoint_is_runtime_error(tmp_path, capsys):
     assert "ALDK" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["PHYS", "physics", "ALDK-LMS"])
+def test_compare_unknown_method_is_usage_error(workdir, tmp_path, capsys, name):
+    # a PHYS prefix named the baseline before the method table; now every
+    # name is one of the table's, in any case
+    out = tmp_path / "x"
+    assert run_cli("compare", "--methods", f"aldk-swls,{name}",
+                   "--checkpoint-aldk", str(workdir["ckpt"]),
+                   "--scenario", "step_steer", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert (f"unknown method {name!r}; known: PHYS-BASELINE, DK, ALDK, "
+            f"ALDK-RLS, ALDK-FFRLS, ALDK-SWLS") in err
+    assert not (tmp_path / "x_step_steer.metrics.csv").exists()
+
+
+def test_compare_method_names_match_in_any_case(workdir, tmp_path):
+    common = ["--checkpoint-aldk", str(workdir["ckpt"]), "--scenario", "step_steer",
+              "--scenario-duration", "5", "--sweep-window", "20"]
+    for tag, methods in (("upper", "PHYS-BASELINE,ALDK-SWLS"),
+                         ("lower", "phys-baseline,Aldk-Swls")):
+        assert run_cli("compare", "--methods", methods, *common,
+                       "--out", str(tmp_path / tag)) == 0
+    for suffix in ("_step_steer_M20.table.txt", "_sweep.csv"):
+        upper = (tmp_path / f"upper{suffix}").read_text()
+        lower = (tmp_path / f"lower{suffix}").read_text()
+        assert lower == upper.replace("PHYS-BASELINE", "phys-baseline").replace(
+            "ALDK-SWLS", "Aldk-Swls")
+    assert len((tmp_path / "lower_sweep.csv").read_text().splitlines()) == 4
+
+
 def test_compare_requires_known_scenario(workdir, tmp_path):
     assert run_cli("compare", "--methods", "ALDK",
                    "--checkpoint-aldk", str(workdir["ckpt"]),
@@ -525,6 +555,46 @@ def test_compare_rejects_sample_time_mismatch(tmp_path, capsys):
     assert "sample time" in capsys.readouterr().err
 
 
+def edited_checkpoint(workdir, tmp_path, edit):
+    doc = json.loads(workdir["ckpt"].read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["SWLS", "frozen"])
+def test_adapt_rejects_nan_normalizer_checkpoint(workdir, tmp_path, capsys, mode):
+    # a NaN bound turned every pred_Vx into nan, with exit 0
+    ckpt = edited_checkpoint(workdir, tmp_path, lambda doc: doc[
+        "normalizer_min"].__setitem__(0, float("nan")))
+    out = tmp_path / "pred.csv"
+    assert run_cli("adapt", "--checkpoint", str(ckpt), "--data",
+                   str(workdir["traj"]), "--mode", mode, "--out", str(out)) == 2
+    assert "normalizer channel 0 has min nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", -0.025, "model dt must be positive and finite, got -0.025"),
+    ("loss_weights", {"linear": 1, "recon": 1, "pred": 1, "accel": float("nan")},
+     "loss weight accel must be non-negative and finite, got nan")])
+def test_inspect_rejects_bad_checkpoint_value(workdir, tmp_path, capsys, key,
+                                              value, message):
+    ckpt = edited_checkpoint(workdir, tmp_path,
+                             lambda doc: doc.__setitem__(key, value))
+    assert run_cli("inspect", str(ckpt)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_missing_checkpoint_key_is_named(workdir, tmp_path, capsys):
+    ckpt = edited_checkpoint(workdir, tmp_path, lambda doc: doc.pop("normalizer_max"))
+    assert run_cli("adapt", "--checkpoint", str(ckpt),
+                   "--data", str(workdir["traj"])) == 2
+    assert (f"error: checkpoint {ckpt}: missing key 'normalizer_max'"
+            in capsys.readouterr().err)
+
+
 def test_inspect_summarizes_checkpoint(workdir, capsys):
     assert run_cli("inspect", str(workdir["ckpt"])) == 0
     out = capsys.readouterr().out
@@ -534,6 +604,33 @@ def test_inspect_summarizes_checkpoint(workdir, capsys):
 
 # ---------------------------------------------------------------------------
 # config machinery
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--scenario", "step_steer", "--dur", "2"]),
+    ("train", ["--data", "TRAJ", "--seed", "1", "--epoch", "1", "--hidden", "8"]),
+    ("train", ["--data", "TRAJ", "--seed", "1", "--epochs", "1", "--hidden", "8",
+               "--learn", "0.5"]),
+    ("compare", ["--methods", "PHYS-BASELINE", "--scenario", "step_steer",
+                 "--scenario-dur", "2"]),
+    ("adapt", ["--checkpoint", "CKPT", "--data", "TRAJ", "--mode", "FFRLS",
+               "--forget", "0.9"])])
+def test_abbreviated_flag_is_usage_error(workdir, tmp_path, capsys, command,
+                                         flags):
+    # argparse took a prefix of a flag, which a config file may not use
+    paths = {"TRAJ": str(workdir["traj"]), "CKPT": str(workdir["ckpt"])}
+    out = tmp_path / "out"
+    argv = [command, *(paths.get(f, f) for f in flags), "--out", str(out)]
+    assert run_cli(*argv) == 1
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_forgetting_default_is_the_adapter_config_default():
+    parser = build_parser()
+    for command in ("compare", "adapt"):
+        args = parser.parse_args([command])
+        assert args.forgetting == AdapterConfig.forgetting == 0.95
+
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"

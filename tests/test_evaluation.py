@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from koopcar import evaluation
 from koopcar.adapt import AdapterConfig
 from koopcar.evaluation import (ChannelMetrics, MethodSpec, baseline_params,
                                 error_series, format_report_table, metrics,
@@ -133,12 +134,53 @@ def test_baseline_rejects_first_row_at_validity_floor(short_mixed):
 
 def test_run_method_rejects_sample_time_mismatch(quick_model):
     coarse = run_scenario(make_scenario("mixed", duration=5.0, dt=0.05))
-    for adapter in (None, AdapterConfig(mode="SWLS", window=20)):
+    for adapter in (None, AdapterConfig(mode="frozen"),
+                    AdapterConfig(mode="SWLS", window=20)):
         spec = MethodSpec(name="ALDK", model=quick_model, adapter=adapter)
         with pytest.raises(ValueError, match="sample time"):
             run_method(spec, coarse)
     phys = MethodSpec(name="PHYS-BASELINE", assumed_params=VehicleParams())
     assert run_method(phys, coarse).shape == (len(coarse) - 1, 3)
+
+
+def test_run_method_dispatches_on_the_spec_not_its_name(quick_model, short_mixed):
+    # the name is only a label: no model runs the physics baseline, a frozen
+    # adapter is the trained A and B bit for bit
+    params = baseline_params(make_scenario("mixed").params)
+    phys = run_method(MethodSpec(name="ALDK", assumed_params=params), short_mixed)
+    assert np.array_equal(phys, physics_baseline(params, short_mixed))
+    plain = run_method(MethodSpec(name="PHYS-X", model=quick_model), short_mixed)
+    frozen = run_method(MethodSpec(name="x", model=quick_model,
+                                   adapter=AdapterConfig(mode="frozen")),
+                        short_mixed)
+    assert np.array_equal(plain, frozen)
+
+
+def test_method_spec_needs_a_model_or_assumed_params(quick_model):
+    for kwargs in ({}, {"adapter": AdapterConfig()},
+                   {"assumed_params": VehicleParams(), "adapter": AdapterConfig()},
+                   {"model": quick_model, "assumed_params": VehicleParams()}):
+        with pytest.raises(ValueError, match="^m1: "):
+            MethodSpec(name="m1", **kwargs)
+
+
+def test_metrics_rejects_non_finite_predictions():
+    truth = np.zeros((5, 3))
+    pred = truth.copy()
+    pred[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite prediction at row 3"):
+        metrics(pred, truth)
+
+
+def test_comparison_names_method_and_scenario_of_nan_predictions(
+        monkeypatch, quick_model):
+    # a NaN max and RMSE would pass `ChannelMetrics`' `rmse > max` test
+    monkeypatch.setattr(evaluation, "one_step_predictions",
+                        lambda model, states, inputs: np.full_like(states, np.nan))
+    scenario = make_scenario("mixed", duration=5.0)
+    with pytest.raises(ValueError, match=r"^ALDK on mixed: non-finite "
+                                         r"prediction at row 0$"):
+        run_comparison(comparison_methods(quick_model), scenario)
 
 
 # ---------------------------------------------------------------------------

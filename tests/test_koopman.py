@@ -358,6 +358,14 @@ def test_loss_total_weight_algebra():
         LossWeights(0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("term", ["linear", "recon", "pred", "accel"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_loss_weights_reject_non_finite_and_negative(term, value):
+    with pytest.raises(ValueError, match=f"loss weight {term} must be non-negative "
+                                         f"and finite"):
+        LossWeights(**{term: value})
+
+
 def test_unsquared_norm_option():
     dims = KoopmanDims(n=3, m=2, p=2)
     model_sq = tiny_model(seed=14)
@@ -712,3 +720,42 @@ def test_checkpoint_rejects_misplaced_block_values(tmp_path, quick_model, key):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=key):
         load_checkpoint(path)
+
+
+def edited_checkpoint(tmp_path, model, edit):
+    """Path of `model`'s checkpoint after `edit(doc)` changed its JSON."""
+    import json
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("normalizer_min", math.nan, "normalizer channel 0 has min nan"),
+    ("normalizer_max", math.inf, "normalizer channel 0 has min .* and max inf"),
+    ("dt", -0.025, "model dt must be positive and finite, got -0.025"),
+    ("dt", 0.0, "model dt must be positive and finite, got 0.0"),
+    ("dt", math.nan, "model dt must be positive and finite, got nan"),
+    ("accel", math.nan, "loss weight accel must be non-negative and finite")])
+def test_checkpoint_rejects_non_finite_values(tmp_path, quick_model, key, value,
+                                              message):
+    def edit(doc):
+        if key == "accel":
+            doc["loss_weights"]["accel"] = value
+        elif key == "dt":
+            doc["dt"] = value
+        else:
+            doc[key][0] = value
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(edited_checkpoint(tmp_path, quick_model, edit))
+
+
+@pytest.mark.parametrize("key", ["normalizer_max", "dt", "dims"])
+def test_checkpoint_names_a_missing_key(tmp_path, quick_model, key):
+    path = edited_checkpoint(tmp_path, quick_model, lambda doc: doc.pop(key))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"checkpoint {path}: missing key {key!r}"

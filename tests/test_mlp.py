@@ -242,3 +242,13 @@ def test_normalizer_select_subset():
     sub = norm.select(slice(0, 2))
     assert np.array_equal(sub.lo, [0.0, 10.0])
     assert np.array_equal(sub.hi, [2.0, 20.0])
+
+
+@pytest.mark.parametrize("bound", ["lo", "hi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_normalizer_rejects_non_finite_bounds(bound, value):
+    # a NaN bound passed the min <= max test and then mapped its channel to 0
+    bounds = {"lo": np.array([0.0, -1.0, -2.0]), "hi": np.array([1.0, 1.0, 2.0])}
+    bounds[bound][1] = value
+    with pytest.raises(ValueError, match="normalizer channel 1 .*must be finite"):
+        Normalizer(**bounds)
