@@ -92,8 +92,10 @@ class AdapterConfig:
             raise ValueError("window length must be >= 1")
         if not (0.0 < self.forgetting <= 1.0):
             raise ValueError("forgetting factor must be in (0, 1]")
-        if self.eps_reg is not None and self.eps_reg < 0:
-            raise ValueError("eps_reg must be non-negative")
+        if self.eps_reg is not None and not (math.isfinite(self.eps_reg)
+                                             and self.eps_reg >= 0):
+            raise ValueError(f"eps_reg must be non-negative and finite, "
+                             f"got {self.eps_reg}")
 
 
 class AdapterState:

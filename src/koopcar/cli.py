@@ -155,18 +155,18 @@ def cmd_train(args) -> int:
     weights = km.LossWeights(linear=args.w_linear, recon=args.w_recon, pred=args.w_pred,
                              accel=args.w_accel if args.accel_loss == "on" else 0.0)
     config = km.TrainConfig(
-        seed=args.seed, dt=pairs.dt, epochs=args.epochs, batch_size=args.batch_size,
+        seed=args.seed, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, weights=weights, hidden=args.hidden,
         feature_dim=args.feature_dim, holdout_fraction=args.holdout_fraction,
         warm_start=args.warm_start == "on", squared_norms=args.squared_norms == "on")
-    dims = km.KoopmanDims(p=config.feature_dim)
-    result = km.train(pairs, dims, config, init_model=init_model)
-    result.model.meta["config_echo"] = echo
+    result = km.train(pairs, config, init_model=init_model)
+    meta = result.model.meta
+    meta["config_echo"] = echo
     km.save_checkpoint(result.model, args.out)
     log_path = args.log or (args.out + ".log.csv")
     km.write_training_log(log_path, result.history)
     print(f"trained {config.epochs} epochs on {len(pairs)} pairs; "
-          f"best holdout {result.best_holdout:.6g} at epoch {result.best_epoch}")
+          f"best holdout {meta['best_holdout']:.6g} at epoch {meta['best_epoch']}")
     print(f"wrote checkpoint to {args.out} and log to {log_path}")
     return 0
 

@@ -275,6 +275,10 @@ def _norm_term(residual: np.ndarray, squared: bool) -> tuple[float, np.ndarray]:
 
 
 def _prepared_arrays(model: KoopmanModel, batch: PairBatch) -> dict:
+    """The loss's arrays of a non-empty batch at the model's sample time."""
+    if len(batch) == 0:
+        raise ValueError("empty batch")
+    check_sample_time(model, batch)
     return {
         "xi": np.ascontiguousarray(model.normalize_states(batch.x_now)),
         "ui": np.ascontiguousarray(model.normalize_inputs(batch.u_now)),
@@ -285,13 +289,17 @@ def _prepared_arrays(model: KoopmanModel, batch: PairBatch) -> dict:
     }
 
 
-def _loss_and_grad(theta: np.ndarray, layout: _Layout, dims: KoopmanDims,
-                   arrs: dict, weights: LossWeights, dt: float,
-                   vel_half: np.ndarray, vel_mid: np.ndarray, squared: bool,
+def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
                    want_grad: bool) -> tuple[LossTerms, np.ndarray | None]:
+    """Loss terms, and their weighted gradient when `want_grad`, of the
+    parameters `theta` on prepared arrays; everything else is `model`'s."""
+    layout, weights, dt, squared = (model.layout, model.weights, model.dt,
+                                    model.squared_norms)
+    vel_half = model.normalizer.half_range[:2]
+    vel_mid = model.normalizer.mid[:2]
     xi, ui, xi1 = arrs["xi"], arrs["ui"], arrs["xi1"]
     nb = xi.shape[0]
-    n, d, m = dims.n, dims.lifted, dims.m
+    n, d, m = model.dims.n, model.dims.lifted, model.dims.m
     A = theta[layout.a_off:layout.a_off + d * d].reshape(d, d)
     Bm = theta[layout.b_off:layout.b_off + d * m].reshape(d, m)
     enc, dec = layout.enc, layout.dec
@@ -348,29 +356,14 @@ def _loss_and_grad(theta: np.ndarray, layout: _Layout, dims: KoopmanDims,
 
 def loss_components(model: KoopmanModel, batch: PairBatch) -> LossTerms:
     """Batch-mean values of the four loss terms."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    vel_half = model.normalizer.half_range[:2]
-    vel_mid = model.normalizer.mid[:2]
-    terms, _ = _loss_and_grad(model.theta, model.layout, model.dims,
-                              _prepared_arrays(model, batch), model.weights,
-                              batch.dt, vel_half, vel_mid,
-                              model.squared_norms, want_grad=False)
-    return terms
+    return _loss_and_grad(model.theta, model, _prepared_arrays(model, batch),
+                          want_grad=False)[0]
 
 
-def loss_gradient(model: KoopmanModel, batch: PairBatch,
-                  weights: LossWeights | None = None) -> np.ndarray:
+def loss_gradient(model: KoopmanModel, batch: PairBatch) -> np.ndarray:
     """Flat gradient of the weighted loss total over the joint parameter vector."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    w = weights if weights is not None else model.weights
-    _, grad = _loss_and_grad(model.theta, model.layout, model.dims,
-                             _prepared_arrays(model, batch), w, batch.dt,
-                             model.normalizer.half_range[:2],
-                             model.normalizer.mid[:2],
-                             model.squared_norms, want_grad=True)
-    return grad
+    return _loss_and_grad(model.theta, model, _prepared_arrays(model, batch),
+                          want_grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +401,6 @@ def edmd_fit(z_now: np.ndarray, z_next: np.ndarray, u_now: np.ndarray,
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int
-    dt: float
     epochs: int = 200
     batch_size: int = 256
     learning_rate: float = 1e-3
@@ -420,12 +412,15 @@ class TrainConfig:
     squared_norms: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if not (0.0 < self.holdout_fraction < 1.0):
-            raise ValueError("holdout fraction must be in (0, 1)")
+            raise ValueError(f"holdout_fraction must be in (0, 1), "
+                             f"got {self.holdout_fraction}")
         if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch size and epochs must be sensible")
+            raise ValueError(f"batch_size must be >= 1 and epochs >= 0, "
+                             f"got {self.batch_size} and {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
 
 
 @dataclass
@@ -449,8 +444,6 @@ class EpochRecord:
 class TrainResult:
     model: KoopmanModel
     history: list[EpochRecord]
-    best_epoch: int
-    best_holdout: float
     holdout_idx: np.ndarray
 
 
@@ -475,23 +468,24 @@ def _warm_start_ab(theta, layout, dims, xi, ui, xi1):
     theta[layout.b_off:layout.b_off + d * dims.m] = b_full.ravel()
 
 
-def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
+def train(pairs: PairBatch, config: TrainConfig,
           init_model: KoopmanModel | None = None) -> TrainResult:
     """Mini-batch Adam over encoder, decoder, A, B; returns the best-holdout model.
 
-    The pair set is split (seeded shuffle) into train/holdout; the normalizer
-    is fit on the training split only. Every pair is normalized once into one
-    prepared table; each epoch gathers its shuffled training rows into one
-    preallocated buffer, whose contiguous slices are the batches. The holdout
-    loss is evaluated in chunks of `BLOCK_ROWS` pairs, gathered one chunk at
-    a time and weighted by their length, so its temporaries stay bounded for
-    any data length. Aborts on a non-finite loss naming the offending batch.
-    Passing `init_model` resumes from its parameters and normalizer (epoch
-    numbering continues from its recorded final epoch); its dt must be the
-    pairs' sample time.
+    A fresh run builds a network of `config.hidden` widths and
+    `config.feature_dim` features; the model's dt is always the pairs' sample
+    time. The pair set is split (seeded shuffle) into train/holdout; the
+    normalizer is fit on the training split only. Every pair is normalized
+    once into one prepared table; each epoch gathers its shuffled training
+    rows into one preallocated buffer, whose contiguous slices are the
+    batches. The holdout loss is evaluated in chunks of `BLOCK_ROWS` pairs,
+    gathered one chunk at a time and weighted by their length, so its
+    temporaries stay bounded for any data length. Aborts on a non-finite loss
+    naming the offending batch. Passing `init_model` resumes from its
+    network, parameters and normalizer (epoch numbering continues from its
+    recorded final epoch); its dt must be the pairs' sample time. The best
+    epoch and its holdout loss are in the model's `meta`.
     """
-    if abs(pairs.dt - config.dt) > 1e-9:
-        raise ValueError(f"dataset spacing {pairs.dt} != configured dt {config.dt}")
     if init_model is not None:
         check_sample_time(init_model, pairs)
     if len(pairs) < 4:
@@ -499,27 +493,24 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
     rng = np.random.default_rng(config.seed)
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
 
-    epoch0 = 0
     if init_model is not None:
-        dims = init_model.dims
-        enc_specs, dec_specs = init_model.enc_specs, init_model.dec_specs
-        layout = init_model.layout
-        theta = init_model.theta.copy()
-        normalizer = init_model.normalizer
+        dims, enc_specs, dec_specs = (init_model.dims, init_model.enc_specs,
+                                      init_model.dec_specs)
+        normalizer, theta = init_model.normalizer, init_model.theta.copy()
         epoch0 = int(init_model.meta.get("final_epoch", 0))
-        model = init_model
     else:
+        dims = KoopmanDims(p=config.feature_dim)
         normalizer = Normalizer.fit(
             np.hstack((pairs.x_now[train_rows], pairs.u_now[train_rows])))
         enc_specs = mlp_specs((dims.n, *config.hidden, dims.p))
-        dec_specs = mlp_specs((dims.p, *tuple(reversed(config.hidden)), dims.n))
-        layout = _build_layout(enc_specs, dec_specs, dims)
-        theta = np.zeros(layout.size)
-        theta[:layout.enc.size] = mlp.init_theta(enc_specs, rng)
-        theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
-            mlp.init_theta(dec_specs, rng))
-        model = KoopmanModel(dims, enc_specs, dec_specs, theta, normalizer,
-                             config.dt, config.weights, config.squared_norms)
+        dec_specs = mlp_specs((dims.p, *reversed(config.hidden), dims.n))
+        theta = np.concatenate((mlp.init_theta(enc_specs, rng),
+                                mlp.init_theta(dec_specs, rng),
+                                np.zeros(dims.lifted * (dims.lifted + dims.m))))
+        epoch0 = 0
+    model = KoopmanModel(dims, enc_specs, dec_specs, theta, normalizer,
+                         pairs.dt, config.weights, config.squared_norms)
+    layout, weights = model.layout, model.weights
     table = _prepared_arrays(model, pairs)
     n_train, n_hold = len(train_rows), len(hold_rows)
     epoch_arrs = {k: np.empty((n_train, v.shape[1])) for k, v in table.items()}
@@ -538,8 +529,6 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
             d = dims.lifted
             theta[layout.a_off:layout.a_off + d * d] = np.eye(d).ravel()
 
-    vel_half = normalizer.half_range[:2]
-    vel_mid = normalizer.mid[:2]
     adam = AdamState.create(layout.size, lr=config.learning_rate)
 
     def holdout_total(th):
@@ -547,11 +536,9 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
         for start in range(0, n_hold, BLOCK_ROWS):
             rows = hold_rows[start:start + BLOCK_ROWS]
             arrs = {k: v[rows] for k, v in table.items()}
-            terms, _ = _loss_and_grad(th, layout, dims, arrs, config.weights,
-                                      config.dt, vel_half, vel_mid,
-                                      config.squared_norms, False)
+            terms, _ = _loss_and_grad(th, model, arrs, want_grad=False)
             sums += np.array(terms) * len(rows)
-        return LossTerms(*(sums / n_hold)).total(config.weights)
+        return LossTerms(*(sums / n_hold)).total(weights)
 
     best_theta = theta.copy()
     best_hold = holdout_total(theta)
@@ -565,10 +552,8 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
         for bi, start in enumerate(range(0, n_train, config.batch_size)):
             stop = min(start + config.batch_size, n_train)
             arrs = {k: v[start:stop] for k, v in epoch_arrs.items()}
-            terms, grad = _loss_and_grad(theta, layout, dims, arrs,
-                                         config.weights, config.dt, vel_half,
-                                         vel_mid, config.squared_norms, True)
-            tot = terms.total(config.weights)
+            terms, grad = _loss_and_grad(theta, model, arrs, want_grad=True)
+            tot = terms.total(weights)
             if not np.isfinite(tot):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}")
@@ -577,7 +562,7 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
         mean_terms = LossTerms(*(sums / n_train))
         hold = holdout_total(theta)
         history.append(EpochRecord(
-            epoch=epoch0 + epoch, loss_total=mean_terms.total(config.weights),
+            epoch=epoch0 + epoch, loss_total=mean_terms.total(weights),
             loss_linear=mean_terms.linear, loss_recon=mean_terms.recon,
             loss_pred=mean_terms.pred, loss_accel=mean_terms.accel,
             holdout_total=hold))
@@ -590,9 +575,8 @@ def train(pairs: PairBatch, dims: KoopmanDims, config: TrainConfig,
             "best_epoch": best_epoch, "best_holdout": best_hold,
             "final_epoch": epoch0 + config.epochs}
     final = KoopmanModel(dims, enc_specs, dec_specs, best_theta, normalizer,
-                         config.dt, config.weights, config.squared_norms, meta)
-    return TrainResult(model=final, history=history, best_epoch=best_epoch,
-                       best_holdout=best_hold, holdout_idx=hold_rows)
+                         pairs.dt, config.weights, config.squared_norms, meta)
+    return TrainResult(model=final, history=history, holdout_idx=hold_rows)
 
 
 def write_training_log(path, history: list[EpochRecord]) -> None:

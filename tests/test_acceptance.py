@@ -79,9 +79,8 @@ def trained(mixed_1200):
     by side when two cores are there."""
     pairs = PairBatch.from_trajectory(mixed_1200)
     dk, aldk = _train_all([
-        (pairs, KoopmanDims(),
-         TrainConfig(seed=SEED, dt=pairs.dt, epochs=200, batch_size=256,
-                     weights=LossWeights(accel=w_accel)))
+        (pairs, TrainConfig(seed=SEED, epochs=200, batch_size=256,
+                            weights=LossWeights(accel=w_accel)))
         for w_accel in (0.0, 1.0)])
     return {"pairs": pairs, "DK": dk, "ALDK": aldk}
 
@@ -192,8 +191,7 @@ def test_criterion_04_joint_loss_gradient_correctness():
     arrs = _prepared_arrays(model, batch)
 
     def total(th):
-        t, _ = _loss_and_grad(th, layout, dims, arrs, model.weights, batch.dt,
-                              norm.half_range[:2], norm.mid[:2], True, False)
+        t, _ = _loss_and_grad(th, model, arrs, want_grad=False)
         return t.total(model.weights)
 
     h = 1e-3

@@ -321,6 +321,19 @@ def test_train_resume_records_checkpoint_architecture(workdir, tmp_path):
         assert load_checkpoint(out).dims.p == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_train_rejects_bad_learning_rate(workdir, tmp_path, capsys, value):
+    # 0 and -1 saved the untrained warm-start model with exit 0; nan failed
+    # only at the first batch, blaming a non-finite training loss
+    out = tmp_path / "lr.json"
+    assert run_cli("train", "--data", str(workdir["traj"]), "--seed", "1",
+                   "--epochs", "1", "--learning-rate", value,
+                   "--out", str(out)) == 2
+    assert (f"learning_rate must be positive and finite, got {float(value)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_train_reports_malformed_dataset_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(TRAJECTORY_HEADER + "\n0,1,2,3,4,5,6,7\nnot,a,row\n")
@@ -553,6 +566,18 @@ def test_compare_rejects_sample_time_mismatch(tmp_path, capsys):
                    "--scenario-duration", "5", "--seed", "3",
                    "--out", str(tmp_path / "cmp")) == 2
     assert "sample time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_adapt_rejects_bad_eps_reg(workdir, tmp_path, capsys, value):
+    # nan failed in the SVD, inf in a singular solve
+    out = tmp_path / "pred.csv"
+    assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]), "--data",
+                   str(workdir["traj"]), "--eps-reg", value,
+                   "--out", str(out)) == 2
+    assert (f"eps_reg must be non-negative and finite, got {float(value)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def edited_checkpoint(workdir, tmp_path, edit):

@@ -385,13 +385,9 @@ def test_loss_gradient_matches_finite_differences():
     batch = random_batch(5, seed=17)
     grad = loss_gradient(model, batch)
     arrs = _prepared_arrays(model, batch)
-    vel_half = model.normalizer.half_range[:2]
-    vel_mid = model.normalizer.mid[:2]
 
     def total(th):
-        t, _ = _loss_and_grad(th, model.layout, model.dims, arrs,
-                              model.weights, batch.dt, vel_half, vel_mid,
-                              True, False)
+        t, _ = _loss_and_grad(th, model, arrs, want_grad=False)
         return t.total(model.weights)
 
     h = 1e-3
@@ -405,6 +401,15 @@ def test_loss_gradient_matches_finite_differences():
         fd = (4.0 * central(h / 2) - central(h)) / 3.0
         rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
         assert rel < 1e-5, f"coord {i}: fd={fd}, analytic={grad[i]}"
+
+
+def test_loss_rejects_batch_at_another_sample_time():
+    # both evaluated at batch.dt, not the model's
+    model = tiny_model()
+    batch = random_batch(4, dt=2 * model.dt)
+    for fn in (loss_components, loss_gradient):
+        with pytest.raises(ValueError, match="sample time 0.05 s does not match"):
+            fn(model, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -495,23 +500,37 @@ def synthetic_linear_pairs(n=2500, seed=22):
 
 def test_train_learns_linear_plant():
     pairs = synthetic_linear_pairs()
-    cfg = TrainConfig(seed=23, dt=pairs.dt, epochs=120, batch_size=128,
+    cfg = TrainConfig(seed=23, epochs=120, batch_size=128,
                       hidden=(8,), feature_dim=1, warm_start=False)
-    res = train(pairs, KoopmanDims(p=1), cfg)
+    res = train(pairs, cfg)
     hold = pairs.subset(res.holdout_idx)
     preds = one_step_predictions(res.model, hold.x_now, hold.u_now)
     rmse = np.sqrt(np.mean((preds - hold.x_next) ** 2))
     assert rmse < 1e-3
 
 
+def test_train_takes_feature_count_from_config_and_dt_from_pairs():
+    pairs = synthetic_linear_pairs(n=64, seed=29)
+    res = train(pairs, TrainConfig(seed=29, epochs=0, hidden=(4,), feature_dim=3))
+    assert res.model.dims == KoopmanDims(p=3)
+    assert res.model.dt == pairs.dt
+    # a resumed run keeps the checkpoint's network; its dt is the pairs'
+    shifted = PairBatch(pairs.x_now, pairs.u_now, pairs.x_next, pairs.acc_next,
+                        pairs.dt * (1 + 1e-10))
+    resumed = train(shifted, TrainConfig(seed=30, epochs=0), init_model=res.model)
+    assert resumed.model.dims == res.model.dims
+    assert resumed.model.enc_specs == res.model.enc_specs
+    assert resumed.model.dt == shifted.dt
+
+
 def test_train_ablation_beats_persistence(short_mixed):
     pairs = PairBatch.from_trajectory(short_mixed)
     results = {}
     for tag, w_accel in (("DK", 0.0), ("ALDK", 1.0)):
-        cfg = TrainConfig(seed=24, dt=pairs.dt, epochs=15, batch_size=256,
+        cfg = TrainConfig(seed=24, epochs=15, batch_size=256,
                           weights=LossWeights(accel=w_accel), hidden=(16,),
                           feature_dim=4)
-        res = train(pairs, KoopmanDims(p=4), cfg)
+        res = train(pairs, cfg)
         hold = pairs.subset(res.holdout_idx)
         # normalized squared one-step prediction error
         xn1 = res.model.normalize_states(hold.x_next)
@@ -526,10 +545,10 @@ def test_train_ablation_beats_persistence(short_mixed):
 
 def test_train_is_deterministic(short_mixed):
     pairs = PairBatch.from_trajectory(short_mixed)
-    cfg = TrainConfig(seed=25, dt=pairs.dt, epochs=3, batch_size=256,
+    cfg = TrainConfig(seed=25, epochs=3, batch_size=256,
                       hidden=(8,), feature_dim=2)
-    r1 = train(pairs, KoopmanDims(p=2), cfg)
-    r2 = train(pairs, KoopmanDims(p=2), cfg)
+    r1 = train(pairs, cfg)
+    r2 = train(pairs, cfg)
     assert np.array_equal(r1.model.theta, r2.model.theta)
     assert [rec.csv_row() for rec in r1.history] == [rec.csv_row() for rec in r2.history]
 
@@ -554,7 +573,7 @@ PINNED_HISTORY_SEED42 = np.array([
 
 def test_train_matches_pinned_history(short_mixed):
     pairs = PairBatch.from_trajectory(short_mixed)
-    res = train(pairs, KoopmanDims(), TrainConfig(seed=42, dt=pairs.dt, epochs=5))
+    res = train(pairs, TrainConfig(seed=42, epochs=5))
     got = np.array([[r.loss_total, r.loss_linear, r.loss_recon, r.loss_pred,
                      r.loss_accel, r.holdout_total] for r in res.history])
     assert [r.epoch for r in res.history] == [1, 2, 3, 4, 5]
@@ -569,23 +588,24 @@ def test_chunked_holdout_matches_single_batch(monkeypatch, chunks):
     calls = []
     loss_and_grad = koopman._loss_and_grad
 
-    def counting(*args):
-        calls.append(args[9])
-        return loss_and_grad(*args)
+    def counting(*args, **kwargs):
+        calls.append(kwargs["want_grad"])
+        return loss_and_grad(*args, **kwargs)
 
     monkeypatch.setattr(koopman, "_loss_and_grad", counting)
-    cfg = TrainConfig(seed=27, dt=pairs.dt, epochs=0, hidden=(8,),
+    cfg = TrainConfig(seed=27, epochs=0, hidden=(8,),
                       feature_dim=2, holdout_fraction=0.5)
-    res = train(pairs, KoopmanDims(p=2), cfg)
+    res = train(pairs, cfg)
     monkeypatch.undo()
     assert len(res.holdout_idx) == n_hold
     assert calls == [False] * math.ceil(chunks)
     whole = loss_components(res.model, pairs.subset(res.holdout_idx))
-    np.testing.assert_allclose(res.best_holdout, whole.total(cfg.weights),
+    np.testing.assert_allclose(res.model.meta["best_holdout"],
+                               whole.total(cfg.weights),
                                rtol=1e-12, atol=0.0)
 
 
-def train_by_subsets(pairs, dims, config):
+def train_by_subsets(pairs, config):
     """`train` with subset copies of both splits, a fresh `v[perm]` gather per
     epoch and the holdout in one batch: the oracle for the one prepared
     table, the gather buffer and the chunked holdout. Returns the best theta
@@ -594,6 +614,7 @@ def train_by_subsets(pairs, dims, config):
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
     train_pairs, hold_pairs = pairs.subset(train_rows), pairs.subset(hold_rows)
     normalizer = Normalizer.fit(np.hstack((train_pairs.x_now, train_pairs.u_now)))
+    dims = KoopmanDims(p=config.feature_dim)
     enc = mlp_specs((dims.n, *config.hidden, dims.p))
     dec = mlp_specs((dims.p, *reversed(config.hidden), dims.n))
     layout = _build_layout(enc, dec, dims)
@@ -601,7 +622,7 @@ def train_by_subsets(pairs, dims, config):
     theta[:layout.enc.size] = mlp_mod.init_theta(enc, rng)
     theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
         mlp_mod.init_theta(dec, rng))
-    model = KoopmanModel(dims, enc, dec, theta, normalizer, config.dt,
+    model = KoopmanModel(dims, enc, dec, theta, normalizer, pairs.dt,
                          config.weights, config.squared_norms)
     arr_train = koopman._prepared_arrays(model, train_pairs)
     arr_hold = koopman._prepared_arrays(model, hold_pairs)
@@ -609,10 +630,7 @@ def train_by_subsets(pairs, dims, config):
                            arr_train["ui"], arr_train["xi1"])
 
     def terms(th, arrs, want_grad):
-        return koopman._loss_and_grad(
-            th, layout, dims, arrs, config.weights, config.dt,
-            normalizer.half_range[:2], normalizer.mid[:2],
-            config.squared_norms, want_grad)
+        return koopman._loss_and_grad(th, model, arrs, want_grad=want_grad)
 
     adam = AdamState.create(layout.size, lr=config.learning_rate)
     best_theta = theta.copy()
@@ -638,9 +656,9 @@ def train_by_subsets(pairs, dims, config):
 
 def test_train_equals_subset_copy_data_flow(short_mixed):
     pairs = PairBatch.from_trajectory(short_mixed)
-    cfg = TrainConfig(seed=31, dt=pairs.dt, epochs=3)
-    res = train(pairs, KoopmanDims(), cfg)
-    theta, expect = train_by_subsets(pairs, KoopmanDims(), cfg)
+    cfg = TrainConfig(seed=31, epochs=3)
+    res = train(pairs, cfg)
+    theta, expect = train_by_subsets(pairs, cfg)
     got = np.array([[r.loss_linear, r.loss_recon, r.loss_pred, r.loss_accel,
                      r.loss_total, r.holdout_total] for r in res.history])
     assert np.array_equal(res.model.theta, theta)
@@ -653,8 +671,8 @@ def test_train_memory_stays_under_measured_bound():
     # subset copies of both splits, two shuffled copies of the training split
     # and 3,600 holdout pairs in one chunk)
     pairs = synthetic_linear_pairs(n=12_000, seed=28)
-    cfg = TrainConfig(seed=28, dt=pairs.dt, epochs=1)
-    _, peak = traced_peak(lambda: train(pairs, KoopmanDims(), cfg))
+    cfg = TrainConfig(seed=28, epochs=1)
+    _, peak = traced_peak(lambda: train(pairs, cfg))
     assert peak < 4.5e6, peak
 
 
@@ -663,10 +681,10 @@ def test_train_aborts_on_nonfinite_loss():
     # finite but absurd acceleration targets overflow the squared accel term
     pairs = synthetic_linear_pairs(n=64, seed=26)
     pairs.acc_next[:] = 1e200
-    cfg = TrainConfig(seed=26, dt=pairs.dt, epochs=2, batch_size=16,
+    cfg = TrainConfig(seed=26, epochs=2, batch_size=16,
                       hidden=(8,), feature_dim=2)
     with pytest.raises(RuntimeError, match=r"epoch 1, batch 0"):
-        train(pairs, KoopmanDims(p=2), cfg)
+        train(pairs, cfg)
 
 
 def test_split_is_seeded_and_disjoint():
