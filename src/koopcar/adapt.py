@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .koopman import (KoopmanModel, check_sample_time, lift,
+from .koopman import (N_STATES, KoopmanModel, check_sample_time, lift,
                       one_step_predictions)
 from .vehicle import Trajectory, write_rows
 
@@ -428,7 +428,6 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     if not (np.isfinite(trajectory.states).all()
             and np.isfinite(trajectory.inputs).all()):
         raise ValueError("non-finite measurement")
-    n = model.dims.n
     truth = trajectory.states[1:].copy()
     if config.mode == "frozen":
         preds = one_step_predictions(model, trajectory.states[:-1],
@@ -450,12 +449,12 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         # the min-norm lstsq of each window has no batched form: step `update`
         state = init(model.A, model.B, z_all[0], un[0], config)
         steps = n_snap - 1
-        preds_n = np.empty((steps, n))
+        preds_n = np.empty((steps, N_STATES))
         diag = np.empty((3, steps)) if diagnostics else None
         a0, b0 = state.A_k.copy(), state.B_k.copy()
         for k in range(1, n_snap):
             g = np.concatenate((z_all[k - 1], un[k - 1]))
-            preds_n[k - 1] = (state.h_est @ g)[:n]
+            preds_n[k - 1] = (state.h_est @ g)[:N_STATES]
             update(state, z_all[k], un[k - 1])
             if diagnostics:
                 diag[0, k - 1] = np.linalg.norm(state.A_k - a0)
@@ -464,7 +463,7 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         h_end = state.h_est
     else:
         preds_n, diag, h_end = _batched(np.hstack((model.A, model.B)), z_all,
-                                        un, n, config, eps, diagnostics)
+                                        un, N_STATES, config, eps, diagnostics)
     return _result(model.denormalize_states(preds_n), truth, diag,
                    h_end[:, :zdim].copy(), h_end[:, zdim:].copy(), config)
 

@@ -141,8 +141,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     init_model = km.load_checkpoint(args.resume) if args.resume else None
     if init_model is not None:   # resuming keeps the checkpoint's network
-        saved = {"hidden": tuple(s.out_dim for s in init_model.enc_specs[:-1]),
-                 "feature_dim": init_model.dims.p}
+        saved = {"hidden": init_model.hidden, "feature_dim": init_model.p}
         for key, value in saved.items():
             if key in args.given and getattr(args, key) != value:
                 raise ValueError(f"{args.given[key]}: {key} = {_text(getattr(args, key))}"
@@ -296,8 +295,8 @@ def cmd_adapt(args) -> int:
 def cmd_inspect(args) -> int:
     model = km.load_checkpoint(args.checkpoint)
     print(f"checkpoint: {args.checkpoint}")
-    print(f"  dims: n={model.dims.n} m={model.dims.m} p={model.dims.p} "
-          f"(lifted {model.dims.lifted}); dt={model.dt}")
+    print(f"  dims: n={km.N_STATES} m={km.N_INPUTS} p={model.p} "
+          f"(lifted {model.lifted}); dt={model.dt}")
     enc = " -> ".join(str(s.in_dim) for s in model.enc_specs)
     print(f"  encoder: {enc} -> {model.enc_specs[-1].out_dim} "
           f"({model.enc_specs[0].activation} hidden)")

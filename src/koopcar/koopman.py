@@ -24,28 +24,17 @@ from .mlp import (AdamState, LayerSpec, MlpLayout, Normalizer, adam_step,
 from .vehicle import Trajectory
 
 CHANNELS = ("Vx", "Vy", "wr", "T", "delta_f")
+N_STATES = 3                          # x = CHANNELS[:3]
+N_INPUTS = len(CHANNELS) - N_STATES   # u = CHANNELS[3:]
 CHECKPOINT_VERSION = 1
+CHECKPOINT_KIND = "koopcar-model"
+# the joint parameter vector's blocks in order, named by their checkpoint keys
+BLOCKS = ("theta_encoder", "theta_decoder", "A_row_major", "B_row_major")
 
 TRAIN_LOG_HEADER = ("epoch,loss_total,loss_linear,loss_recon,loss_pred,"
                     "loss_accel,holdout_total")
 
 BLOCK_ROWS = 1024  # rows per inference block and per holdout chunk in `train`
-
-
-@dataclass(frozen=True)
-class KoopmanDims:
-    """n original states, m inputs, p learned features; lifted dim = n + p."""
-    n: int = 3
-    m: int = 2
-    p: int = 12
-
-    def __post_init__(self):
-        if min(self.n, self.m, self.p) <= 0:
-            raise ValueError("dims must be positive")
-
-    @property
-    def lifted(self) -> int:
-        return self.n + self.p
 
 
 @dataclass(frozen=True)
@@ -77,43 +66,68 @@ class LossTerms(NamedTuple):
 
 @dataclass(frozen=True)
 class _Layout:
-    """Offsets of the joint parameter vector: encoder | decoder | A | B."""
+    """The joint parameter vector, encoder | decoder | A (d x d) | B (d x m) with
+    d = n + p; every split or join of parameters or gradient goes through it."""
     enc: MlpLayout
     dec: MlpLayout
-    a_off: int
-    b_off: int
+    lifted: int
+    bounds: tuple[int, ...]   # block k is [bounds[k], bounds[k + 1])
     size: int
 
+    @classmethod
+    def build(cls, enc_specs, dec_specs) -> "_Layout":
+        enc = MlpLayout.build(enc_specs, base=0)
+        dec = MlpLayout.build(dec_specs, base=enc.size)
+        d = N_STATES + enc_specs[-1].out_dim
+        bounds = np.cumsum((0, enc.size, dec.size, d * d, d * N_INPUTS)).tolist()
+        return cls(enc, dec, lifted=d, bounds=tuple(bounds), size=bounds[-1])
 
-def _build_layout(enc_specs, dec_specs, dims: KoopmanDims) -> _Layout:
-    enc = MlpLayout.build(enc_specs, base=0)
-    dec = MlpLayout.build(dec_specs, base=enc.size)
-    a_off = enc.size + dec.size
-    b_off = a_off + dims.lifted * dims.lifted
-    return _Layout(enc=enc, dec=dec, a_off=a_off, b_off=b_off,
-                   size=b_off + dims.lifted * dims.m)
+    def blocks(self, vec: np.ndarray):
+        """Encoder, decoder, A (d x d) and B (d x m) views of a flat vector."""
+        o, d = self.bounds, self.lifted
+        return (vec[o[0]:o[1]], vec[o[1]:o[2]], vec[o[2]:o[3]].reshape(d, d),
+                vec[o[3]:o[4]].reshape(d, N_INPUTS))
+
+    def join(self, enc, dec, A, B) -> np.ndarray:
+        """One flat vector of the four blocks, each read in row-major order;
+        raises ValueError naming every block whose size does not fit."""
+        parts = [np.asarray(x, dtype=np.float64).ravel() for x in (enc, dec, A, B)]
+        sizes = np.diff(self.bounds)
+        bad = [f"{name} has {x.size} values, the specs need {size}"
+               for name, x, size in zip(BLOCKS, parts, sizes) if x.size != size]
+        if bad:
+            raise ValueError("parameter block " + "; ".join(bad))
+        return np.concatenate(parts)
+
+    def dims(self) -> dict:
+        """The checkpoint's `dims` record of this shape: n, m and p = d - n."""
+        return {"n": N_STATES, "m": N_INPUTS, "p": self.lifted - N_STATES}
 
 
 class KoopmanModel:
-    """Immutable-by-convention bundle: dims, encoder/decoder, A, B, normalizer."""
+    """Immutable-by-convention bundle: encoder/decoder, A, B, normalizer.
+    The specs give its shape: p, the encoder's `hidden` widths, lifted n + p."""
 
-    def __init__(self, dims: KoopmanDims, enc_specs, dec_specs,
+    def __init__(self, enc_specs, dec_specs,
                  theta: np.ndarray, normalizer: Normalizer, dt: float,
                  weights: LossWeights = LossWeights(),
                  squared_norms: bool = True, meta: dict | None = None):
-        if enc_specs[0].in_dim != dims.n or enc_specs[-1].out_dim != dims.p:
+        p = enc_specs[-1].out_dim
+        if enc_specs[0].in_dim != N_STATES:
             raise ValueError("encoder dims must map n -> p")
-        if dec_specs[0].in_dim != dims.p or dec_specs[-1].out_dim != dims.n:
+        if dec_specs[0].in_dim != p or dec_specs[-1].out_dim != N_STATES:
             raise ValueError("decoder dims must map p -> n")
-        if normalizer.lo.shape[0] != dims.n + dims.m:
+        if normalizer.lo.shape[0] != N_STATES + N_INPUTS:
             raise ValueError("normalizer must cover state and input channels")
         dt = float(dt)
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"model dt must be positive and finite, got {dt}")
-        self.dims = dims
         self.enc_specs = tuple(enc_specs)
         self.dec_specs = tuple(dec_specs)
-        self.layout = _build_layout(self.enc_specs, self.dec_specs, dims)
+        self.p = p
+        self.hidden = tuple(s.out_dim for s in self.enc_specs[:-1])
+        self.layout = _Layout.build(self.enc_specs, self.dec_specs)
+        self.lifted = self.layout.lifted
         if theta.shape != (self.layout.size,):
             raise ValueError(f"theta must have shape ({self.layout.size},)")
         if not np.all(np.isfinite(theta)):
@@ -128,23 +142,21 @@ class KoopmanModel:
     # --- parameter views -------------------------------------------------
     @property
     def A(self) -> np.ndarray:
-        d = self.dims.lifted
-        return self.theta[self.layout.a_off:self.layout.a_off + d * d].reshape(d, d)
+        return self.layout.blocks(self.theta)[2]
 
     @property
     def B(self) -> np.ndarray:
-        d, m = self.dims.lifted, self.dims.m
-        return self.theta[self.layout.b_off:self.layout.b_off + d * m].reshape(d, m)
+        return self.layout.blocks(self.theta)[3]
 
     # --- normalization helpers -------------------------------------------
     def normalize_states(self, x: np.ndarray) -> np.ndarray:
-        return self.normalizer.select(slice(0, self.dims.n)).apply(x)
+        return self.normalizer.select(slice(0, N_STATES)).apply(x)
 
     def normalize_inputs(self, u: np.ndarray) -> np.ndarray:
-        return self.normalizer.select(slice(self.dims.n, None)).apply(u)
+        return self.normalizer.select(slice(N_STATES, None)).apply(u)
 
     def denormalize_states(self, x: np.ndarray) -> np.ndarray:
-        return self.normalizer.select(slice(0, self.dims.n)).invert(x)
+        return self.normalizer.select(slice(0, N_STATES)).invert(x)
 
 
 def _row_blocks(n_rows: int):
@@ -173,20 +185,19 @@ def lift(model: KoopmanModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    n = model.dims.n
-    if xb.shape[1] != n:
-        raise ValueError(f"state dim {xb.shape[1]} != n={n}")
+    if xb.shape[1] != N_STATES:
+        raise ValueError(f"state dim {xb.shape[1]} != n={N_STATES}")
     enc = model.layout.enc
-    z = np.empty((xb.shape[0], model.dims.lifted))
-    z[:, :n] = xb
+    z = np.empty((xb.shape[0], model.lifted))
+    z[:, :N_STATES] = xb
     for s, e in _row_blocks(xb.shape[0]):
-        z[s:e, n:] = _kernels.dense_forward(
+        z[s:e, N_STATES:] = _kernels.dense_forward(
             model.theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
             np.ascontiguousarray(xb[s:e]))
     return z[0] if single else z
 
 
-def project(z: np.ndarray, n: int = 3) -> np.ndarray:
+def project(z: np.ndarray, n: int = N_STATES) -> np.ndarray:
     """First n components of the lifted vector(s): exact projection to states."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] < n:
@@ -199,7 +210,7 @@ def predict_one_step(model: KoopmanModel, z: np.ndarray,
     """z_next = A z + B u (batched over leading axis when 2-D)."""
     z = np.asarray(z, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if z.shape[-1] != model.dims.lifted or u.shape[-1] != model.dims.m:
+    if z.shape[-1] != model.lifted or u.shape[-1] != N_INPUTS:
         raise ValueError("lifted/input dim mismatch")
     return z @ model.A.T + u @ model.B.T
 
@@ -298,10 +309,8 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
     vel_half = model.normalizer.half_range[:2]
     vel_mid = model.normalizer.mid[:2]
     xi, ui, xi1 = arrs["xi"], arrs["ui"], arrs["xi1"]
-    nb = xi.shape[0]
-    n, d, m = model.dims.n, model.dims.lifted, model.dims.m
-    A = theta[layout.a_off:layout.a_off + d * d].reshape(d, d)
-    Bm = theta[layout.b_off:layout.b_off + d * m].reshape(d, m)
+    nb, n = xi.shape[0], N_STATES
+    _, _, A, Bm = layout.blocks(theta)
     enc, dec = layout.enc, layout.dec
 
     # xi and xi1 pass forward through the encoder as one stacked batch
@@ -338,8 +347,8 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
     g_zhat[:, :2] -= weights.accel * g_al * (vel_half / dt)
 
     grad = np.zeros(layout.size)
-    grad[layout.a_off:layout.a_off + d * d] = (g_zhat.T @ z_i).ravel()
-    grad[layout.b_off:layout.b_off + d * m] = (g_zhat.T @ ui).ravel()
+    _, _, g_a, g_b = layout.blocks(grad)
+    g_a[...], g_b[...] = g_zhat.T @ z_i, g_zhat.T @ ui
 
     g_xrec = -(weights.recon * g_rec)
     g_phi_dec = _kernels.dense_backward(theta, dec.shapes, dec.w_off, dec.b_off,
@@ -412,6 +421,9 @@ class TrainConfig:
     squared_norms: bool = True
 
     def __post_init__(self):
+        if self.feature_dim < 1 or min(self.hidden, default=1) < 1:
+            raise ValueError(f"feature_dim and hidden widths must be >= 1, "
+                             f"got {self.feature_dim} and {self.hidden}")
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ValueError(f"holdout_fraction must be in (0, 1), "
                              f"got {self.holdout_fraction}")
@@ -456,16 +468,14 @@ def split_pairs(n_pairs: int, holdout_fraction: float,
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _warm_start_ab(theta, layout, dims, xi, ui, xi1):
-    """A = identity-padded state-space EDMD fit, B = its input map, rest zero."""
+def _warm_start_ab(A, B, xi, ui, xi1):
+    """Write into the views A and B: A = identity-padded state-space EDMD
+    fit, B = its input map, rest zero."""
     a3, b3 = edmd_fit(xi.T, xi1.T, ui.T, ridge=1e-10)
-    d = dims.lifted
-    a_full = np.eye(d)
-    a_full[:dims.n, :dims.n] = a3
-    b_full = np.zeros((d, dims.m))
-    b_full[:dims.n, :] = b3
-    theta[layout.a_off:layout.a_off + d * d] = a_full.ravel()
-    theta[layout.b_off:layout.b_off + d * dims.m] = b_full.ravel()
+    A[...] = np.eye(A.shape[0])
+    A[:N_STATES, :N_STATES] = a3
+    B[...] = 0.0
+    B[:N_STATES] = b3
 
 
 def train(pairs: PairBatch, config: TrainConfig,
@@ -483,32 +493,37 @@ def train(pairs: PairBatch, config: TrainConfig,
     temporaries stay bounded for any data length. Aborts on a non-finite loss
     naming the offending batch. Passing `init_model` resumes from its
     network, parameters and normalizer (epoch numbering continues from its
-    recorded final epoch); its dt must be the pairs' sample time. The best
-    epoch and its holdout loss are in the model's `meta`.
+    recorded final epoch); its dt must be the pairs' sample time, and
+    `config.hidden` and `config.feature_dim` must be its `hidden` and `p`.
+    `config.warm_start` does not apply on resume. The best epoch and its
+    holdout loss are in the model's `meta`.
     """
     if init_model is not None:
         check_sample_time(init_model, pairs)
+        if (tuple(config.hidden), config.feature_dim) != (init_model.hidden, init_model.p):
+            raise ValueError(f"config hidden={config.hidden}, feature_dim="
+                             f"{config.feature_dim} differ from the resumed model's "
+                             f"hidden={init_model.hidden}, feature_dim={init_model.p}")
     if len(pairs) < 4:
         raise ValueError("need at least 4 pairs to train")
     rng = np.random.default_rng(config.seed)
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
 
     if init_model is not None:
-        dims, enc_specs, dec_specs = (init_model.dims, init_model.enc_specs,
-                                      init_model.dec_specs)
+        enc_specs, dec_specs = init_model.enc_specs, init_model.dec_specs
         normalizer, theta = init_model.normalizer, init_model.theta.copy()
         epoch0 = int(init_model.meta.get("final_epoch", 0))
     else:
-        dims = KoopmanDims(p=config.feature_dim)
         normalizer = Normalizer.fit(
             np.hstack((pairs.x_now[train_rows], pairs.u_now[train_rows])))
-        enc_specs = mlp_specs((dims.n, *config.hidden, dims.p))
-        dec_specs = mlp_specs((dims.p, *reversed(config.hidden), dims.n))
-        theta = np.concatenate((mlp.init_theta(enc_specs, rng),
-                                mlp.init_theta(dec_specs, rng),
-                                np.zeros(dims.lifted * (dims.lifted + dims.m))))
+        p, d = config.feature_dim, N_STATES + config.feature_dim
+        enc_specs = mlp_specs((N_STATES, *config.hidden, p))
+        dec_specs = mlp_specs((p, *reversed(config.hidden), N_STATES))
+        theta = _Layout.build(enc_specs, dec_specs).join(
+            mlp.init_theta(enc_specs, rng), mlp.init_theta(dec_specs, rng),
+            np.eye(d), np.zeros((d, N_INPUTS)))
         epoch0 = 0
-    model = KoopmanModel(dims, enc_specs, dec_specs, theta, normalizer,
+    model = KoopmanModel(enc_specs, dec_specs, theta, normalizer,
                          pairs.dt, config.weights, config.squared_norms)
     layout, weights = model.layout, model.weights
     table = _prepared_arrays(model, pairs)
@@ -520,14 +535,10 @@ def train(pairs: PairBatch, config: TrainConfig,
         for k, v in table.items():
             np.take(v, rows, axis=0, out=epoch_arrs[k], mode="clip")
 
-    if init_model is None:
-        if config.warm_start:
-            gather(train_rows)
-            _warm_start_ab(theta, layout, dims, epoch_arrs["xi"],
-                           epoch_arrs["ui"], epoch_arrs["xi1"])
-        else:
-            d = dims.lifted
-            theta[layout.a_off:layout.a_off + d * d] = np.eye(d).ravel()
+    if init_model is None and config.warm_start:
+        gather(train_rows)
+        _warm_start_ab(*layout.blocks(theta)[2:], epoch_arrs["xi"],
+                       epoch_arrs["ui"], epoch_arrs["xi1"])
 
     adam = AdamState.create(layout.size, lr=config.learning_rate)
 
@@ -574,7 +585,7 @@ def train(pairs: PairBatch, config: TrainConfig,
     meta = {"seed": config.seed, "epochs": config.epochs,
             "best_epoch": best_epoch, "best_holdout": best_hold,
             "final_epoch": epoch0 + config.epochs}
-    final = KoopmanModel(dims, enc_specs, dec_specs, best_theta, normalizer,
+    final = KoopmanModel(enc_specs, dec_specs, best_theta, normalizer,
                          pairs.dt, config.weights, config.squared_norms, meta)
     return TrainResult(model=final, history=history, holdout_idx=hold_rows)
 
@@ -614,13 +625,12 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
     inputs = np.asarray(inputs, dtype=np.float64)
     if states.shape[0] != inputs.shape[0]:
         raise ValueError("states and inputs must share the sample axis")
-    n = model.dims.n
-    out = np.empty((states.shape[0], n))
+    out = np.empty((states.shape[0], N_STATES))
     for s, e in _row_blocks(states.shape[0]):
         z = lift(model, model.normalize_states(states[s:e]))
         un = model.normalize_inputs(inputs[s:e])
         out[s:e] = model.denormalize_states(
-            project(predict_one_step(model, z, un), n))
+            project(predict_one_step(model, z, un)))
     return out
 
 
@@ -639,20 +649,16 @@ def _specs_from_json(items):
 
 
 def save_checkpoint(model: KoopmanModel, path) -> None:
-    lay = model.layout
-    d, m = model.dims.lifted, model.dims.m
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "kind": "koopcar-model",
-        "dims": {"n": model.dims.n, "m": model.dims.m, "p": model.dims.p},
+        "kind": CHECKPOINT_KIND,
+        "dims": model.layout.dims(),
         "dt": model.dt,
         "channels": list(CHANNELS),
         "encoder": _specs_to_json(model.enc_specs),
         "decoder": _specs_to_json(model.dec_specs),
-        "theta_encoder": model.theta[:lay.enc.size].tolist(),
-        "theta_decoder": model.theta[lay.enc.size:lay.enc.size + lay.dec.size].tolist(),
-        "A_row_major": model.theta[lay.a_off:lay.a_off + d * d].tolist(),
-        "B_row_major": model.theta[lay.b_off:lay.b_off + d * m].tolist(),
+        **{key: block.ravel().tolist()
+           for key, block in zip(BLOCKS, model.layout.blocks(model.theta))},
         "normalizer_min": model.normalizer.lo.tolist(),
         "normalizer_max": model.normalizer.hi.tolist(),
         "loss_weights": {"linear": model.weights.linear,
@@ -682,25 +688,19 @@ def _model_from_doc(doc: dict) -> KoopmanModel:
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
-    dims = KoopmanDims(**doc["dims"])
     enc_specs = _specs_from_json(doc["encoder"])
     dec_specs = _specs_from_json(doc["decoder"])
-    layout = _build_layout(enc_specs, dec_specs, dims)
-    d = dims.lifted
-    blocks = []
-    for key, size in (("theta_encoder", layout.enc.size),
-                      ("theta_decoder", layout.dec.size),
-                      ("A_row_major", d * d), ("B_row_major", d * dims.m)):
-        block = np.asarray(doc[key], dtype=np.float64)
-        if block.shape != (size,):
-            raise ValueError(f"checkpoint block {key} has shape {block.shape}; "
-                             f"the stored specs and dims need ({size},)")
-        blocks.append(block)
+    layout = _Layout.build(enc_specs, dec_specs)
+    for key, want in (("kind", CHECKPOINT_KIND), ("channels", list(CHANNELS)),
+                      ("dims", layout.dims())):
+        if doc[key] != want:
+            raise ValueError(f"checkpoint {key} is {doc[key]!r}, not {want!r}")
+    theta = layout.join(*(doc[key] for key in BLOCKS))
     normalizer = Normalizer(lo=np.asarray(doc["normalizer_min"]),
                             hi=np.asarray(doc["normalizer_max"]))
     lw = doc["loss_weights"]
     return KoopmanModel(
-        dims, enc_specs, dec_specs, np.concatenate(blocks), normalizer, doc["dt"],
+        enc_specs, dec_specs, theta, normalizer, doc["dt"],
         LossWeights(linear=lw["linear"], recon=lw["recon"], pred=lw["pred"],
                     accel=lw["accel"]),
         doc.get("squared_norms", True), doc.get("meta", {}))

@@ -5,8 +5,8 @@ import pytest
 
 from koopcar import _kernels
 from koopcar import mlp as mlp_mod
-from koopcar.koopman import (KoopmanDims, KoopmanModel, PairBatch, _build_layout,
-                             edmd_fit, lift)
+from koopcar.koopman import (N_INPUTS, N_STATES, KoopmanModel, PairBatch,
+                             _Layout, edmd_fit, lift)
 from koopcar.mlp import Normalizer, mlp_specs
 from koopcar.scenarios import make_scenario, run_scenario
 
@@ -44,23 +44,19 @@ def quick_edmd_model(trajectory, seed=0, p=6, hidden=(16,)):
     """
     pairs = PairBatch.from_trajectory(trajectory)
     rng = np.random.default_rng(seed)
-    dims = KoopmanDims(p=p)
-    enc = mlp_specs((dims.n, *hidden, p))
-    dec = mlp_specs((p, *hidden, dims.n))
-    layout = _build_layout(enc, dec, dims)
-    theta = np.zeros(layout.size)
-    theta[:layout.enc.size] = mlp_mod.init_theta(enc, rng)
-    theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
-        mlp_mod.init_theta(dec, rng))
+    enc = mlp_specs((N_STATES, *hidden, p))
+    dec = mlp_specs((p, *hidden, N_STATES))
+    layout = _Layout.build(enc, dec)
+    d = layout.lifted
+    theta = layout.join(mlp_mod.init_theta(enc, rng), mlp_mod.init_theta(dec, rng),
+                        np.zeros((d, d)), np.zeros((d, N_INPUTS)))
     normalizer = Normalizer.fit(np.hstack((pairs.x_now, pairs.u_now)))
-    model = KoopmanModel(dims, enc, dec, theta, normalizer, pairs.dt)
+    model = KoopmanModel(enc, dec, theta, normalizer, pairs.dt)
     z_now = lift(model, model.normalize_states(pairs.x_now))
     z_next = lift(model, model.normalize_states(pairs.x_next))
     u_now = model.normalize_inputs(pairs.u_now)
-    a_mat, b_mat = edmd_fit(z_now.T, z_next.T, u_now.T, ridge=1e-9)
-    d = dims.lifted
-    theta[layout.a_off:layout.a_off + d * d] = a_mat.ravel()
-    theta[layout.b_off:layout.b_off + d * dims.m] = b_mat.ravel()
+    _, _, a_view, b_view = layout.blocks(theta)
+    a_view[...], b_view[...] = edmd_fit(z_now.T, z_next.T, u_now.T, ridge=1e-9)
     return model
 
 

@@ -17,8 +17,8 @@ from conftest import planar_rhs, rk4_step
 from koopcar import mlp as mlp_mod
 from koopcar.adapt import AdapterConfig, adapt_run, init, update
 from koopcar.cli import main as cli_main
-from koopcar.koopman import (KoopmanDims, KoopmanModel, LossWeights, PairBatch,
-                             TrainConfig, _build_layout, _loss_and_grad,
+from koopcar.koopman import (N_INPUTS, KoopmanModel, LossWeights, PairBatch,
+                             TrainConfig, _Layout, _loss_and_grad,
                              _prepared_arrays, edmd_fit, loss_gradient,
                              one_step_predictions, split_pairs, train)
 from koopcar.mlp import Normalizer, mlp_specs
@@ -161,21 +161,16 @@ def test_criterion_03_edmd_recovers_known_system():
 
 def test_criterion_04_joint_loss_gradient_correctness():
     rng = np.random.default_rng(104)
-    dims = KoopmanDims(n=3, m=2, p=2)
     enc = mlp_specs((3, 8, 2))
     dec = mlp_specs((2, 8, 3))
-    layout = _build_layout(enc, dec, dims)
-    theta = np.zeros(layout.size)
-    theta[:layout.enc.size] = mlp_mod.init_theta(enc, rng)
-    theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
-        mlp_mod.init_theta(dec, rng))
-    d = dims.lifted
-    theta[layout.a_off:layout.a_off + d * d] = (
-        np.eye(d) + 0.05 * rng.normal(size=(d, d))).ravel()
-    theta[layout.b_off:] = 0.1 * rng.normal(size=d * dims.m)
+    layout = _Layout.build(enc, dec)
+    d = layout.lifted
+    theta = layout.join(mlp_mod.init_theta(enc, rng), mlp_mod.init_theta(dec, rng),
+                        np.eye(d) + 0.05 * rng.normal(size=(d, d)),
+                        0.1 * rng.normal(size=(d, N_INPUTS)))
     norm = Normalizer(lo=np.array([5.0, -1.0, -0.5, -500.0, -0.1]),
                       hi=np.array([25.0, 1.0, 0.5, 1500.0, 0.1]))
-    model = KoopmanModel(dims, enc, dec, theta, norm, 0.025)
+    model = KoopmanModel(enc, dec, theta, norm, 0.025)
     n_s = 6
     batch = PairBatch(
         x_now=np.column_stack((rng.uniform(8, 20, n_s),

@@ -510,8 +510,7 @@ def identity_lift_run(monkeypatch, h0, z, u, config, diagnostics=True):
     and whose normalizers are the identity."""
     monkeypatch.setattr(adapt, "lift", lambda model, xn: z)
     same = lambda a: a  # noqa: E731
-    model = SimpleNamespace(dims=SimpleNamespace(n=3), dt=0.025,
-                            A=h0[:, :ZDIM], B=h0[:, ZDIM:],
+    model = SimpleNamespace(dt=0.025, A=h0[:, :ZDIM], B=h0[:, ZDIM:],
                             normalize_states=same, normalize_inputs=same,
                             denormalize_states=same)
     k = z.shape[0]

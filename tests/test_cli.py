@@ -231,7 +231,7 @@ def test_simulate_rejects_steering_beyond_max_steer(tmp_path, capsys):
 
 def test_train_outputs_checkpoint_and_log(workdir):
     model = load_checkpoint(workdir["ckpt"])
-    assert model.dims.p == 2
+    assert model.p == 2
     log = (workdir["root"] / "model.json.log.csv").read_text().splitlines()
     assert log[0] == ("epoch,loss_total,loss_linear,loss_recon,loss_pred,"
                       "loss_accel,holdout_total")
@@ -318,7 +318,7 @@ def test_train_resume_records_checkpoint_architecture(workdir, tmp_path):
         assert run_cli(*common, *flags, "--out", str(out)) == 0
         echo = json.loads(out.read_text())["meta"]["config_echo"]
         assert (echo["hidden"], echo["feature_dim"]) == ("8", "2")
-        assert load_checkpoint(out).dims.p == 2
+        assert load_checkpoint(out).p == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -331,6 +331,22 @@ def test_train_rejects_bad_learning_rate(workdir, tmp_path, capsys, value):
                    "--out", str(out)) == 2
     assert (f"learning_rate must be positive and finite, got {float(value)}"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--feature-dim", "0", "feature_dim and hidden widths must be >= 1, "
+                           "got 0 and (32, 32)"),
+    ("--hidden", "32,0", "feature_dim and hidden widths must be >= 1, "
+                         "got 12 and (32, 0)")])
+def test_train_names_a_bad_network_shape(workdir, tmp_path, capsys, flag, value,
+                                         message):
+    # these said only "dims must be positive" and "layer dimensions must be
+    # positive"
+    out = tmp_path / "shape.json"
+    assert run_cli("train", "--data", str(workdir["traj"]), "--seed", "1",
+                   "--epochs", "1", flag, value, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -603,7 +619,9 @@ def test_adapt_rejects_nan_normalizer_checkpoint(workdir, tmp_path, capsys, mode
 @pytest.mark.parametrize("key, value, message", [
     ("dt", -0.025, "model dt must be positive and finite, got -0.025"),
     ("loss_weights", {"linear": 1, "recon": 1, "pred": 1, "accel": float("nan")},
-     "loss weight accel must be non-negative and finite, got nan")])
+     "loss weight accel must be non-negative and finite, got nan"),
+    ("channels", ["delta_f", "T", "wr", "Vy", "Vx"],   # loaded before
+     "checkpoint channels is ['delta_f', 'T', 'wr', 'Vy', 'Vx'], not ")])
 def test_inspect_rejects_bad_checkpoint_value(workdir, tmp_path, capsys, key,
                                               value, message):
     ckpt = edited_checkpoint(workdir, tmp_path,

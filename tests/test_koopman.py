@@ -6,9 +6,9 @@ import pytest
 
 from koopcar import _kernels, koopman
 from koopcar import mlp as mlp_mod
-from koopcar.koopman import (KoopmanDims, KoopmanModel,
+from koopcar.koopman import (N_INPUTS, N_STATES, KoopmanModel,
                              LossWeights, PairBatch, TrainConfig,
-                             _build_layout, edmd_fit, lift,
+                             _Layout, edmd_fit, lift,
                              load_checkpoint, loss_components, loss_gradient,
                              one_step_predictions, predict_one_step, project,
                              save_checkpoint, split_pairs, train)
@@ -20,26 +20,28 @@ NORM5 = Normalizer(lo=np.array([5.0, -1.0, -0.5, -500.0, -0.1]),
                    hi=np.array([25.0, 1.0, 0.5, 1500.0, 0.1]))
 
 
-def build_model(dims, enc_specs, dec_specs, theta_fill=None, seed=0,
+def build_model(enc_specs, dec_specs, theta_fill=None, seed=0,
                 normalizer=NORM5, dt=0.025, weights=LossWeights()):
-    layout = _build_layout(enc_specs, dec_specs, dims)
+    layout = _Layout.build(enc_specs, dec_specs)
     rng = np.random.default_rng(seed)
     theta = np.zeros(layout.size)
     if theta_fill == "random":
-        theta[:layout.enc.size] = mlp_mod.init_theta(enc_specs, rng)
-        theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
-            mlp_mod.init_theta(dec_specs, rng))
-        d = dims.lifted
-        theta[layout.a_off:layout.a_off + d * d] = (
-            np.eye(d) + 0.05 * rng.normal(size=(d, d))).ravel()
-        theta[layout.b_off:] = 0.1 * rng.normal(size=d * dims.m)
-    return KoopmanModel(dims, enc_specs, dec_specs, theta, normalizer, dt,
-                        weights)
+        d = layout.lifted
+        theta = layout.join(mlp_mod.init_theta(enc_specs, rng),
+                            mlp_mod.init_theta(dec_specs, rng),
+                            np.eye(d) + 0.05 * rng.normal(size=(d, d)),
+                            0.1 * rng.normal(size=(d, N_INPUTS)))
+    return KoopmanModel(enc_specs, dec_specs, theta, normalizer, dt, weights)
+
+
+def set_ab(model, a_mat, b_mat):
+    """Write A and B into the model's parameter vector."""
+    _, _, a_view, b_view = model.layout.blocks(model.theta)
+    a_view[...], b_view[...] = a_mat, b_mat
 
 
 def tiny_model(seed=0):
-    dims = KoopmanDims(n=3, m=2, p=2)
-    return build_model(dims, mlp_specs((3, 8, 2)), mlp_specs((2, 8, 3)),
+    return build_model(mlp_specs((3, 8, 2)), mlp_specs((2, 8, 3)),
                        "random", seed=seed)
 
 
@@ -68,8 +70,7 @@ def test_lift_keeps_state_in_first_components():
 
 
 def test_lift_with_zero_encoder_appends_zeros():
-    dims = KoopmanDims(p=2)
-    model = build_model(dims, mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    model = build_model(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
     z = lift(model, np.array([0.5, 0.1, -0.3]))
     assert np.array_equal(z, [0.5, 0.1, -0.3, 0.0, 0.0])
 
@@ -108,16 +109,15 @@ def test_project_dim_check():
 
 def test_predict_one_step_persistence():
     model = tiny_model()
-    d = model.dims.lifted
-    model.theta[model.layout.a_off:model.layout.a_off + d * d] = np.eye(d).ravel()
-    model.theta[model.layout.b_off:] = 0.0
+    d = model.lifted
+    set_ab(model, np.eye(d), 0.0)
     z = np.arange(d, dtype=np.float64)
     assert np.array_equal(predict_one_step(model, z, np.array([1.0, -1.0])), z)
 
 
 def test_predict_from_zero_state_reads_b_columns():
     model = tiny_model(seed=5)
-    z = np.zeros(model.dims.lifted)
+    z = np.zeros(model.lifted)
     u = np.array([1.0, 0.0])
     assert np.allclose(predict_one_step(model, z, u), model.B[:, 0], atol=1e-15)
 
@@ -125,13 +125,13 @@ def test_predict_from_zero_state_reads_b_columns():
 def test_predict_matches_triple_loop_oracle():
     model = tiny_model(seed=6)
     rng = np.random.default_rng(3)
-    z = rng.normal(size=model.dims.lifted)
+    z = rng.normal(size=model.lifted)
     u = rng.normal(size=2)
     a_mat, b_mat = model.A, model.B
-    expect = np.zeros(model.dims.lifted)
-    for r in range(model.dims.lifted):
+    expect = np.zeros(model.lifted)
+    for r in range(model.lifted):
         acc = 0.0
-        for c in range(model.dims.lifted):
+        for c in range(model.lifted):
             acc += a_mat[r, c] * z[c]
         for c in range(2):
             acc += b_mat[r, c] * u[c]
@@ -148,8 +148,7 @@ def uniform_rows(model, n_rows, seed):
     rng = np.random.default_rng(seed)
     lo, hi = model.normalizer.lo, model.normalizer.hi
     rows = rng.uniform(lo, hi, size=(n_rows, lo.size))
-    n = model.dims.n
-    return rows[:, :n], rows[:, n:]
+    return rows[:, :N_STATES], rows[:, N_STATES:]
 
 
 def traced_peak(fn):
@@ -232,15 +231,13 @@ def test_pairs_reject_nonfinite_accels():
 def test_exact_linear_model_has_zero_linear_and_pred_loss():
     # zero encoder => phi == 0; A with zero feature rows keeps the lifted
     # evolution consistent, and x_next is defined as the predicted state
-    dims = KoopmanDims(p=2)
-    model = build_model(dims, mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
-    d = dims.lifted
+    model = build_model(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    d = model.lifted
     a_mat = np.zeros((d, d))
     a_mat[:3, :3] = np.array([[0.9, 0.05, 0.0], [0.0, 0.8, 0.1], [0.02, 0.0, 0.85]])
     b_mat = np.zeros((d, 2))
     b_mat[:3] = np.array([[0.05, 0.0], [0.0, 0.2], [0.01, 0.1]])
-    model.theta[model.layout.a_off:model.layout.a_off + d * d] = a_mat.ravel()
-    model.theta[model.layout.b_off:] = b_mat.ravel()
+    set_ab(model, a_mat, b_mat)
 
     x_now = np.array([[12.0, 0.3, -0.1]])
     u_now = np.array([[250.0, 0.02]])
@@ -257,10 +254,9 @@ def test_exact_linear_model_has_zero_linear_and_pred_loss():
 
 def test_exact_decoder_gives_zero_recon_loss():
     # zero encoder (phi=0) and decoder bias set to the normalized sample
-    dims = KoopmanDims(p=2)
     enc = mlp_specs((3, 4, 2))
     dec = (LayerSpec(2, 3, "linear"),)
-    model = build_model(dims, enc, dec)
+    model = build_model(enc, dec)
     batch = random_batch(1, seed=4)
     xn = model.normalize_states(batch.x_now[0])
     off = model.layout.enc.size + 2 * 3  # decoder bias location
@@ -270,10 +266,9 @@ def test_exact_decoder_gives_zero_recon_loss():
 
 def test_tiny_model_frozen_loss_oracle():
     # values frozen from an independent scalar evaluation script
-    dims = KoopmanDims(n=3, m=2, p=1)
     enc = (LayerSpec(3, 1, "tanh"),)
     dec = (LayerSpec(1, 3, "linear"),)
-    model = build_model(dims, enc, dec)
+    model = build_model(enc, dec)
     model.theta[0:3] = [0.2, -0.1, 0.3]
     model.theta[3] = 0.05
     model.theta[4:7] = [0.4, -0.3, 0.1]
@@ -281,8 +276,7 @@ def test_tiny_model_frozen_loss_oracle():
     a_mat = np.array([[1.0, 0.0, 0.0, 0.1], [0.0, 0.95, 0.02, 0.0],
                       [0.01, 0.0, 0.9, -0.05], [0.0, 0.02, 0.0, 0.8]])
     b_mat = np.array([[0.002, 0.0], [0.0, 0.15], [0.001, 0.3], [0.0, 0.05]])
-    model.theta[model.layout.a_off:model.layout.a_off + 16] = a_mat.ravel()
-    model.theta[model.layout.b_off:] = b_mat.ravel()
+    set_ab(model, a_mat, b_mat)
     batch = PairBatch(x_now=np.array([[12.0, 0.3, -0.1]]),
                       u_now=np.array([[250.0, 0.02]]),
                       x_next=np.array([[12.1, 0.25, -0.08]]),
@@ -367,9 +361,8 @@ def test_loss_weights_reject_non_finite_and_negative(term, value):
 
 
 def test_unsquared_norm_option():
-    dims = KoopmanDims(n=3, m=2, p=2)
     model_sq = tiny_model(seed=14)
-    model_un = KoopmanModel(model_sq.dims, model_sq.enc_specs, model_sq.dec_specs,
+    model_un = KoopmanModel(model_sq.enc_specs, model_sq.dec_specs,
                             model_sq.theta, model_sq.normalizer, model_sq.dt,
                             model_sq.weights, squared_norms=False)
     batch = random_batch(1, seed=15)
@@ -512,15 +505,26 @@ def test_train_learns_linear_plant():
 def test_train_takes_feature_count_from_config_and_dt_from_pairs():
     pairs = synthetic_linear_pairs(n=64, seed=29)
     res = train(pairs, TrainConfig(seed=29, epochs=0, hidden=(4,), feature_dim=3))
-    assert res.model.dims == KoopmanDims(p=3)
+    assert (res.model.p, res.model.hidden, res.model.lifted) == (3, (4,), 6)
     assert res.model.dt == pairs.dt
     # a resumed run keeps the checkpoint's network; its dt is the pairs'
     shifted = PairBatch(pairs.x_now, pairs.u_now, pairs.x_next, pairs.acc_next,
                         pairs.dt * (1 + 1e-10))
-    resumed = train(shifted, TrainConfig(seed=30, epochs=0), init_model=res.model)
-    assert resumed.model.dims == res.model.dims
+    resumed = train(shifted, TrainConfig(seed=30, epochs=0, hidden=(4,),
+                                         feature_dim=3), init_model=res.model)
     assert resumed.model.enc_specs == res.model.enc_specs
     assert resumed.model.dt == shifted.dt
+
+
+@pytest.mark.parametrize("shape", [{"hidden": (4,), "feature_dim": 2},
+                                   {"hidden": (5,), "feature_dim": 3},
+                                   {}])
+def test_train_rejects_a_config_shape_the_resumed_model_lacks(shape):
+    pairs = synthetic_linear_pairs(n=64, seed=29)
+    res = train(pairs, TrainConfig(seed=29, epochs=0, hidden=(4,), feature_dim=3))
+    with pytest.raises(ValueError, match=r"differ from the resumed model's "
+                                         r"hidden=\(4,\), feature_dim=3"):
+        train(pairs, TrainConfig(seed=30, epochs=0, **shape), init_model=res.model)
 
 
 def test_train_ablation_beats_persistence(short_mixed):
@@ -614,19 +618,18 @@ def train_by_subsets(pairs, config):
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
     train_pairs, hold_pairs = pairs.subset(train_rows), pairs.subset(hold_rows)
     normalizer = Normalizer.fit(np.hstack((train_pairs.x_now, train_pairs.u_now)))
-    dims = KoopmanDims(p=config.feature_dim)
-    enc = mlp_specs((dims.n, *config.hidden, dims.p))
-    dec = mlp_specs((dims.p, *reversed(config.hidden), dims.n))
-    layout = _build_layout(enc, dec, dims)
-    theta = np.zeros(layout.size)
-    theta[:layout.enc.size] = mlp_mod.init_theta(enc, rng)
-    theta[layout.enc.size:layout.enc.size + layout.dec.size] = (
-        mlp_mod.init_theta(dec, rng))
-    model = KoopmanModel(dims, enc, dec, theta, normalizer, pairs.dt,
+    p = config.feature_dim
+    enc = mlp_specs((N_STATES, *config.hidden, p))
+    dec = mlp_specs((p, *reversed(config.hidden), N_STATES))
+    layout = _Layout.build(enc, dec)
+    d = layout.lifted
+    theta = layout.join(mlp_mod.init_theta(enc, rng), mlp_mod.init_theta(dec, rng),
+                        np.zeros((d, d)), np.zeros((d, N_INPUTS)))
+    model = KoopmanModel(enc, dec, theta, normalizer, pairs.dt,
                          config.weights, config.squared_norms)
     arr_train = koopman._prepared_arrays(model, train_pairs)
     arr_hold = koopman._prepared_arrays(model, hold_pairs)
-    koopman._warm_start_ab(theta, layout, dims, arr_train["xi"],
+    koopman._warm_start_ab(*layout.blocks(theta)[2:], arr_train["xi"],
                            arr_train["ui"], arr_train["xi1"])
 
     def terms(th, arrs, want_grad):
@@ -705,7 +708,7 @@ def test_checkpoint_roundtrip_is_exact(tmp_path, quick_model):
     save_checkpoint(quick_model, path)
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.theta, quick_model.theta)
-    assert loaded.dims == quick_model.dims
+    assert (loaded.p, loaded.hidden) == (quick_model.p, quick_model.hidden)
     assert loaded.enc_specs == quick_model.enc_specs
     assert np.array_equal(loaded.normalizer.lo, quick_model.normalizer.lo)
     x = np.array([[12.0, 0.2, -0.1], [10.0, -0.3, 0.2]])
@@ -771,9 +774,51 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, quick_model, key, value,
         load_checkpoint(edited_checkpoint(tmp_path, quick_model, edit))
 
 
-@pytest.mark.parametrize("key", ["normalizer_max", "dt", "dims"])
+@pytest.mark.parametrize("key", ["normalizer_max", "dt", "dims", "kind",
+                                 "channels"])
 def test_checkpoint_names_a_missing_key(tmp_path, quick_model, key):
     path = edited_checkpoint(tmp_path, quick_model, lambda doc: doc.pop(key))
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"checkpoint {path}: missing key {key!r}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(kind="not-a-model"),
+     "checkpoint kind is 'not-a-model', not 'koopcar-model'"),
+    (lambda doc: doc.update(channels=["Vy", "Vx", "wr", "T", "delta_f"]),
+     r"checkpoint channels is \['Vy', 'Vx', .*\], not \['Vx', 'Vy', "),
+    (lambda doc: doc["channels"].pop(),
+     r"checkpoint channels is \[.*'T'\], not "),
+    (lambda doc: doc["dims"].update(p=5),
+     r"checkpoint dims is \{'n': 3, 'm': 2, 'p': 5\}, "
+     r"not \{'n': 3, 'm': 2, 'p': 6\}"),
+    (lambda doc: doc["dims"].update(q=1), r"checkpoint dims is \{.*'q': 1\}, not"),
+    (lambda doc: doc["dims"].pop("m"), r"checkpoint dims is \{'n': 3, 'p': 6\}, not")])
+def test_checkpoint_checks_kind_channels_and_dims(tmp_path, quick_model, edit,
+                                                  message):
+    # each of these loaded, or was blamed on A_row_major or on a constructor
+    # argument, before the reader checked them
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(edited_checkpoint(tmp_path, quick_model, edit))
+
+
+def test_layout_blocks_are_views_and_join_inverts_them():
+    layout = _Layout.build(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    vec = np.arange(float(layout.size))
+    enc, dec, a_mat, b_mat = layout.blocks(vec)
+    assert (enc.size, dec.size, a_mat.shape, b_mat.shape) == (
+        layout.enc.size, layout.dec.size, (5, 5), (5, N_INPUTS))
+    assert np.array_equal(layout.join(enc, dec, a_mat, b_mat), vec)
+    a_mat[0, 1] = -1.0
+    assert vec[layout.enc.size + layout.dec.size + 1] == -1.0
+
+
+def test_layout_join_names_every_block_that_does_not_fit():
+    layout = _Layout.build(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    enc, dec, a_mat, b_mat = layout.blocks(np.zeros(layout.size))
+    with pytest.raises(ValueError) as err:
+        layout.join(enc, dec[:-1], a_mat, np.zeros(4))
+    assert str(err.value) == (
+        f"parameter block theta_decoder has {dec.size - 1} values, the specs "
+        f"need {dec.size}; B_row_major has 4 values, the specs need 10")
