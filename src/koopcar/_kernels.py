@@ -177,14 +177,13 @@ def one_step_batch(states, torques, steers, dt, substeps, pv):
 # A network is described by parallel arrays (one entry per layer):
 #   shapes[j] = (out_dim, in_dim)
 #   w_off[j]  = offset of the row-major (out_dim, in_dim) weight block
-#   b_off[j]  = offset of the bias vector, or -1 when the layer has none
-#   acts[j]   = 0 linear, 1 tanh, 2 relu
+#   b_off[j]  = offset of the bias vector; every layer has one
+#   acts[j]   = 0 linear, 1 tanh
 # The forward cache stores the input batch followed by every layer's
 # post-activation batch, which is all the backward pass needs.
 
 ACT_LINEAR = 0
 ACT_TANH = 1
-ACT_RELU = 2
 
 
 def dense_forward(theta, shapes, w_off, b_off, acts, x, cache=None):
@@ -201,12 +200,9 @@ def dense_forward(theta, shapes, w_off, b_off, acts, x, cache=None):
     a = x
     for (out_d, in_d), wo, bo, act in layers:
         a = np.dot(a, theta[wo:wo + out_d * in_d].reshape(out_d, in_d).T)
-        if bo >= 0:
-            a += theta[bo:bo + out_d]
+        a += theta[bo:bo + out_d]
         if act == ACT_TANH:
             np.tanh(a, out=a)
-        elif act == ACT_RELU:
-            np.maximum(a, 0.0, out=a)
         if cache is not None:
             cache[:, pos:pos + out_d] = a
             pos += out_d
@@ -231,14 +227,11 @@ def dense_backward(theta, shapes, w_off, b_off, acts, cache, gy, grad):
         a_j = cache[:, starts[j + 1]:starts[j + 1] + out_d]
         if codes[j] == ACT_TANH:
             g = g * (1.0 - a_j * a_j)
-        elif codes[j] == ACT_RELU:
-            g = np.where(a_j > 0.0, g, 0.0)
         a_prev = cache[:, starts[j]:starts[j] + in_d]
         # g.T is copied to C order: with the transposed view BLAS sums the
         # batch in another order, which moves the gradient by ulps.
         gw = np.dot(np.ascontiguousarray(g.T), a_prev)
         grad[wo:wo + out_d * in_d] += gw.ravel()
-        if bo >= 0:
-            grad[bo:bo + out_d] += np.sum(g, axis=0)
+        grad[bo:bo + out_d] += np.sum(g, axis=0)
         g = np.dot(g, theta[wo:wo + out_d * in_d].reshape(out_d, in_d))
     return g

@@ -286,7 +286,6 @@ class AdaptRunResult:
     cond_gram: np.ndarray | None  # cond(S) of the SWLS window, NaN otherwise
     final_A: np.ndarray
     final_B: np.ndarray
-    config: AdapterConfig
 
 
 def _sym_cond(gram: np.ndarray) -> np.ndarray:
@@ -436,7 +435,7 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         if diagnostics:
             diag = np.zeros((3, n_snap - 1))
             diag[2] = np.nan
-        return _result(preds, truth, diag, model.A.copy(), model.B.copy(), config)
+        return _result(preds, truth, diag, model.A.copy(), model.B.copy())
 
     xn = model.normalize_states(trajectory.states)
     un = model.normalize_inputs(trajectory.inputs)
@@ -465,14 +464,14 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         preds_n, diag, h_end = _batched(np.hstack((model.A, model.B)), z_all,
                                         un, N_STATES, config, eps, diagnostics)
     return _result(model.denormalize_states(preds_n), truth, diag,
-                   h_end[:, :zdim].copy(), h_end[:, zdim:].copy(), config)
+                   h_end[:, :zdim].copy(), h_end[:, zdim:].copy())
 
 
-def _result(preds, truth, diag, final_a, final_b, config) -> AdaptRunResult:
+def _result(preds, truth, diag, final_a, final_b) -> AdaptRunResult:
     drift_a, drift_b, cond = (None, None, None) if diag is None else diag
     return AdaptRunResult(predictions=preds, truth=truth, drift_a=drift_a,
                           drift_b=drift_b, cond_gram=cond, final_A=final_a,
-                          final_B=final_b, config=config)
+                          final_B=final_b)
 
 
 def write_estimate_history(path, result: AdaptRunResult) -> None:

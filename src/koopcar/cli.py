@@ -211,8 +211,8 @@ def _build_methods(args, window: int) -> list[ev.MethodSpec]:
                              f"known: {', '.join(METHODS)}")
         key, mode = METHODS[name.upper()]
         if key is None:
-            assumed = ev.baseline_params(sc.make_scenario("mixed").params)
-            specs.append(ev.MethodSpec(name=name, assumed_params=assumed))
+            specs.append(ev.MethodSpec(name=name,
+                                       assumed_params=ev.baseline_params()))
         else:
             adapter = None if mode is None else _adapter_config(args, mode, window)
             specs.append(ev.MethodSpec(name=name, model=model_for(key),

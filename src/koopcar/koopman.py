@@ -639,13 +639,22 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
 
 def _specs_to_json(specs):
     return [{"in": s.in_dim, "out": s.out_dim, "activation": s.activation,
-             "bias": s.has_bias} for s in specs]
+             "bias": True} for s in specs]
 
 
-def _specs_from_json(items):
-    return tuple(LayerSpec(in_dim=it["in"], out_dim=it["out"],
-                           activation=it["activation"], has_bias=it["bias"])
-                 for it in items)
+def _specs_from_json(block: str, items) -> tuple[LayerSpec, ...]:
+    """`mlp_specs` of the stored list `block`'s widths; raises ValueError,
+    naming the block and the layer, at any layer `train` would not write."""
+    if not items:
+        raise ValueError(f"checkpoint {block} has no layers")
+    widths = [items[0]["in"], *(it["out"] for it in items)]
+    if not all(type(w) is int and w > 0 for w in widths):
+        raise ValueError(f"checkpoint {block} widths {widths} must be positive integers")
+    specs = mlp_specs(widths)
+    for j, (item, want) in enumerate(zip(items, _specs_to_json(specs))):
+        if item != want:
+            raise ValueError(f"checkpoint {block} layer {j} is {item!r}, not {want!r}")
+    return specs
 
 
 def save_checkpoint(model: KoopmanModel, path) -> None:
@@ -688,8 +697,8 @@ def _model_from_doc(doc: dict) -> KoopmanModel:
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
-    enc_specs = _specs_from_json(doc["encoder"])
-    dec_specs = _specs_from_json(doc["decoder"])
+    enc_specs = _specs_from_json("encoder", doc["encoder"])
+    dec_specs = _specs_from_json("decoder", doc["decoder"])
     layout = _Layout.build(enc_specs, dec_specs)
     for key, want in (("kind", CHECKPOINT_KIND), ("channels", list(CHANNELS)),
                       ("dims", layout.dims())):

@@ -14,17 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import ACT_LINEAR, ACT_RELU, ACT_TANH
+from ._kernels import ACT_LINEAR, ACT_TANH
 
-_ACT_CODES = {"linear": ACT_LINEAR, "tanh": ACT_TANH, "relu": ACT_RELU}
+_ACT_CODES = {"linear": ACT_LINEAR, "tanh": ACT_TANH}
 
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """A dense layer with bias: out = act(W in + b)."""
     in_dim: int
     out_dim: int
     activation: str = "tanh"
-    has_bias: bool = True
 
     def __post_init__(self):
         if self.in_dim <= 0 or self.out_dim <= 0:
@@ -34,27 +34,25 @@ class LayerSpec:
 
     @property
     def size(self) -> int:
-        return self.out_dim * self.in_dim + (self.out_dim if self.has_bias else 0)
+        return self.out_dim * (self.in_dim + 1)
 
 
-def mlp_specs(dims: tuple[int, ...], activation: str = "tanh",
-              out_activation: str = "linear") -> tuple[LayerSpec, ...]:
-    """Chain of layers through the given dims, hidden activation + linear head."""
+def mlp_specs(dims: tuple[int, ...]) -> tuple[LayerSpec, ...]:
+    """Chain of layers through the given dims: tanh hidden layers, linear head."""
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
-    specs = []
-    for j in range(len(dims) - 1):
-        act = activation if j < len(dims) - 2 else out_activation
-        specs.append(LayerSpec(dims[j], dims[j + 1], act))
-    return tuple(specs)
+    last = len(dims) - 2
+    return tuple(LayerSpec(dims[j], dims[j + 1], "linear" if j == last else "tanh")
+                 for j in range(last + 1))
 
 
 @dataclass(frozen=True)
 class MlpLayout:
-    """Kernel-side description of a layer chain: shapes/offsets/activations."""
+    """Kernel-side description of a layer chain: each layer's shape, the flat
+    vector's offsets of its weights and of its bias, and its activation code."""
     shapes: np.ndarray   # (J, 2) int64: (out_dim, in_dim)
     w_off: np.ndarray    # (J,) int64
-    b_off: np.ndarray    # (J,) int64, -1 when absent
+    b_off: np.ndarray    # (J,) int64
     acts: np.ndarray     # (J,) int64
     size: int
     cache_width: int
@@ -64,7 +62,7 @@ class MlpLayout:
         nl = len(specs)
         shapes = np.zeros((nl, 2), dtype=np.int64)
         w_off = np.zeros(nl, dtype=np.int64)
-        b_off = np.full(nl, -1, dtype=np.int64)
+        b_off = np.zeros(nl, dtype=np.int64)
         acts = np.zeros(nl, dtype=np.int64)
         pos = base
         for j, s in enumerate(specs):
@@ -74,10 +72,8 @@ class MlpLayout:
             shapes[j] = (s.out_dim, s.in_dim)
             acts[j] = _ACT_CODES[s.activation]
             w_off[j] = pos
-            pos += s.out_dim * s.in_dim
-            if s.has_bias:
-                b_off[j] = pos
-                pos += s.out_dim
+            b_off[j] = pos + s.out_dim * s.in_dim
+            pos += s.size
         cache_width = specs[0].in_dim + sum(s.out_dim for s in specs)
         return cls(shapes=shapes, w_off=w_off, b_off=b_off, acts=acts,
                    size=pos - base, cache_width=cache_width)
@@ -95,23 +91,23 @@ def init_theta(specs: tuple[LayerSpec, ...], rng: np.random.Generator) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# Adam, at the constants recommended by Kingma & Ba (ICLR 2015)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    lr: float
     step: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def create(cls, n_params: int, lr: float = 1e-3, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def create(cls, n_params: int, lr: float) -> "AdamState":
+        return cls(m=np.zeros(n_params), v=np.zeros(n_params), lr=lr)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray,
@@ -122,14 +118,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, lr=state.lr, beta1=state.beta1,
-                          beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(m=m, v=v, lr=state.lr, step=t)
 
 
 # ---------------------------------------------------------------------------

@@ -616,6 +616,30 @@ def test_adapt_rejects_nan_normalizer_checkpoint(workdir, tmp_path, capsys, mode
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["encoder"][0].update(activation="relu"),
+     "checkpoint encoder layer 0 is "),
+    (lambda doc: doc["decoder"][0].update(activation="linear"),
+     "checkpoint decoder layer 0 is "),
+    (lambda doc: doc["decoder"][1].update(activation="tanh"),
+     "checkpoint decoder layer 1 is "),
+    (lambda doc: doc.update(  # the head's 2 biases cut from its block
+        encoder=[doc["encoder"][0], {**doc["encoder"][1], "bias": False}],
+        theta_encoder=doc["theta_encoder"][:-2]),
+     "checkpoint encoder layer 1 is "),
+    (lambda doc: doc.update(decoder=[]), "checkpoint decoder has no layers")],
+    ids=["relu", "linear-hidden", "tanh-head", "bias-free", "empty"])
+def test_adapt_rejects_layers_train_does_not_write(workdir, tmp_path, capsys,
+                                                   edit, message):
+    # each of these adapted with exit 0, or failed with an IndexError
+    ckpt = edited_checkpoint(workdir, tmp_path, edit)
+    out = tmp_path / "pred.csv"
+    assert run_cli("adapt", "--checkpoint", str(ckpt), "--data",
+                   str(workdir["traj"]), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("dt", -0.025, "model dt must be positive and finite, got -0.025"),
     ("loss_weights", {"linear": 1, "recon": 1, "pred": 1, "accel": float("nan")},

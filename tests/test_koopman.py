@@ -794,11 +794,26 @@ def test_checkpoint_names_a_missing_key(tmp_path, quick_model, key):
      r"checkpoint dims is \{'n': 3, 'm': 2, 'p': 5\}, "
      r"not \{'n': 3, 'm': 2, 'p': 6\}"),
     (lambda doc: doc["dims"].update(q=1), r"checkpoint dims is \{.*'q': 1\}, not"),
-    (lambda doc: doc["dims"].pop("m"), r"checkpoint dims is \{'n': 3, 'p': 6\}, not")])
+    (lambda doc: doc["dims"].pop("m"), r"checkpoint dims is \{'n': 3, 'p': 6\}, not"),
+    # layer lists must be what `mlp_specs` gives for their widths
+    (lambda doc: doc["encoder"][0].update(activation="relu"),
+     r"checkpoint encoder layer 0 is \{.*'relu'.*\}, not \{.*'tanh'"),
+    (lambda doc: doc["decoder"][0].update(activation="linear"),
+     r"checkpoint decoder layer 0 is \{.*'linear'.*\}, not \{.*'tanh'"),
+    (lambda doc: doc["encoder"][1].update(activation="tanh"),
+     r"checkpoint encoder layer 1 is \{.*'tanh'.*\}, not \{.*'linear'"),
+    (lambda doc: doc.update(  # the head's 6 biases cut from its block
+        encoder=[doc["encoder"][0], {**doc["encoder"][1], "bias": False}],
+        theta_encoder=doc["theta_encoder"][:-6]),
+     r"checkpoint encoder layer 1 is \{.*'bias': False\}, not \{.*'bias': True"),
+    (lambda doc: doc.update(encoder=[]), "checkpoint encoder has no layers"),
+    (lambda doc: doc["decoder"][0].update({"in": "6"}),
+     r"checkpoint decoder widths \['6', 16, 3\] must be positive integers")])
 def test_checkpoint_checks_kind_channels_and_dims(tmp_path, quick_model, edit,
                                                   message):
-    # each of these loaded, or was blamed on A_row_major or on a constructor
-    # argument, before the reader checked them
+    # each of these loaded, failed with a TypeError or IndexError, or was
+    # blamed on A_row_major or on a constructor argument, before the reader
+    # checked them
     with pytest.raises(ValueError, match=message):
         load_checkpoint(edited_checkpoint(tmp_path, quick_model, edit))
 

@@ -24,14 +24,12 @@ def dense(specs, theta):
 
 
 def from_arrays(layers):
-    """(specs, theta) of explicit (W, b_or_None, activation) triples."""
+    """(specs, theta) of explicit (W, b, activation) triples."""
     specs = []
     chunks = []
     for w, b, act in layers:
-        specs.append(LayerSpec(w.shape[1], w.shape[0], act, has_bias=b is not None))
-        chunks.append(w.ravel())
-        if b is not None:
-            chunks.append(b)
+        specs.append(LayerSpec(w.shape[1], w.shape[0], act))
+        chunks.extend((w.ravel(), b))
     return tuple(specs), np.concatenate(chunks).astype(np.float64)
 
 
@@ -83,9 +81,9 @@ def test_forward_determinism():
 
 
 def test_cache_free_forward_equals_cached_forward():
-    # every activation, with and without bias; inference skips only the cache
+    # every activation, hidden and at the head; inference skips only the cache
     rng = np.random.default_rng(11)
-    specs = (LayerSpec(3, 7, "tanh"), LayerSpec(7, 5, "relu", has_bias=False),
+    specs = (LayerSpec(3, 7, "tanh"), LayerSpec(7, 5, "linear"),
              LayerSpec(5, 4, "linear"))
     theta = init_theta(specs, rng)
     theta += 0.1 * rng.normal(size=theta.size)
@@ -119,12 +117,13 @@ def test_zero_output_grad_gives_zero_gradients():
 
 def test_linear_layer_closed_form_gradient():
     w = np.array([[0.5, -0.2, 0.1], [0.0, 0.3, -0.4]])
-    forward, backward = dense(*from_arrays([(w, None, "linear")]))
+    forward, backward = dense(*from_arrays([(w, np.zeros(2), "linear")]))
     x = np.array([1.0, -2.0, 0.5])
     _, cache = forward(x[None])
     g_out = np.array([2.0, -1.0])
     grad, gx = backward(cache, g_out[None])
-    assert np.allclose(grad.reshape(2, 3), np.outer(g_out, x), atol=1e-15)
+    assert np.allclose(grad[:6].reshape(2, 3), np.outer(g_out, x), atol=1e-15)
+    assert np.array_equal(grad[6:], g_out)
     assert np.allclose(gx[0], w.T @ g_out, atol=1e-15)
 
 
@@ -156,15 +155,13 @@ def test_three_layer_gradients_match_finite_differences():
 
 
 def test_gradient_property_over_random_structures():
-    # contract: any net up to 4 layers with dims up to 16 checks out below 1e-6
+    # contract: any `mlp_specs` net up to 4 layers with dims up to 16 checks
+    # out below 1e-6
     rng = np.random.default_rng(7)
     for trial in range(6):
         n_layers = int(rng.integers(1, 5))
         dims = [int(rng.integers(1, 17)) for _ in range(n_layers + 1)]
-        acts = ["tanh" if rng.random() < 0.7 else "relu"] * (n_layers - 1) + ["linear"]
-        specs = tuple(LayerSpec(dims[j], dims[j + 1], acts[j],
-                                has_bias=bool(rng.random() < 0.8))
-                      for j in range(n_layers))
+        specs = mlp_specs(tuple(dims))
         theta = init_theta(specs, rng)
         x = rng.normal(size=(3, dims[0]))
         assert _fd_check(specs, theta, x) < 1e-6, f"trial {trial}: {specs}"
@@ -175,7 +172,7 @@ def test_gradient_property_over_random_structures():
 
 def test_adam_zero_gradient_keeps_params():
     params = np.array([1.0, -2.0, 3.0])
-    state = AdamState.create(3)
+    state = AdamState.create(3, lr=1e-3)
     new, new_state = adam_step(params, np.zeros(3), state)
     assert np.array_equal(new, params)
     assert new_state.step == 1
@@ -205,7 +202,7 @@ def test_adam_descends_a_quadratic():
 def test_adam_rejects_nonfinite_gradient():
     with pytest.raises(ValueError):
         adam_step(np.zeros(2), np.array([1.0, float("nan")]),
-                  AdamState.create(2))
+                  AdamState.create(2, lr=1e-3))
 
 
 # ---------------------------------------------------------------------------
