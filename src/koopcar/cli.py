@@ -297,11 +297,8 @@ def cmd_inspect(args) -> int:
     print(f"checkpoint: {args.checkpoint}")
     print(f"  dims: n={km.N_STATES} m={km.N_INPUTS} p={model.p} "
           f"(lifted {model.lifted}); dt={model.dt}")
-    enc = " -> ".join(str(s.in_dim) for s in model.enc_specs)
-    print(f"  encoder: {enc} -> {model.enc_specs[-1].out_dim} "
-          f"({model.enc_specs[0].activation} hidden)")
-    dec = " -> ".join(str(s.in_dim) for s in model.dec_specs)
-    print(f"  decoder: {dec} -> {model.dec_specs[-1].out_dim}")
+    print(f"  encoder: {' -> '.join(map(str, model.enc_widths))}")
+    print(f"  decoder: {' -> '.join(map(str, model.dec_widths))}")
     print(f"  |A|_F = {np.linalg.norm(model.A):.6g}, "
           f"|B|_F = {np.linalg.norm(model.B):.6g}")
     print(f"  loss weights: linear={model.weights.linear} "

@@ -19,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels, mlp
-from .mlp import (AdamState, LayerSpec, MlpLayout, Normalizer, adam_step,
-                  mlp_specs)
+from .mlp import AdamState, MlpLayout, Normalizer, adam_step
 from .vehicle import Trajectory
 
 CHANNELS = ("Vx", "Vy", "wr", "T", "delta_f")
@@ -75,10 +74,10 @@ class _Layout:
     size: int
 
     @classmethod
-    def build(cls, enc_specs, dec_specs) -> "_Layout":
-        enc = MlpLayout.build(enc_specs, base=0)
-        dec = MlpLayout.build(dec_specs, base=enc.size)
-        d = N_STATES + enc_specs[-1].out_dim
+    def build(cls, enc_widths, dec_widths) -> "_Layout":
+        enc = MlpLayout.build(enc_widths, base=0)
+        dec = MlpLayout.build(dec_widths, base=enc.size)
+        d = N_STATES + enc_widths[-1]
         bounds = np.cumsum((0, enc.size, dec.size, d * d, d * N_INPUTS)).tolist()
         return cls(enc, dec, lifted=d, bounds=tuple(bounds), size=bounds[-1])
 
@@ -93,7 +92,7 @@ class _Layout:
         raises ValueError naming every block whose size does not fit."""
         parts = [np.asarray(x, dtype=np.float64).ravel() for x in (enc, dec, A, B)]
         sizes = np.diff(self.bounds)
-        bad = [f"{name} has {x.size} values, the specs need {size}"
+        bad = [f"{name} has {x.size} values, the widths need {size}"
                for name, x, size in zip(BLOCKS, parts, sizes) if x.size != size]
         if bad:
             raise ValueError("parameter block " + "; ".join(bad))
@@ -106,27 +105,28 @@ class _Layout:
 
 class KoopmanModel:
     """Immutable-by-convention bundle: encoder/decoder, A, B, normalizer.
-    The specs give its shape: p, the encoder's `hidden` widths, lifted n + p."""
+    The networks are their widths (`mlp.MlpLayout`), which give the model's
+    shape: p, the encoder's `hidden` widths, lifted n + p."""
 
-    def __init__(self, enc_specs, dec_specs,
+    def __init__(self, enc_widths: tuple[int, ...], dec_widths: tuple[int, ...],
                  theta: np.ndarray, normalizer: Normalizer, dt: float,
                  weights: LossWeights = LossWeights(),
                  squared_norms: bool = True, meta: dict | None = None):
-        p = enc_specs[-1].out_dim
-        if enc_specs[0].in_dim != N_STATES:
+        self.layout = _Layout.build(enc_widths, dec_widths)
+        self.enc_widths = tuple(map(int, enc_widths))
+        self.dec_widths = tuple(map(int, dec_widths))
+        p = self.enc_widths[-1]
+        if self.enc_widths[0] != N_STATES:
             raise ValueError("encoder dims must map n -> p")
-        if dec_specs[0].in_dim != p or dec_specs[-1].out_dim != N_STATES:
+        if self.dec_widths[0] != p or self.dec_widths[-1] != N_STATES:
             raise ValueError("decoder dims must map p -> n")
         if normalizer.lo.shape[0] != N_STATES + N_INPUTS:
             raise ValueError("normalizer must cover state and input channels")
         dt = float(dt)
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"model dt must be positive and finite, got {dt}")
-        self.enc_specs = tuple(enc_specs)
-        self.dec_specs = tuple(dec_specs)
         self.p = p
-        self.hidden = tuple(s.out_dim for s in self.enc_specs[:-1])
-        self.layout = _Layout.build(self.enc_specs, self.dec_specs)
+        self.hidden = self.enc_widths[1:-1]
         self.lifted = self.layout.lifted
         if theta.shape != (self.layout.size,):
             raise ValueError(f"theta must have shape ({self.layout.size},)")
@@ -235,8 +235,8 @@ class PairBatch:
         if not (self.u_now.shape[0] == self.x_next.shape[0]
                 == self.acc_next.shape[0] == n):
             raise ValueError("pair arrays must share the sample axis")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         for name in ("x_now", "u_now", "x_next", "acc_next"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite (missing or bad channels?)")
@@ -510,20 +510,20 @@ def train(pairs: PairBatch, config: TrainConfig,
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
 
     if init_model is not None:
-        enc_specs, dec_specs = init_model.enc_specs, init_model.dec_specs
+        enc_widths, dec_widths = init_model.enc_widths, init_model.dec_widths
         normalizer, theta = init_model.normalizer, init_model.theta.copy()
         epoch0 = int(init_model.meta.get("final_epoch", 0))
     else:
         normalizer = Normalizer.fit(
             np.hstack((pairs.x_now[train_rows], pairs.u_now[train_rows])))
         p, d = config.feature_dim, N_STATES + config.feature_dim
-        enc_specs = mlp_specs((N_STATES, *config.hidden, p))
-        dec_specs = mlp_specs((p, *reversed(config.hidden), N_STATES))
-        theta = _Layout.build(enc_specs, dec_specs).join(
-            mlp.init_theta(enc_specs, rng), mlp.init_theta(dec_specs, rng),
+        enc_widths = (N_STATES, *config.hidden, p)
+        dec_widths = (p, *reversed(config.hidden), N_STATES)
+        theta = _Layout.build(enc_widths, dec_widths).join(
+            mlp.init_theta(enc_widths, rng), mlp.init_theta(dec_widths, rng),
             np.eye(d), np.zeros((d, N_INPUTS)))
         epoch0 = 0
-    model = KoopmanModel(enc_specs, dec_specs, theta, normalizer,
+    model = KoopmanModel(enc_widths, dec_widths, theta, normalizer,
                          pairs.dt, config.weights, config.squared_norms)
     layout, weights = model.layout, model.weights
     table = _prepared_arrays(model, pairs)
@@ -585,7 +585,7 @@ def train(pairs: PairBatch, config: TrainConfig,
     meta = {"seed": config.seed, "epochs": config.epochs,
             "best_epoch": best_epoch, "best_holdout": best_hold,
             "final_epoch": epoch0 + config.epochs}
-    final = KoopmanModel(enc_specs, dec_specs, best_theta, normalizer,
+    final = KoopmanModel(enc_widths, dec_widths, best_theta, normalizer,
                          pairs.dt, config.weights, config.squared_norms, meta)
     return TrainResult(model=final, history=history, holdout_idx=hold_rows)
 
@@ -606,7 +606,7 @@ def check_sample_time(model: KoopmanModel,
     sampled at the model's dt (to 1e-9 relative): A and B are one-step maps
     for that dt only."""
     dt = trajectory.dt
-    if abs(dt - model.dt) > 1e-9 * model.dt:
+    if not abs(dt - model.dt) <= 1e-9 * model.dt:  # a NaN dt fails too
         raise ValueError(f"trajectory sample time {dt:g} s does not "
                          f"match the model's dt={model.dt:g} s")
 
@@ -637,24 +637,12 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
 # ---------------------------------------------------------------------------
 # checkpoint I/O (schema documented in README)
 
-def _specs_to_json(specs):
-    return [{"in": s.in_dim, "out": s.out_dim, "activation": s.activation,
-             "bias": True} for s in specs]
-
-
-def _specs_from_json(block: str, items) -> tuple[LayerSpec, ...]:
-    """`mlp_specs` of the stored list `block`'s widths; raises ValueError,
-    naming the block and the layer, at any layer `train` would not write."""
-    if not items:
-        raise ValueError(f"checkpoint {block} has no layers")
-    widths = [items[0]["in"], *(it["out"] for it in items)]
-    if not all(type(w) is int and w > 0 for w in widths):
-        raise ValueError(f"checkpoint {block} widths {widths} must be positive integers")
-    specs = mlp_specs(widths)
-    for j, (item, want) in enumerate(zip(items, _specs_to_json(specs))):
-        if item != want:
-            raise ValueError(f"checkpoint {block} layer {j} is {item!r}, not {want!r}")
-    return specs
+def _layers_json(widths) -> list[dict]:
+    """The checkpoint's layer list of a network of these widths."""
+    last = len(widths) - 2
+    return [{"in": widths[j], "out": widths[j + 1],
+             "activation": "linear" if j == last else "tanh", "bias": True}
+            for j in range(last + 1)]
 
 
 def save_checkpoint(model: KoopmanModel, path) -> None:
@@ -664,8 +652,8 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
         "dims": model.layout.dims(),
         "dt": model.dt,
         "channels": list(CHANNELS),
-        "encoder": _specs_to_json(model.enc_specs),
-        "decoder": _specs_to_json(model.dec_specs),
+        "encoder": _layers_json(model.enc_widths),
+        "decoder": _layers_json(model.dec_widths),
         **{key: block.ravel().tolist()
            for key, block in zip(BLOCKS, model.layout.blocks(model.theta))},
         "normalizer_min": model.normalizer.lo.tolist(),
@@ -697,9 +685,19 @@ def _model_from_doc(doc: dict) -> KoopmanModel:
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
-    enc_specs = _specs_from_json("encoder", doc["encoder"])
-    dec_specs = _specs_from_json("decoder", doc["decoder"])
-    layout = _Layout.build(enc_specs, dec_specs)
+    widths = []
+    for block in ("encoder", "decoder"):
+        items = doc[block]
+        if not items:
+            raise ValueError(f"checkpoint {block} has no layers")
+        w = [items[0]["in"], *(it["out"] for it in items)]
+        if not all(type(x) is int and x > 0 for x in w):
+            raise ValueError(f"checkpoint {block} widths {w} must be positive integers")
+        for j, (item, want) in enumerate(zip(items, _layers_json(w))):
+            if item != want:
+                raise ValueError(f"checkpoint {block} layer {j} is {item!r}, not {want!r}")
+        widths.append(tuple(w))
+    layout = _Layout.build(*widths)
     for key, want in (("kind", CHECKPOINT_KIND), ("channels", list(CHANNELS)),
                       ("dims", layout.dims())):
         if doc[key] != want:
@@ -709,7 +707,7 @@ def _model_from_doc(doc: dict) -> KoopmanModel:
                             hi=np.asarray(doc["normalizer_max"]))
     lw = doc["loss_weights"]
     return KoopmanModel(
-        enc_specs, dec_specs, theta, normalizer, doc["dt"],
+        *widths, theta, normalizer, doc["dt"],
         LossWeights(linear=lw["linear"], recon=lw["recon"], pred=lw["pred"],
                     accel=lw["accel"]),
         doc.get("squared_norms", True), doc.get("meta", {}))

@@ -1,10 +1,10 @@
-"""Dense layer specs and their kernel layouts, Adam, and the normalizer.
+"""Dense network layouts, Adam, and the normalizer.
 
 Parameters of a network (and, one level up, of the whole lifted-space model)
 live in a single float64 vector. That keeps Adam, checkpointing, and
-finite-difference gradient checks trivial: an `MlpLayout` gives the offsets
-at which the dense passes in `_kernels` slice the weights. All arithmetic is
-64-bit.
+finite-difference gradient checks trivial: an `MlpLayout` of a network's
+widths gives the offsets at which the dense passes in `_kernels` slice the
+weights. All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -16,40 +16,13 @@ import numpy as np
 
 from ._kernels import ACT_LINEAR, ACT_TANH
 
-_ACT_CODES = {"linear": ACT_LINEAR, "tanh": ACT_TANH}
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """A dense layer with bias: out = act(W in + b)."""
-    in_dim: int
-    out_dim: int
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        if self.in_dim <= 0 or self.out_dim <= 0:
-            raise ValueError("layer dimensions must be positive")
-        if self.activation not in _ACT_CODES:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def size(self) -> int:
-        return self.out_dim * (self.in_dim + 1)
-
-
-def mlp_specs(dims: tuple[int, ...]) -> tuple[LayerSpec, ...]:
-    """Chain of layers through the given dims: tanh hidden layers, linear head."""
-    if len(dims) < 2:
-        raise ValueError("need at least input and output dims")
-    last = len(dims) - 2
-    return tuple(LayerSpec(dims[j], dims[j + 1], "linear" if j == last else "tanh")
-                 for j in range(last + 1))
-
 
 @dataclass(frozen=True)
 class MlpLayout:
-    """Kernel-side description of a layer chain: each layer's shape, the flat
-    vector's offsets of its weights and of its bias, and its activation code."""
+    """Kernel-side description of the dense chain through a tuple of widths
+    (input, hidden..., output): every layer has a bias, the hidden layers are
+    tanh and the head is linear. Gives each layer's shape, the flat vector's
+    offsets of its weights and of its bias, and its activation code."""
     shapes: np.ndarray   # (J, 2) int64: (out_dim, in_dim)
     w_off: np.ndarray    # (J,) int64
     b_off: np.ndarray    # (J,) int64
@@ -58,35 +31,28 @@ class MlpLayout:
     cache_width: int
 
     @classmethod
-    def build(cls, specs: tuple[LayerSpec, ...], base: int = 0) -> "MlpLayout":
-        nl = len(specs)
-        shapes = np.zeros((nl, 2), dtype=np.int64)
-        w_off = np.zeros(nl, dtype=np.int64)
-        b_off = np.zeros(nl, dtype=np.int64)
-        acts = np.zeros(nl, dtype=np.int64)
-        pos = base
-        for j, s in enumerate(specs):
-            if j > 0 and s.in_dim != specs[j - 1].out_dim:
-                raise ValueError(f"layer {j} input dim {s.in_dim} does not chain "
-                                 f"with previous output {specs[j - 1].out_dim}")
-            shapes[j] = (s.out_dim, s.in_dim)
-            acts[j] = _ACT_CODES[s.activation]
-            w_off[j] = pos
-            b_off[j] = pos + s.out_dim * s.in_dim
-            pos += s.size
-        cache_width = specs[0].in_dim + sum(s.out_dim for s in specs)
-        return cls(shapes=shapes, w_off=w_off, b_off=b_off, acts=acts,
-                   size=pos - base, cache_width=cache_width)
+    def build(cls, widths: tuple[int, ...], base: int = 0) -> "MlpLayout":
+        if len(widths) < 2 or not all(
+                isinstance(w, (int, np.integer)) and w > 0 for w in widths):
+            raise ValueError(f"widths {tuple(widths)} must be an input and an "
+                             f"output width, or more, each a positive integer")
+        dims = np.array(widths, dtype=np.int64)
+        shapes = np.column_stack((dims[1:], dims[:-1]))
+        ends = base + np.cumsum(shapes[:, 0] * (shapes[:, 1] + 1))
+        w_off = np.concatenate(([base], ends[:-1]))
+        acts = np.full(len(shapes), ACT_TANH, dtype=np.int64)
+        acts[-1] = ACT_LINEAR
+        return cls(shapes=shapes, w_off=w_off, b_off=w_off + shapes[:, 0] * shapes[:, 1],
+                   acts=acts, size=int(ends[-1]) - base, cache_width=int(dims.sum()))
 
 
-def init_theta(specs: tuple[LayerSpec, ...], rng: np.random.Generator) -> np.ndarray:
+def init_theta(widths: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Xavier-uniform weights, zero biases."""
-    layout = MlpLayout.build(specs)
+    layout = MlpLayout.build(widths)
     theta = np.zeros(layout.size)
-    for j, s in enumerate(specs):
-        bound = math.sqrt(6.0 / (s.in_dim + s.out_dim))
-        w = rng.uniform(-bound, bound, size=s.out_dim * s.in_dim)
-        theta[layout.w_off[j]:layout.w_off[j] + w.size] = w
+    for (out_d, in_d), wo in zip(layout.shapes.tolist(), layout.w_off.tolist()):
+        bound = math.sqrt(6.0 / (in_d + out_d))
+        theta[wo:wo + out_d * in_d] = rng.uniform(-bound, bound, size=out_d * in_d)
     return theta
 
 

@@ -7,7 +7,7 @@ from koopcar import _kernels
 from koopcar import mlp as mlp_mod
 from koopcar.koopman import (N_INPUTS, N_STATES, KoopmanModel, PairBatch,
                              _Layout, edmd_fit, lift)
-from koopcar.mlp import Normalizer, mlp_specs
+from koopcar.mlp import Normalizer
 from koopcar.scenarios import make_scenario, run_scenario
 
 
@@ -44,8 +44,8 @@ def quick_edmd_model(trajectory, seed=0, p=6, hidden=(16,)):
     """
     pairs = PairBatch.from_trajectory(trajectory)
     rng = np.random.default_rng(seed)
-    enc = mlp_specs((N_STATES, *hidden, p))
-    dec = mlp_specs((p, *hidden, N_STATES))
+    enc = (N_STATES, *hidden, p)
+    dec = (p, *hidden, N_STATES)
     layout = _Layout.build(enc, dec)
     d = layout.lifted
     theta = layout.join(mlp_mod.init_theta(enc, rng), mlp_mod.init_theta(dec, rng),

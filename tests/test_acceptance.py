@@ -21,7 +21,7 @@ from koopcar.koopman import (N_INPUTS, KoopmanModel, LossWeights, PairBatch,
                              TrainConfig, _Layout, _loss_and_grad,
                              _prepared_arrays, edmd_fit, loss_gradient,
                              one_step_predictions, split_pairs, train)
-from koopcar.mlp import Normalizer, mlp_specs
+from koopcar.mlp import Normalizer
 from koopcar.evaluation import metrics
 from koopcar.scenarios import make_scenario, run_scenario
 from koopcar.vehicle import VehicleParams
@@ -161,8 +161,8 @@ def test_criterion_03_edmd_recovers_known_system():
 
 def test_criterion_04_joint_loss_gradient_correctness():
     rng = np.random.default_rng(104)
-    enc = mlp_specs((3, 8, 2))
-    dec = mlp_specs((2, 8, 3))
+    enc = (3, 8, 2)
+    dec = (2, 8, 3)
     layout = _Layout.build(enc, dec)
     d = layout.lifted
     theta = layout.join(mlp_mod.init_theta(enc, rng), mlp_mod.init_theta(dec, rng),

@@ -662,11 +662,22 @@ def test_missing_checkpoint_key_is_named(workdir, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_inspect_summarizes_checkpoint(workdir, capsys):
+def test_inspect_summarizes_checkpoint(workdir, tmp_path, capsys):
     assert run_cli("inspect", str(workdir["ckpt"])) == 0
     out = capsys.readouterr().out
     assert "dims: n=3 m=2 p=2" in out
+    assert "  encoder: 3 -> 8 -> 2\n  decoder: 2 -> 8 -> 3\n" in out
     assert "range Vx" in out
+    # a network without hidden layers is its widths; no activation label
+    ckpt = tmp_path / "linear.json"
+    assert run_cli("train", "--data", str(workdir["traj"]), "--seed", "5",
+                   "--epochs", "1", "--hidden", "", "--feature-dim", "2",
+                   "--out", str(ckpt)) == 0
+    capsys.readouterr()
+    assert run_cli("inspect", str(ckpt)) == 0
+    out = capsys.readouterr().out
+    assert "  encoder: 3 -> 2\n  decoder: 2 -> 3\n" in out
+    assert "hidden" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -12,26 +13,25 @@ from koopcar.koopman import (N_INPUTS, N_STATES, KoopmanModel,
                              load_checkpoint, loss_components, loss_gradient,
                              one_step_predictions, predict_one_step, project,
                              save_checkpoint, split_pairs, train)
-from koopcar.mlp import (AdamState, LayerSpec, Normalizer, adam_step,
-                         mlp_specs)
+from koopcar.mlp import AdamState, Normalizer, adam_step
 from koopcar.vehicle import Trajectory
 
 NORM5 = Normalizer(lo=np.array([5.0, -1.0, -0.5, -500.0, -0.1]),
                    hi=np.array([25.0, 1.0, 0.5, 1500.0, 0.1]))
 
 
-def build_model(enc_specs, dec_specs, theta_fill=None, seed=0,
+def build_model(enc_widths, dec_widths, theta_fill=None, seed=0,
                 normalizer=NORM5, dt=0.025, weights=LossWeights()):
-    layout = _Layout.build(enc_specs, dec_specs)
+    layout = _Layout.build(enc_widths, dec_widths)
     rng = np.random.default_rng(seed)
     theta = np.zeros(layout.size)
     if theta_fill == "random":
         d = layout.lifted
-        theta = layout.join(mlp_mod.init_theta(enc_specs, rng),
-                            mlp_mod.init_theta(dec_specs, rng),
+        theta = layout.join(mlp_mod.init_theta(enc_widths, rng),
+                            mlp_mod.init_theta(dec_widths, rng),
                             np.eye(d) + 0.05 * rng.normal(size=(d, d)),
                             0.1 * rng.normal(size=(d, N_INPUTS)))
-    return KoopmanModel(enc_specs, dec_specs, theta, normalizer, dt, weights)
+    return KoopmanModel(enc_widths, dec_widths, theta, normalizer, dt, weights)
 
 
 def set_ab(model, a_mat, b_mat):
@@ -41,7 +41,7 @@ def set_ab(model, a_mat, b_mat):
 
 
 def tiny_model(seed=0):
-    return build_model(mlp_specs((3, 8, 2)), mlp_specs((2, 8, 3)),
+    return build_model((3, 8, 2), (2, 8, 3),
                        "random", seed=seed)
 
 
@@ -70,7 +70,7 @@ def test_lift_keeps_state_in_first_components():
 
 
 def test_lift_with_zero_encoder_appends_zeros():
-    model = build_model(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    model = build_model((3, 4, 2), (2, 4, 3))
     z = lift(model, np.array([0.5, 0.1, -0.3]))
     assert np.array_equal(z, [0.5, 0.1, -0.3, 0.0, 0.0])
 
@@ -231,7 +231,7 @@ def test_pairs_reject_nonfinite_accels():
 def test_exact_linear_model_has_zero_linear_and_pred_loss():
     # zero encoder => phi == 0; A with zero feature rows keeps the lifted
     # evolution consistent, and x_next is defined as the predicted state
-    model = build_model(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    model = build_model((3, 4, 2), (2, 4, 3))
     d = model.lifted
     a_mat = np.zeros((d, d))
     a_mat[:3, :3] = np.array([[0.9, 0.05, 0.0], [0.0, 0.8, 0.1], [0.02, 0.0, 0.85]])
@@ -254,9 +254,7 @@ def test_exact_linear_model_has_zero_linear_and_pred_loss():
 
 def test_exact_decoder_gives_zero_recon_loss():
     # zero encoder (phi=0) and decoder bias set to the normalized sample
-    enc = mlp_specs((3, 4, 2))
-    dec = (LayerSpec(2, 3, "linear"),)
-    model = build_model(enc, dec)
+    model = build_model((3, 4, 2), (2, 3))
     batch = random_batch(1, seed=4)
     xn = model.normalize_states(batch.x_now[0])
     off = model.layout.enc.size + 2 * 3  # decoder bias location
@@ -265,14 +263,14 @@ def test_exact_decoder_gives_zero_recon_loss():
 
 
 def test_tiny_model_frozen_loss_oracle():
-    # values frozen from an independent scalar evaluation script
-    enc = (LayerSpec(3, 1, "tanh"),)
-    dec = (LayerSpec(1, 3, "linear"),)
-    model = build_model(enc, dec)
+    # values frozen from an independent scalar evaluation script of a single
+    # tanh feature; the encoder's linear head passes it on (weight 1, bias 0)
+    model = build_model((3, 1, 1), (1, 3))
     model.theta[0:3] = [0.2, -0.1, 0.3]
     model.theta[3] = 0.05
-    model.theta[4:7] = [0.4, -0.3, 0.1]
-    model.theta[7:10] = [0.01, 0.02, -0.03]
+    model.theta[4:6] = [1.0, 0.0]
+    model.theta[6:9] = [0.4, -0.3, 0.1]
+    model.theta[9:12] = [0.01, 0.02, -0.03]
     a_mat = np.array([[1.0, 0.0, 0.0, 0.1], [0.0, 0.95, 0.02, 0.0],
                       [0.01, 0.0, 0.9, -0.05], [0.0, 0.02, 0.0, 0.8]])
     b_mat = np.array([[0.002, 0.0], [0.0, 0.15], [0.001, 0.3], [0.0, 0.05]])
@@ -362,7 +360,7 @@ def test_loss_weights_reject_non_finite_and_negative(term, value):
 
 def test_unsquared_norm_option():
     model_sq = tiny_model(seed=14)
-    model_un = KoopmanModel(model_sq.enc_specs, model_sq.dec_specs,
+    model_un = KoopmanModel(model_sq.enc_widths, model_sq.dec_widths,
                             model_sq.theta, model_sq.normalizer, model_sq.dt,
                             model_sq.weights, squared_norms=False)
     batch = random_batch(1, seed=15)
@@ -403,6 +401,16 @@ def test_loss_rejects_batch_at_another_sample_time():
     for fn in (loss_components, loss_gradient):
         with pytest.raises(ValueError, match="sample time 0.05 s does not match"):
             fn(model, batch)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+def test_non_finite_sample_time_is_rejected(dt):
+    # a NaN dt built a pair set, passed the sample-time check and gave losses
+    b = random_batch(2)
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        PairBatch(b.x_now, b.u_now, b.x_next, b.acc_next, dt)
+    with pytest.raises(ValueError, match="does not match the model's dt"):
+        koopman.check_sample_time(tiny_model(), types.SimpleNamespace(dt=dt))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +520,7 @@ def test_train_takes_feature_count_from_config_and_dt_from_pairs():
                         pairs.dt * (1 + 1e-10))
     resumed = train(shifted, TrainConfig(seed=30, epochs=0, hidden=(4,),
                                          feature_dim=3), init_model=res.model)
-    assert resumed.model.enc_specs == res.model.enc_specs
+    assert resumed.model.enc_widths == res.model.enc_widths
     assert resumed.model.dt == shifted.dt
 
 
@@ -619,8 +627,8 @@ def train_by_subsets(pairs, config):
     train_pairs, hold_pairs = pairs.subset(train_rows), pairs.subset(hold_rows)
     normalizer = Normalizer.fit(np.hstack((train_pairs.x_now, train_pairs.u_now)))
     p = config.feature_dim
-    enc = mlp_specs((N_STATES, *config.hidden, p))
-    dec = mlp_specs((p, *reversed(config.hidden), N_STATES))
+    enc = (N_STATES, *config.hidden, p)
+    dec = (p, *reversed(config.hidden), N_STATES)
     layout = _Layout.build(enc, dec)
     d = layout.lifted
     theta = layout.join(mlp_mod.init_theta(enc, rng), mlp_mod.init_theta(dec, rng),
@@ -703,13 +711,40 @@ def test_split_is_seeded_and_disjoint():
 # ---------------------------------------------------------------------------
 # checkpoints
 
+@pytest.mark.parametrize("enc, dec", [
+    ((3, 8, 8, 2), (2, 8, 8, 3)),   # two hidden layers
+    ((3, 2), (2, 3)),               # no hidden layer (hidden=())
+    ((3, 6, 4), (4, 5, 7, 3))],     # a decoder that does not mirror the encoder
+    ids=["two-hidden", "no-hidden", "unmirrored"])
+def test_every_api_model_saves_and_loads_bitwise(tmp_path, enc, dec):
+    # a model with a tanh head saved a file that load_checkpoint refused
+    model = build_model(enc, dec, "random", seed=21, dt=0.1 / 3,
+                        weights=LossWeights(linear=0.5, recon=2.0, pred=1e-3,
+                                            accel=0.0))
+    model = KoopmanModel(model.enc_widths, model.dec_widths, model.theta,
+                         model.normalizer, model.dt, model.weights,
+                         squared_norms=False, meta={"seed": 3, "note": "api"})
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert (loaded.enc_widths, loaded.dec_widths) == (enc, dec)
+    assert loaded.hidden == enc[1:-1] and loaded.p == enc[-1]
+    assert np.array_equal(loaded.theta, model.theta)
+    assert np.array_equal(loaded.normalizer.lo, model.normalizer.lo)
+    assert np.array_equal(loaded.normalizer.hi, model.normalizer.hi)
+    assert (loaded.dt, loaded.weights, loaded.squared_norms, loaded.meta) == (
+        model.dt, model.weights, False, {"seed": 3, "note": "api"})
+    save_checkpoint(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
 def test_checkpoint_roundtrip_is_exact(tmp_path, quick_model):
     path = tmp_path / "model.json"
     save_checkpoint(quick_model, path)
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.theta, quick_model.theta)
     assert (loaded.p, loaded.hidden) == (quick_model.p, quick_model.hidden)
-    assert loaded.enc_specs == quick_model.enc_specs
+    assert loaded.enc_widths == quick_model.enc_widths
     assert np.array_equal(loaded.normalizer.lo, quick_model.normalizer.lo)
     x = np.array([[12.0, 0.2, -0.1], [10.0, -0.3, 0.2]])
     u = np.array([[150.0, 0.02], [-50.0, -0.03]])
@@ -795,7 +830,7 @@ def test_checkpoint_names_a_missing_key(tmp_path, quick_model, key):
      r"not \{'n': 3, 'm': 2, 'p': 6\}"),
     (lambda doc: doc["dims"].update(q=1), r"checkpoint dims is \{.*'q': 1\}, not"),
     (lambda doc: doc["dims"].pop("m"), r"checkpoint dims is \{'n': 3, 'p': 6\}, not"),
-    # layer lists must be what `mlp_specs` gives for their widths
+    # layer lists must be what `save_checkpoint` writes for their widths
     (lambda doc: doc["encoder"][0].update(activation="relu"),
      r"checkpoint encoder layer 0 is \{.*'relu'.*\}, not \{.*'tanh'"),
     (lambda doc: doc["decoder"][0].update(activation="linear"),
@@ -819,7 +854,7 @@ def test_checkpoint_checks_kind_channels_and_dims(tmp_path, quick_model, edit,
 
 
 def test_layout_blocks_are_views_and_join_inverts_them():
-    layout = _Layout.build(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    layout = _Layout.build((3, 4, 2), (2, 4, 3))
     vec = np.arange(float(layout.size))
     enc, dec, a_mat, b_mat = layout.blocks(vec)
     assert (enc.size, dec.size, a_mat.shape, b_mat.shape) == (
@@ -830,10 +865,10 @@ def test_layout_blocks_are_views_and_join_inverts_them():
 
 
 def test_layout_join_names_every_block_that_does_not_fit():
-    layout = _Layout.build(mlp_specs((3, 4, 2)), mlp_specs((2, 4, 3)))
+    layout = _Layout.build((3, 4, 2), (2, 4, 3))
     enc, dec, a_mat, b_mat = layout.blocks(np.zeros(layout.size))
     with pytest.raises(ValueError) as err:
         layout.join(enc, dec[:-1], a_mat, np.zeros(4))
     assert str(err.value) == (
-        f"parameter block theta_decoder has {dec.size - 1} values, the specs "
-        f"need {dec.size}; B_row_major has 4 values, the specs need 10")
+        f"parameter block theta_decoder has {dec.size - 1} values, the widths "
+        f"need {dec.size}; B_row_major has 4 values, the widths need 10")

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from koopcar import _kernels
-from koopcar.mlp import (AdamState, LayerSpec, MlpLayout, Normalizer, adam_step,
-                         init_theta, mlp_specs)
+from koopcar.mlp import AdamState, MlpLayout, Normalizer, adam_step, init_theta
 
 
-def dense(specs, theta):
-    """(forward, backward) of the `_kernels` dense passes over the layers
-    `specs`, called as `lift` and `_loss_and_grad` call them."""
-    lay = MlpLayout.build(tuple(specs))
+def dense(widths, theta):
+    """(forward, backward) of the `_kernels` dense passes over the network of
+    these widths, called as `lift` and `_loss_and_grad` call them."""
+    lay = MlpLayout.build(widths)
     args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts)
 
     def forward(x):
@@ -24,13 +23,10 @@ def dense(specs, theta):
 
 
 def from_arrays(layers):
-    """(specs, theta) of explicit (W, b, activation) triples."""
-    specs = []
-    chunks = []
-    for w, b, act in layers:
-        specs.append(LayerSpec(w.shape[1], w.shape[0], act))
-        chunks.extend((w.ravel(), b))
-    return tuple(specs), np.concatenate(chunks).astype(np.float64)
+    """(widths, theta) of explicit (W, b) pairs: tanh hidden layers, linear head."""
+    widths = (layers[0][0].shape[1], *(w.shape[0] for w, _ in layers))
+    theta = np.concatenate([x for w, b in layers for x in (w.ravel(), b)])
+    return widths, theta.astype(np.float64)
 
 
 def forward_of(layers, x):
@@ -42,11 +38,13 @@ def forward_of(layers, x):
 
 def test_identity_linear_layer():
     x = np.array([0.3, -1.2, 5.0, 0.0])
-    assert np.array_equal(forward_of([(np.eye(4), np.zeros(4), "linear")], x), x)
+    assert np.array_equal(forward_of([(np.eye(4), np.zeros(4))], x), x)
 
 
 def test_tanh_layer_at_zero_weights():
-    y = forward_of([(np.zeros((3, 2)), np.zeros(3), "tanh")], np.array([0.7, -0.4]))
+    # a tanh hidden layer at zero, read through an identity head
+    y = forward_of([(np.zeros((3, 2)), np.zeros(3)), (np.eye(3), np.zeros(3))],
+                   np.array([0.7, -0.4]))
     assert np.array_equal(y, np.zeros(3))
 
 
@@ -56,15 +54,14 @@ def test_two_layer_frozen_oracle():
     b1 = np.array([0.01, -0.02, 0.03])
     w2 = np.array([[0.5, -0.4, 0.2]])
     b2 = np.array([0.1])
-    y = forward_of([(w1, b1, "tanh"), (w2, b2, "linear")], np.array([0.7, -0.3]))
+    y = forward_of([(w1, b1), (w2, b2)], np.array([0.7, -0.3]))
     assert abs(y[0] - 0.070475154080701388) < 1e-15
 
 
 def test_forward_batch_matches_single_rows():
     # same values up to BLAS kernel reassociation (gemm vs gemv)
     rng = np.random.default_rng(0)
-    specs = mlp_specs((3, 5, 2))
-    forward, _ = dense(specs, init_theta(specs, rng))
+    forward, _ = dense((3, 5, 2), init_theta((3, 5, 2), rng))
     xb = rng.normal(size=(6, 3))
     yb, _ = forward(xb)
     for i in range(6):
@@ -74,20 +71,17 @@ def test_forward_batch_matches_single_rows():
 
 def test_forward_determinism():
     rng = np.random.default_rng(1)
-    specs = mlp_specs((4, 8, 8, 3))
-    forward, _ = dense(specs, init_theta(specs, rng))
+    forward, _ = dense((4, 8, 8, 3), init_theta((4, 8, 8, 3), rng))
     x = np.random.default_rng(2).normal(size=(10, 4))
     assert np.array_equal(forward(x)[0], forward(x)[0])
 
 
 def test_cache_free_forward_equals_cached_forward():
-    # every activation, hidden and at the head; inference skips only the cache
+    # tanh hidden layers and the linear head; inference skips only the cache
     rng = np.random.default_rng(11)
-    specs = (LayerSpec(3, 7, "tanh"), LayerSpec(7, 5, "linear"),
-             LayerSpec(5, 4, "linear"))
-    theta = init_theta(specs, rng)
+    theta = init_theta((3, 7, 5, 4), rng)
     theta += 0.1 * rng.normal(size=theta.size)
-    lay = MlpLayout.build(specs)
+    lay = MlpLayout.build((3, 7, 5, 4))
     x = rng.normal(size=(9, 3))
     cache = np.empty((9, lay.cache_width))
     args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts, x)
@@ -97,9 +91,18 @@ def test_cache_free_forward_equals_cached_forward():
     assert np.array_equal(cache[:, -4:], cached)
 
 
-def test_layer_chain_validation():
-    with pytest.raises(ValueError, match="does not chain"):
-        MlpLayout.build((LayerSpec(3, 4), LayerSpec(5, 2)))
+def test_layout_derives_from_widths():
+    # each layer reads the previous one's output: shapes chain by construction
+    lay = MlpLayout.build((3, 7, 5, 4), base=10)
+    assert lay.shapes.tolist() == [[7, 3], [5, 7], [4, 5]]
+    assert lay.w_off.tolist() == [10, 38, 78]
+    assert lay.b_off.tolist() == [31, 73, 98]
+    assert lay.acts.tolist() == [_kernels.ACT_TANH, _kernels.ACT_TANH,
+                                 _kernels.ACT_LINEAR]
+    assert (lay.size, lay.cache_width) == (92, 19)
+    for bad in [(3,), (3, 0, 2), (3, -1), (3, 2.0)]:
+        with pytest.raises(ValueError, match="must be an input and an output width"):
+            MlpLayout.build(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +110,7 @@ def test_layer_chain_validation():
 
 def test_zero_output_grad_gives_zero_gradients():
     rng = np.random.default_rng(3)
-    specs = mlp_specs((3, 6, 2))
-    forward, backward = dense(specs, init_theta(specs, rng))
+    forward, backward = dense((3, 6, 2), init_theta((3, 6, 2), rng))
     _, cache = forward(rng.normal(size=(4, 3)))
     grad, gx = backward(cache, np.zeros((4, 2)))
     assert np.all(grad == 0.0)
@@ -117,7 +119,7 @@ def test_zero_output_grad_gives_zero_gradients():
 
 def test_linear_layer_closed_form_gradient():
     w = np.array([[0.5, -0.2, 0.1], [0.0, 0.3, -0.4]])
-    forward, backward = dense(*from_arrays([(w, np.zeros(2), "linear")]))
+    forward, backward = dense(*from_arrays([(w, np.zeros(2))]))
     x = np.array([1.0, -2.0, 0.5])
     _, cache = forward(x[None])
     g_out = np.array([2.0, -1.0])
@@ -127,15 +129,15 @@ def test_linear_layer_closed_form_gradient():
     assert np.allclose(gx[0], w.T @ g_out, atol=1e-15)
 
 
-def _fd_check(specs, theta, x, h=1e-5):
+def _fd_check(widths, theta, x, h=1e-5):
     """Relative error between analytic and central-difference gradients."""
     rng = np.random.default_rng(99)
-    c = rng.normal(size=specs[-1].out_dim)  # fixed linear readout -> scalar loss
+    c = rng.normal(size=widths[-1])  # fixed linear readout -> scalar loss
 
     def loss(th):
-        return float(np.sum(dense(specs, th)[0](x)[0] @ c))
+        return float(np.sum(dense(widths, th)[0](x)[0] @ c))
 
-    forward, backward = dense(specs, theta)
+    forward, backward = dense(widths, theta)
     grad, _ = backward(forward(x)[1], np.tile(c, (x.shape[0], 1)))
     worst = 0.0
     for i in range(theta.size):
@@ -148,23 +150,21 @@ def _fd_check(specs, theta, x, h=1e-5):
 
 def test_three_layer_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    specs = mlp_specs((4, 8, 6, 3))
-    theta = init_theta(specs, rng)
+    theta = init_theta((4, 8, 6, 3), rng)
     x = rng.normal(size=(5, 4))
-    assert _fd_check(specs, theta, x) < 1e-6
+    assert _fd_check((4, 8, 6, 3), theta, x) < 1e-6
 
 
 def test_gradient_property_over_random_structures():
-    # contract: any `mlp_specs` net up to 4 layers with dims up to 16 checks
-    # out below 1e-6
+    # contract: any net up to 4 layers with widths up to 16 checks out
+    # below 1e-6
     rng = np.random.default_rng(7)
     for trial in range(6):
         n_layers = int(rng.integers(1, 5))
-        dims = [int(rng.integers(1, 17)) for _ in range(n_layers + 1)]
-        specs = mlp_specs(tuple(dims))
-        theta = init_theta(specs, rng)
-        x = rng.normal(size=(3, dims[0]))
-        assert _fd_check(specs, theta, x) < 1e-6, f"trial {trial}: {specs}"
+        widths = tuple(int(rng.integers(1, 17)) for _ in range(n_layers + 1))
+        theta = init_theta(widths, rng)
+        x = rng.normal(size=(3, widths[0]))
+        assert _fd_check(widths, theta, x) < 1e-6, f"trial {trial}: {widths}"
 
 
 # ---------------------------------------------------------------------------
