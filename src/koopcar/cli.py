@@ -204,11 +204,17 @@ def _build_methods(args, window: int) -> list[ev.MethodSpec]:
             models[key] = km.load_checkpoint(path)
         return models[key]
 
+    names = [n.strip() for n in args.methods.split(",") if n.strip()]
+    if not names:
+        raise UsageError(f"{args.given['methods']}: {args.methods!r} names no method; "
+                         f"known: {', '.join(METHODS)}")
     specs = []
-    for name in (n.strip() for n in args.methods.split(",") if n.strip()):
+    for i, name in enumerate(names):
         if name.upper() not in METHODS:
             raise UsageError(f"unknown method {name!r}; "
                              f"known: {', '.join(METHODS)}")
+        if name.upper() in (n.upper() for n in names[:i]):
+            raise UsageError(f"method {name!r} is named twice; names match in any case")
         key, mode = METHODS[name.upper()]
         if key is None:
             specs.append(ev.MethodSpec(name=name,
