@@ -37,10 +37,12 @@ def workdir(tmp_path_factory):
 # command's exit code too. In argv, TRAJ and CKPT name the module's trajectory
 # and checkpoint, OUT the output path and CFG a config file. A text `edit` is
 # CFG's content; a function `edit` changes a copy of the checkpoint's JSON,
-# which CKPT then names. A new CLI check lands here as a row.
+# which CKPT then names. A row is run by `test_exit_code` unless it names
+# another `test`: the rows of a reject test folded into the table keep that
+# test's name and ids. A new CLI check lands here as a row.
 
-def fails(row_id, argv, code, message, edit=None):
-    return pytest.param(argv, edit, code, message, id=row_id)
+def fails(row_id, argv, code, message, edit=None, test="test_exit_code"):
+    return test, pytest.param(argv, edit, code, message, id=row_id)
 
 
 def config_value(command, settings, key, value):
@@ -81,29 +83,26 @@ FAILURES = [
     fails("named-scenario-custom-key", f"{STEP_STEER} --config CFG --out OUT", 1,
           "CFG: key 'params.mu' needs a custom scenario",
           edit="params.mu = 0.3\nparams.mass = 1900\n"),
-    fails("custom-scenario-substeps", "simulate --config CFG --out OUT", 1,
-          "CFG: unknown key 'scenario.substeps'",
-          edit=EQUILIBRIUM + "scenario.substeps = 4\n"),
-    fails("custom-scenario-mass", "simulate --config CFG --out OUT", 1,
-          "CFG: unknown key 'params.mass'", edit=EQUILIBRIUM + "params.mass = 1900\n"),
-    fails("custom-scenario-lowercase-vx", "simulate --config CFG --out OUT", 1,
-          "CFG: unknown key 'initial.vx'", edit=EQUILIBRIUM + "initial.vx = 3.0\n"),
-    fails("input-program-unread-argument", "simulate --config CFG --out OUT", 1,
-          "CFG: unknown key 'input.torqeu'", edit=CUSTOM + "input.torqeu = 300\n"),
-    fails("input-program-not-a-number", "simulate --config CFG --out OUT", 1,
-          "CFG: key 'input.torque': '3OO' is not a number",
-          edit=CUSTOM + "input.torque = 3OO\n"),
-    fails("input-program-unknown", "simulate --config CFG --out OUT", 1,
-          "CFG: key 'input.kind': unknown input program 'coast'",
-          edit=CUSTOM + "input.kind = coast\n"),
+    *(fails(line, "simulate --config CFG --out OUT", 1,
+            f"CFG: unknown key '{line.split(' = ')[0]}'", edit=f"{EQUILIBRIUM}{line}\n",
+            test="test_simulate_custom_scenario_rejects_unread_keys")
+      for line in ("scenario.substeps = 4", "params.mass = 1900", "initial.vx = 3.0")),
+    *(fails(row_id, "simulate --config CFG --out OUT", 1, f"CFG: {message}",
+            edit=f"{CUSTOM}{line}\n", test="test_simulate_checks_input_program_keys")
+      for row_id, line, message in [
+          ("unread-argument", "input.torqeu = 300", "unknown key 'input.torqeu'"),
+          ("not-a-number", "input.torque = 3OO",
+           "key 'input.torque': '3OO' is not a number"),
+          ("unknown-program", "input.kind = coast",
+           "key 'input.kind': unknown input program 'coast'")]),
     fails("custom-scenario-named-flags", "simulate --config CFG --duration 5 "
           "--dm 500 --dt 0.05 --scenario slalom --out OUT", 1,
           "--scenario, --duration, --dt, --dm: set only a named scenario",
           edit=CUSTOM_300),
     fails("custom-scenario-named-key", "simulate --config CFG --out OUT", 1,
           "CFG: key 'dIz': set only a named scenario", edit=CUSTOM_300 + "dIz = 5\n"),
-    *(fails(f"simulate-{flag}-{value}", f"{STEP_STEER} --{flag} {value} --out OUT", 2,
-            f"error: {message}")
+    *(fails(f"{flag}-{value}", f"{STEP_STEER} --{flag} {value} --out OUT", 2,
+            f"error: {message}", test="test_simulate_rejects_degenerate_scenario")
       for flag, value, message in [
           ("duration", "0", "duration must cover at least one sample interval"),
           ("duration", "nan", "duration must be finite, got nan"),
@@ -112,9 +111,10 @@ FAILURES = [
           ("dm", "inf", "m must be positive and finite, got inf")]),
     fails("compare-duration-0", "compare --methods PHYS-BASELINE --scenario-duration 0 "
           "--out OUT", 2, "duration must cover at least one sample interval"),
-    *(fails(f"plant-{key}-{value}", "simulate --config CFG --out OUT", 2,
+    *(fails(f"{key}-{value}", "simulate --config CFG --out OUT", 2,
             f"error: {key.replace('.', ' ')} must be",
-            edit=f"{CUSTOM_300}params.{key} = {value}\n")
+            edit=f"{CUSTOM_300}params.{key} = {value}\n",
+            test="test_simulate_rejects_bad_plant_parameter")
       for key, value in [("drag", "nan"), ("roll", "-1"), ("max_torque", "nan"),
                          ("tire.b_stiff", "inf")]),
     fails("torque-beyond-max_torque", "simulate --config CFG --out OUT", 2,
@@ -131,8 +131,9 @@ FAILURES = [
           "'seed' is required for train"),
     fails("train-seed-negative", "train --data TRAJ --seed -1 --epochs 1 --out OUT", 2,
           "error: seed must be non-negative, got -1"),
-    *(fails(f"learning-rate-{value}", f"{TRAIN} --learning-rate {value} --out OUT", 2,
-            f"learning_rate must be positive and finite, got {float(value)}")
+    *(fails(value, f"{TRAIN} --learning-rate {value} --out OUT", 2,
+            f"learning_rate must be positive and finite, got {float(value)}",
+            test="test_train_rejects_bad_learning_rate")
       for value in ("nan", "inf", "0", "-1")),
     fails("feature-dim-0", f"{TRAIN} --feature-dim 0 --out OUT", 2,
           "feature_dim and hidden widths must be >= 1, got 0 and (32, 32)"),
@@ -142,9 +143,10 @@ FAILURES = [
     fails("compare-missing-checkpoint", "compare --methods ALDK --checkpoint-aldk "
           "/nonexistent/ghost.json --scenario step_steer --seed 3 --out OUT", 2,
           "error: method ALDK: missing checkpoint"),
-    *(fails(f"compare-unknown-method-{name}", f"compare --methods aldk-swls,{name} "
+    *(fails(name, f"compare --methods aldk-swls,{name} "
             "--checkpoint-aldk CKPT --scenario step_steer --out OUT", 1,
-            f"unknown method {name!r}; {KNOWN}")
+            f"unknown method {name!r}; {KNOWN}",
+            test="test_compare_unknown_method_is_usage_error")
       for name in ("PHYS", "physics", "ALDK-LMS")),
     fails("compare-unknown-scenario", "compare --methods ALDK --checkpoint-aldk CKPT "
           "--scenario marsroad --seed 3 --out OUT", 1,
@@ -160,26 +162,30 @@ FAILURES = [
           f"{COMPARE} --methods PHYS-BASELINE,phys-baseline --out OUT", 1,
           "method 'phys-baseline' is named twice"),
     # adapt and inspect: a checkpoint value the writer would not emit
-    *(fails(f"eps_reg-{value}", f"{ADAPT} --eps-reg {value} --out OUT", 2,
-            f"eps_reg must be non-negative and finite, got {float(value)}")
+    *(fails(value, f"{ADAPT} --eps-reg {value} --out OUT", 2,
+            f"eps_reg must be non-negative and finite, got {float(value)}",
+            test="test_adapt_rejects_bad_eps_reg")
       for value in ("nan", "inf", "-1")),
-    *(fails(f"normalizer-nan-{mode}", f"{ADAPT} --mode {mode} --out OUT", 2,
+    *(fails(mode, f"{ADAPT} --mode {mode} --out OUT", 2,
             "normalizer channel 0 has min nan",
-            edit=lambda doc: doc["normalizer_min"].__setitem__(0, float("nan")))
+            edit=lambda doc: doc["normalizer_min"].__setitem__(0, float("nan")),
+            test="test_adapt_rejects_nan_normalizer_checkpoint")
       for mode in ("SWLS", "frozen")),
-    fails("layers-relu", f"{ADAPT} --out OUT", 2, "checkpoint encoder layer 0 is ",
-          edit=lambda doc: doc["encoder"][0].update(activation="relu")),
-    fails("layers-linear-hidden", f"{ADAPT} --out OUT", 2,
-          "checkpoint decoder layer 0 is ",
-          edit=lambda doc: doc["decoder"][0].update(activation="linear")),
-    fails("layers-tanh-head", f"{ADAPT} --out OUT", 2, "checkpoint decoder layer 1 is ",
-          edit=lambda doc: doc["decoder"][1].update(activation="tanh")),
-    fails("layers-bias-free", f"{ADAPT} --out OUT", 2, "checkpoint encoder layer 1 is ",
-          edit=lambda doc: doc.update(   # the head's 2 biases cut from its block
-              encoder=[doc["encoder"][0], {**doc["encoder"][1], "bias": False}],
-              theta_encoder=doc["theta_encoder"][:-2])),
-    fails("layers-empty", f"{ADAPT} --out OUT", 2, "checkpoint decoder has no layers",
-          edit=lambda doc: doc.update(decoder=[])),
+    *(fails(row_id, f"{ADAPT} --out OUT", 2, message, edit=edit,
+            test="test_adapt_rejects_layers_train_does_not_write")
+      for row_id, message, edit in [
+          ("relu", "checkpoint encoder layer 0 is ",
+           lambda doc: doc["encoder"][0].update(activation="relu")),
+          ("linear-hidden", "checkpoint decoder layer 0 is ",
+           lambda doc: doc["decoder"][0].update(activation="linear")),
+          ("tanh-head", "checkpoint decoder layer 1 is ",
+           lambda doc: doc["decoder"][1].update(activation="tanh")),
+          ("bias-free", "checkpoint encoder layer 1 is ",
+           lambda doc: doc.update(   # the head's 2 biases cut from its block
+               encoder=[doc["encoder"][0], {**doc["encoder"][1], "bias": False}],
+               theta_encoder=doc["theta_encoder"][:-2])),
+          ("empty", "checkpoint decoder has no layers",
+           lambda doc: doc.update(decoder=[]))]),
     fails("inspect-dt-negative", "inspect CKPT", 2,
           "model dt must be positive and finite, got -0.025",
           edit=lambda doc: doc.update(dt=-0.025)),
@@ -218,8 +224,11 @@ FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("argv, edit, code, message", FAILURES)
-def test_exit_code(workdir, tmp_path, capsys, argv, edit, code, message):
+def rows(test):
+    return [row for name, row in FAILURES if name == test]
+
+
+def assert_exit(workdir, tmp_path, capsys, argv, edit, code, message):
     paths = {"TRAJ": workdir["traj"], "CKPT": workdir["ckpt"],
              "OUT": tmp_path / "out", "CFG": tmp_path / "run.cfg"}
     if callable(edit):
@@ -235,6 +244,72 @@ def test_exit_code(workdir, tmp_path, capsys, argv, edit, code, message):
         message = message.replace(name, str(path))
     assert message in err, err
     assert not list(tmp_path.glob("out*"))
+
+
+ROW = "argv, edit, code, message"
+
+
+@pytest.mark.parametrize(ROW, rows("test_exit_code"))
+def test_exit_code(workdir, tmp_path, capsys, argv, edit, code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_simulate_custom_scenario_rejects_unread_keys"))
+def test_simulate_custom_scenario_rejects_unread_keys(workdir, tmp_path, capsys, argv,
+                                                      edit, code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_simulate_checks_input_program_keys"))
+def test_simulate_checks_input_program_keys(workdir, tmp_path, capsys, argv, edit,
+                                            code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_simulate_rejects_degenerate_scenario"))
+def test_simulate_rejects_degenerate_scenario(workdir, tmp_path, capsys, argv, edit,
+                                              code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_simulate_rejects_bad_plant_parameter"))
+def test_simulate_rejects_bad_plant_parameter(workdir, tmp_path, capsys, argv, edit,
+                                              code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_train_rejects_bad_learning_rate"))
+def test_train_rejects_bad_learning_rate(workdir, tmp_path, capsys, argv, edit,
+                                         code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_compare_unknown_method_is_usage_error"))
+def test_compare_unknown_method_is_usage_error(workdir, tmp_path, capsys, argv, edit,
+                                               code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_adapt_rejects_bad_eps_reg"))
+def test_adapt_rejects_bad_eps_reg(workdir, tmp_path, capsys, argv, edit, code,
+                                   message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_adapt_rejects_nan_normalizer_checkpoint"))
+def test_adapt_rejects_nan_normalizer_checkpoint(workdir, tmp_path, capsys, argv,
+                                                 edit, code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_adapt_rejects_layers_train_does_not_write"))
+def test_adapt_rejects_layers_train_does_not_write(workdir, tmp_path, capsys, argv,
+                                                   edit, code, message):
+    assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+def test_every_row_is_run():
+    assert {name for name, _ in FAILURES} <= set(globals())
 
 
 # ---------------------------------------------------------------------------
