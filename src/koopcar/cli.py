@@ -156,8 +156,7 @@ def cmd_train(args) -> int:
     config = km.TrainConfig(
         seed=args.seed, epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, weights=weights, hidden=args.hidden,
-        feature_dim=args.feature_dim, holdout_fraction=args.holdout_fraction,
-        warm_start=args.warm_start == "on", squared_norms=args.squared_norms == "on")
+        feature_dim=args.feature_dim, holdout_fraction=args.holdout_fraction)
     result = km.train(pairs, config, init_model=init_model)
     meta = result.model.meta
     meta["config_echo"] = echo
@@ -190,6 +189,21 @@ METHODS = {"PHYS-BASELINE": (None, None),
            "ALDK-SWLS": ("checkpoint.aldk", "SWLS")}
 
 
+def _method_names(args) -> list[str]:
+    """The `--methods` list, each name known and named once."""
+    names = [n.strip() for n in args.methods.split(",") if n.strip()]
+    if not names:
+        raise UsageError(f"{args.given['methods']}: {args.methods!r} names no method; "
+                         f"known: {', '.join(METHODS)}")
+    for i, name in enumerate(names):
+        if name.upper() not in METHODS:
+            raise UsageError(f"unknown method {name!r}; "
+                             f"known: {', '.join(METHODS)}")
+        if name.upper() in (n.upper() for n in names[:i]):
+            raise UsageError(f"method {name!r} is named twice; names match in any case")
+    return names
+
+
 def _build_methods(args, window: int) -> list[ev.MethodSpec]:
     models: dict[str, km.KoopmanModel] = {}
 
@@ -204,17 +218,8 @@ def _build_methods(args, window: int) -> list[ev.MethodSpec]:
             models[key] = km.load_checkpoint(path)
         return models[key]
 
-    names = [n.strip() for n in args.methods.split(",") if n.strip()]
-    if not names:
-        raise UsageError(f"{args.given['methods']}: {args.methods!r} names no method; "
-                         f"known: {', '.join(METHODS)}")
     specs = []
-    for i, name in enumerate(names):
-        if name.upper() not in METHODS:
-            raise UsageError(f"unknown method {name!r}; "
-                             f"known: {', '.join(METHODS)}")
-        if name.upper() in (n.upper() for n in names[:i]):
-            raise UsageError(f"method {name!r} is named twice; names match in any case")
+    for name in _method_names(args):
         key, mode = METHODS[name.upper()]
         if key is None:
             specs.append(ev.MethodSpec(name=name,
@@ -253,7 +258,13 @@ def cmd_compare(args) -> int:
                      if args.scenario == "suite" else
                      [sc.make_scenario(args.scenario, duration=args.scenario_duration)])
 
-    if args.sweep_window:
+    if args.sweep_window is not None:   # only SWLS rows reach the summary
+        given = args.given["sweep_window"]
+        if not args.sweep_window:
+            raise UsageError(f"{given}: names no window length")
+        if "SWLS" not in (METHODS[n.upper()][1] for n in _method_names(args)):
+            raise UsageError(f"{given}: only ALDK-SWLS reads the window, but "
+                             f"{args.given['methods']} does not name it")
         trajectories = [sc.run_scenario(s) for s in scenario_list]
         rows = []
         for m_len in args.sweep_window:
@@ -367,8 +378,6 @@ def build_parser() -> _Parser:
     p_train.add_argument("--log", help="training log CSV path")
     p_train.add_argument("--resume", help="checkpoint to continue from")
     p_train.add_argument("--holdout-fraction", type=float, default=tc.holdout_fraction)
-    p_train.add_argument("--warm-start", **_on_off(tc.warm_start))
-    p_train.add_argument("--squared-norms", **_on_off(tc.squared_norms))
     for term in ("linear", "recon", "pred", "accel"):
         p_train.add_argument(f"--w-{term}", type=float,
                              default=getattr(km.LossWeights, term))

@@ -110,8 +110,7 @@ class KoopmanModel:
 
     def __init__(self, enc_widths: tuple[int, ...], dec_widths: tuple[int, ...],
                  theta: np.ndarray, normalizer: Normalizer, dt: float,
-                 weights: LossWeights = LossWeights(),
-                 squared_norms: bool = True, meta: dict | None = None):
+                 weights: LossWeights = LossWeights(), meta: dict | None = None):
         self.layout = _Layout.build(enc_widths, dec_widths)
         self.enc_widths = tuple(map(int, enc_widths))
         self.dec_widths = tuple(map(int, dec_widths))
@@ -136,7 +135,6 @@ class KoopmanModel:
         self.normalizer = normalizer
         self.dt = dt
         self.weights = weights
-        self.squared_norms = squared_norms
         self.meta = dict(meta or {})
 
     # --- parameter views -------------------------------------------------
@@ -272,17 +270,10 @@ def measured_accel_combination(x_next: np.ndarray,
 # ---------------------------------------------------------------------------
 # loss evaluation and gradients
 
-def _norm_term(residual: np.ndarray, squared: bool) -> tuple[float, np.ndarray]:
-    """Batch-mean norm of per-sample residual rows and its gradient wrt them."""
-    n = residual.shape[0]
-    if squared:
-        value = float(np.mean(np.sum(residual * residual, axis=1)))
-        grad = (2.0 / n) * residual
-    else:
-        norms = np.sqrt(np.sum(residual * residual, axis=1))
-        value = float(np.mean(norms))
-        grad = residual / (np.maximum(norms, 1e-300)[:, None] * n)
-    return value, grad
+def _norm_term(residual: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean squared norm of residual rows, and its gradient wrt them."""
+    value = float(np.mean(np.sum(residual * residual, axis=1)))
+    return value, (2.0 / residual.shape[0]) * residual
 
 
 def _prepared_arrays(model: KoopmanModel, batch: PairBatch) -> dict:
@@ -304,8 +295,7 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
                    want_grad: bool) -> tuple[LossTerms, np.ndarray | None]:
     """Loss terms, and their weighted gradient when `want_grad`, of the
     parameters `theta` on prepared arrays; everything else is `model`'s."""
-    layout, weights, dt, squared = (model.layout, model.weights, model.dt,
-                                    model.squared_norms)
+    layout, weights, dt = model.layout, model.weights, model.dt
     vel_half = model.normalizer.half_range[:2]
     vel_mid = model.normalizer.mid[:2]
     xi, ui, xi1 = arrs["xi"], arrs["ui"], arrs["xi1"]
@@ -324,19 +314,19 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
     z_hat = z_i @ A.T + ui @ Bm.T
 
     r_lin = z_1 - z_hat
-    l_lin, g_lin = _norm_term(r_lin, squared)
+    l_lin, g_lin = _norm_term(r_lin)
     r_pred = xi1 - z_hat[:, :n]
-    l_pred, g_pred = _norm_term(r_pred, squared)
+    l_pred, g_pred = _norm_term(r_pred)
 
     x_rec = _kernels.dense_forward(theta, dec.shapes, dec.w_off, dec.b_off,
                                    dec.acts, phi[:nb], cache_d)
     r_rec = xi - x_rec
-    l_rec, g_rec = _norm_term(r_rec, squared)
+    l_rec, g_rec = _norm_term(r_rec)
 
     v_hat = z_hat[:, :2] * vel_half + vel_mid
     a_hat = (v_hat - arrs["v_now"]) / dt
     r_al = arrs["a_meas"] - a_hat
-    l_al, g_al = _norm_term(r_al, squared)
+    l_al, g_al = _norm_term(r_al)
 
     terms = LossTerms(linear=l_lin, recon=l_rec, pred=l_pred, accel=l_al)
     if not want_grad:
@@ -417,8 +407,6 @@ class TrainConfig:
     hidden: tuple[int, ...] = (32, 32)
     feature_dim: int = 12
     holdout_fraction: float = 0.3
-    warm_start: bool = True
-    squared_norms: bool = True
 
     def __post_init__(self):
         if self.feature_dim < 1 or min(self.hidden, default=1) < 1:
@@ -470,10 +458,10 @@ def split_pairs(n_pairs: int, holdout_fraction: float,
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _warm_start_ab(A, B, xi, ui, xi1):
+def _least_squares_ab(A, B, arrs):
     """Write into the views A and B: A = identity-padded state-space EDMD
-    fit, B = its input map, rest zero."""
-    a3, b3 = edmd_fit(xi.T, xi1.T, ui.T, ridge=1e-10)
+    fit of the prepared arrays `arrs`, B = its input map, rest zero."""
+    a3, b3 = edmd_fit(arrs["xi"].T, arrs["xi1"].T, arrs["ui"].T, ridge=1e-10)
     A[...] = np.eye(A.shape[0])
     A[:N_STATES, :N_STATES] = a3
     B[...] = 0.0
@@ -485,20 +473,20 @@ def train(pairs: PairBatch, config: TrainConfig,
     """Mini-batch Adam over encoder, decoder, A, B; returns the best-holdout model.
 
     A fresh run builds a network of `config.hidden` widths and
-    `config.feature_dim` features; the model's dt is always the pairs' sample
-    time. The pair set is split (seeded shuffle) into train/holdout; the
-    normalizer is fit on the training split only. Every pair is normalized
+    `config.feature_dim` features and starts A and B from the least-squares
+    fit of the normalized training pairs; the model's dt is always the pairs'
+    sample time. The pair set is split (seeded shuffle) into train/holdout;
+    the normalizer is fit on the training split only. Every pair is normalized
     once into one prepared table; each epoch gathers its shuffled training
     rows into one preallocated buffer, whose contiguous slices are the
     batches. The holdout loss is evaluated in chunks of `BLOCK_ROWS` pairs,
     gathered one chunk at a time and weighted by their length, so its
     temporaries stay bounded for any data length. Aborts on a non-finite loss
-    naming the offending batch. Passing `init_model` resumes from its
-    network, parameters and normalizer (epoch numbering continues from its
-    recorded final epoch); its dt must be the pairs' sample time, and
-    `config.hidden` and `config.feature_dim` must be its `hidden` and `p`.
-    `config.warm_start` does not apply on resume. The best epoch and its
-    holdout loss are in the model's `meta`.
+    naming the offending batch. Passing `init_model` resumes from its network,
+    parameters and normalizer (epoch numbering continues from its recorded
+    final epoch); its dt must be the pairs' sample time, and `config.hidden`
+    and `config.feature_dim` must be its `hidden` and `p`. The best epoch and
+    its holdout loss are in the model's `meta`.
     """
     if init_model is not None:
         check_sample_time(init_model, pairs)
@@ -526,7 +514,7 @@ def train(pairs: PairBatch, config: TrainConfig,
             np.eye(d), np.zeros((d, N_INPUTS)))
         epoch0 = 0
     model = KoopmanModel(enc_widths, dec_widths, theta, normalizer,
-                         pairs.dt, config.weights, config.squared_norms)
+                         pairs.dt, config.weights)
     layout, weights = model.layout, model.weights
     table = _prepared_arrays(model, pairs)
     n_train, n_hold = len(train_rows), len(hold_rows)
@@ -537,10 +525,9 @@ def train(pairs: PairBatch, config: TrainConfig,
         for k, v in table.items():
             np.take(v, rows, axis=0, out=epoch_arrs[k], mode="clip")
 
-    if init_model is None and config.warm_start:
+    if init_model is None:
         gather(train_rows)
-        _warm_start_ab(*layout.blocks(theta)[2:], epoch_arrs["xi"],
-                       epoch_arrs["ui"], epoch_arrs["xi1"])
+        _least_squares_ab(*layout.blocks(theta)[2:], epoch_arrs)
 
     adam = AdamState.create(layout.size, lr=config.learning_rate)
 
@@ -588,7 +575,7 @@ def train(pairs: PairBatch, config: TrainConfig,
             "best_epoch": best_epoch, "best_holdout": best_hold,
             "final_epoch": epoch0 + config.epochs}
     final = KoopmanModel(enc_widths, dec_widths, best_theta, normalizer,
-                         pairs.dt, config.weights, config.squared_norms, meta)
+                         pairs.dt, config.weights, meta)
     return TrainResult(model=final, history=history, holdout_idx=hold_rows)
 
 
@@ -664,7 +651,6 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
                          "recon": model.weights.recon,
                          "pred": model.weights.pred,
                          "accel": model.weights.accel},
-        "squared_norms": model.squared_norms,
         "meta": model.meta,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -673,8 +659,8 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
 
 
 def load_checkpoint(path) -> KoopmanModel:
-    """Read a checkpoint; raises ValueError naming a missing key, and on any
-    value the model rejects."""
+    """Read a checkpoint; raises ValueError naming a missing key, on any value
+    the model rejects, and on a model trained on another loss."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
@@ -704,6 +690,10 @@ def _model_from_doc(doc: dict) -> KoopmanModel:
                       ("dims", layout.dims())):
         if doc[key] != want:
             raise ValueError(f"checkpoint {key} is {doc[key]!r}, not {want!r}")
+    # files may hold this key; any value but true is a model of another loss
+    if doc.get("squared_norms", True) is not True:
+        raise ValueError(f"checkpoint squared_norms is {doc['squared_norms']!r}, "
+                         "not True")
     theta = layout.join(*(doc[key] for key in BLOCKS))
     normalizer = Normalizer(lo=np.asarray(doc["normalizer_min"]),
                             hi=np.asarray(doc["normalizer_max"]))
@@ -712,4 +702,4 @@ def _model_from_doc(doc: dict) -> KoopmanModel:
         *widths, theta, normalizer, doc["dt"],
         LossWeights(linear=lw["linear"], recon=lw["recon"], pred=lw["pred"],
                     accel=lw["accel"]),
-        doc.get("squared_norms", True), doc.get("meta", {}))
+        doc.get("meta", {}))

@@ -139,6 +139,14 @@ FAILURES = [
           "feature_dim and hidden widths must be >= 1, got 0 and (32, 32)"),
     fails("hidden-width-0", f"{TRAIN} --hidden 32,0 --out OUT", 2,
           "feature_dim and hidden widths must be >= 1, got 12 and (32, 0)"),
+    # every run trains on squared norms from the least-squares start
+    *(fails(f"{key}-{where}", f"{TRAIN} {argv} --out OUT", 1, message, edit=edit)
+      for key, value in [("warm_start", "off"), ("squared_norms", "on")]
+      for where, argv, message, edit in [
+          ("flag", f"--{key.replace('_', '-')} {value}",
+           f"unrecognized arguments: --{key.replace('_', '-')}", None),
+          ("file", "--config CFG", f"CFG: unknown key '{key}' for train",
+           f"{key} = {value}\n")]),
     # compare
     fails("compare-missing-checkpoint", "compare --methods ALDK --checkpoint-aldk "
           "/nonexistent/ghost.json --scenario step_steer --seed 3 --out OUT", 2,
@@ -161,6 +169,16 @@ FAILURES = [
     fails("compare-method-twice-any-case",
           f"{COMPARE} --methods PHYS-BASELINE,phys-baseline --out OUT", 1,
           "method 'phys-baseline' is named twice"),
+    # a window sweep needs a window length and a method that reads the window
+    fails("compare-sweep-no-window", f"compare {COMPARE_SETTINGS} --sweep-window , "
+          "--out OUT", 1, "--sweep-window: names no window length"),
+    fails("compare-sweep-no-window-file", f"compare {COMPARE_SETTINGS} --config CFG "
+          "--out OUT", 1, "CFG: key 'sweep_window': names no window length",
+          edit="sweep_window = ,\n"),
+    fails("compare-sweep-no-swls",
+          f"{COMPARE} --methods PHYS-BASELINE --sweep-window 0,5 --out OUT", 1,
+          "--sweep-window: only ALDK-SWLS reads the window, but --methods "
+          "does not name it"),
     # adapt and inspect: a checkpoint value the writer would not emit
     *(fails(value, f"{ADAPT} --eps-reg {value} --out OUT", 2,
             f"eps_reg must be non-negative and finite, got {float(value)}",
@@ -198,6 +216,9 @@ FAILURES = [
     fails("adapt-channels-reordered", f"{ADAPT} --out OUT", 2,
           "checkpoint channels is ['delta_f', 'T', 'wr', 'Vy', 'Vx'], not ",
           edit=reverse_channels),
+    fails("inspect-other-loss", "inspect CKPT", 2,
+          "checkpoint squared_norms is False, not True",
+          edit=lambda doc: doc.update(squared_norms=False)),
     fails("checkpoint-missing-key", ADAPT, 2,
           "error: checkpoint CKPT: missing key 'normalizer_max'",
           edit=lambda doc: doc.pop("normalizer_max")),
