@@ -89,9 +89,10 @@ class AdapterConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.window < 1:
-            raise ValueError("window length must be >= 1")
+            raise ValueError(f"window length must be >= 1, got {self.window}")
         if not (0.0 < self.forgetting <= 1.0):
-            raise ValueError("forgetting factor must be in (0, 1]")
+            raise ValueError(f"forgetting factor must be in (0, 1], "
+                             f"got {self.forgetting}")
         if self.eps_reg is not None and not (math.isfinite(self.eps_reg)
                                              and self.eps_reg >= 0):
             raise ValueError(f"eps_reg must be non-negative and finite, "

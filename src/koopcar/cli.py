@@ -204,53 +204,32 @@ def _method_names(args) -> list[str]:
     return names
 
 
-def _build_methods(args, window: int) -> list[ev.MethodSpec]:
+def _build_methods(args, windows) -> list[list[ev.MethodSpec]]:
+    """The method specs of each window length in `windows`; each checkpoint is
+    read once, and every window is checked before any scenario runs."""
     models: dict[str, km.KoopmanModel] = {}
 
-    def model_for(key: str) -> km.KoopmanModel:
-        method = key.split(".")[1].upper()
-        path = getattr(args, key)
+    def spec(name: str, window: int) -> ev.MethodSpec:
+        key, mode = METHODS[name.upper()]
+        if key is None:
+            return ev.MethodSpec(name=name, assumed_params=ev.baseline_params())
+        adapter = None if mode is None else _adapter_config(args, mode, window)
+        method, path = key.split(".")[1].upper(), getattr(args, key)
         if path is None:
             raise UsageError(f"method {method} needs a checkpoint path ({key})")
         if key not in models:
             if not Path(path).exists():
                 raise FileNotFoundError(f"method {method}: missing checkpoint {path}")
             models[key] = km.load_checkpoint(path)
-        return models[key]
+        return ev.MethodSpec(name=name, model=models[key], adapter=adapter)
 
-    specs = []
-    for name in _method_names(args):
-        key, mode = METHODS[name.upper()]
-        if key is None:
-            specs.append(ev.MethodSpec(name=name,
-                                       assumed_params=ev.baseline_params()))
-        else:
-            adapter = None if mode is None else _adapter_config(args, mode, window)
-            specs.append(ev.MethodSpec(name=name, model=model_for(key),
-                                       adapter=adapter))
-    return specs
-
-
-def _compare_once(args, window, scenario_list, tag="",
-                  trajectories=None) -> dict[str, ev.ComparisonReport]:
-    """One comparison per scenario; `trajectories`, when given, holds each
-    scenario's simulated run so it is not simulated again."""
-    methods = _build_methods(args, window)
-    reports = {}
-    for scenario, trajectory in zip(
-            scenario_list, trajectories or [None] * len(scenario_list)):
-        report = ev.run_comparison(methods, scenario, trajectory)
-        stem = f"{args.out}_{scenario.name}{tag}"
-        ev.write_report_files(report, stem + ".table.txt",
-                              stem + ".metrics.csv", stem + ".series.csv")
-        if args.timings == "on":
-            ev.write_timing_sidecar(report, stem + ".timing.csv")
-        print(ev.format_report_table(report))
-        reports[scenario.name] = report
-    return reports
+    names = _method_names(args)
+    return [[spec(name, window) for name in names] for window in windows]
 
 
 def cmd_compare(args) -> int:
+    """One comparison per scenario and window length: the `--sweep-window`
+    list, tagged `_M<m>` and summarized in `_sweep.csv`, or else `--window`."""
     _echo(args)
     _require(args, "out")
 
@@ -258,28 +237,35 @@ def cmd_compare(args) -> int:
                      if args.scenario == "suite" else
                      [sc.make_scenario(args.scenario, duration=args.scenario_duration)])
 
-    if args.sweep_window is not None:   # only SWLS rows reach the summary
+    sweep = args.sweep_window is not None
+    if sweep:   # only SWLS rows reach the summary
         given = args.given["sweep_window"]
         if not args.sweep_window:
             raise UsageError(f"{given}: names no window length")
         if "SWLS" not in (METHODS[n.upper()][1] for n in _method_names(args)):
             raise UsageError(f"{given}: only ALDK-SWLS reads the window, but "
                              f"{args.given['methods']} does not name it")
-        trajectories = [sc.run_scenario(s) for s in scenario_list]
-        rows = []
-        for m_len in args.sweep_window:
-            reports = _compare_once(args, m_len, scenario_list,
-                                    tag=f"_M{m_len}", trajectories=trajectories)
-            for scen_name, report in reports.items():
-                for res in report.results:
-                    if METHODS[res.name.upper()][1] == "SWLS":
-                        rows += ["%d,%s,%s,%.17g\n" % (m_len, scen_name, ch, rmse)
-                                 for ch, rmse in zip(ev.CHANNEL_NAMES, res.metrics.rmse)]
+    windows = args.sweep_window if sweep else (args.window,)
+    method_sets = _build_methods(args, windows)
+    rows: list[list[str]] = [[] for _ in windows]   # the summary, window-major
+    for scenario in scenario_list:
+        trajectory = sc.run_scenario(scenario)
+        for m_len, methods, summary in zip(windows, method_sets, rows):
+            report = ev.run_comparison(methods, scenario, trajectory)
+            stem = f"{args.out}_{scenario.name}" + (f"_M{m_len}" if sweep else "")
+            ev.write_report_files(report, stem + ".table.txt",
+                                  stem + ".metrics.csv", stem + ".series.csv")
+            if args.timings == "on":
+                ev.write_timing_sidecar(report, stem + ".timing.csv")
+            print(ev.format_report_table(report))
+            for res in report.results:
+                if METHODS[res.name.upper()][1] == "SWLS":
+                    summary += ["%d,%s,%s,%.17g\n" % (m_len, scenario.name, ch, rmse)
+                                for ch, rmse in zip(ev.CHANNEL_NAMES, res.metrics.rmse)]
+    if sweep:
         with open(f"{args.out}_sweep.csv", "w", encoding="utf-8") as fh:
-            fh.writelines(["M,scenario,channel,rmse\n", *rows])
+            fh.writelines(["M,scenario,channel,rmse\n", *(r for s in rows for r in s)])
         print(f"wrote window sweep summary to {args.out}_sweep.csv")
-    else:
-        _compare_once(args, args.window, scenario_list)
     return 0
 
 

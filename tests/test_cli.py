@@ -179,6 +179,14 @@ FAILURES = [
           f"{COMPARE} --methods PHYS-BASELINE --sweep-window 0,5 --out OUT", 1,
           "--sweep-window: only ALDK-SWLS reads the window, but --methods "
           "does not name it"),
+    # every window length is checked before the first report is written
+    *(fails(row_id, f"{command} --out OUT", 2, "error: window length must be >= 1, got 0")
+      for row_id, command in [
+          ("compare-sweep-window-0", f"compare {COMPARE_SETTINGS} --sweep-window 5,0"),
+          ("compare-window-0", f"compare {COMPARE_SETTINGS} --window 0"),
+          ("adapt-window-0", f"{ADAPT} --window 0")]),
+    fails("adapt-forgetting-1.5", f"{ADAPT} --mode FFRLS --forgetting 1.5 --out OUT", 2,
+          "error: forgetting factor must be in (0, 1], got 1.5"),
     # adapt and inspect: a checkpoint value the writer would not emit
     *(fails(value, f"{ADAPT} --eps-reg {value} --out OUT", 2,
             f"eps_reg must be non-negative and finite, got {float(value)}",

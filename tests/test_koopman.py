@@ -405,22 +405,6 @@ def test_non_finite_sample_time_is_rejected(dt):
 # ---------------------------------------------------------------------------
 # EDMD
 
-def test_edmd_recovers_known_system():
-    rng = np.random.default_rng(19)
-    d, m, l = 5, 2, 200
-    a_true = rng.normal(size=(d, d))
-    a_true *= 0.9 / np.abs(np.linalg.eigvals(a_true)).max()
-    b_true = rng.normal(size=(d, m))
-    z = np.empty((d, l + 1))
-    z[:, 0] = rng.normal(size=d)
-    u = rng.normal(size=(m, l))
-    for k in range(l):
-        z[:, k + 1] = a_true @ z[:, k] + b_true @ u[:, k]
-    a_fit, b_fit = edmd_fit(z[:, :-1], z[:, 1:], u)
-    assert np.abs(a_fit - a_true).max() < 1e-10
-    assert np.abs(b_fit - b_true).max() < 1e-10
-
-
 def test_edmd_autonomous_data_zeroes_b():
     rng = np.random.default_rng(20)
     d, l = 4, 100
