@@ -323,7 +323,7 @@ def _chunk_steps(lam: float) -> int:
     return 1 + int(_LOG_MAX_WEIGHT / decay)
 
 
-def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
+def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray,
              config: AdapterConfig, eps: float, diagnostics: bool):
     """SWLS (ridge eps > 0), RLS and FFRLS over every step, one chunk of
     steps per batched solve.
@@ -333,11 +333,11 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
     and C_j sum g_i g_i^T and r_i g_i^T over the pairs [max(0, j-M+1), j]
     for SWLS, and over [0, j] weighted by lam^(j-i) for RLS (lam = 1) and
     FFRLS, and R_j = _ridge(config, eps, j+1). The prediction of z_{j+1}
-    takes one column: H0[:n] g_{j+1} + C_j[:n] (S_j + R_j I)^{-1} g_{j+1},
-    so only the rows :n of C are summed per step unless `diagnostics` asks
-    for the drift of every H_j. Within a chunk, S, C and R are all kept
-    scaled by lam^-t (see `_running_sum`), which leaves H_j and cond(S_j)
-    unchanged.
+    takes one column: H0[:n] g_{j+1} + C_j[:n] (S_j + R_j I)^{-1} g_{j+1}
+    with n = N_STATES, so only the rows :n of C are summed per step unless
+    `diagnostics` asks for the drift of every H_j. Within a chunk, S, C and R
+    are all kept scaled by lam^-t (see `_running_sum`), which leaves H_j and
+    cond(S_j) unchanged.
 
     Returns (preds_n, diag, H_end): the normalized predictions of rows :n;
     with `diagnostics`, a (3, steps) array of the drifts of A and B and
@@ -350,13 +350,13 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
     lam = _lam(config)
     m = config.window
     grow_end = min(m - 1, steps) if windowed else steps   # first full window
-    cols = gdim + (zdim if diagnostics else n)   # columns of [S | C^T] per step
+    cols = gdim + (zdim if diagnostics else N_STATES)  # columns of [S | C^T] per step
     g = np.concatenate((z_all, un), axis=1)      # g_0 .. g_steps
     hg = g @ h0.T
     r = z_all[1:] - hg[:-1]
     rows = np.concatenate((g[:-1], r[:, :cols - gdim]), axis=1)
-    preds_n = np.empty((steps, n))
-    preds_n[0] = hg[0, :n]
+    preds_n = np.empty((steps, N_STATES))
+    preds_n[0] = hg[0, :N_STATES]
     diag = np.full((3, steps), np.nan) if diagnostics else None
     carry = np.zeros((gdim, cols))   # [S | C^T] after the last growing step
     chunk = _chunk_steps(lam)
@@ -378,12 +378,13 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray, n: int,
         # the last pair's solve would predict past the end
         ahead = min(c1, steps - 1) - c0
         x = _ridge_solve(lhs[:ahead], g[c0 + 1:c0 + 1 + ahead, :, None])
-        corr_pred = (x.mT @ sums[:ahead, :, gdim:gdim + n])[:, 0]
+        corr_pred = (x.mT @ sums[:ahead, :, gdim:gdim + N_STATES])[:, 0]
         finite = np.isfinite(corr_pred).all(axis=1)
         if not finite.all():
             bad = np.argmin(finite)
             raise _singular(config.mode, sums[bad, :, :gdim], reg[bad])
-        preds_n[c0 + 1:c0 + 1 + ahead] = hg[c0 + 1:c0 + 1 + ahead, :n] + corr_pred
+        preds_n[c0 + 1:c0 + 1 + ahead] = (hg[c0 + 1:c0 + 1 + ahead, :N_STATES]
+                                         + corr_pred)
         if diagnostics:
             corr_t = _ridge_solve(lhs, sums[:, :, gdim:])
             diag[0, c0:c1] = np.linalg.norm(corr_t[:, :zdim], axis=(1, 2))
@@ -463,7 +464,7 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         h_end = state.h_est
     else:
         preds_n, diag, h_end = _batched(np.hstack((model.A, model.B)), z_all,
-                                        un, N_STATES, config, eps, diagnostics)
+                                        un, config, eps, diagnostics)
     return _result(model.denormalize_states(preds_n), truth, diag,
                    h_end[:, :zdim].copy(), h_end[:, zdim:].copy())
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,10 +86,10 @@ class MethodSpec:
             raise ValueError(f"{self.name}: an adapter needs a model")
 
 
-def baseline_params(plant: VehicleParams = VehicleParams()) -> VehicleParams:
-    """Default assumed params for the physics baseline: resistances unmodeled."""
-    from dataclasses import replace
-    return replace(plant, drag=0.0, roll=0.0)
+def baseline_params() -> VehicleParams:
+    """Assumed params for the physics baseline: the default plant with its
+    resistances unmodeled."""
+    return replace(VehicleParams(), drag=0.0, roll=0.0)
 
 
 def physics_baseline(params_assumed: VehicleParams,

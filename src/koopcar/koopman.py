@@ -30,9 +30,6 @@ CHECKPOINT_KIND = "koopcar-model"
 # the joint parameter vector's blocks in order, named by their checkpoint keys
 BLOCKS = ("theta_encoder", "theta_decoder", "A_row_major", "B_row_major")
 
-TRAIN_LOG_HEADER = ("epoch,loss_total,loss_linear,loss_recon,loss_pred,"
-                    "loss_accel,holdout_total")
-
 BLOCK_ROWS = 1024  # rows per inference block and per holdout chunk in `train`
 
 
@@ -193,24 +190,6 @@ def lift(model: KoopmanModel, x: np.ndarray) -> np.ndarray:
             model.theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
             np.ascontiguousarray(xb[s:e]))
     return z[0] if single else z
-
-
-def project(z: np.ndarray, n: int = N_STATES) -> np.ndarray:
-    """First n components of the lifted vector(s): exact projection to states."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] < n:
-        raise ValueError("lifted vector shorter than the state dim")
-    return z[..., :n]
-
-
-def predict_one_step(model: KoopmanModel, z: np.ndarray,
-                     u: np.ndarray) -> np.ndarray:
-    """z_next = A z + B u (batched over leading axis when 2-D)."""
-    z = np.asarray(z, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if z.shape[-1] != model.lifted or u.shape[-1] != N_INPUTS:
-        raise ValueError("lifted/input dim mismatch")
-    return z @ model.A.T + u @ model.B.T
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +404,8 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
-class EpochRecord:
+class EpochRecord(NamedTuple):
+    """One row of the training log; its fields are the log's columns."""
     epoch: int
     loss_total: float
     loss_linear: float
@@ -436,10 +415,10 @@ class EpochRecord:
     holdout_total: float
 
     def csv_row(self) -> str:
-        return ("%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (self.epoch, self.loss_total, self.loss_linear,
-                   self.loss_recon, self.loss_pred, self.loss_accel,
-                   self.holdout_total))
+        return "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % self
+
+
+TRAIN_LOG_HEADER = ",".join(EpochRecord._fields)
 
 
 @dataclass
@@ -484,16 +463,12 @@ def train(pairs: PairBatch, config: TrainConfig,
     temporaries stay bounded for any data length. Aborts on a non-finite loss
     naming the offending batch. Passing `init_model` resumes from its network,
     parameters and normalizer (epoch numbering continues from its recorded
-    final epoch); its dt must be the pairs' sample time, and `config.hidden`
-    and `config.feature_dim` must be its `hidden` and `p`. The best epoch and
-    its holdout loss are in the model's `meta`.
+    final epoch), so `config.hidden` and `config.feature_dim` are not read;
+    its dt must be the pairs' sample time. The best epoch and its holdout
+    loss are in the model's `meta`.
     """
     if init_model is not None:
         check_sample_time(init_model, pairs)
-        if (tuple(config.hidden), config.feature_dim) != (init_model.hidden, init_model.p):
-            raise ValueError(f"config hidden={config.hidden}, feature_dim="
-                             f"{config.feature_dim} differ from the resumed model's "
-                             f"hidden={init_model.hidden}, feature_dim={init_model.p}")
     if len(pairs) < 4:
         raise ValueError("need at least 4 pairs to train")
     rng = np.random.default_rng(config.seed)
@@ -561,11 +536,8 @@ def train(pairs: PairBatch, config: TrainConfig,
             sums += np.array(terms) * (stop - start)
         mean_terms = LossTerms(*(sums / n_train))
         hold = holdout_total(theta)
-        history.append(EpochRecord(
-            epoch=epoch0 + epoch, loss_total=mean_terms.total(weights),
-            loss_linear=mean_terms.linear, loss_recon=mean_terms.recon,
-            loss_pred=mean_terms.pred, loss_accel=mean_terms.accel,
-            holdout_total=hold))
+        history.append(EpochRecord(epoch0 + epoch, mean_terms.total(weights),
+                                   *mean_terms, hold))
         if hold < best_hold:
             best_hold = hold
             best_theta = theta.copy()
@@ -606,9 +578,10 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
 
     Re-encodes the measured state every step; rows align with steps 1..K-1
     of the source trajectory when given its first K-1 states/inputs. Rows
-    are normalized, lifted, predicted and denormalized one `_row_blocks`
-    block at a time into the preallocated result, so the temporaries take
-    memory for a block of rows, not for all of them.
+    are normalized, lifted, stepped (z+ = A z + B u) and the first n columns
+    of z+ denormalized one `_row_blocks` block at a time into the
+    preallocated result, so the temporaries take memory for a block of rows,
+    not for all of them.
     """
     states = np.asarray(states, dtype=np.float64)
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -618,8 +591,8 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
     for s, e in _row_blocks(states.shape[0]):
         z = lift(model, model.normalize_states(states[s:e]))
         un = model.normalize_inputs(inputs[s:e])
-        out[s:e] = model.denormalize_states(
-            project(predict_one_step(model, z, un)))
+        z_next = z @ model.A.T + un @ model.B.T
+        out[s:e] = model.denormalize_states(z_next[:, :N_STATES])
     return out
 
 
@@ -647,10 +620,7 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
            for key, block in zip(BLOCKS, model.layout.blocks(model.theta))},
         "normalizer_min": model.normalizer.lo.tolist(),
         "normalizer_max": model.normalizer.hi.tolist(),
-        "loss_weights": {"linear": model.weights.linear,
-                         "recon": model.weights.recon,
-                         "pred": model.weights.pred,
-                         "accel": model.weights.accel},
+        "loss_weights": vars(model.weights),
         "meta": model.meta,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -659,41 +629,46 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
 
 
 def load_checkpoint(path) -> KoopmanModel:
-    """Read a checkpoint; raises ValueError naming a missing key, on any value
-    the model rejects, and on a model trained on another loss."""
+    """Read a checkpoint; each error is a ValueError prefixed `checkpoint
+    <path>: `: not a JSON object, a missing key, a `dt` that is not a JSON
+    number, a value the model rejects, or a model of another loss."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return _model_from_doc(doc)
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path}: missing key {exc.args[0]!r}") from None
+        try:
+            return _model_from_doc(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"checkpoint {path}: missing key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
 
 
-def _model_from_doc(doc: dict) -> KoopmanModel:
+def _model_from_doc(doc) -> KoopmanModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"top level is a {type(doc).__name__}, not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version: {version!r}")
+        raise ValueError(f"unsupported format_version: {version!r}")
     widths = []
     for block in ("encoder", "decoder"):
         items = doc[block]
         if not items:
-            raise ValueError(f"checkpoint {block} has no layers")
+            raise ValueError(f"{block} has no layers")
         w = [items[0]["in"], *(it["out"] for it in items)]
         if not all(type(x) is int and x > 0 for x in w):
-            raise ValueError(f"checkpoint {block} widths {w} must be positive integers")
+            raise ValueError(f"{block} widths {w} must be positive integers")
         for j, (item, want) in enumerate(zip(items, _layers_json(w))):
             if item != want:
-                raise ValueError(f"checkpoint {block} layer {j} is {item!r}, not {want!r}")
+                raise ValueError(f"{block} layer {j} is {item!r}, not {want!r}")
         widths.append(tuple(w))
     layout = _Layout.build(*widths)
     for key, want in (("kind", CHECKPOINT_KIND), ("channels", list(CHANNELS)),
                       ("dims", layout.dims())):
         if doc[key] != want:
-            raise ValueError(f"checkpoint {key} is {doc[key]!r}, not {want!r}")
+            raise ValueError(f"{key} is {doc[key]!r}, not {want!r}")
     # files may hold this key; any value but true is a model of another loss
     if doc.get("squared_norms", True) is not True:
-        raise ValueError(f"checkpoint squared_norms is {doc['squared_norms']!r}, "
-                         "not True")
+        raise ValueError(f"squared_norms is {doc['squared_norms']!r}, not True")
+    if type(doc["dt"]) not in (int, float):   # bool is not a JSON number
+        raise ValueError(f"dt is {doc['dt']!r}, not a number")
     theta = layout.join(*(doc[key] for key in BLOCKS))
     normalizer = Normalizer(lo=np.asarray(doc["normalizer_min"]),
                             hi=np.asarray(doc["normalizer_max"]))

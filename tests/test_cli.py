@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from koopcar import evaluation, scenarios
-from koopcar.adapt import AdapterConfig
+from koopcar.adapt import AdapterConfig, adapt_run, write_predictions
 from koopcar.cli import build_parser, main, read_config_file
 from koopcar.koopman import load_checkpoint
 from koopcar.vehicle import TRAJECTORY_HEADER, Trajectory
@@ -200,17 +200,17 @@ FAILURES = [
     *(fails(row_id, f"{ADAPT} --out OUT", 2, message, edit=edit,
             test="test_adapt_rejects_layers_train_does_not_write")
       for row_id, message, edit in [
-          ("relu", "checkpoint encoder layer 0 is ",
+          ("relu", "checkpoint CKPT: encoder layer 0 is ",
            lambda doc: doc["encoder"][0].update(activation="relu")),
-          ("linear-hidden", "checkpoint decoder layer 0 is ",
+          ("linear-hidden", "checkpoint CKPT: decoder layer 0 is ",
            lambda doc: doc["decoder"][0].update(activation="linear")),
-          ("tanh-head", "checkpoint decoder layer 1 is ",
+          ("tanh-head", "checkpoint CKPT: decoder layer 1 is ",
            lambda doc: doc["decoder"][1].update(activation="tanh")),
-          ("bias-free", "checkpoint encoder layer 1 is ",
+          ("bias-free", "checkpoint CKPT: encoder layer 1 is ",
            lambda doc: doc.update(   # the head's 2 biases cut from its block
                encoder=[doc["encoder"][0], {**doc["encoder"][1], "bias": False}],
                theta_encoder=doc["theta_encoder"][:-2])),
-          ("empty", "checkpoint decoder has no layers",
+          ("empty", "checkpoint CKPT: decoder has no layers",
            lambda doc: doc.update(decoder=[]))]),
     fails("inspect-dt-negative", "inspect CKPT", 2,
           "model dt must be positive and finite, got -0.025",
@@ -219,17 +219,37 @@ FAILURES = [
           "loss weight accel must be non-negative and finite, got nan",
           edit=lambda doc: doc["loss_weights"].update(accel=float("nan"))),
     fails("inspect-channels-reordered", "inspect CKPT", 2,
-          "checkpoint channels is ['delta_f', 'T', 'wr', 'Vy', 'Vx'], not ",
+          "checkpoint CKPT: channels is ['delta_f', 'T', 'wr', 'Vy', 'Vx'], not ",
           edit=reverse_channels),
     fails("adapt-channels-reordered", f"{ADAPT} --out OUT", 2,
-          "checkpoint channels is ['delta_f', 'T', 'wr', 'Vy', 'Vx'], not ",
+          "checkpoint CKPT: channels is ['delta_f', 'T', 'wr', 'Vy', 'Vx'], not ",
           edit=reverse_channels),
     fails("inspect-other-loss", "inspect CKPT", 2,
-          "checkpoint squared_norms is False, not True",
+          "checkpoint CKPT: squared_norms is False, not True",
           edit=lambda doc: doc.update(squared_norms=False)),
     fails("checkpoint-missing-key", ADAPT, 2,
           "error: checkpoint CKPT: missing key 'normalizer_max'",
           edit=lambda doc: doc.pop("normalizer_max")),
+    # every reader error names the file, so of two checkpoints the bad one is
+    # known; here CFG is a checkpoint file of the given text
+    fails("inspect-not-json", "inspect CFG", 2,
+          "error: checkpoint CFG: Expecting value: line 1 column 1 (char 0)",
+          edit="not json\n"),
+    fails("compare-dk-not-json", "compare --methods DK,ALDK --checkpoint-dk CFG "
+          "--checkpoint-aldk CKPT --scenario step_steer --scenario-duration 2 "
+          "--out OUT", 2,
+          "error: checkpoint CFG: Expecting value: line 1 column 1 (char 0)",
+          edit="not json\n"),
+    fails("inspect-top-level-list", "inspect CFG", 2,
+          "error: checkpoint CFG: top level is a list, not a JSON object",
+          edit="[]\n"),
+    # the writer emits dt as a JSON number, and the reader takes nothing else
+    fails("inspect-dt-true", "inspect CKPT", 2,
+          "error: checkpoint CKPT: dt is True, not a number",
+          edit=lambda doc: doc.update(dt=True)),
+    fails("inspect-dt-string", "inspect CKPT", 2,
+          "error: checkpoint CKPT: dt is '0.025', not a number",
+          edit=lambda doc: doc.update(dt="0.025")),
     # a prefix of a flag, which a config file may not use either
     *(fails(f"abbreviated-{flag}", f"{command} --out OUT", 1,
             "unrecognized arguments: --")
@@ -620,6 +640,18 @@ def test_adapt_ffrls_constant_input_finishes_finite(workdir, tmp_path, capsys):
     assert np.isfinite(rows).all()
     # every step after the first, which the seed estimate predicts
     assert np.abs(rows[1:, :3] - rows[1:, 3:]).max() < 1e-3
+
+
+def test_adapt_eps_reg_zero_runs_the_streaming_adapter(workdir, tmp_path):
+    # --eps-reg 0 is the command line's one path into `init`/`update`
+    out, want = tmp_path / "pred.csv", tmp_path / "want.csv"
+    assert run_cli("adapt", "--checkpoint", str(workdir["ckpt"]),
+                   "--data", str(workdir["traj"]), "--eps-reg", "0",
+                   "--window", "30", "--out", str(out)) == 0
+    write_predictions(want, adapt_run(load_checkpoint(workdir["ckpt"]),
+                                      Trajectory.from_csv(workdir["traj"]),
+                                      AdapterConfig(window=30, eps_reg=0.0)))
+    assert out.read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS"])

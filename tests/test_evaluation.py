@@ -82,10 +82,9 @@ def test_baseline_with_true_params_is_nearly_exact(short_mixed):
 
 
 def test_baseline_params_drop_resistances():
-    plant = VehicleParams()
-    assumed = baseline_params(plant)
+    assumed = baseline_params()
     assert assumed.drag == 0.0 and assumed.roll == 0.0
-    assert assumed.m == plant.m
+    assert assumed.m == VehicleParams().m
 
 
 def test_softer_tires_only_hurt_lateral_channels():
@@ -146,7 +145,7 @@ def test_run_method_rejects_sample_time_mismatch(quick_model):
 def test_run_method_dispatches_on_the_spec_not_its_name(quick_model, short_mixed):
     # the name is only a label: no model runs the physics baseline, a frozen
     # adapter is the trained A and B bit for bit
-    params = baseline_params(make_scenario("mixed").params)
+    params = baseline_params()
     phys = run_method(MethodSpec(name="ALDK", assumed_params=params), short_mixed)
     assert np.array_equal(phys, physics_baseline(params, short_mixed))
     plain = run_method(MethodSpec(name="PHYS-X", model=quick_model), short_mixed)
@@ -187,9 +186,8 @@ def test_comparison_names_method_and_scenario_of_nan_predictions(
 # comparisons
 
 def comparison_methods(model):
-    plant = make_scenario("mixed").params
     return [
-        MethodSpec(name="PHYS-BASELINE", assumed_params=baseline_params(plant)),
+        MethodSpec(name="PHYS-BASELINE", assumed_params=baseline_params()),
         MethodSpec(name="ALDK", model=model),
         MethodSpec(name="ALDK-SWLS", model=model,
                    adapter=AdapterConfig(mode="SWLS", window=100)),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import types
 
@@ -12,7 +13,7 @@ from koopcar.koopman import (N_INPUTS, N_STATES, KoopmanModel,
                              LossWeights, PairBatch, TrainConfig,
                              _Layout, edmd_fit, lift,
                              load_checkpoint, loss_components, loss_gradient,
-                             one_step_predictions, predict_one_step, project,
+                             one_step_predictions,
                              save_checkpoint, split_pairs, train)
 from koopcar.mlp import AdamState, Normalizer, adam_step
 from koopcar.vehicle import Trajectory
@@ -60,7 +61,7 @@ def random_batch(n, seed=1, dt=0.025):
 
 
 # ---------------------------------------------------------------------------
-# lift / project / predict
+# lift / predict
 
 def test_lift_keeps_state_in_first_components():
     model = tiny_model()
@@ -91,53 +92,25 @@ def test_lift_is_injective_on_states():
     assert not np.array_equal(za, zb)
 
 
-def test_project_inverts_lift_exactly():
-    model = tiny_model()
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        x = rng.uniform(-1, 1, size=3)
-        assert np.array_equal(project(lift(model, x), 3), x)
-
-
-def test_project_all_ones():
-    assert np.array_equal(project(np.ones(15), 3), [1.0, 1.0, 1.0])
-
-
-def test_project_dim_check():
-    with pytest.raises(ValueError):
-        project(np.ones(2), 3)
-
-
-def test_predict_one_step_persistence():
-    model = tiny_model()
-    d = model.lifted
-    set_ab(model, np.eye(d), 0.0)
-    z = np.arange(d, dtype=np.float64)
-    assert np.array_equal(predict_one_step(model, z, np.array([1.0, -1.0])), z)
-
-
-def test_predict_from_zero_state_reads_b_columns():
-    model = tiny_model(seed=5)
-    z = np.zeros(model.lifted)
-    u = np.array([1.0, 0.0])
-    assert np.allclose(predict_one_step(model, z, u), model.B[:, 0], atol=1e-15)
-
-
 def test_predict_matches_triple_loop_oracle():
+    # x+ = the first n rows of A lift(normalize(x)) + B normalize(u), denormalized
     model = tiny_model(seed=6)
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=model.lifted)
-    u = rng.normal(size=2)
+    states, inputs = uniform_rows(model, 4, seed=3)
     a_mat, b_mat = model.A, model.B
-    expect = np.zeros(model.lifted)
-    for r in range(model.lifted):
-        acc = 0.0
-        for c in range(model.lifted):
-            acc += a_mat[r, c] * z[c]
-        for c in range(2):
-            acc += b_mat[r, c] * u[c]
-        expect[r] = acc
-    assert np.allclose(predict_one_step(model, z, u), expect, atol=1e-12)
+    expect = np.zeros((4, N_STATES))
+    for k in range(4):
+        z = lift(model, model.normalize_states(states[k]))
+        u = model.normalize_inputs(inputs[k])
+        for r in range(N_STATES):
+            acc = 0.0
+            for c in range(model.lifted):
+                acc += a_mat[r, c] * z[c]
+            for c in range(N_INPUTS):
+                acc += b_mat[r, c] * u[c]
+            expect[k, r] = acc
+    expect = model.denormalize_states(expect)
+    assert np.allclose(one_step_predictions(model, states, inputs), expect,
+                       rtol=1e-12, atol=1e-12)
 
 
 BLOCK_LENGTHS = [koopman.BLOCK_ROWS - 1, koopman.BLOCK_ROWS,
@@ -292,7 +265,7 @@ def test_accel_loss_zero_when_prediction_matches_forward_difference():
     batch = random_batch(1, seed=8)
     xn = model.normalize_states(batch.x_now[0])
     un = model.normalize_inputs(batch.u_now[0])
-    zhat = predict_one_step(model, lift(model, xn), un)
+    zhat = lift(model, xn) @ model.A.T + un @ model.B.T
     vhat = model.denormalize_states(np.concatenate([zhat[:2], [0.0]]))[:2]
     a_target = (vhat - batch.x_now[0, :2]) / batch.dt
     # choose measured accelerations so the sensor combination equals a_target
@@ -309,7 +282,7 @@ def test_accel_loss_quadratic_around_its_minimum():
     batch = random_batch(1, seed=10)
     xn = model.normalize_states(batch.x_now[0])
     un = model.normalize_inputs(batch.u_now[0])
-    zhat = predict_one_step(model, lift(model, xn), un)
+    zhat = lift(model, xn) @ model.A.T + un @ model.B.T
     vhat = model.denormalize_states(np.concatenate([zhat[:2], [0.0]]))[:2]
     a_target = (vhat - batch.x_now[0, :2]) / batch.dt
     batch.acc_next[0, 0] = a_target[0] - batch.x_next[0, 1] * batch.x_next[0, 2]
@@ -513,12 +486,16 @@ def test_train_takes_feature_count_from_config_and_dt_from_pairs():
 @pytest.mark.parametrize("shape", [{"hidden": (4,), "feature_dim": 2},
                                    {"hidden": (5,), "feature_dim": 3},
                                    {}])
-def test_train_rejects_a_config_shape_the_resumed_model_lacks(shape):
+def test_train_resume_keeps_the_model_widths(shape):
+    # a resumed run takes its network from the model; the config's widths,
+    # here other than the model's, are not read
     pairs = synthetic_linear_pairs(n=64, seed=29)
     res = train(pairs, TrainConfig(seed=29, epochs=0, hidden=(4,), feature_dim=3))
-    with pytest.raises(ValueError, match=r"differ from the resumed model's "
-                                         r"hidden=\(4,\), feature_dim=3"):
-        train(pairs, TrainConfig(seed=30, epochs=0, **shape), init_model=res.model)
+    resumed = train(pairs, TrainConfig(seed=30, epochs=1, **shape),
+                    init_model=res.model)
+    assert (resumed.model.enc_widths, resumed.model.dec_widths) == ((3, 4, 3),
+                                                                    (3, 4, 3))
+    assert [rec.epoch for rec in resumed.history] == [1]
 
 
 def test_train_ablation_beats_persistence(short_mixed):
@@ -845,8 +822,11 @@ def test_checkpoint_checks_kind_channels_and_dims(tmp_path, quick_model, edit,
     # each of these loaded, failed with a TypeError or IndexError, or was
     # blamed on A_row_major or on a constructor argument, before the reader
     # checked them
-    with pytest.raises(ValueError, match=message):
-        load_checkpoint(edited_checkpoint(tmp_path, quick_model, edit))
+    # the reader puts the file's path after "checkpoint": "checkpoint <path>: kind is"
+    path = edited_checkpoint(tmp_path, quick_model, edit)
+    with pytest.raises(ValueError, match=message.replace(
+            "checkpoint ", re.escape(f"checkpoint {path}: "), 1)):
+        load_checkpoint(path)
 
 
 def test_layout_blocks_are_views_and_join_inverts_them():
