@@ -25,36 +25,36 @@ VALIDITY_FLOOR = 0.1  # m/s; slip angles degenerate at standstill
 BATCH_ROWS = 4096  # rows per block of `one_step_batch`; bounds its temporaries
 
 
-def vehicle_constants(pv):
-    """Step-invariant terms of the planar model, derived once per vehicle
-    from the `VehicleParams.packed()` tuple: (m, iz, lf, lr, half_wb, rw,
-    d_front, d_rear, b_stiff, c_shape, e_curv, drag, roll_force).
-
-    The static normal loads give the tire peaks d = mu*d_scale*Fz per axle;
-    roll_force = roll*m*g is the rolling part of the resistance.
-    """
-    m, iz, lf, lr, wb, rw, mu, tb, tc, td, te, drag, roll = pv
-    fz_front = m * GRAVITY * lr / (2.0 * (lf + lr))
-    fz_rear = m * GRAVITY * lf / (2.0 * (lf + lr))
-    return (m, iz, lf, lr, 0.5 * wb, rw, mu * td * fz_front, mu * td * fz_rear,
-            tb, tc, te, drag, roll * m * GRAVITY)
-
-
-def rk4_stepper(vc, h, xp=math):
+def rk4_stepper(params, h, xp=math):
     """Return `step(vx, vy, wr, drive, steer, cd, sd, stages=4)`: one RK4
-    step over `h` of the planar four-wheel model with the constants `vc` of
-    `vehicle_constants`, holding the input (drive = torque/rw, cd =
-    cos(steer), sd = sin(steer)). It returns (vx', vy', wr', dvx, dvy, dwr):
-    the state after `h` and the derivative at the start; with stages=1, the
-    derivative (dvx, dvy, dwr) alone.
+    step over `h` of the planar four-wheel model of the `vehicle.VehicleParams`
+    `params`, holding the input (drive = torque/rw, cd = cos(steer), sd =
+    sin(steer)). It returns (vx', vy', wr', dvx, dvy, dwr): the state after
+    `h` and the derivative at the start; with stages=1, the derivative
+    (dvx, dvy, dwr) alone.
 
     Wheels are 1 front-left, 2 front-right, 3 rear-left, 4 rear-right. The
     torque and the lumped rolling and aero resistance split evenly over the
     wheels. Each lateral force is the Magic Formula
     d*sin(C*atan(B*a - E*(B*a - atan(B*a)))) of the wheel's slip angle a on
     its axle's peak d.
+
+    The step-invariant terms are derived here, once per call, from the
+    parameters read as Python floats: the static normal load per tire
+    Fz = m*g*l/(2*(lf + lr)) of each axle (l the other axle's distance),
+    the tire peaks d = mu*d_peak_scale*Fz, the rolling force roll*m*g and
+    the half track 0.5*wB.
     """
-    m, iz, lf, lr, half_wb, rw, d_front, d_rear, tb, tc, te, drag, roll_force = vc
+    m, iz, lf, lr, wb, mu, drag, roll = map(float, (
+        params.m, params.Iz, params.lf, params.lr, params.wB, params.mu,
+        params.drag, params.roll))
+    tire = params.tire
+    tb, tc, td, te = map(float, (tire.b_stiff, tire.c_shape,
+                                 tire.d_peak_scale, tire.e_curv))
+    d_front = mu * td * (m * GRAVITY * lr / (2.0 * (lf + lr)))
+    d_rear = mu * td * (m * GRAVITY * lf / (2.0 * (lf + lr)))
+    roll_force = roll * m * GRAVITY
+    half_wb = 0.5 * wb
     half_h = 0.5 * h
     atan, atan2, sin = xp.atan, xp.atan2, xp.sin
 
@@ -105,9 +105,10 @@ def rk4_stepper(vc, h, xp=math):
     return step
 
 
-def simulate_path(x0, torques, steers, dt, substeps, pv):
-    """Integrate a full input schedule, `substeps` RK4 steps per sample;
-    returns (states, accels, fail_index).
+def simulate_path(x0, torques, steers, dt, substeps, params):
+    """Integrate a full input schedule from the `vehicle.VehicleState` `x0`
+    under the `vehicle.VehicleParams` `params`, `substeps` RK4 steps per
+    sample; returns (states, accels, fail_index).
 
     states[k] holds the state at t=k*dt, accels[k] the body-frame sensor
     accelerations there under input k (ax = dVx - Vy*wr, ay = dVy + Vx*wr).
@@ -123,11 +124,10 @@ def simulate_path(x0, torques, steers, dt, substeps, pv):
     out_a = memoryview(accels.reshape(-1))
     torque_k = memoryview(np.ascontiguousarray(torques, dtype=np.float64))
     steer_k = memoryview(np.ascontiguousarray(steers, dtype=np.float64))
-    vc = vehicle_constants(pv)
-    rw = vc[5]
-    step = rk4_stepper(vc, dt / substeps)
+    rw = float(params.rw)
+    step = rk4_stepper(params, dt / substeps)
     cos, sin = math.cos, math.sin
-    vx, vy, wr = (float(v) for v in x0)
+    vx, vy, wr = float(x0.Vx), float(x0.Vy), float(x0.wr)
     last = n - 1
     fail = -1
     for k in range(n):
@@ -154,16 +154,17 @@ def simulate_path(x0, torques, steers, dt, substeps, pv):
     return states, accels, fail
 
 
-def one_step_batch(states, torques, steers, dt, substeps, pv):
-    """One sample interval of `substeps` RK4 steps from every row of
-    `states`, `BATCH_ROWS` rows at a time."""
-    vc = vehicle_constants(pv)
-    step = rk4_stepper(vc, dt / substeps, np)
+def one_step_batch(states, torques, steers, dt, substeps, params):
+    """One sample interval of `substeps` RK4 steps under the
+    `vehicle.VehicleParams` `params` from every row of `states`,
+    `BATCH_ROWS` rows at a time."""
+    rw = float(params.rw)
+    step = rk4_stepper(params, dt / substeps, np)
     out = np.empty((states.shape[0], 3))
     for s in range(0, states.shape[0], BATCH_ROWS):
         e = s + BATCH_ROWS
         steer = steers[s:e]
-        drive, cd, sd = torques[s:e] / vc[5], np.cos(steer), np.sin(steer)
+        drive, cd, sd = torques[s:e] / rw, np.cos(steer), np.sin(steer)
         vx, vy, wr = states[s:e, 0], states[s:e, 1], states[s:e, 2]
         for _ in range(substeps):
             vx, vy, wr, *_ = step(vx, vy, wr, drive, steer, cd, sd)

@@ -81,14 +81,14 @@ _RIDGE_SOURCE = {"SWLS": "eps_reg", "RLS": "1/FFRLS_P0_SCALE",
 @dataclass(frozen=True)
 class AdapterConfig:
     mode: str = "SWLS"
-    window: int = 100            # M, steps
+    window: int = 100            # M, steps; SWLS only
     forgetting: float = 0.95     # lambda in (0, 1], FFRLS only
     eps_reg: float | None = None  # None -> auto (`_eps`); 0 -> min-norm lstsq
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.window < 1:
+        if self.mode == "SWLS" and self.window < 1:
             raise ValueError(f"window length must be >= 1, got {self.window}")
         if not (0.0 < self.forgetting <= 1.0):
             raise ValueError(f"forgetting factor must be in (0, 1], "

@@ -109,7 +109,7 @@ def physics_baseline(params_assumed: VehicleParams,
             f"(t={trajectory.t[k]:.3f} s) is at or below the "
             f"{VALIDITY_FLOOR} m/s validity floor")
     return _kernels.one_step_batch(states, inputs[:, 0], inputs[:, 1],
-                                   trajectory.dt, 1, params_assumed.packed())
+                                   trajectory.dt, 1, params_assumed)
 
 
 def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:

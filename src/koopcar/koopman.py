@@ -650,6 +650,8 @@ def _model_from_doc(doc) -> KoopmanModel:
     widths = []
     for block in ("encoder", "decoder"):
         items = doc[block]
+        if not (type(items) is list and all(type(it) is dict for it in items)):
+            raise ValueError(f"{block} is {items!r}, not a list of layer objects")
         if not items:
             raise ValueError(f"{block} has no layers")
         w = [items[0]["in"], *(it["out"] for it in items)]

@@ -131,12 +131,19 @@ class Normalizer:
     def mid(self) -> np.ndarray:
         return 0.5 * (self.hi + self.lo)
 
+    def _check_width(self, x: np.ndarray) -> None:
+        if x.shape[-1:] != self.lo.shape:
+            raise ValueError(f"normalizer expects {self.lo.size} channels, "
+                             f"got {x.shape[-1]}")
+
     def apply(self, x: np.ndarray) -> np.ndarray:
+        self._check_width(x)
         span = self.hi - self.lo
         safe = np.where(span > 0.0, span, 1.0)
         return np.where(span > 0.0, (2.0 * (x - self.lo) / safe) - 1.0, 0.0)
 
     def invert(self, x: np.ndarray) -> np.ndarray:
+        self._check_width(x)
         return self.mid + x * self.half_range
 
     def select(self, idx) -> "Normalizer":

@@ -8,10 +8,11 @@ sensor accelerations accompany every emitted snapshot: ax = dVx - Vy*wr and
 ay = dVy + Vx*wr, so [ax + Vy*wr, ay - Vx*wr] recovers the velocity
 derivatives exactly.
 
-The tire model, the planar dynamics and RK4 are `_kernels.rk4_stepper`;
-this module holds the parameter sets, the trajectory container and its CSV
-format, and `run_schedule`, which checks an input schedule and runs it
-through `_kernels.simulate_path`.
+The tire model, the planar dynamics and RK4 are `_kernels.rk4_stepper`,
+which reads a `VehicleParams` by its field names; this module holds the
+parameter sets, the trajectory container and its CSV format, and
+`run_schedule`, which checks an input schedule and runs it through
+`_kernels.simulate_path`.
 
 All operations are pure; trajectories are deterministic functions of the
 scenario.
@@ -85,15 +86,6 @@ class VehicleParams:
             raise ValueError("max_torque must be positive and finite, "
                              f"got {self.max_torque}")
 
-    def packed(self) -> tuple[float, ...]:
-        """Parameters as the tuple of Python floats the physics kernels unpack:
-        (m, Iz, lf, lr, wB, rw, mu, b_stiff, c_shape, d_peak_scale, e_curv,
-        drag, roll)."""
-        return tuple(float(v) for v in (
-            self.m, self.Iz, self.lf, self.lr, self.wB, self.rw, self.mu,
-            self.tire.b_stiff, self.tire.c_shape, self.tire.d_peak_scale,
-            self.tire.e_curv, self.drag, self.roll))
-
     def perturbed(self, dm: float = 0.0, dIz: float = 0.0) -> "VehicleParams":
         """Copy with mass/inertia deltas (robustness-test knobs)."""
         return replace(self, m=self.m + dm, Iz=self.Iz + dIz)
@@ -104,9 +96,6 @@ class VehicleState:
     Vx: float
     Vy: float = 0.0
     wr: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Vx, self.Vy, self.wr])
 
 
 class ModelValidityError(ValueError):
@@ -254,7 +243,7 @@ def run_schedule(x0: VehicleState, torques: np.ndarray, steers: np.ndarray,
                          f"(t={k * dt:.3f} s): |delta_f|={abs(float(steers[k]))} "
                          f"> {MAX_STEER}")
     states, accels, fail = _kernels.simulate_path(
-        x0.as_array(), torques, steers, dt, 1, params.packed())
+        x0, torques, steers, dt, 1, params)
     if fail >= 0:
         raise ModelValidityError(
             f"Vx hit the validity floor or became NaN at t={fail * dt:.3f} s "

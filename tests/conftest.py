@@ -11,21 +11,20 @@ from koopcar.mlp import Normalizer
 from koopcar.scenarios import make_scenario, run_scenario
 
 
-def planar_rhs(vx, vy, wr, torque, steer, pv, xp=math):
-    """Time derivatives (dVx, dVy, dwr) of the planar model under the packed
-    parameters `pv`: the derivative-only form of `_kernels.rk4_stepper`."""
-    vc = _kernels.vehicle_constants(pv)
-    step = _kernels.rk4_stepper(vc, 0.0, xp)   # the derivative ignores h
-    return step(vx, vy, wr, torque / vc[5], steer, xp.cos(steer),
+def planar_rhs(vx, vy, wr, torque, steer, params, xp=math):
+    """Time derivatives (dVx, dVy, dwr) of the planar model of the
+    `VehicleParams` `params`: the derivative-only form of
+    `_kernels.rk4_stepper`."""
+    step = _kernels.rk4_stepper(params, 0.0, xp)   # the derivative ignores h
+    return step(vx, vy, wr, torque / params.rw, steer, xp.cos(steer),
                 xp.sin(steer), 1)
 
 
-def rk4_step(vx, vy, wr, torque, steer, dt, substeps, pv):
+def rk4_step(vx, vy, wr, torque, steer, dt, substeps, params):
     """State after dt under a held input, `substeps` RK4 steps of
-    `_kernels.rk4_stepper`."""
-    vc = _kernels.vehicle_constants(pv)
-    step = _kernels.rk4_stepper(vc, dt / substeps)
-    drive, cd, sd = torque / vc[5], math.cos(steer), math.sin(steer)
+    `_kernels.rk4_stepper` for the `VehicleParams` `params`."""
+    step = _kernels.rk4_stepper(params, dt / substeps)
+    drive, cd, sd = torque / params.rw, math.cos(steer), math.sin(steer)
     for _ in range(substeps):
         vx, vy, wr, *_ = step(vx, vy, wr, drive, steer, cd, sd)
     return vx, vy, wr

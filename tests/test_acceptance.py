@@ -203,37 +203,36 @@ def test_criterion_04_joint_loss_gradient_correctness():
 
 
 def test_criterion_05_simulator_physics_suite():
-    pv = VehicleParams().packed()
+    params = VehicleParams()
     rng = np.random.default_rng(105)
     reflect_ok = True
     for _ in range(200):
         vx, vy, wr = (rng.uniform(2, 30), rng.uniform(-1.5, 1.5),
                       rng.uniform(-0.6, 0.6))
         torque, steer = rng.uniform(-1000, 2000), rng.uniform(-0.4, 0.4)
-        d = planar_rhs(vx, vy, wr, torque, steer, pv)
-        m = planar_rhs(vx, -vy, -wr, torque, -steer, pv)
+        d = planar_rhs(vx, vy, wr, torque, steer, params)
+        m = planar_rhs(vx, -vy, -wr, torque, -steer, params)
         reflect_ok &= (abs(m[0] - d[0]) <= 1e-12 and abs(m[1] + d[1]) <= 1e-12
                        and abs(m[2] + d[2]) <= 1e-12)
 
     manifold_ok = True
     for torque in (-300.0, 0.0, 800.0):
-        _, dvy, dwr = planar_rhs(12.0, 0.0, 0.0, torque, 0.0, pv)
+        _, dvy, dwr = planar_rhs(12.0, 0.0, 0.0, torque, 0.0, params)
         manifold_ok &= (dvy == 0.0 and dwr == 0.0)
 
     scenario = make_scenario("mixed", duration=30.0)
     tr = run_scenario(scenario)
-    pv_run = scenario.params.packed()
     identity_ok = True
     for (vx, vy, wr), (torque, steer), (ax, ay) in zip(
             tr.states.tolist(), tr.inputs.tolist(), tr.accels.tolist()):
-        d = planar_rhs(vx, vy, wr, torque, steer, pv_run)
+        d = planar_rhs(vx, vy, wr, torque, steer, scenario.params)
         identity_ok &= (abs((ax + vy * wr) - d[0]) <= 1e-12
                         and abs((ay - vx * wr) - d[1]) <= 1e-12)
 
-    ref = np.array(rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, pv))
+    ref = np.array(rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, params))
     errs = []
     for n in (4, 8, 16, 32):
-        a = rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, pv)
+        a = rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, params)
         errs.append(np.linalg.norm(np.array(a) - ref))
     ratios = [errs[i] / errs[i + 1] for i in range(3)]
     rk4_ok = all(12.0 <= r <= 20.0 for r in ratios)
@@ -340,7 +339,8 @@ def test_criterion_10_dataset_protocol(tmp_path):
     out = tmp_path / "full.csv"
     assert cli_main(["simulate", "--scenario", "mixed", "--duration", "1400",
                      "--dt", "0.025", "--out", str(out)]) == 0
-    n_rows = sum(1 for _ in open(out)) - 1
+    with open(out, encoding="utf-8") as fh:
+        n_rows = sum(1 for _ in fh) - 1
     count_ok = n_rows == 56_001
 
     splits = [split_pairs(56_000, 0.3, np.random.default_rng(SEED))

@@ -59,8 +59,10 @@ def test_init_validates_shapes():
              AdapterConfig())
     with pytest.raises(ValueError):
         AdapterConfig(mode="nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window length must be >= 1, got 0$"):
         AdapterConfig(window=0)
+    for mode in ("RLS", "FFRLS", "frozen"):   # only SWLS reads the window
+        assert AdapterConfig(mode=mode, window=0).window == 0
     with pytest.raises(ValueError):
         AdapterConfig(forgetting=0.0)
 

@@ -212,6 +212,13 @@ FAILURES = [
                theta_encoder=doc["theta_encoder"][:-2])),
           ("empty", "checkpoint CKPT: decoder has no layers",
            lambda doc: doc.update(decoder=[]))]),
+    # a layer list that is not a list of objects is named, not read as a key
+    fails("inspect-encoder-object", "inspect CKPT", 2,
+          "error: checkpoint CKPT: encoder is {'a': 1}, not a list of layer objects",
+          edit=lambda doc: doc.update(encoder={"a": 1})),
+    fails("inspect-decoder-numbers", "inspect CKPT", 2,
+          "error: checkpoint CKPT: decoder is [3, 2], not a list of layer objects",
+          edit=lambda doc: doc.update(decoder=[3, 2])),
     fails("inspect-dt-negative", "inspect CKPT", 2,
           "model dt must be positive and finite, got -0.025",
           edit=lambda doc: doc.update(dt=-0.025)),
@@ -607,6 +614,18 @@ def test_compare_window_sweep_simulates_each_scenario_once(
             stem, ext = name.split(".", 1)
             swept = tmp_path / f"sw{stem}_M{m_len}.{ext}"
             assert swept.read_bytes() == (tmp_path / (plain.name + name)).read_bytes()
+
+
+def test_compare_window_is_read_only_by_swls(workdir, tmp_path):
+    # RLS reads no window, so a length SWLS rejects changes nothing for it
+    for window in ("0", "100"):
+        assert run_cli("compare", "--methods", "ALDK-RLS",
+                       "--checkpoint-aldk", str(workdir["ckpt"]),
+                       "--scenario", "step_steer", "--scenario-duration", "2",
+                       "--window", window, "--out", str(tmp_path / f"w{window}")) == 0
+    for ext in ("table.txt", "metrics.csv", "series.csv"):
+        assert ((tmp_path / f"w0_step_steer.{ext}").read_bytes()
+                == (tmp_path / f"w100_step_steer.{ext}").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,16 @@ def test_normalizer_constant_channel_rule():
     assert norm.invert(np.array([0.0, 0.0]))[0] == 5.0
 
 
+def test_normalizer_checks_the_channel_count():
+    # one column of two once broadcast against both channels' ranges
+    norm = Normalizer.fit(np.array([[0.0, -3.0], [10.0, 5.0]]))
+    for x in (np.zeros((4, 1)), np.zeros((4, 3)), np.zeros(1)):
+        for method in (norm.apply, norm.invert):
+            with pytest.raises(ValueError, match=f"^normalizer expects 2 channels, "
+                               f"got {x.shape[-1]}$"):
+                method(x)
+
+
 def test_normalizer_rejects_empty():
     with pytest.raises(ValueError):
         Normalizer.fit(np.zeros((0, 3)))

@@ -10,7 +10,7 @@ import pytest
 from conftest import planar_rhs, rk4_step
 from koopcar import _kernels, backend_name
 from koopcar.evaluation import scenario_suite
-from koopcar.vehicle import (MAX_STEER, ROW_BLOCK, MagicFormulaParams,
+from koopcar.vehicle import (GRAVITY, MAX_STEER, ROW_BLOCK, MagicFormulaParams,
                              ModelValidityError, Trajectory, VehicleParams,
                              VehicleState, equilibrium_torque, run_schedule,
                              write_rows)
@@ -19,22 +19,27 @@ from koopcar.scenarios import (InputProgram, Scenario, make_scenario,
                                scenario_to_config)
 
 P = VehicleParams()
-PV = P.packed()
 TIRE = MagicFormulaParams()
 
 
-def tire_force(alpha, fz, mu):
-    """Lateral force of the default tire at normal load fz on adhesion mu.
+def tire_force(alpha, m, mu):
+    """Lateral force of one default front tire at slip angle alpha on
+    adhesion mu, on a car of mass m (a power of two) whose c.g. is midway
+    between the axles, so that the tire's normal load is `static_load(m)`.
 
-    Read from the stepper's dVy on a vehicle where only the front tires act:
-    mass 2, no rear grip, no resistance and no drive, at zero Vy and wr with
-    the steering terms cos 1 and sin 0, so both front slip angles are alpha
-    and dVy = (F + F) / 2 = F exactly.
+    Read from the stepper's dVy with no resistance and no drive, at zero Vy
+    and wr with the steering terms cos 1 and sin 0: both front slip angles
+    are alpha and both rear ones 0, so dVy = (F + F) / m and F = dVy * m / 2
+    exactly.
     """
-    vc = (2.0, 1.0, 1.0, 1.0, 1.0, 1.0, mu * TIRE.d_peak_scale * fz, 0.0,
-          TIRE.b_stiff, TIRE.c_shape, TIRE.e_curv, 0.0, 0.0)
-    step = _kernels.rk4_stepper(vc, 0.0)
-    return step(10.0, 0.0, 0.0, 0.0, alpha, 1.0, 0.0, 1)[1]
+    params = VehicleParams(m=m, lf=1.0, lr=1.0, mu=mu, drag=0.0, roll=0.0)
+    step = _kernels.rk4_stepper(params, 0.0)
+    return step(10.0, 0.0, 0.0, 0.0, alpha, 1.0, 0.0, 1)[1] * m / 2
+
+
+def static_load(m):
+    """The normal load m*g*lr/(2*(lf + lr)) on each tire of `tire_force`'s car."""
+    return m * GRAVITY * 1.0 / (2.0 * (1.0 + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +51,21 @@ def oracle_tire_lateral(alpha, d_peak, b_stiff, c_shape, e_curv, xp):
     return d_peak * xp.sin(c_shape * xp.atan(ba - e_curv * (ba - xp.atan(ba))))
 
 
+def oracle_constants(p):
+    """The step-invariant terms of `oracle_rhs` for the `VehicleParams` p:
+    each axle's tire peak mu*d_peak_scale*Fz on its static load per tire
+    Fz = m*g*l/(2*(lf + lr)) (l the other axle's distance), the rolling
+    force roll*m*g and the half track."""
+    fz_front = p.m * GRAVITY * p.lr / (2.0 * (p.lf + p.lr))
+    fz_rear = p.m * GRAVITY * p.lf / (2.0 * (p.lf + p.lr))
+    peak = p.mu * p.tire.d_peak_scale
+    return (p.m, p.Iz, p.lf, p.lr, 0.5 * p.wB, peak * fz_front, peak * fz_rear,
+            p.tire.b_stiff, p.tire.c_shape, p.tire.e_curv, p.drag,
+            p.roll * p.m * GRAVITY)
+
+
 def oracle_rhs(vx, vy, wr, drive, steer, cd, sd, vc, xp):
-    m, iz, lf, lr, half_wb, rw, d_front, d_rear, tb, tc, te, drag, roll_force = vc
+    m, iz, lf, lr, half_wb, d_front, d_rear, tb, tc, te, drag, roll_force = vc
     fx = 0.25 * (drive - (roll_force + drag * vx * vx))
     half_track = half_wb * wr
     vy_front = vy + lf * wr
@@ -108,23 +126,24 @@ def accels_at(vx, vy, wr, torque, steer):
 # tire model
 
 def test_tire_zero_slip_gives_zero_force():
-    for fz in (1000.0, 5000.0, 9000.0):
-        assert tire_force(0.0, fz, 0.85) == 0.0
+    for m in (512.0, 2048.0, 4096.0):
+        assert tire_force(0.0, m, 0.85) == 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
 def test_tire_odd_symmetry(alpha):
-    f_pos = tire_force(alpha, 5000.0, 0.85)
-    f_neg = tire_force(-alpha, 5000.0, 0.85)
+    f_pos = tire_force(alpha, 2048.0, 0.85)
+    f_neg = tire_force(-alpha, 2048.0, 0.85)
     assert f_neg == -f_pos
     assert f_pos > 0.0
 
 
 def test_tire_peak_bound_grid_sweep():
     # numeric sweep oracle over 10^4 grid points
-    fz, mu = 5000.0, 0.85
+    m, mu = 2048.0, 0.85
+    fz = static_load(m)
     grid = np.linspace(-0.5, 0.5, 10_000)
-    forces = np.array([tire_force(a, fz, mu) for a in grid])
+    forces = np.array([tire_force(a, m, mu) for a in grid])
     assert np.abs(forces).max() <= mu * TIRE.d_peak_scale * fz + 1e-9
     assert np.array_equal(forces, [
         oracle_tire_lateral(a, mu * TIRE.d_peak_scale * fz, TIRE.b_stiff,
@@ -156,7 +175,7 @@ def test_tire_param_invariants():
 
 def test_straight_driving_has_no_lateral_response():
     for torque in (-500.0, 0.0, 400.0, 2000.0):
-        dvx, dvy, dwr = planar_rhs(15.0, 0.0, 0.0, torque, 0.0, PV)
+        dvx, dvy, dwr = planar_rhs(15.0, 0.0, 0.0, torque, 0.0, P)
         assert dvy == 0.0
         assert dwr == 0.0
 
@@ -169,8 +188,8 @@ def test_reflection_symmetry_of_derivatives():
         wr = rng.uniform(-0.6, 0.6)
         torque = rng.uniform(-1000.0, 2000.0)
         steer = rng.uniform(-0.4, 0.4)
-        d = planar_rhs(vx, vy, wr, torque, steer, PV)
-        mirrored = planar_rhs(vx, -vy, -wr, torque, -steer, PV)
+        d = planar_rhs(vx, vy, wr, torque, steer, P)
+        mirrored = planar_rhs(vx, -vy, -wr, torque, -steer, P)
         assert abs(mirrored[0] - d[0]) <= 1e-12
         assert abs(mirrored[1] + d[1]) <= 1e-12
         assert abs(mirrored[2] + d[2]) <= 1e-12
@@ -178,7 +197,7 @@ def test_reflection_symmetry_of_derivatives():
 
 def test_derivatives_frozen_hand_oracle():
     # independent term-by-term evaluation (frozen from an offline script)
-    got = planar_rhs(20.0, 0.5, 0.1, 400.0, 0.05, PV)
+    got = planar_rhs(20.0, 0.5, 0.1, 400.0, 0.05, P)
     expect = (0.35268658469509967, -1.9358666465600258, 2.1106556649351638)
     for g, e in zip(got, expect):
         assert abs(g - e) < 1e-10
@@ -213,7 +232,7 @@ def test_vehicle_param_invariants():
 
 def test_sensor_accels_no_coupling_at_rest_axes():
     ax, ay = accels_at(12.0, 0.0, 0.0, 300.0, 0.0)
-    d = planar_rhs(12.0, 0.0, 0.0, 300.0, 0.0, PV)
+    d = planar_rhs(12.0, 0.0, 0.0, 300.0, 0.0, P)
     assert ax == d[0] and ay == d[1]
 
 
@@ -224,7 +243,7 @@ def test_sensor_accel_reconstruction_identity():
                       rng.uniform(-0.5, 0.5))
         torque, steer = rng.uniform(-500, 1500), rng.uniform(-0.3, 0.3)
         ax, ay = accels_at(vx, vy, wr, torque, steer)
-        d = planar_rhs(vx, vy, wr, torque, steer, PV)
+        d = planar_rhs(vx, vy, wr, torque, steer, P)
         assert abs((ax + vy * wr) - d[0]) <= 1e-12
         assert abs((ay - vx * wr) - d[1]) <= 1e-12
 
@@ -234,17 +253,17 @@ def test_sensor_accel_reconstruction_identity():
 
 def test_rk4_equilibrium_fixed_point():
     t_eq = equilibrium_torque(15.0, P)
-    vx, vy, wr = rk4_step(15.0, 0.0, 0.0, t_eq, 0.0, 0.025, 1, PV)
+    vx, vy, wr = rk4_step(15.0, 0.0, 0.0, t_eq, 0.0, 0.025, 1, P)
     assert abs(vx - 15.0) <= 1e-9
     assert vy == 0.0 and wr == 0.0
 
 
 def test_rk4_fourth_order_global_convergence():
     # Richardson study over a fixed 0.4 s interval
-    ref = np.array(rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, PV))
+    ref = np.array(rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, 512, P))
     errs = []
     for n in (4, 8, 16, 32):
-        a = rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, PV)
+        a = rk4_step(15.0, 0.4, 0.15, 300.0, 0.04, 0.4, n, P)
         errs.append(np.linalg.norm(np.array(a) - ref))
     for coarse, fine in zip(errs, errs[1:]):
         assert 12.0 <= coarse / fine <= 20.0
@@ -262,10 +281,10 @@ def test_rk4_generic_matches_matrix_exponential():
 
 def test_vehicle_step_matches_generic_rk4():
     def rhs(x):
-        return np.array(planar_rhs(*x, 250.0, 0.03, PV))
+        return np.array(planar_rhs(*x, 250.0, 0.03, P))
 
     expect = rk4_generic(rhs, np.array([14.0, 0.3, 0.1]), 0.025)
-    got = rk4_step(14.0, 0.3, 0.1, 250.0, 0.03, 0.025, 1, PV)
+    got = rk4_step(14.0, 0.3, 0.1, 250.0, 0.03, 0.025, 1, P)
     assert np.allclose(got, expect, rtol=0, atol=1e-13)
 
 
@@ -288,11 +307,10 @@ def _rows_close(got, expect, rtol):
 @pytest.mark.parametrize("substeps", [1, 3])
 def test_one_step_batch_matches_scalar_rk4_rows(substeps):
     vx, vy, wr, torque, steer = _state_grid()
-    pv = P.packed()
     batch = _kernels.one_step_batch(np.column_stack((vx, vy, wr)), torque,
-                                    steer, 0.025, substeps, pv)
+                                    steer, 0.025, substeps, P)
     scalar = np.array([
-        rk4_step(*map(float, row), 0.025, substeps, pv)
+        rk4_step(*map(float, row), 0.025, substeps, P)
         for row in zip(vx, vy, wr, torque, steer)])
     assert batch.shape == scalar.shape == (vx.size, 3)
     assert _rows_close(batch, scalar, 1e-15)
@@ -300,18 +318,33 @@ def test_one_step_batch_matches_scalar_rk4_rows(substeps):
 
 def test_array_planar_rhs_matches_scalar_elementwise():
     vx, vy, wr, torque, steer = _state_grid()
-    pv = P.packed()
-    arrays = np.column_stack(planar_rhs(vx, vy, wr, torque, steer,
-                                                 pv, np))
-    scalar = np.array([planar_rhs(*map(float, row), pv)
+    arrays = np.column_stack(planar_rhs(vx, vy, wr, torque, steer, P, np))
+    scalar = np.array([planar_rhs(*map(float, row), P)
                        for row in zip(vx, vy, wr, torque, steer)])
     assert _rows_close(arrays, scalar, 1e-15)
 
 
-def test_packed_params_are_python_floats():
-    pv = VehicleParams(m=2000, mu=0.8).packed()
-    assert len(pv) == 13 and all(type(v) is float for v in pv)
-    assert pv[0] == 2000.0 and pv[6] == 0.8
+def test_params_are_read_as_python_floats():
+    # the kernels read every field through float(): a plant given in integers
+    # and float32 runs bit for bit as the same plant in Python floats, where
+    # float32 arithmetic would round every product to float32
+    f32 = np.float32
+    given = VehicleParams(m=2000, Iz=f32(3658.0), lf=f32(1.25), lr=1, wB=2,
+                          rw=f32(0.25), mu=1, drag=f32(0.375), roll=f32(0.015625),
+                          tire=MagicFormulaParams(b_stiff=10, c_shape=f32(1.5),
+                                                  e_curv=0))
+    floats = VehicleParams(m=2000.0, Iz=3658.0, lf=1.25, lr=1.0, wB=2.0,
+                           rw=0.25, mu=1.0, drag=0.375, roll=0.015625,
+                           tire=MagicFormulaParams(10.0, 1.5, 1.0, 0.0))
+    torques, steers = np.full(40, 300.0), np.full(40, 0.05)
+    a = _kernels.simulate_path(VehicleState(15, 0, 0), torques, steers, 0.025, 1, given)
+    b = _kernels.simulate_path(VehicleState(15.0), torques, steers, 0.025, 1, floats)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    states = np.column_stack((np.linspace(5.0, 25.0, 8), np.full(8, 0.2),
+                              np.full(8, 0.1)))
+    assert np.array_equal(
+        _kernels.one_step_batch(states, torques[:8], steers[:8], 0.025, 1, given),
+        _kernels.one_step_batch(states, torques[:8], steers[:8], 0.025, 1, floats))
     assert backend_name() == "numpy"
 
 
@@ -384,11 +417,11 @@ def test_coastdown_speed_strictly_decreasing():
 
 def test_emitted_snapshots_satisfy_accel_identity():
     tr = run_scenario(make_scenario("mixed", duration=20.0))
-    pv = VehicleParams(mu=0.85).packed()   # the library scenario's plant
+    params = VehicleParams(mu=0.85)   # the library scenario's plant
     for k in range(0, len(tr), 37):
         (vx, vy, wr), (torque, steer), (ax, ay) = (
             tr.states[k], tr.inputs[k], tr.accels[k])
-        d = planar_rhs(vx, vy, wr, torque, steer, pv)
+        d = planar_rhs(vx, vy, wr, torque, steer, params)
         assert abs((ax + vy * wr) - d[0]) <= 1e-12
         assert abs((ay - vx * wr) - d[1]) <= 1e-12
 
@@ -470,14 +503,13 @@ def test_run_schedule_rejects_steering_beyond_max_steer(sign):
 
 
 def test_simulate_path_stops_at_a_nan_state():
-    pv = P.packed()
     torques, steers = np.full(10, 300.0), np.zeros(10)
-    *_, fail = _kernels.simulate_path(np.array([np.nan, 0.0, 0.0]), torques,
-                                      steers, 0.025, 1, pv)
+    *_, fail = _kernels.simulate_path(VehicleState(np.nan), torques, steers,
+                                      0.025, 1, P)
     assert fail == 0
     # a NaN lateral velocity reaches Vx through the slip angles in one step
-    states, _, fail = _kernels.simulate_path(np.array([15.0, np.nan, 0.0]),
-                                             torques, steers, 0.025, 1, pv)
+    states, _, fail = _kernels.simulate_path(VehicleState(15.0, np.nan),
+                                             torques, steers, 0.025, 1, P)
     assert fail == 1
     assert states[0, 0] == 15.0 and not states[1:].any()
 
@@ -490,16 +522,15 @@ def test_simulate_path_equals_oracle_bitwise(substeps):
     for sc in scenario_suite():
         sc = replace(sc, duration=10.0)
         torques, steers = sc.input_program.sample(sc.time_grid(), sc.params)
-        pv = sc.params.packed()
-        vc = _kernels.vehicle_constants(pv)
-        x0 = sc.initial_state.as_array()
+        vc = oracle_constants(sc.params)
+        x0 = sc.initial_state
         states, accels, fail = _kernels.simulate_path(x0, torques, steers,
-                                                      sc.dt, substeps, pv)
+                                                      sc.dt, substeps, sc.params)
         assert fail == -1
-        vx, vy, wr = map(float, x0)
+        vx, vy, wr = x0.Vx, x0.Vy, x0.wr
         for k in range(torques.shape[0]):
             torque, steer = float(torques[k]), float(steers[k])
-            terms = (torque / vc[5], steer, math.cos(steer), math.sin(steer))
+            terms = (torque / sc.params.rw, steer, math.cos(steer), math.sin(steer))
             dvx, dvy, _ = oracle_rhs(vx, vy, wr, *terms, vc, math)
             assert tuple(states[k]) == (vx, vy, wr), (sc.name, k)
             assert tuple(accels[k]) == (dvx - vy * wr, dvy + vx * wr), (sc.name, k)
@@ -509,14 +540,14 @@ def test_simulate_path_equals_oracle_bitwise(substeps):
 @pytest.mark.parametrize("substeps", [1, 3])
 def test_one_step_batch_equals_oracle_bitwise(substeps, monkeypatch):
     vx, vy, wr, torque, steer = _state_grid()
-    vc = _kernels.vehicle_constants(PV)
+    vc = oracle_constants(P)
     expect = np.column_stack(oracle_rk4(
-        vx, vy, wr, torque / vc[5], steer, np.cos(steer), np.sin(steer),
+        vx, vy, wr, torque / P.rw, steer, np.cos(steer), np.sin(steer),
         0.025, substeps, vc, np))
     for rows in (_kernels.BATCH_ROWS, 1000):   # one block, then four
         monkeypatch.setattr(_kernels, "BATCH_ROWS", rows)
         batch = _kernels.one_step_batch(np.column_stack((vx, vy, wr)), torque,
-                                        steer, 0.025, substeps, PV)
+                                        steer, 0.025, substeps, P)
         assert np.array_equal(batch, expect), rows
 
 
