@@ -439,8 +439,8 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
             diag[2] = np.nan
         return _result(preds, truth, diag, model.A.copy(), model.B.copy())
 
-    xn = model.normalize_states(trajectory.states)
-    un = model.normalize_inputs(trajectory.inputs)
+    xn = model.x_norm.apply(trajectory.states)
+    un = model.u_norm.apply(trajectory.inputs)
     z_all = lift(model, xn)
     if not np.isfinite(z_all).all():
         raise ValueError("non-finite measurement")
@@ -465,7 +465,7 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     else:
         preds_n, diag, h_end = _batched(np.hstack((model.A, model.B)), z_all,
                                         un, config, eps, diagnostics)
-    return _result(model.denormalize_states(preds_n), truth, diag,
+    return _result(model.x_norm.invert(preds_n), truth, diag,
                    h_end[:, :zdim].copy(), h_end[:, zdim:].copy())
 
 

@@ -4,14 +4,16 @@ Config resolution precedence: command-line flags > config file > defaults.
 Config files are flat `key = value` lines ('#' comments allowed; schema in
 README). Every key is a flag of its subcommand, spelled as the flag's dest,
 and its value is parsed by that flag's own argparse argument; a key the
-subcommand does not read is a usage error. Every subcommand echoes its fully
-resolved configuration before doing any work.
+subcommand does not read is a usage error. The directory of every file a
+subcommand will write must exist (else exit 2, before any input is read).
+Every subcommand echoes its fully resolved configuration before doing any work.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -88,6 +90,17 @@ def _require(args, *keys: str) -> None:
         if getattr(args, key) in (None, ""):
             raise UsageError(f"{key!r} is required for {args.command} "
                              f"(--{key} or {key!r} in the config file)")
+
+
+def _check_output_dirs(args) -> None:
+    """Raise FileNotFoundError, naming the setting, for each output path in
+    `args.outputs` whose directory does not exist: before any input is read,
+    so that a mistyped path fails at once, not after the run has finished."""
+    for key in args.outputs:
+        folder = os.path.dirname(getattr(args, key) or "")
+        if folder and not os.path.isdir(folder):
+            raise FileNotFoundError(f"{args.given[key]}: output directory "
+                                    f"{folder} does not exist")
 
 
 def _text(value) -> str:
@@ -348,7 +361,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--dt", type=float, default=sc.DEFAULT_DT)
     p_sim.add_argument("--dm", type=float, default=0.0, help="mass delta [kg]")
     p_sim.add_argument("--dIz", type=float, default=0.0, help="yaw-inertia delta [kg m^2]")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, outputs=("out",))
 
     tc = km.TrainConfig
     p_train = sub.add_parser("train", help="train a lifted-space model")
@@ -367,7 +380,7 @@ def build_parser() -> _Parser:
     for term in ("linear", "recon", "pred", "accel"):
         p_train.add_argument(f"--w-{term}", type=float,
                              default=getattr(km.LossWeights, term))
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, outputs=("out", "log"))
 
     p_cmp = sub.add_parser("compare", help="run the method comparison")
     p_cmp.add_argument("--methods", default="PHYS-BASELINE,ALDK,ALDK-RLS,ALDK-FFRLS,"
@@ -382,7 +395,7 @@ def build_parser() -> _Parser:
                        help="comma list of window lengths")
     p_cmp.add_argument("--timings", **_on_off(False),
                        help="write wall-clock sidecar files")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, outputs=("out",))
 
     p_adapt = sub.add_parser("adapt", help="stream one adaptation run")
     p_adapt.add_argument("--checkpoint")
@@ -391,7 +404,7 @@ def build_parser() -> _Parser:
                          default=adapt_mod.AdapterConfig.mode)
     _add_adapter_args(p_adapt)
     p_adapt.add_argument("--history", help="estimate-history dump path")
-    p_adapt.set_defaults(func=cmd_adapt)
+    p_adapt.set_defaults(func=cmd_adapt, outputs=("out", "history"))
 
     p_ins = sub.add_parser("inspect", help="summarize a checkpoint")
     p_ins.add_argument("checkpoint")
@@ -411,6 +424,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if "config" in args:   # every subcommand but inspect
             args = _config(args, argv[1:])
+            _check_output_dirs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -103,7 +103,9 @@ class _Layout:
 class KoopmanModel:
     """Immutable-by-convention bundle: encoder/decoder, A, B, normalizer.
     The networks are their widths (`mlp.MlpLayout`), which give the model's
-    shape: p, the encoder's `hidden` widths, lifted n + p."""
+    shape: p, the encoder's `hidden` widths, lifted n + p. A and B are views
+    of theta; `x_norm` and `u_norm` are the five-channel `normalizer`'s
+    state (Vx, Vy, wr) and input (T, delta_f) parts."""
 
     def __init__(self, enc_widths: tuple[int, ...], dec_widths: tuple[int, ...],
                  theta: np.ndarray, normalizer: Normalizer, dt: float,
@@ -129,29 +131,14 @@ class KoopmanModel:
         if not np.all(np.isfinite(theta)):
             raise ValueError("non-finite model parameters")
         self.theta = theta
+        # views: an in-place write to theta shows in A and B
+        self.A, self.B = self.layout.blocks(theta)[2:]
         self.normalizer = normalizer
+        self.x_norm = Normalizer(normalizer.lo[:N_STATES], normalizer.hi[:N_STATES])
+        self.u_norm = Normalizer(normalizer.lo[N_STATES:], normalizer.hi[N_STATES:])
         self.dt = dt
         self.weights = weights
         self.meta = dict(meta or {})
-
-    # --- parameter views -------------------------------------------------
-    @property
-    def A(self) -> np.ndarray:
-        return self.layout.blocks(self.theta)[2]
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.layout.blocks(self.theta)[3]
-
-    # --- normalization helpers -------------------------------------------
-    def normalize_states(self, x: np.ndarray) -> np.ndarray:
-        return self.normalizer.select(slice(0, N_STATES)).apply(x)
-
-    def normalize_inputs(self, u: np.ndarray) -> np.ndarray:
-        return self.normalizer.select(slice(N_STATES, None)).apply(u)
-
-    def denormalize_states(self, x: np.ndarray) -> np.ndarray:
-        return self.normalizer.select(slice(0, N_STATES)).invert(x)
 
 
 def _row_blocks(n_rows: int):
@@ -261,9 +248,9 @@ def _prepared_arrays(model: KoopmanModel, batch: PairBatch) -> dict:
         raise ValueError("empty batch")
     check_sample_time(model, batch)
     return {
-        "xi": np.ascontiguousarray(model.normalize_states(batch.x_now)),
-        "ui": np.ascontiguousarray(model.normalize_inputs(batch.u_now)),
-        "xi1": np.ascontiguousarray(model.normalize_states(batch.x_next)),
+        "xi": np.ascontiguousarray(model.x_norm.apply(batch.x_now)),
+        "ui": np.ascontiguousarray(model.u_norm.apply(batch.u_now)),
+        "xi1": np.ascontiguousarray(model.x_norm.apply(batch.x_next)),
         "v_now": np.ascontiguousarray(batch.x_now[:, :2]),
         "a_meas": np.ascontiguousarray(
             measured_accel_combination(batch.x_next, batch.acc_next)),
@@ -275,8 +262,8 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
     """Loss terms, and their weighted gradient when `want_grad`, of the
     parameters `theta` on prepared arrays; everything else is `model`'s."""
     layout, weights, dt = model.layout, model.weights, model.dt
-    vel_half = model.normalizer.half_range[:2]
-    vel_mid = model.normalizer.mid[:2]
+    vel_half = model.x_norm.half_range[:2]
+    vel_mid = model.x_norm.mid[:2]
     xi, ui, xi1 = arrs["xi"], arrs["ui"], arrs["xi1"]
     nb, n = xi.shape[0], N_STATES
     _, _, A, Bm = layout.blocks(theta)
@@ -589,10 +576,10 @@ def one_step_predictions(model: KoopmanModel, states: np.ndarray,
         raise ValueError("states and inputs must share the sample axis")
     out = np.empty((states.shape[0], N_STATES))
     for s, e in _row_blocks(states.shape[0]):
-        z = lift(model, model.normalize_states(states[s:e]))
-        un = model.normalize_inputs(inputs[s:e])
+        z = lift(model, model.x_norm.apply(states[s:e]))
+        un = model.u_norm.apply(inputs[s:e])
         z_next = z @ model.A.T + un @ model.B.T
-        out[s:e] = model.denormalize_states(z_next[:, :N_STATES])
+        out[s:e] = model.x_norm.invert(z_next[:, :N_STATES])
     return out
 
 
@@ -630,8 +617,10 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
 
 def load_checkpoint(path) -> KoopmanModel:
     """Read a checkpoint; each error is a ValueError prefixed `checkpoint
-    <path>: `: not a JSON object, a missing key, a `dt` that is not a JSON
-    number, a value the model rejects, or a model of another loss."""
+    <path>: `: not a JSON object, a missing key (named with the layer or the
+    `loss_weights` that lacks it), a `dt` that is not a JSON number, a
+    `loss_weights` or `meta` that is not a JSON object, a value the model
+    rejects, or a model of another loss."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _model_from_doc(json.load(fh))
@@ -654,6 +643,10 @@ def _model_from_doc(doc) -> KoopmanModel:
             raise ValueError(f"{block} is {items!r}, not a list of layer objects")
         if not items:
             raise ValueError(f"{block} has no layers")
+        for j, item in enumerate(items):
+            for key in ("in", "out"):
+                if key not in item:
+                    raise ValueError(f"missing key {key!r} in {block} layer {j}")
         w = [items[0]["in"], *(it["out"] for it in items)]
         if not all(type(x) is int and x > 0 for x in w):
             raise ValueError(f"{block} widths {w} must be positive integers")
@@ -674,9 +667,13 @@ def _model_from_doc(doc) -> KoopmanModel:
     theta = layout.join(*(doc[key] for key in BLOCKS))
     normalizer = Normalizer(lo=np.asarray(doc["normalizer_min"]),
                             hi=np.asarray(doc["normalizer_max"]))
-    lw = doc["loss_weights"]
-    return KoopmanModel(
-        *widths, theta, normalizer, doc["dt"],
-        LossWeights(linear=lw["linear"], recon=lw["recon"], pred=lw["pred"],
-                    accel=lw["accel"]),
-        doc.get("meta", {}))
+    lw, meta = doc["loss_weights"], doc.get("meta", {})
+    for key, value in (("loss_weights", lw), ("meta", meta)):
+        if type(value) is not dict:
+            raise ValueError(f"{key} is {value!r}, not a JSON object")
+    names = vars(LossWeights())   # the four term names
+    for name in names:
+        if name not in lw:
+            raise ValueError(f"missing key {name!r} in loss_weights")
+    return KoopmanModel(*widths, theta, normalizer, doc["dt"],
+                        LossWeights(**{name: lw[name] for name in names}), meta)

@@ -145,7 +145,3 @@ class Normalizer:
     def invert(self, x: np.ndarray) -> np.ndarray:
         self._check_width(x)
         return self.mid + x * self.half_range
-
-    def select(self, idx) -> "Normalizer":
-        """Sub-normalizer over a subset of channels."""
-        return Normalizer(lo=self.lo[idx].copy(), hi=self.hi[idx].copy())

@@ -51,11 +51,11 @@ def quick_edmd_model(trajectory, seed=0, p=6, hidden=(16,)):
                         np.zeros((d, d)), np.zeros((d, N_INPUTS)))
     normalizer = Normalizer.fit(np.hstack((pairs.x_now, pairs.u_now)))
     model = KoopmanModel(enc, dec, theta, normalizer, pairs.dt)
-    z_now = lift(model, model.normalize_states(pairs.x_now))
-    z_next = lift(model, model.normalize_states(pairs.x_next))
-    u_now = model.normalize_inputs(pairs.u_now)
-    _, _, a_view, b_view = layout.blocks(theta)
-    a_view[...], b_view[...] = edmd_fit(z_now.T, z_next.T, u_now.T, ridge=1e-9)
+    z_now = lift(model, model.x_norm.apply(pairs.x_now))
+    z_next = lift(model, model.x_norm.apply(pairs.x_next))
+    u_now = model.u_norm.apply(pairs.u_now)
+    # A and B are views of theta: the fit writes the model's parameters
+    model.A[...], model.B[...] = edmd_fit(z_now.T, z_next.T, u_now.T, ridge=1e-9)
     return model
 
 

@@ -471,9 +471,9 @@ def identity_lift_run(monkeypatch, h0, z, u, config, diagnostics=True):
     and whose normalizers are the identity."""
     monkeypatch.setattr(adapt, "lift", lambda model, xn: z)
     same = lambda a: a  # noqa: E731
+    identity = SimpleNamespace(apply=same, invert=same)
     model = SimpleNamespace(dt=0.025, A=h0[:, :ZDIM], B=h0[:, ZDIM:],
-                            normalize_states=same, normalize_inputs=same,
-                            denormalize_states=same)
+                            x_norm=identity, u_norm=identity)
     k = z.shape[0]
     trajectory = Trajectory(t=0.025 * np.arange(k), states=z[:, :3].copy(),
                             inputs=u, accels=np.zeros((k, 2)))
@@ -530,8 +530,8 @@ def test_batched_run_equals_update_loop(monkeypatch, steps, mode, window,
 
 
 def lifted(model, trajectory):
-    un = model.normalize_inputs(trajectory.inputs)
-    return lift(model, model.normalize_states(trajectory.states)), un
+    un = model.u_norm.apply(trajectory.inputs)
+    return lift(model, model.x_norm.apply(trajectory.states)), un
 
 
 def test_batched_auto_eps_swls_matches_update_loop_on_drift_run(quick_model,
@@ -540,7 +540,7 @@ def test_batched_auto_eps_swls_matches_update_loop_on_drift_run(quick_model,
     res = adapt_run(quick_model, heavy_mixed, config)
     z, un = lifted(quick_model, heavy_mixed)
     h0 = np.hstack((quick_model.A, quick_model.B))
-    preds = quick_model.denormalize_states(stepped_run(h0, z, un, config, 3)[0])
+    preds = quick_model.x_norm.invert(stepped_run(h0, z, un, config, 3)[0])
     assert rel_err(res.predictions, preds) < 1e-9
 
 
@@ -553,7 +553,7 @@ def test_batched_ffrls_predicts_as_the_update_loop(short_mixed, quick_model):
     res = adapt_run(quick_model, short_mixed, config, diagnostics=True)
     z, un = lifted(quick_model, short_mixed)
     h0 = np.hstack((quick_model.A, quick_model.B))
-    preds = quick_model.denormalize_states(stepped_run(h0, z, un, config, 3)[0])
+    preds = quick_model.x_norm.invert(stepped_run(h0, z, un, config, 3)[0])
     assert rel_err(res.predictions, preds) < 1e-6
     assert np.array_equal(res.truth, short_mixed.states[1:])
     for got in (res.drift_a, res.drift_b, res.final_A, res.final_B):

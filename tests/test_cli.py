@@ -237,6 +237,16 @@ FAILURES = [
     fails("checkpoint-missing-key", ADAPT, 2,
           "error: checkpoint CKPT: missing key 'normalizer_max'",
           edit=lambda doc: doc.pop("normalizer_max")),
+    # a nested entry is named with the object that holds it
+    fails("inspect-loss-weight-missing", "inspect CKPT", 2,
+          "error: checkpoint CKPT: missing key 'accel' in loss_weights",
+          edit=lambda doc: doc["loss_weights"].pop("accel")),
+    fails("inspect-layer-in-missing", "inspect CKPT", 2,
+          "error: checkpoint CKPT: missing key 'in' in encoder layer 0",
+          edit=lambda doc: doc["encoder"][0].pop("in")),
+    fails("inspect-meta-list", "inspect CKPT", 2,
+          "error: checkpoint CKPT: meta is [1, 2], not a JSON object",
+          edit=lambda doc: doc.update(meta=[1, 2])),
     # every reader error names the file, so of two checkpoints the bad one is
     # known; here CFG is a checkpoint file of the given text
     fails("inspect-not-json", "inspect CFG", 2,
@@ -257,6 +267,20 @@ FAILURES = [
     fails("inspect-dt-string", "inspect CKPT", 2,
           "error: checkpoint CKPT: dt is '0.025', not a number",
           edit=lambda doc: doc.update(dt="0.025")),
+    # a missing output directory fails before any input is read
+    *(fails(row_id, argv, 2, f"error: {setting}: output directory /nonexistent/dir "
+            "does not exist", edit=edit)
+      for row_id, argv, setting, edit in [
+          ("simulate-out-dir", f"{STEP_STEER} --out /nonexistent/dir/s.csv", "--out",
+           None),
+          ("train-out-dir", f"train {TRAIN_SETTINGS} --out /nonexistent/dir/m.json",
+           "--out", None),
+          ("train-log-dir", f"train {TRAIN_SETTINGS} --config CFG --out OUT",
+           "CFG: key 'log'", "log = /nonexistent/dir/l.csv\n"),
+          ("compare-out-dir", f"{COMPARE} --methods PHYS-BASELINE "
+           "--out /nonexistent/dir/cmp", "--out", None),
+          ("adapt-history-dir", f"{ADAPT} --out OUT --history /nonexistent/dir/h.csv",
+           "--history", None)]),
     # a prefix of a flag, which a config file may not use either
     *(fails(f"abbreviated-{flag}", f"{command} --out OUT", 1,
             "unrecognized arguments: --")

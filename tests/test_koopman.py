@@ -38,8 +38,7 @@ def build_model(enc_widths, dec_widths, theta_fill=None, seed=0,
 
 def set_ab(model, a_mat, b_mat):
     """Write A and B into the model's parameter vector."""
-    _, _, a_view, b_view = model.layout.blocks(model.theta)
-    a_view[...], b_view[...] = a_mat, b_mat
+    model.A[...], model.B[...] = a_mat, b_mat
 
 
 def tiny_model(seed=0):
@@ -62,6 +61,20 @@ def random_batch(n, seed=1, dt=0.025):
 
 # ---------------------------------------------------------------------------
 # lift / predict
+
+def test_model_views_and_channel_normalizers():
+    model = tiny_model()
+    assert np.array_equal(model.x_norm.lo, NORM5.lo[:3])
+    assert np.array_equal(model.x_norm.hi, NORM5.hi[:3])
+    assert np.array_equal(model.u_norm.lo, NORM5.lo[3:])
+    assert np.array_equal(model.u_norm.hi, NORM5.hi[3:])
+    # A and B are views of theta: a write into theta shows in them
+    values = np.arange(model.theta.size, dtype=np.float64)
+    _, _, a_block, b_block = model.layout.blocks(values)
+    model.theta[...] = values
+    assert np.array_equal(model.A, a_block)
+    assert np.array_equal(model.B, b_block)
+
 
 def test_lift_keeps_state_in_first_components():
     model = tiny_model()
@@ -99,8 +112,8 @@ def test_predict_matches_triple_loop_oracle():
     a_mat, b_mat = model.A, model.B
     expect = np.zeros((4, N_STATES))
     for k in range(4):
-        z = lift(model, model.normalize_states(states[k]))
-        u = model.normalize_inputs(inputs[k])
+        z = lift(model, model.x_norm.apply(states[k]))
+        u = model.u_norm.apply(inputs[k])
         for r in range(N_STATES):
             acc = 0.0
             for c in range(model.lifted):
@@ -108,7 +121,7 @@ def test_predict_matches_triple_loop_oracle():
             for c in range(N_INPUTS):
                 acc += b_mat[r, c] * u[c]
             expect[k, r] = acc
-    expect = model.denormalize_states(expect)
+    expect = model.x_norm.invert(expect)
     assert np.allclose(one_step_predictions(model, states, inputs), expect,
                        rtol=1e-12, atol=1e-12)
 
@@ -140,15 +153,15 @@ def traced_peak(fn):
 def test_blocked_lift_and_predictions_equal_one_pass(quick_model, n_rows):
     model = quick_model
     states, inputs = uniform_rows(model, n_rows, seed=n_rows)
-    xn = model.normalize_states(states)
+    xn = model.x_norm.apply(states)
     enc = model.layout.enc
     feats = _kernels.dense_forward(model.theta, enc.shapes, enc.w_off,
                                    enc.b_off, enc.acts, xn)
     z = np.hstack((xn, feats))
     assert np.array_equal(lift(model, xn), z)
-    z_next = z @ model.A.T + model.normalize_inputs(inputs) @ model.B.T
+    z_next = z @ model.A.T + model.u_norm.apply(inputs) @ model.B.T
     assert np.array_equal(one_step_predictions(model, states, inputs),
-                          model.denormalize_states(z_next[:, :3]))
+                          model.x_norm.invert(z_next[:, :3]))
 
 
 def test_one_step_predictions_rejects_length_mismatch(quick_model):
@@ -215,10 +228,10 @@ def test_exact_linear_model_has_zero_linear_and_pred_loss():
 
     x_now = np.array([[12.0, 0.3, -0.1]])
     u_now = np.array([[250.0, 0.02]])
-    xn = model.normalize_states(x_now[0])
-    un = model.normalize_inputs(u_now[0])
+    xn = model.x_norm.apply(x_now[0])
+    un = model.u_norm.apply(u_now[0])
     zhat = a_mat @ np.concatenate([xn, [0.0, 0.0]]) + b_mat @ un
-    x_next = model.denormalize_states(zhat[:3])[None, :]
+    x_next = model.x_norm.invert(zhat[:3])[None, :]
     acc = np.zeros((1, 2))
     batch = PairBatch(x_now, u_now, x_next, acc, 0.025)
     terms = loss_components(model, batch)
@@ -230,7 +243,7 @@ def test_exact_decoder_gives_zero_recon_loss():
     # zero encoder (phi=0) and decoder bias set to the normalized sample
     model = build_model((3, 4, 2), (2, 3))
     batch = random_batch(1, seed=4)
-    xn = model.normalize_states(batch.x_now[0])
+    xn = model.x_norm.apply(batch.x_now[0])
     off = model.layout.enc.size + 2 * 3  # decoder bias location
     model.theta[off:off + 3] = xn
     assert loss_components(model, batch).recon == 0.0
@@ -263,10 +276,10 @@ def test_tiny_model_frozen_loss_oracle():
 def test_accel_loss_zero_when_prediction_matches_forward_difference():
     model = tiny_model(seed=7)
     batch = random_batch(1, seed=8)
-    xn = model.normalize_states(batch.x_now[0])
-    un = model.normalize_inputs(batch.u_now[0])
+    xn = model.x_norm.apply(batch.x_now[0])
+    un = model.u_norm.apply(batch.u_now[0])
     zhat = lift(model, xn) @ model.A.T + un @ model.B.T
-    vhat = model.denormalize_states(np.concatenate([zhat[:2], [0.0]]))[:2]
+    vhat = model.x_norm.invert(np.concatenate([zhat[:2], [0.0]]))[:2]
     a_target = (vhat - batch.x_now[0, :2]) / batch.dt
     # choose measured accelerations so the sensor combination equals a_target
     batch.acc_next[0, 0] = a_target[0] - batch.x_next[0, 1] * batch.x_next[0, 2]
@@ -280,10 +293,10 @@ def test_accel_loss_quadratic_around_its_minimum():
     # into the acceleration residual)
     model = tiny_model(seed=9)
     batch = random_batch(1, seed=10)
-    xn = model.normalize_states(batch.x_now[0])
-    un = model.normalize_inputs(batch.u_now[0])
+    xn = model.x_norm.apply(batch.x_now[0])
+    un = model.u_norm.apply(batch.u_now[0])
     zhat = lift(model, xn) @ model.A.T + un @ model.B.T
-    vhat = model.denormalize_states(np.concatenate([zhat[:2], [0.0]]))[:2]
+    vhat = model.x_norm.invert(np.concatenate([zhat[:2], [0.0]]))[:2]
     a_target = (vhat - batch.x_now[0, :2]) / batch.dt
     batch.acc_next[0, 0] = a_target[0] - batch.x_next[0, 1] * batch.x_next[0, 2]
     batch.acc_next[0, 1] = a_target[1] + batch.x_next[0, 0] * batch.x_next[0, 2]
@@ -330,30 +343,6 @@ def test_loss_weights_reject_non_finite_and_negative(term, value):
     with pytest.raises(ValueError, match=f"loss weight {term} must be non-negative "
                                          f"and finite"):
         LossWeights(**{term: value})
-
-
-def test_loss_gradient_matches_finite_differences():
-    from koopcar.koopman import _loss_and_grad, _prepared_arrays
-    model = tiny_model(seed=16)
-    batch = random_batch(5, seed=17)
-    grad = loss_gradient(model, batch)
-    arrs = _prepared_arrays(model, batch)
-
-    def total(th):
-        t, _ = _loss_and_grad(th, model, arrs, want_grad=False)
-        return t.total(model.weights)
-
-    h = 1e-3
-    rng = np.random.default_rng(18)
-    idx = rng.choice(model.theta.size, size=60, replace=False)
-    for i in idx:
-        def central(hh):
-            tp = model.theta.copy(); tp[i] += hh
-            tm = model.theta.copy(); tm[i] -= hh
-            return (total(tp) - total(tm)) / (2 * hh)
-        fd = (4.0 * central(h / 2) - central(h)) / 3.0
-        rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
-        assert rel < 1e-5, f"coord {i}: fd={fd}, analytic={grad[i]}"
 
 
 def test_loss_rejects_batch_at_another_sample_time():
@@ -508,9 +497,9 @@ def test_train_ablation_beats_persistence(short_mixed):
         res = train(pairs, cfg)
         hold = pairs.subset(res.holdout_idx)
         # normalized squared one-step prediction error
-        xn1 = res.model.normalize_states(hold.x_next)
-        xn = res.model.normalize_states(hold.x_now)
-        preds = res.model.normalize_states(
+        xn1 = res.model.x_norm.apply(hold.x_next)
+        xn = res.model.x_norm.apply(hold.x_now)
+        preds = res.model.x_norm.apply(
             one_step_predictions(res.model, hold.x_now, hold.u_now))
         results[tag] = np.mean(np.sum((xn1 - preds) ** 2, axis=1))
         persistence = np.mean(np.sum((xn1 - xn) ** 2, axis=1))

@@ -244,13 +244,6 @@ def test_normalizer_rejects_empty():
         Normalizer.fit(np.zeros((0, 3)))
 
 
-def test_normalizer_select_subset():
-    norm = Normalizer.fit(np.array([[0.0, 10.0, -1.0], [2.0, 20.0, 1.0]]))
-    sub = norm.select(slice(0, 2))
-    assert np.array_equal(sub.lo, [0.0, 10.0])
-    assert np.array_equal(sub.hi, [2.0, 20.0])
-
-
 @pytest.mark.parametrize("bound", ["lo", "hi"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_normalizer_rejects_non_finite_bounds(bound, value):
