@@ -42,7 +42,8 @@ Two paths compute these estimates:
   `sliding_window_view` of its M pairs (exact per window, no downdates), and
   one batched one-column solve per chunk gives the one-step predictions. The
   drift diagnostics (a solve for all of H) and `cond_gram` (an `eigvalsh`)
-  are computed only on request. It agrees with streaming to rounding.
+  are computed only on request. It agrees with streaming to rounding and,
+  like it, refuses a non-finite estimate, even in rows no prediction reads.
 
 An adapter is strictly sequential and single-owner; run one per stream.
 """
@@ -100,7 +101,7 @@ class AdapterConfig:
 
 
 class AdapterState:
-    """Estimator state; mutate only through `update`.
+    """Estimator state, built by `init`; mutate only through `update`.
 
     Every adaptive mode keeps the Gram S and the cross term C of its solve.
     SWLS also keeps its window in ring buffers whose capacity grows
@@ -114,12 +115,9 @@ class AdapterState:
         self.zdim = z0.shape[0]
         self.udim = u0.shape[0]
         self.gdim = self.zdim + self.udim
-        if h0.shape != (self.zdim, self.gdim):
-            raise ValueError("[A B] estimate shape mismatch")
-        self.h_est = h0.copy()
-        self.h_init = h0.copy()
-        self.z_prev = np.asarray(z0, dtype=np.float64).copy()
-        self.eps = _eps(config, np.concatenate((self.z_prev, u0)))
+        self.h_est = self.h_init = h0   # solves replace h_est, none writes in
+        self.z_prev = z0
+        self.eps = _eps(config, np.concatenate((z0, u0)))
         self.k = 0
         self._fill = 0
         self._regressors = np.empty((self.gdim, 0))   # G, ring order
@@ -285,8 +283,6 @@ class AdaptRunResult:
     drift_a: np.ndarray | None    # ||A_k - A_0||_F after each step
     drift_b: np.ndarray | None
     cond_gram: np.ndarray | None  # cond(S) of the SWLS window, NaN otherwise
-    final_A: np.ndarray
-    final_B: np.ndarray
 
 
 def _sym_cond(gram: np.ndarray) -> np.ndarray:
@@ -339,10 +335,11 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray,
     are all kept scaled by lam^-t (see `_running_sum`), which leaves H_j and
     cond(S_j) unchanged.
 
-    Returns (preds_n, diag, H_end): the normalized predictions of rows :n;
-    with `diagnostics`, a (3, steps) array of the drifts of A and B and
-    cond(S) (NaN for RLS/FFRLS), else None; and the final estimate, from one
-    solve over the last window (SWLS) or all pairs.
+    Returns (preds_n, diag): the normalized predictions of rows :n, and
+    with `diagnostics` a (3, steps) array of the drifts of A and B and
+    cond(S) (NaN for RLS/FFRLS), else None. Raises LinAlgError when a
+    prediction is not finite, or when H0 g is not finite in a row that no
+    prediction reads (that estimate is then not finite either).
     """
     zdim, gdim = h0.shape
     steps = z_all.shape[0] - 1
@@ -391,14 +388,9 @@ def _batched(h0: np.ndarray, z_all: np.ndarray, un: np.ndarray,
             diag[1, c0:c1] = np.linalg.norm(corr_t[:, zdim:], axis=(1, 2))
             if windowed:
                 diag[2, c0:c1] = _sym_cond(sums[:, :, :gdim])
-    first = max(0, steps - m) if windowed else 0
-    gw = g[first:steps] * np.power(lam, np.arange(steps - 1 - first, -1, -1))[:, None]
-    gram = gw.T @ g[first:steps]
-    reg_end = _ridge(config, eps, steps)
-    h_end = h0 + _ridge_solve(gram + reg_end * np.eye(gdim), gw.T @ r[first:]).T
-    if not np.isfinite(h_end).all():
-        raise _singular(config.mode, gram, reg_end)
-    return preds_n, diag, h_end
+    if not np.isfinite(hg[:-1]).all():   # also in rows no prediction reads
+        raise _singular(config.mode, sums[-1, :, :gdim], reg[-1])
+    return preds_n, diag
 
 
 def adapt_run(model: KoopmanModel, trajectory: Trajectory,
@@ -415,12 +407,12 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
     With `diagnostics`, the result also holds the drifts ||A_k - A_0||_F and
     ||B_k - B_0||_F after every step and `cond_gram`, the condition number of
     the SWLS window Gram (NaN for the modes that keep no window); without,
-    these three are None and cost nothing. The predictions and the final
-    estimate do not depend on `diagnostics`.
+    these three are None and cost nothing. The predictions do not depend on
+    `diagnostics`.
 
     Raises ValueError on unevenly spaced snapshots, a sample-time mismatch or
     a non-finite measurement, and LinAlgError when a solve gives a non-finite
-    estimate.
+    estimate, also in the rows of [A B] that no prediction reads.
     """
     n_snap = len(trajectory)
     if n_snap < 2:
@@ -437,43 +429,37 @@ def adapt_run(model: KoopmanModel, trajectory: Trajectory,
         if diagnostics:
             diag = np.zeros((3, n_snap - 1))
             diag[2] = np.nan
-        return _result(preds, truth, diag, model.A.copy(), model.B.copy())
+        return _result(preds, truth, diag)
 
     xn = model.x_norm.apply(trajectory.states)
     un = model.u_norm.apply(trajectory.inputs)
     z_all = lift(model, xn)
     if not np.isfinite(z_all).all():
         raise ValueError("non-finite measurement")
-    zdim = z_all.shape[1]
     eps = _eps(config, np.concatenate((z_all[0], un[0])))
     if config.mode == "SWLS" and eps == 0.0:
         # the min-norm lstsq of each window has no batched form: step `update`
         state = init(model.A, model.B, z_all[0], un[0], config)
-        steps = n_snap - 1
-        preds_n = np.empty((steps, N_STATES))
-        diag = np.empty((3, steps)) if diagnostics else None
-        a0, b0 = state.A_k.copy(), state.B_k.copy()
+        preds_n = np.empty((n_snap - 1, N_STATES))
+        diag = np.empty((3, n_snap - 1)) if diagnostics else None
         for k in range(1, n_snap):
             g = np.concatenate((z_all[k - 1], un[k - 1]))
             preds_n[k - 1] = (state.h_est @ g)[:N_STATES]
             update(state, z_all[k], un[k - 1])
             if diagnostics:
-                diag[0, k - 1] = np.linalg.norm(state.A_k - a0)
-                diag[1, k - 1] = np.linalg.norm(state.B_k - b0)
+                diag[0, k - 1] = np.linalg.norm(state.A_k - model.A)
+                diag[1, k - 1] = np.linalg.norm(state.B_k - model.B)
                 diag[2, k - 1] = _sym_cond(state.window_gram())
-        h_end = state.h_est
     else:
-        preds_n, diag, h_end = _batched(np.hstack((model.A, model.B)), z_all,
-                                        un, config, eps, diagnostics)
-    return _result(model.x_norm.invert(preds_n), truth, diag,
-                   h_end[:, :zdim].copy(), h_end[:, zdim:].copy())
+        preds_n, diag = _batched(np.hstack((model.A, model.B)), z_all, un,
+                                 config, eps, diagnostics)
+    return _result(model.x_norm.invert(preds_n), truth, diag)
 
 
-def _result(preds, truth, diag, final_a, final_b) -> AdaptRunResult:
+def _result(preds, truth, diag) -> AdaptRunResult:
     drift_a, drift_b, cond = (None, None, None) if diag is None else diag
     return AdaptRunResult(predictions=preds, truth=truth, drift_a=drift_a,
-                          drift_b=drift_b, cond_gram=cond, final_A=final_a,
-                          final_B=final_b)
+                          drift_b=drift_b, cond_gram=cond)
 
 
 def write_estimate_history(path, result: AdaptRunResult) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels, mlp
 from .mlp import AdamState, MlpLayout, Normalizer, adam_step
-from .vehicle import Trajectory
+from .vehicle import Trajectory, write_rows
 
 CHANNELS = ("Vx", "Vy", "wr", "T", "delta_f")
 N_STATES = 3                          # x = CHANNELS[:3]
@@ -401,9 +401,6 @@ class EpochRecord(NamedTuple):
     loss_accel: float
     holdout_total: float
 
-    def csv_row(self) -> str:
-        return "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % self
-
 
 TRAIN_LOG_HEADER = ",".join(EpochRecord._fields)
 
@@ -541,8 +538,7 @@ def train(pairs: PairBatch, config: TrainConfig,
 def write_training_log(path, history: list[EpochRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRAIN_LOG_HEADER + "\n")
-        for rec in history:
-            fh.write(rec.csv_row() + "\n")
+        write_rows(fh, "%d" + ",%.17g" * 6 + "\n", (np.array(history).reshape(-1, 7),))
 
 
 # ---------------------------------------------------------------------------
@@ -618,16 +614,35 @@ def save_checkpoint(model: KoopmanModel, path) -> None:
 def load_checkpoint(path) -> KoopmanModel:
     """Read a checkpoint; each error is a ValueError prefixed `checkpoint
     <path>: `: not a JSON object, a missing key (named with the layer or the
-    `loss_weights` that lacks it), a `dt` that is not a JSON number, a
-    `loss_weights` or `meta` that is not a JSON object, a value the model
-    rejects, or a model of another loss."""
+    `loss_weights` that lacks it), a value of the wrong JSON type or length
+    (named with its key and entry: a number, a list of numbers, an object, a
+    non-negative integer `meta.final_epoch`), a value the model rejects, or
+    a model of another loss."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _model_from_doc(json.load(fh))
         except KeyError as exc:
             raise ValueError(f"checkpoint {path}: missing key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"checkpoint {path}: {exc}") from None
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)   # bool is not a JSON number
+
+
+def _numbers(doc, key: str, n: int) -> np.ndarray:
+    """doc[key] as a float vector; raises ValueError naming the key, and the
+    entry, unless it is a list of n JSON numbers."""
+    value = doc[key]
+    if type(value) is not list:
+        raise ValueError(f"{key} is {value!r}, not a list of {n} numbers")
+    if len(value) != n:
+        raise ValueError(f"{key} has {len(value)} entries, not {n}")
+    if not {int, float}.issuperset(map(type, value)):
+        j = next(j for j, x in enumerate(value) if not _is_number(x))
+        raise ValueError(f"{key}[{j}] is {value[j]!r}, not a number")
+    return np.array(value, dtype=np.float64)
 
 
 def _model_from_doc(doc) -> KoopmanModel:
@@ -662,11 +677,12 @@ def _model_from_doc(doc) -> KoopmanModel:
     # files may hold this key; any value but true is a model of another loss
     if doc.get("squared_norms", True) is not True:
         raise ValueError(f"squared_norms is {doc['squared_norms']!r}, not True")
-    if type(doc["dt"]) not in (int, float):   # bool is not a JSON number
+    if not _is_number(doc["dt"]):
         raise ValueError(f"dt is {doc['dt']!r}, not a number")
-    theta = layout.join(*(doc[key] for key in BLOCKS))
-    normalizer = Normalizer(lo=np.asarray(doc["normalizer_min"]),
-                            hi=np.asarray(doc["normalizer_max"]))
+    theta = np.concatenate([_numbers(doc, key, n)
+                            for key, n in zip(BLOCKS, np.diff(layout.bounds))])
+    normalizer = Normalizer(*(_numbers(doc, key, len(CHANNELS))
+                              for key in ("normalizer_min", "normalizer_max")))
     lw, meta = doc["loss_weights"], doc.get("meta", {})
     for key, value in (("loss_weights", lw), ("meta", meta)):
         if type(value) is not dict:
@@ -675,5 +691,11 @@ def _model_from_doc(doc) -> KoopmanModel:
     for name in names:
         if name not in lw:
             raise ValueError(f"missing key {name!r} in loss_weights")
+        if not _is_number(lw[name]):
+            raise ValueError(f"loss_weights[{name!r}] is {lw[name]!r}, not a number")
+    epoch = meta.get("final_epoch", 0)
+    if not (type(epoch) is int and epoch >= 0):
+        raise ValueError(f"meta['final_epoch'] is {epoch!r}, not a non-negative "
+                         "integer")
     return KoopmanModel(*widths, theta, normalizer, doc["dt"],
                         LossWeights(**{name: lw[name] for name in names}), meta)

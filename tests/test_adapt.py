@@ -434,7 +434,7 @@ def test_estimate_history_needs_diagnostics(tmp_path, short_mixed, quick_model,
 
 def stepped_run(h0, z, u, config, n):
     """The per-step `update` loop over lifted data: normalized predictions
-    of rows :n, drifts, cond_gram (NaN without a window), final A and B."""
+    of rows :n, drifts and cond_gram (NaN without a window)."""
     zdim = z.shape[1]
     st = init(h0[:, :zdim], h0[:, zdim:], z[0], u[0], config)
     steps = z.shape[0] - 1
@@ -450,7 +450,7 @@ def stepped_run(h0, z, u, config, n):
         if config.mode == "SWLS":
             ev = np.linalg.eigvalsh(st.window_gram())
             cond[k - 1] = ev[-1] / ev[0] if ev[0] > 0.0 else np.inf
-    return preds, drift_a, drift_b, cond, st.A_k, st.B_k
+    return preds, drift_a, drift_b, cond
 
 
 def noisy_stream(seed, steps):
@@ -508,18 +508,15 @@ def test_batched_run_equals_update_loop(monkeypatch, steps, mode, window,
     config = AdapterConfig(mode=mode, window=window, forgetting=forgetting,
                            eps_reg=1e-3)
     res = identity_lift_run(monkeypatch, h0, z, u, config)
-    preds, drift_a, drift_b, cond, a_end, b_end = stepped_run(h0, z, u, config, 3)
+    preds, drift_a, drift_b, cond = stepped_run(h0, z, u, config, 3)
     for got, ref in ((res.predictions, preds), (res.drift_a, drift_a),
-                     (res.drift_b, drift_b), (res.final_A, a_end),
-                     (res.final_B, b_end)):
+                     (res.drift_b, drift_b)):
         assert np.isfinite(got).all()
         assert tol is None or rel_err(got, ref) < tol
     assert np.array_equal(res.truth, z[1:, :3])
-    # the diagnostics never change the predictions or the final estimate
+    # the diagnostics never change the predictions
     bare = identity_lift_run(monkeypatch, h0, z, u, config, diagnostics=False)
     assert np.array_equal(bare.predictions, res.predictions)
-    assert np.array_equal(bare.final_A, res.final_A)
-    assert np.array_equal(bare.final_B, res.final_B)
     if mode != "SWLS":
         assert np.all(np.isnan(res.cond_gram))
     else:
@@ -556,7 +553,7 @@ def test_batched_ffrls_predicts_as_the_update_loop(short_mixed, quick_model):
     preds = quick_model.x_norm.invert(stepped_run(h0, z, un, config, 3)[0])
     assert rel_err(res.predictions, preds) < 1e-6
     assert np.array_equal(res.truth, short_mixed.states[1:])
-    for got in (res.drift_a, res.drift_b, res.final_A, res.final_B):
+    for got in (res.drift_a, res.drift_b):
         assert np.isfinite(got).all()
 
 
@@ -569,13 +566,11 @@ def test_streamed_run_is_bitwise_the_update_loop(monkeypatch, steps, kw):
     h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
     config = AdapterConfig(**kw)
     res = identity_lift_run(monkeypatch, h0, z, u, config)
-    preds, drift_a, drift_b, cond, a_end, b_end = stepped_run(h0, z, u, config, 3)
+    preds, drift_a, drift_b, cond = stepped_run(h0, z, u, config, 3)
     assert np.array_equal(res.predictions, preds)
     assert np.array_equal(res.drift_a, drift_a)
     assert np.array_equal(res.drift_b, drift_b)
     assert np.array_equal(res.cond_gram, cond, equal_nan=True)
-    assert np.array_equal(res.final_A, a_end)
-    assert np.array_equal(res.final_B, b_end)
 
 
 def test_streamed_run_predicts_the_same_without_diagnostics(short_mixed,
@@ -586,8 +581,6 @@ def test_streamed_run_predicts_the_same_without_diagnostics(short_mixed,
     assert bare.drift_a is None and bare.cond_gram is None
     assert np.isfinite(full.drift_a).all() and full.drift_a[-1] > 0.0
     assert np.array_equal(bare.predictions, full.predictions)
-    assert np.array_equal(bare.final_A, full.final_A)
-    assert np.array_equal(bare.final_B, full.final_B)
 
 
 def unexcited_stream(steps):
@@ -608,15 +601,17 @@ def test_ffrls_unexcited_stream_stays_finite(monkeypatch):
     z, u = unexcited_stream(1100)
     h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
     config = AdapterConfig(mode="FFRLS", forgetting=0.5)
-    preds, _, _, _, a_end, b_end = stepped_run(h0, z, u, config, 3)
     res = identity_lift_run(monkeypatch, h0, z, u, config)
-    for got, ref in ((res.predictions, preds), (res.final_A, a_end),
-                     (res.final_B, b_end)):
-        assert np.isfinite(got).all()
-        assert rel_err(got, ref) < 1e-10
-    # the unexcited directions keep their seed estimate
-    assert np.array_equal(res.final_A[:, 3:], h0[:, 3:ZDIM])
-    assert np.array_equal(res.final_B[:, 1], h0[:, ZDIM + 1])
+    assert np.isfinite(res.predictions).all()
+    assert rel_err(res.predictions, stepped_run(h0, z, u, config, 3)[0]) < 1e-10
+    # the unexcited directions keep their seed estimate in the streaming
+    # reference
+    st = init(h0[:, :ZDIM], h0[:, ZDIM:], z[0], u[0], config)
+    for k in range(1, len(z)):
+        a_k, b_k = update(st, z[k], u[k - 1])
+    assert np.isfinite(a_k).all() and np.isfinite(b_k).all()
+    assert np.array_equal(a_k[:, 3:], h0[:, 3:ZDIM])
+    assert np.array_equal(b_k[:, 1], h0[:, ZDIM + 1])
 
 
 @pytest.mark.parametrize("mode, ridge", [("SWLS", "eps_reg=0.001"),
@@ -637,6 +632,22 @@ def test_non_finite_solve_names_mode_and_ridge(monkeypatch, mode, ridge):
     for err in (online, run):
         assert f"non-finite {mode} estimate" in str(err.value)
         assert f"ridge {ridge})" in str(err.value)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+@pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS"])
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_overflow_in_rows_no_prediction_reads_is_refused(monkeypatch, mode,
+                                                         diagnostics):
+    # H0 g overflows only in the lifted rows 5 onward; every prediction is
+    # finite, but the estimate of those rows is not
+    z, u = noisy_stream(7, 300)
+    h0 = np.hstack((0.5 * np.eye(ZDIM), np.zeros((ZDIM, UDIM))))
+    h0[5:] = 1e308
+    config = AdapterConfig(mode=mode, eps_reg=1e-3)
+    with pytest.raises(np.linalg.LinAlgError, match=f"^non-finite {mode} estimate"):
+        identity_lift_run(monkeypatch, h0, z, u, config, diagnostics)
 
 
 @pytest.mark.parametrize("mode", ["SWLS", "RLS", "FFRLS", "frozen"])

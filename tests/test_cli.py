@@ -267,6 +267,27 @@ FAILURES = [
     fails("inspect-dt-string", "inspect CKPT", 2,
           "error: checkpoint CKPT: dt is '0.025', not a number",
           edit=lambda doc: doc.update(dt="0.025")),
+    # so are the weights and the parameter and normalizer entries; a value of
+    # the wrong type or length is named by its key and entry
+    *(fails(f"inspect-{row_id}", "inspect CKPT", 2, f"error: checkpoint CKPT: {message}",
+            edit=edit)
+      for row_id, message, edit in [
+          ("loss-weight-string", "loss_weights['accel'] is '1', not a number",
+           lambda doc: doc["loss_weights"].update(accel="1")),
+          ("loss-weight-true", "loss_weights['accel'] is True, not a number",
+           lambda doc: doc["loss_weights"].update(accel=True)),
+          ("normalizer-string", "normalizer_min[0] is 'a', not a number",
+           lambda doc: doc["normalizer_min"].__setitem__(0, "a")),
+          ("normalizer-short", "normalizer_max has 4 entries, not 5",
+           lambda doc: doc["normalizer_max"].pop()),
+          ("theta-string", "theta_encoder[0] is 'a', not a number",
+           lambda doc: doc["theta_encoder"].__setitem__(0, "a")),
+          # a JSON integer past the float range names the file
+          ("theta-huge-int", "int too large to convert to float",
+           lambda doc: doc["theta_encoder"].__setitem__(0, 10 ** 400)),
+          ("final-epoch-string",
+           "meta['final_epoch'] is 'x', not a non-negative integer",
+           lambda doc: doc["meta"].update(final_epoch="x"))]),
     # a missing output directory fails before any input is read
     *(fails(row_id, argv, 2, f"error: {setting}: output directory /nonexistent/dir "
             "does not exist", edit=edit)
