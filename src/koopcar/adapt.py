@@ -179,7 +179,7 @@ def init(A0: np.ndarray, B0: np.ndarray, z0: np.ndarray, u0: np.ndarray,
     B0 = np.asarray(B0, dtype=np.float64)
     z0 = np.asarray(z0, dtype=np.float64).ravel()
     u0 = np.asarray(u0, dtype=np.float64).ravel()
-    if A0.shape[0] != A0.shape[1] or A0.shape[0] != z0.shape[0]:
+    if A0.shape != (z0.shape[0], z0.shape[0]):
         raise ValueError("A0 must be square and match the lifted dim")
     if B0.shape != (z0.shape[0], u0.shape[0]):
         raise ValueError("B0 must map inputs to the lifted dim")

@@ -242,19 +242,31 @@ def _norm_term(residual: np.ndarray) -> tuple[float, np.ndarray]:
     return value, (2.0 / residual.shape[0]) * residual
 
 
-def _prepared_arrays(model: KoopmanModel, batch: PairBatch) -> dict:
-    """The loss's arrays of a non-empty batch at the model's sample time."""
-    if len(batch) == 0:
+def _prepared_arrays(model: KoopmanModel, batch: PairBatch,
+                     rows=slice(None)) -> dict:
+    """The loss's arrays of the selected `rows` (an index array or a slice)
+    of a batch at the model's sample time; the selection must be non-empty.
+
+    The raw fields are gathered one at a time, each released before the
+    next: x_next (with acc_next while `a_meas` is formed), then x_now, then
+    u_now. A gathered selection thus holds at most two raw fields beside the
+    result. Every step is row-wise, so the arrays are bitwise those of
+    `batch.subset(rows)`.
+    """
+    x_next = batch.x_next[rows]
+    if len(x_next) == 0:
         raise ValueError("empty batch")
     check_sample_time(model, batch)
-    return {
-        "xi": np.ascontiguousarray(model.x_norm.apply(batch.x_now)),
-        "ui": np.ascontiguousarray(model.u_norm.apply(batch.u_now)),
-        "xi1": np.ascontiguousarray(model.x_norm.apply(batch.x_next)),
-        "v_now": np.ascontiguousarray(batch.x_now[:, :2]),
-        "a_meas": np.ascontiguousarray(
-            measured_accel_combination(batch.x_next, batch.acc_next)),
-    }
+    arrs = {"a_meas": np.ascontiguousarray(
+                measured_accel_combination(x_next, batch.acc_next[rows])),
+            "xi1": np.ascontiguousarray(model.x_norm.apply(x_next))}
+    del x_next
+    x_now = batch.x_now[rows]
+    arrs["xi"] = np.ascontiguousarray(model.x_norm.apply(x_now))
+    arrs["v_now"] = np.ascontiguousarray(x_now[:, :2])
+    del x_now
+    arrs["ui"] = np.ascontiguousarray(model.u_norm.apply(batch.u_now[rows]))
+    return arrs
 
 
 def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
@@ -439,13 +451,14 @@ def train(pairs: PairBatch, config: TrainConfig,
     `config.feature_dim` features and starts A and B from the least-squares
     fit of the normalized training pairs; the model's dt is always the pairs'
     sample time. The pair set is split (seeded shuffle) into train/holdout;
-    the normalizer is fit on the training split only. Every pair is normalized
-    once into one prepared table; each epoch gathers its shuffled training
-    rows into one preallocated buffer, whose contiguous slices are the
-    batches. The holdout loss is evaluated in chunks of `BLOCK_ROWS` pairs,
-    gathered one chunk at a time and weighted by their length, so its
-    temporaries stay bounded for any data length. Aborts on a non-finite loss
-    naming the offending batch. Passing `init_model` resumes from its network,
+    the normalizer is fit on the training split only. The pairs are the one
+    copy of the data: each epoch gathers and normalizes its shuffled
+    training rows into fresh arrays, whose contiguous slices are the batches,
+    after the previous epoch's arrays are released. The holdout loss is
+    evaluated in chunks of `BLOCK_ROWS` pairs, gathered and normalized one
+    chunk at a time and weighted by their length, so its temporaries stay
+    bounded for any data length. Aborts on a non-finite loss naming the
+    offending batch. Passing `init_model` resumes from its network,
     parameters and normalizer (epoch numbering continues from its recorded
     final epoch), so `config.hidden` and `config.feature_dim` are not read;
     its dt must be the pairs' sample time. The best epoch and its holdout
@@ -463,8 +476,7 @@ def train(pairs: PairBatch, config: TrainConfig,
         normalizer, theta = init_model.normalizer, init_model.theta.copy()
         epoch0 = int(init_model.meta.get("final_epoch", 0))
     else:
-        normalizer = Normalizer.fit(
-            np.hstack((pairs.x_now[train_rows], pairs.u_now[train_rows])))
+        normalizer = Normalizer.fit(pairs.x_now[train_rows], pairs.u_now[train_rows])
         p, d = config.feature_dim, N_STATES + config.feature_dim
         enc_widths = (N_STATES, *config.hidden, p)
         dec_widths = (p, *reversed(config.hidden), N_STATES)
@@ -475,18 +487,10 @@ def train(pairs: PairBatch, config: TrainConfig,
     model = KoopmanModel(enc_widths, dec_widths, theta, normalizer,
                          pairs.dt, config.weights)
     layout, weights = model.layout, model.weights
-    table = _prepared_arrays(model, pairs)
     n_train, n_hold = len(train_rows), len(hold_rows)
-    epoch_arrs = {k: np.empty((n_train, v.shape[1])) for k, v in table.items()}
-
-    def gather(rows):
-        # mode="clip" writes straight into `out`; "raise" would buffer a copy
-        for k, v in table.items():
-            np.take(v, rows, axis=0, out=epoch_arrs[k], mode="clip")
-
     if init_model is None:
-        gather(train_rows)
-        _least_squares_ab(*layout.blocks(theta)[2:], epoch_arrs)
+        _least_squares_ab(*layout.blocks(theta)[2:],
+                          _prepared_arrays(model, pairs, train_rows))
 
     adam = AdamState.create(layout.size, lr=config.learning_rate)
 
@@ -494,7 +498,7 @@ def train(pairs: PairBatch, config: TrainConfig,
         sums = np.zeros(4)
         for start in range(0, n_hold, BLOCK_ROWS):
             rows = hold_rows[start:start + BLOCK_ROWS]
-            arrs = {k: v[rows] for k, v in table.items()}
+            arrs = _prepared_arrays(model, pairs, rows)
             terms, _ = _loss_and_grad(th, model, arrs, want_grad=False)
             sums += np.array(terms) * len(rows)
         return LossTerms(*(sums / n_hold)).total(weights)
@@ -505,8 +509,11 @@ def train(pairs: PairBatch, config: TrainConfig,
     history: list[EpochRecord] = []
 
     for epoch in range(1, config.epochs + 1):
-        # one gather per epoch; batches are contiguous slices of it
-        gather(train_rows[rng.permutation(n_train)])
+        # One gather per epoch, whose contiguous slices are the batches. The
+        # last epoch's arrays, and the last batch's views of them, go first.
+        epoch_arrs = arrs = None
+        epoch_arrs = _prepared_arrays(model, pairs,
+                                      train_rows[rng.permutation(n_train)])
         sums = np.zeros(4)
         for bi, start in enumerate(range(0, n_train, config.batch_size)):
             stop = min(start + config.batch_size, n_train)

@@ -116,12 +116,16 @@ class Normalizer:
             raise ValueError("per-channel min must not exceed max")
 
     @classmethod
-    def fit(cls, columns: np.ndarray) -> "Normalizer":
-        """Fit from a (samples, channels) array."""
-        cols = np.asarray(columns, dtype=np.float64)
-        if cols.ndim != 2 or cols.shape[0] < 1:
-            raise ValueError("need a non-empty (samples, channels) array")
-        return cls(lo=cols.min(axis=0), hi=cols.max(axis=0))
+    def fit(cls, *blocks: np.ndarray) -> "Normalizer":
+        """Fit from (samples, channels) arrays of the same samples, their
+        channels in order: `fit(np.hstack(blocks))` without the stacked copy."""
+        cols = [np.asarray(b, dtype=np.float64) for b in blocks]
+        if not cols or any(c.ndim != 2 or c.shape[0] < 1 for c in cols):
+            raise ValueError("need non-empty (samples, channels) arrays")
+        if len({c.shape[0] for c in cols}) > 1:
+            raise ValueError("the arrays must share the sample axis")
+        return cls(lo=np.concatenate([c.min(axis=0) for c in cols]),
+                   hi=np.concatenate([c.max(axis=0) for c in cols]))
 
     @property
     def half_range(self) -> np.ndarray:
@@ -139,8 +143,14 @@ class Normalizer:
     def apply(self, x: np.ndarray) -> np.ndarray:
         self._check_width(x)
         span = self.hi - self.lo
-        safe = np.where(span > 0.0, span, 1.0)
-        return np.where(span > 0.0, (2.0 * (x - self.lo) / safe) - 1.0, 0.0)
+        varies = span > 0.0
+        # 2 (x - lo) / span - 1, one operation at a time in one new array
+        out = np.subtract(x, self.lo)
+        out *= 2.0
+        out /= np.where(varies, span, 1.0)
+        out -= 1.0
+        out[..., ~varies] = 0.0
+        return out
 
     def invert(self, x: np.ndarray) -> np.ndarray:
         self._check_width(x)

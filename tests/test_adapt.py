@@ -67,6 +67,14 @@ def test_init_validates_shapes():
         AdapterConfig(forgetting=0.0)
 
 
+@pytest.mark.parametrize("a0", [np.zeros(3), np.zeros((3, 3, 1)),
+                                np.zeros((3, 4)), np.eye(4)])
+def test_init_refuses_an_a0_that_is_not_the_lifted_square(a0):
+    # a vector A0 raised IndexError reading A0.shape[1]
+    with pytest.raises(ValueError, match="^A0 must be square and match the"):
+        init(a0, np.zeros((3, 2)), np.zeros(3), np.zeros(2), AdapterConfig())
+
+
 def test_each_mode_has_one_forgetting_factor_and_ridge():
     k = np.arange(1, 4)
     ffrls = AdapterConfig(mode="FFRLS", forgetting=0.5)

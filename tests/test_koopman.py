@@ -569,11 +569,35 @@ def test_chunked_holdout_matches_single_batch(monkeypatch, chunks):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("kind", ["shuffled", "sorted", "single", "all"])
+def test_prepared_rows_equal_prepared_subset(quick_model, short_mixed, kind):
+    pairs = PairBatch.from_trajectory(short_mixed)
+    n, rng = len(pairs), np.random.default_rng(29)
+    rows = {"shuffled": rng.permutation(n),
+            "sorted": np.sort(rng.choice(n, size=n // 3, replace=False)),
+            "single": rng.integers(n, size=1),
+            "all": np.arange(n)}[kind]
+    got = koopman._prepared_arrays(quick_model, pairs, rows)
+    expect = koopman._prepared_arrays(quick_model, pairs.subset(rows))
+    assert got.keys() == expect.keys()
+    for key, v in expect.items():
+        assert got[key].flags.c_contiguous, key
+        assert got[key].shape == v.shape, key
+        assert np.array_equal(got[key].view(np.uint64), v.view(np.uint64)), key
+
+
+def test_prepared_arrays_refuse_an_empty_selection(quick_model, short_mixed):
+    pairs = PairBatch.from_trajectory(short_mixed)
+    with pytest.raises(ValueError, match="empty batch"):
+        koopman._prepared_arrays(quick_model, pairs, np.arange(0))
+
+
 def train_by_subsets(pairs, config):
-    """`train` with subset copies of both splits, a fresh `v[perm]` gather per
-    epoch and the holdout in one batch: the oracle for the one prepared
-    table, the gather buffer and the chunked holdout. Returns the best theta
-    and the history rows (four training terms, their total, holdout total)."""
+    """`train` with subset copies of both splits, normalized once, a fresh
+    `v[perm]` gather of the normalized training split per epoch and the
+    holdout in one batch: the oracle for `train`'s gathers of raw rows, which
+    it normalizes per epoch and per holdout chunk. Returns the best theta and
+    the history rows (four training terms, their total, holdout total)."""
     rng = np.random.default_rng(config.seed)
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
     train_pairs, hold_pairs = pairs.subset(train_rows), pairs.subset(hold_rows)
@@ -628,13 +652,15 @@ def test_train_equals_subset_copy_data_flow(short_mixed):
 
 
 def test_train_memory_stays_under_measured_bound():
-    # 12,000 pairs, one epoch: measured traced peak 3.77 MB (7.34 MB with
-    # subset copies of both splits, two shuffled copies of the training split
-    # and 3,600 holdout pairs in one chunk)
+    # 12,000 pairs, one epoch: measured traced peak 2.62 MB when each epoch
+    # and holdout chunk gathers and normalizes its rows from the pairs (3.77 MB
+    # with a normalized table of every pair beside the epoch buffer, 7.34 MB
+    # with subset copies of both splits, two shuffled copies of the training
+    # split and 3,600 holdout pairs in one chunk)
     pairs = synthetic_linear_pairs(n=12_000, seed=28)
     cfg = TrainConfig(seed=28, epochs=1)
     _, peak = traced_peak(lambda: train(pairs, cfg))
-    assert peak < 4.5e6, peak
+    assert peak < 3.0e6, peak
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

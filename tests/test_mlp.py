@@ -242,6 +242,17 @@ def test_normalizer_checks_the_channel_count():
 def test_normalizer_rejects_empty():
     with pytest.raises(ValueError):
         Normalizer.fit(np.zeros((0, 3)))
+    with pytest.raises(ValueError):
+        Normalizer.fit()
+
+
+def test_normalizer_fits_blocks_as_their_stack():
+    rng = np.random.default_rng(10)
+    x, u = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    norm, stacked = Normalizer.fit(x, u), Normalizer.fit(np.hstack((x, u)))
+    assert np.array_equal(norm.lo, stacked.lo) and np.array_equal(norm.hi, stacked.hi)
+    with pytest.raises(ValueError, match="share the sample axis"):
+        Normalizer.fit(x, u[:-1])
 
 
 @pytest.mark.parametrize("bound", ["lo", "hi"])
