@@ -1,16 +1,16 @@
 """Vehicle-physics and dense-network kernels.
 
 `rk4_stepper` is the one place the plant's equations are written: the four
-Magic Formula tires, the planar dynamics and the RK4 stages, one Python call
-per step. With `xp=math` it runs on Python floats, as the sequential time
-loop `simulate_path` (called by `vehicle.run_schedule`) uses it; with
-`xp=np` the same source runs elementwise on arrays, as `one_step_batch`
-(called by `evaluation.physics_baseline`) advances many rows at once. Both
-perform the same operations in the same order, so they differ only by the
-last-bit rounding of numpy's and libm's transcendental functions. Values
-that do not change between stages are computed once, with their operands
-in the same order, so the results are bitwise those of evaluating each tire
-and each term separately in every stage.
+Magic Formula tires, the planar dynamics and the four RK4 evaluations, one
+Python call per step. With `xp=math` it runs on Python floats, as the
+sequential time loop `simulate_path` (called by `vehicle.run_schedule`)
+uses it; with `xp=np` the same source runs elementwise on arrays, as
+`one_step_batch` (called by `evaluation.physics_baseline`) advances many
+rows at once. Both perform the same operations in the same order, so they
+differ only by the last-bit rounding of numpy's and libm's transcendental
+functions. Values that do not change within a step are computed once, with
+their operands in the same order, so the results are bitwise those of
+evaluating each tire and each term separately in every evaluation.
 
 The dense-network kernels work on a flat parameter vector at the offsets of
 an `mlp.MlpLayout`; `koopman.lift` and the training loss call them directly.
@@ -26,12 +26,11 @@ BATCH_ROWS = 4096  # rows per block of `one_step_batch`; bounds its temporaries
 
 
 def rk4_stepper(params, h, xp=math):
-    """Return `step(vx, vy, wr, drive, steer, cd, sd, stages=4)`: one RK4
-    step over `h` of the planar four-wheel model of the `vehicle.VehicleParams`
+    """Return `step(vx, vy, wr, drive, steer, cd, sd)`: one RK4 step over
+    `h` of the planar four-wheel model of the `vehicle.VehicleParams`
     `params`, holding the input (drive = torque/rw, cd = cos(steer), sd =
     sin(steer)). It returns (vx', vy', wr', dvx, dvy, dwr): the state after
-    `h` and the derivative at the start; with stages=1, the derivative
-    (dvx, dvy, dwr) alone.
+    `h` and the derivative at the start, which no later stage changes.
 
     Wheels are 1 front-left, 2 front-right, 3 rear-left, 4 rear-right. The
     torque and the lumped rolling and aero resistance split evenly over the
@@ -58,9 +57,9 @@ def rk4_stepper(params, h, xp=math):
     half_h = 0.5 * h
     atan, atan2, sin = xp.atan, xp.atan2, xp.sin
 
-    def step(vx, vy, wr, drive, steer, cd, sd, stages=4):
+    def step(vx, vy, wr, drive, steer, cd, sd):
         x, y, r = vx, vy, wr
-        for stage in range(stages):
+        for stage in range(4):
             # per-wheel longitudinal force (identical on all four wheels)
             fx = 0.25 * (drive - (roll_force + drag * x * x))
 
@@ -100,7 +99,6 @@ def rk4_stepper(params, h, xp=math):
             x = vx + c * dvx
             y = vy + c * dvy
             r = wr + c * dwr
-        return kx, ky, kr
 
     return step
 
@@ -115,7 +113,8 @@ def simulate_path(x0, torques, steers, dt, substeps, params):
     fail_index >= 0 flags the first step where Vx fell to the validity floor
     or became NaN. The loop runs on Python floats, computes the input terms
     once per sample, and writes each sample into the preallocated outputs
-    through flat memoryviews.
+    through flat memoryviews. Of the step from the last sample, only the
+    derivative at its start is kept.
     """
     n = torques.shape[0]
     states = np.zeros((n, 3))
@@ -128,7 +127,6 @@ def simulate_path(x0, torques, steers, dt, substeps, params):
     step = rk4_stepper(params, dt / substeps)
     cos, sin = math.cos, math.sin
     vx, vy, wr = float(x0.Vx), float(x0.Vy), float(x0.wr)
-    last = n - 1
     fail = -1
     for k in range(n):
         if not (vx > VALIDITY_FLOOR):
@@ -141,16 +139,12 @@ def simulate_path(x0, torques, steers, dt, substeps, params):
         out_x[3 * k] = vx
         out_x[3 * k + 1] = vy
         out_x[3 * k + 2] = wr
-        if k < last:
-            nx, ny, nr, dvx, dvy, _ = step(vx, vy, wr, drive, steer, cd, sd)
-            for _ in range(1, substeps):
-                nx, ny, nr, *_ = step(nx, ny, nr, drive, steer, cd, sd)
-        else:   # the last sample needs only its derivative
-            dvx, dvy, _ = step(vx, vy, wr, drive, steer, cd, sd, 1)
+        nx, ny, nr, dvx, dvy, _ = step(vx, vy, wr, drive, steer, cd, sd)
         out_a[2 * k] = dvx - vy * wr
         out_a[2 * k + 1] = dvy + vx * wr
-        if k < last:
-            vx, vy, wr = nx, ny, nr
+        for _ in range(1, substeps):
+            nx, ny, nr, *_ = step(nx, ny, nr, drive, steer, cd, sd)
+        vx, vy, wr = nx, ny, nr
     return states, accels, fail
 
 

@@ -45,13 +45,18 @@ def _options(parser: _Parser) -> dict[str, str]:
 
 
 def read_config_file(path) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+    """The file's settings; a key given twice is a usage error."""
+    cfg, lines = {}, {}   # key -> value, key -> line number
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             key, eq, val = line.split("#", 1)[0].partition("=")
+            key = key.strip()
             if eq:
-                cfg[key.strip()] = val.strip()
-            elif key.strip():
+                if key in lines:
+                    raise UsageError(f"{path}: key {key!r} is given twice, on "
+                                     f"lines {lines[key]} and {lineno}")
+                cfg[key], lines[key] = val.strip(), lineno
+            elif key:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
     return cfg
 
@@ -193,7 +198,7 @@ def _adapter_config(args, mode: str, window: int) -> adapt_mod.AdapterConfig:
 
 # The methods of `compare`, matched case-insensitively: name -> (checkpoint
 # key, adapter mode). The physics baseline has no checkpoint; a method without
-# an adapter predicts with the trained A and B.
+# an adapter mode keeps `MethodSpec`'s frozen default, the trained A and B.
 METHODS = {"PHYS-BASELINE": (None, None),
            "DK": ("checkpoint.dk", None),
            "ALDK": ("checkpoint.aldk", None),
@@ -225,8 +230,8 @@ def _build_methods(args, windows) -> list[list[ev.MethodSpec]]:
     def spec(name: str, window: int) -> ev.MethodSpec:
         key, mode = METHODS[name.upper()]
         if key is None:
-            return ev.MethodSpec(name=name, assumed_params=ev.baseline_params())
-        adapter = None if mode is None else _adapter_config(args, mode, window)
+            return ev.MethodSpec(name=name)
+        adapter = {} if mode is None else {"adapter": _adapter_config(args, mode, window)}
         method, path = key.split(".")[1].upper(), getattr(args, key)
         if path is None:
             raise UsageError(f"method {method} needs a checkpoint path ({key})")
@@ -234,7 +239,7 @@ def _build_methods(args, windows) -> list[list[ev.MethodSpec]]:
             if not Path(path).exists():
                 raise FileNotFoundError(f"method {method}: missing checkpoint {path}")
             models[key] = km.load_checkpoint(path)
-        return ev.MethodSpec(name=name, model=models[key], adapter=adapter)
+        return ev.MethodSpec(name=name, model=models[key], **adapter)
 
     names = _method_names(args)
     return [[spec(name, window) for name in names] for window in windows]
@@ -255,6 +260,9 @@ def cmd_compare(args) -> int:
         given = args.given["sweep_window"]
         if not args.sweep_window:
             raise UsageError(f"{given}: names no window length")
+        for i, m_len in enumerate(args.sweep_window):
+            if m_len in args.sweep_window[:i]:
+                raise UsageError(f"{given}: window length {m_len} is named twice")
         if "SWLS" not in (METHODS[n.upper()][1] for n in _method_names(args)):
             raise UsageError(f"{given}: only ALDK-SWLS reads the window, but "
                              f"{args.given['methods']} does not name it")

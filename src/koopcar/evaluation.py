@@ -17,7 +17,8 @@ import numpy as np
 
 from . import _kernels
 from .adapt import AdapterConfig, adapt_run
-from .koopman import KoopmanModel, check_sample_time, one_step_predictions
+# unused here, but perfbench's tracer patches `one_step_predictions` by name
+from .koopman import KoopmanModel, one_step_predictions
 from .scenarios import Scenario, make_scenario, run_scenario
 from .vehicle import (VALIDITY_FLOOR, ModelValidityError, Trajectory,
                       VehicleParams, write_rows)
@@ -71,18 +72,14 @@ def error_series(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One comparison entry: the physics baseline under `assumed_params` when
-    there is no model, else the model, re-fitted online by `adapter` if any."""
+    """One comparison entry: the physics baseline without a model, else the
+    model run through `adapt_run` with `adapter`, by default frozen."""
     name: str
     model: KoopmanModel | None = None
-    adapter: AdapterConfig | None = None
-    assumed_params: VehicleParams | None = None
+    adapter: AdapterConfig = AdapterConfig(mode="frozen")
 
     def __post_init__(self):
-        if (self.model is None) == (self.assumed_params is None):
-            raise ValueError(f"{self.name}: needs either a model or, for the "
-                             f"physics baseline, assumed params")
-        if self.model is None and self.adapter is not None:
+        if self.model is None and self.adapter.mode != "frozen":
             raise ValueError(f"{self.name}: an adapter needs a model")
 
 
@@ -114,18 +111,14 @@ def physics_baseline(params_assumed: VehicleParams,
 
 def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
     """One-step-ahead predictions for steps 1..K-1 of the trajectory: the
-    physics baseline without a model, the trained A and B without an
-    adapter, else `adapt_run`.
+    physics baseline under `baseline_params()` without a model, else
+    `adapt_run`.
 
     A data-driven method raises ValueError when the trajectory's sample time
     is not the model's dt.
     """
     if spec.model is None:
-        return physics_baseline(spec.assumed_params, trajectory)
-    if spec.adapter is None:
-        check_sample_time(spec.model, trajectory)
-        return one_step_predictions(spec.model, trajectory.states[:-1],
-                                    trajectory.inputs[:-1])
+        return physics_baseline(baseline_params(), trajectory)
     return adapt_run(spec.model, trajectory, spec.adapter).predictions
 
 
@@ -137,6 +130,7 @@ class MethodResult:
     name: str
     metrics: ChannelMetrics
     runtime_s: float
+    errors: np.ndarray   # (K-1, 3) `error_series` of the predictions
 
 
 @dataclass
@@ -144,7 +138,6 @@ class ComparisonReport:
     scenario_name: str
     trajectory_sha: str
     results: list[MethodResult] = field(default_factory=list)
-    errors_by_method: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _trajectory_sha(tr: Trajectory) -> str:
@@ -179,8 +172,8 @@ def run_comparison(methods: list[MethodSpec], scenario: Scenario,
         except ValueError as exc:
             raise ValueError(f"{spec.name} on {scenario.name}: {exc}") from None
         report.results.append(MethodResult(
-            name=spec.name, metrics=scores, runtime_s=elapsed))
-        report.errors_by_method[spec.name] = error_series(preds, truth)
+            name=spec.name, metrics=scores, runtime_s=elapsed,
+            errors=error_series(preds, truth)))
     return report
 
 
@@ -237,7 +230,7 @@ def write_report_files(report: ComparisonReport, table_path, machine_path,
         fh.write("method,k,err_Vx_kmh,err_Vy_kmh,err_wr_degs\n")
         for res in report.results:
             write_rows(fh, res.name.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g\n",
-                       (report.errors_by_method[res.name],), first_index=1)
+                       (res.errors,), first_index=1)
 
 
 def write_timing_sidecar(report: ComparisonReport, path) -> None:

@@ -449,8 +449,8 @@ def train(pairs: PairBatch, config: TrainConfig,
 
     A fresh run builds a network of `config.hidden` widths and
     `config.feature_dim` features and starts A and B from the least-squares
-    fit of the normalized training pairs; the model's dt is always the pairs'
-    sample time. The pair set is split (seeded shuffle) into train/holdout;
+    fit of the normalized training pairs, of which it refuses fewer than 2
+    (ValueError); the model's dt is always the pairs' sample time. The pair set is split (seeded shuffle) into train/holdout;
     the normalizer is fit on the training split only. The pairs are the one
     copy of the data: each epoch gathers and normalizes its shuffled
     training rows into fresh arrays, whose contiguous slices are the batches,
@@ -470,6 +470,10 @@ def train(pairs: PairBatch, config: TrainConfig,
         raise ValueError("need at least 4 pairs to train")
     rng = np.random.default_rng(config.seed)
     train_rows, hold_rows = split_pairs(len(pairs), config.holdout_fraction, rng)
+    if init_model is None and len(train_rows) < 2:
+        raise ValueError(f"holdout_fraction {config.holdout_fraction} leaves "
+                         f"{len(train_rows)} training and {len(hold_rows)} holdout pairs; "
+                         f"a fresh run's least-squares start needs at least 2")
 
     if init_model is not None:
         enc_widths, dec_widths = init_model.enc_widths, init_model.dec_widths

@@ -17,7 +17,7 @@ def planar_rhs(vx, vy, wr, torque, steer, params, xp=math):
     `_kernels.rk4_stepper`."""
     step = _kernels.rk4_stepper(params, 0.0, xp)   # the derivative ignores h
     return step(vx, vy, wr, torque / params.rw, steer, xp.cos(steer),
-                xp.sin(steer), 1)
+                xp.sin(steer))[3:]
 
 
 def rk4_step(vx, vy, wr, torque, steer, dt, substeps, params):

@@ -88,12 +88,13 @@ FAILURES = [
             test="test_simulate_custom_scenario_rejects_unread_keys")
       for line in ("scenario.substeps = 4", "params.mass = 1900", "initial.vx = 3.0")),
     *(fails(row_id, "simulate --config CFG --out OUT", 1, f"CFG: {message}",
-            edit=f"{CUSTOM}{line}\n", test="test_simulate_checks_input_program_keys")
-      for row_id, line, message in [
-          ("unread-argument", "input.torqeu = 300", "unknown key 'input.torqeu'"),
-          ("not-a-number", "input.torque = 3OO",
+            edit=edit, test="test_simulate_checks_input_program_keys")
+      for row_id, edit, message in [
+          ("unread-argument", f"{CUSTOM}input.torqeu = 300\n",
+           "unknown key 'input.torqeu'"),
+          ("not-a-number", f"{CUSTOM}input.torque = 3OO\n",
            "key 'input.torque': '3OO' is not a number"),
-          ("unknown-program", "input.kind = coast",
+          ("unknown-program", CUSTOM.replace("= constant", "= coast"),
            "key 'input.kind': unknown input program 'coast'")]),
     fails("custom-scenario-named-flags", "simulate --config CFG --duration 5 "
           "--dm 500 --dt 0.05 --scenario slalom --out OUT", 1,
@@ -179,6 +180,9 @@ FAILURES = [
           f"{COMPARE} --methods PHYS-BASELINE --sweep-window 0,5 --out OUT", 1,
           "--sweep-window: only ALDK-SWLS reads the window, but --methods "
           "does not name it"),
+    fails("compare-sweep-window-twice",
+          f"compare {COMPARE_SETTINGS} --sweep-window 25,50,25 --out OUT", 1,
+          "--sweep-window: window length 25 is named twice"),
     # every window length is checked before the first report is written
     *(fails(row_id, f"{command} --out OUT", 2, "error: window length must be >= 1, got 0")
       for row_id, command in [
@@ -312,6 +316,10 @@ FAILURES = [
           ("scenario-dur", "compare --methods PHYS-BASELINE --scenario step_steer "
                            "--scenario-dur 2"),
           ("forget", "adapt --checkpoint CKPT --data TRAJ --mode FFRLS --forget 0.9")]),
+    # a key given twice would let the last value win without a word
+    fails("config-key-twice", "simulate --scenario step_steer --config CFG --out OUT", 1,
+          "CFG: key 'duration' is given twice, on lines 1 and 3",
+          edit="duration = 2\ndt = 0.025\nduration = 3\n"),
     *(row for args in [
         ("train", "--data TRAJ --seed 5 --hidden 8 --feature-dim 2", "epochs", "abc"),
         ("train", TRAIN_SETTINGS, "learning_rate", "fast"),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from koopcar import evaluation
-from koopcar.adapt import AdapterConfig
+from koopcar import adapt
+from koopcar.adapt import AdapterConfig, adapt_run
 from koopcar.evaluation import (ChannelMetrics, MethodSpec, baseline_params,
                                 error_series, format_report_table, metrics,
                                 physics_baseline, run_comparison, run_method,
                                 scenario_suite, write_report_files)
+from koopcar.koopman import one_step_predictions
 from koopcar.scenarios import (InputProgram, Scenario, make_scenario,
                                run_scenario)
 from koopcar.vehicle import (MagicFormulaParams, ModelValidityError,
@@ -133,34 +134,34 @@ def test_baseline_rejects_first_row_at_validity_floor(short_mixed):
 
 def test_run_method_rejects_sample_time_mismatch(quick_model):
     coarse = run_scenario(make_scenario("mixed", duration=5.0, dt=0.05))
-    for adapter in (None, AdapterConfig(mode="frozen"),
-                    AdapterConfig(mode="SWLS", window=20)):
-        spec = MethodSpec(name="ALDK", model=quick_model, adapter=adapter)
+    for spec in (MethodSpec(name="ALDK", model=quick_model),
+                 MethodSpec(name="ALDK", model=quick_model,
+                            adapter=AdapterConfig(mode="SWLS", window=20))):
         with pytest.raises(ValueError, match="sample time"):
             run_method(spec, coarse)
-    phys = MethodSpec(name="PHYS-BASELINE", assumed_params=VehicleParams())
+    phys = MethodSpec(name="PHYS-BASELINE")
     assert run_method(phys, coarse).shape == (len(coarse) - 1, 3)
 
 
 def test_run_method_dispatches_on_the_spec_not_its_name(quick_model, short_mixed):
-    # the name is only a label: no model runs the physics baseline, a frozen
-    # adapter is the trained A and B bit for bit
-    params = baseline_params()
-    phys = run_method(MethodSpec(name="ALDK", assumed_params=params), short_mixed)
-    assert np.array_equal(phys, physics_baseline(params, short_mixed))
+    # the name is only a label: no model runs the physics baseline under
+    # `baseline_params()`, a model without an adapter is the frozen run, the
+    # trained A and B bit for bit
+    phys = run_method(MethodSpec(name="ALDK"), short_mixed)
+    assert np.array_equal(phys, physics_baseline(baseline_params(), short_mixed))
     plain = run_method(MethodSpec(name="PHYS-X", model=quick_model), short_mixed)
-    frozen = run_method(MethodSpec(name="x", model=quick_model,
-                                   adapter=AdapterConfig(mode="frozen")),
-                        short_mixed)
-    assert np.array_equal(plain, frozen)
+    frozen = adapt_run(quick_model, short_mixed, AdapterConfig(mode="frozen"))
+    assert np.array_equal(plain, frozen.predictions)
+    assert np.array_equal(plain, one_step_predictions(
+        quick_model, short_mixed.states[:-1], short_mixed.inputs[:-1]))
 
 
-def test_method_spec_needs_a_model_or_assumed_params(quick_model):
-    for kwargs in ({}, {"adapter": AdapterConfig()},
-                   {"assumed_params": VehicleParams(), "adapter": AdapterConfig()},
-                   {"model": quick_model, "assumed_params": VehicleParams()}):
-        with pytest.raises(ValueError, match="^m1: "):
-            MethodSpec(name="m1", **kwargs)
+def test_method_spec_adapter_needs_a_model(quick_model):
+    for mode in ("SWLS", "RLS", "FFRLS"):
+        with pytest.raises(ValueError, match="^m1: an adapter needs a model$"):
+            MethodSpec(name="m1", adapter=AdapterConfig(mode=mode))
+    MethodSpec(name="m1", adapter=AdapterConfig(mode="frozen"))
+    MethodSpec(name="m1", model=quick_model, adapter=AdapterConfig(mode="SWLS"))
 
 
 def test_metrics_rejects_non_finite_predictions():
@@ -174,7 +175,7 @@ def test_metrics_rejects_non_finite_predictions():
 def test_comparison_names_method_and_scenario_of_nan_predictions(
         monkeypatch, quick_model):
     # a NaN max and RMSE would pass `ChannelMetrics`' `rmse > max` test
-    monkeypatch.setattr(evaluation, "one_step_predictions",
+    monkeypatch.setattr(adapt, "one_step_predictions",
                         lambda model, states, inputs: np.full_like(states, np.nan))
     scenario = make_scenario("mixed", duration=5.0)
     with pytest.raises(ValueError, match=r"^ALDK on mixed: non-finite "
@@ -187,7 +188,7 @@ def test_comparison_names_method_and_scenario_of_nan_predictions(
 
 def comparison_methods(model):
     return [
-        MethodSpec(name="PHYS-BASELINE", assumed_params=baseline_params()),
+        MethodSpec(name="PHYS-BASELINE"),
         MethodSpec(name="ALDK", model=model),
         MethodSpec(name="ALDK-SWLS", model=model,
                    adapter=AdapterConfig(mode="SWLS", window=100)),

@@ -472,6 +472,20 @@ def test_train_takes_feature_count_from_config_and_dt_from_pairs():
     assert resumed.model.dt == shifted.dt
 
 
+def test_train_refuses_a_fresh_split_without_two_training_pairs():
+    # 400 pairs at holdout_fraction 0.999 leave one training pair, too few for
+    # the least-squares start; a resumed run skips that start and trains on it
+    pairs = synthetic_linear_pairs(n=400, seed=29)
+    cfg = TrainConfig(seed=29, epochs=1, hidden=(4,), feature_dim=2,
+                      holdout_fraction=0.999)
+    with pytest.raises(ValueError, match=r"^holdout_fraction 0\.999 leaves 1 "
+                                         r"training and 399 holdout pairs"):
+        train(pairs, cfg)
+    start = train(pairs, dataclasses.replace(cfg, epochs=0, holdout_fraction=0.3))
+    resumed = train(pairs, cfg, init_model=start.model)
+    assert len(resumed.holdout_idx) == 399 and len(resumed.history) == 1
+
+
 @pytest.mark.parametrize("shape", [{"hidden": (4,), "feature_dim": 2},
                                    {"hidden": (5,), "feature_dim": 3},
                                    {}])

@@ -34,7 +34,7 @@ def tire_force(alpha, m, mu):
     """
     params = VehicleParams(m=m, lf=1.0, lr=1.0, mu=mu, drag=0.0, roll=0.0)
     step = _kernels.rk4_stepper(params, 0.0)
-    return step(10.0, 0.0, 0.0, 0.0, alpha, 1.0, 0.0, 1)[1] * m / 2
+    return step(10.0, 0.0, 0.0, 0.0, alpha, 1.0, 0.0)[4] * m / 2
 
 
 def static_load(m):
