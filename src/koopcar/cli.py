@@ -99,13 +99,18 @@ def _require(args, *keys: str) -> None:
 
 def _check_output_dirs(args) -> None:
     """Raise FileNotFoundError, naming the setting, for each output path in
-    `args.outputs` whose directory does not exist: before any input is read,
-    so that a mistyped path fails at once, not after the run has finished."""
+    `args.outputs` whose directory does not exist, and IsADirectoryError for
+    one that is a directory: before any input is read, so that a mistyped
+    path fails at once, not after the run has finished. compare's `out` is a
+    prefix of the files it writes, so a directory there is a valid prefix."""
     for key in args.outputs:
-        folder = os.path.dirname(getattr(args, key) or "")
+        path = getattr(args, key) or ""
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise FileNotFoundError(f"{args.given[key]}: output directory "
                                     f"{folder} does not exist")
+        if args.command != "compare" and os.path.isdir(path):
+            raise IsADirectoryError(f"{args.given[key]}: {path} is a directory")
 
 
 def _text(value) -> str:
@@ -276,8 +281,6 @@ def cmd_compare(args) -> int:
             stem = f"{args.out}_{scenario.name}" + (f"_M{m_len}" if sweep else "")
             ev.write_report_files(report, stem + ".table.txt",
                                   stem + ".metrics.csv", stem + ".series.csv")
-            if args.timings == "on":
-                ev.write_timing_sidecar(report, stem + ".timing.csv")
             print(ev.format_report_table(report))
             for res in report.results:
                 if METHODS[res.name.upper()][1] == "SWLS":
@@ -346,10 +349,6 @@ def auto_or_float(text: str):
     return text if text == "auto" else float(text)
 
 
-def _on_off(on: bool) -> dict:
-    return dict(choices=("on", "off"), default="on" if on else "off")
-
-
 def _add_adapter_args(p: _Parser) -> None:
     p.add_argument("--window", type=int, default=adapt_mod.AdapterConfig.window)
     p.add_argument("--forgetting", type=float,
@@ -380,7 +379,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--hidden", type=int_list, default=tc.hidden,
                          help="comma-separated hidden widths")
     p_train.add_argument("--feature-dim", type=int, default=tc.feature_dim)
-    p_train.add_argument("--accel-loss", **_on_off(True),
+    p_train.add_argument("--accel-loss", choices=("on", "off"), default="on",
                          help="include the acceleration loss term")
     p_train.add_argument("--log", help="training log CSV path")
     p_train.add_argument("--resume", help="checkpoint to continue from")
@@ -401,8 +400,6 @@ def build_parser() -> _Parser:
     _add_adapter_args(p_cmp)
     p_cmp.add_argument("--sweep-window", type=int_list,
                        help="comma list of window lengths")
-    p_cmp.add_argument("--timings", **_on_off(False),
-                       help="write wall-clock sidecar files")
     p_cmp.set_defaults(func=cmd_compare, outputs=("out",))
 
     p_adapt = sub.add_parser("adapt", help="stream one adaptation run")

@@ -3,14 +3,12 @@
 Each method produces one-step-ahead predictions over the same simulated
 trajectory; reports collect per-channel max |error| and RMSE in km/h for
 velocities and deg/s for yaw rate. Report files are deterministic given
-the config; per-method wall-clock timings stay on the in-memory report and
-an optional sidecar, never in the deterministic files.
+the config.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,7 +127,6 @@ def run_method(spec: MethodSpec, trajectory: Trajectory) -> np.ndarray:
 class MethodResult:
     name: str
     metrics: ChannelMetrics
-    runtime_s: float
     errors: np.ndarray   # (K-1, 3) `error_series` of the predictions
 
 
@@ -164,16 +161,13 @@ def run_comparison(methods: list[MethodSpec], scenario: Scenario,
     report = ComparisonReport(scenario_name=scenario.name,
                               trajectory_sha=_trajectory_sha(trajectory))
     for spec in methods:
-        t0 = time.perf_counter()
         preds = run_method(spec, trajectory)
-        elapsed = time.perf_counter() - t0
         try:
             scores = metrics(preds, truth)
         except ValueError as exc:
             raise ValueError(f"{spec.name} on {scenario.name}: {exc}") from None
         report.results.append(MethodResult(
-            name=spec.name, metrics=scores, runtime_s=elapsed,
-            errors=error_series(preds, truth)))
+            name=spec.name, metrics=scores, errors=error_series(preds, truth)))
     return report
 
 
@@ -231,11 +225,3 @@ def write_report_files(report: ComparisonReport, table_path, machine_path,
         for res in report.results:
             write_rows(fh, res.name.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g\n",
                        (res.errors,), first_index=1)
-
-
-def write_timing_sidecar(report: ComparisonReport, path) -> None:
-    """Non-deterministic wall-clock timings; excluded from determinism claims."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,runtime_s\n")
-        for res in report.results:
-            fh.write(f"{res.name},{res.runtime_s:.6f}\n")

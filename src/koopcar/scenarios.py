@@ -84,14 +84,19 @@ def _prog_mixed(t, params, *, v_mid=14.0, v_span=2.5, ay_max=12.0, torque_chirp=
     return torque, steer_cap * wave
 
 
-def _prog_slalom(t, params, *, period=100.0, steer_amp=0.015, speed0=5.556, speed1=25.0):
-    """Sinusoidal steering with a fixed period plus a torque ramp to build speed."""
-    steer = steer_amp * np.sin(2.0 * math.pi * t / period)
+def _speed_ramp(t, params, speed0, speed1):
+    """Torque for a linear speed ramp speed0 -> speed1 over the time grid:
+    the equilibrium torque of the target speed plus the ramp's inertial force."""
     span = float(t[-1]) if t[-1] > 0 else 1.0
     v_target = speed0 + (speed1 - speed0) * np.minimum(t / span, 1.0)
     accel_force = params.m * (speed1 - speed0) / span
-    torque = equilibrium_torque(v_target, params) + params.rw * accel_force
-    return torque, steer
+    return equilibrium_torque(v_target, params) + params.rw * accel_force
+
+
+def _prog_slalom(t, params, *, period=100.0, steer_amp=0.015, speed0=5.556, speed1=25.0):
+    """Sinusoidal steering with a fixed period plus a torque ramp to build speed."""
+    steer = steer_amp * np.sin(2.0 * math.pi * t / period)
+    return _speed_ramp(t, params, speed0, speed1), steer
 
 
 def _prog_step_steer(t, params, *, speed=15.0, step_time=5.0, steer=0.03):
@@ -102,11 +107,7 @@ def _prog_step_steer(t, params, *, speed=15.0, step_time=5.0, steer=0.03):
 
 def _prog_constant_radius(t, params, *, speed0=8.0, speed1=22.0, steer=0.025):
     """Fixed steering, slowly increasing speed (quasi-steady cornering sweep)."""
-    span = float(t[-1]) if t[-1] > 0 else 1.0
-    v_target = speed0 + (speed1 - speed0) * np.minimum(t / span, 1.0)
-    accel_force = params.m * (speed1 - speed0) / span
-    torque = equilibrium_torque(v_target, params) + params.rw * accel_force
-    return torque, np.full_like(t, steer)
+    return _speed_ramp(t, params, speed0, speed1), np.full_like(t, steer)
 
 
 _PROGRAMS = {

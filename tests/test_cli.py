@@ -39,7 +39,8 @@ def workdir(tmp_path_factory):
 # CFG's content; a function `edit` changes a copy of the checkpoint's JSON,
 # which CKPT then names. A row is run by `test_exit_code` unless it names
 # another `test`: the rows of a reject test folded into the table keep that
-# test's name and ids. A new CLI check lands here as a row.
+# test's name and ids. DIR names an existing directory. A new CLI check lands
+# here as a row.
 
 def fails(row_id, argv, code, message, edit=None, test="test_exit_code"):
     return test, pytest.param(argv, edit, code, message, id=row_id)
@@ -60,6 +61,12 @@ def config_value(command, settings, key, value):
 
 def reverse_channels(doc):
     doc["channels"].reverse()
+
+
+def snapshots(k):
+    """A trajectory file of k snapshots 0.025 s apart at a constant 15 m/s."""
+    return TRAJECTORY_HEADER + "\n" + "".join(f"{0.025 * i!r},15,0,0,100,0,0,0\n"
+                                              for i in range(k))
 
 
 CUSTOM = ("scenario.duration = 2\nscenario.dt = 0.025\ninitial.Vx = 15\n"
@@ -102,6 +109,9 @@ FAILURES = [
           edit=CUSTOM_300),
     fails("custom-scenario-named-key", "simulate --config CFG --out OUT", 1,
           "CFG: key 'dIz': set only a named scenario", edit=CUSTOM_300 + "dIz = 5\n"),
+    fails("custom-scenario-without-dt", "simulate --config CFG --out OUT", 1,
+          "CFG: missing required key 'scenario.dt'",
+          edit=CUSTOM.replace("scenario.dt = 0.025\n", "")),
     *(fails(f"{flag}-{value}", f"{STEP_STEER} --{flag} {value} --out OUT", 2,
             f"error: {message}", test="test_simulate_rejects_degenerate_scenario")
       for flag, value, message in [
@@ -140,6 +150,17 @@ FAILURES = [
           "feature_dim and hidden widths must be >= 1, got 0 and (32, 32)"),
     fails("hidden-width-0", f"{TRAIN} --hidden 32,0 --out OUT", 2,
           "feature_dim and hidden widths must be >= 1, got 12 and (32, 0)"),
+    fails("holdout-fraction-1.5", f"{TRAIN} --holdout-fraction 1.5 --out OUT", 2,
+          "error: holdout_fraction must be in (0, 1), got 1.5"),
+    fails("batch-size-0", f"{TRAIN} --batch-size 0 --out OUT", 2,
+          "error: batch_size must be >= 1 and epochs >= 0, got 0 and 1"),
+    # a trajectory file the reader or the command cannot use
+    fails("trajectory-header", "train --data CFG --seed 1 --out OUT", 2,
+          "error: unexpected trajectory header: 't,x'", edit="t,x\n0,1\n"),
+    fails("train-three-snapshots", "train --data CFG --seed 1 --out OUT", 2,
+          "error: need at least 4 pairs to train", edit=snapshots(3)),
+    fails("adapt-one-snapshot", "adapt --checkpoint CKPT --data CFG --out OUT", 2,
+          "error: trajectory too short to adapt over", edit=snapshots(1)),
     # every run trains on squared norms from the least-squares start
     *(fails(f"{key}-{where}", f"{TRAIN} {argv} --out OUT", 1, message, edit=edit)
       for key, value in [("warm_start", "off"), ("squared_norms", "on")]
@@ -157,6 +178,8 @@ FAILURES = [
             f"unknown method {name!r}; {KNOWN}",
             test="test_compare_unknown_method_is_usage_error")
       for name in ("PHYS", "physics", "ALDK-LMS")),
+    fails("compare-dk-without-checkpoint", f"{COMPARE} --methods DK --out OUT", 1,
+          "usage error: method DK needs a checkpoint path (checkpoint.dk)"),
     fails("compare-unknown-scenario", "compare --methods ALDK --checkpoint-aldk CKPT "
           "--scenario marsroad --seed 3 --out OUT", 1,
           "argument --scenario: invalid choice: 'marsroad'"),
@@ -238,6 +261,9 @@ FAILURES = [
     fails("inspect-other-loss", "inspect CKPT", 2,
           "checkpoint CKPT: squared_norms is False, not True",
           edit=lambda doc: doc.update(squared_norms=False)),
+    fails("checkpoint-nan-A", f"{ADAPT} --out OUT", 2,
+          "error: checkpoint CKPT: non-finite model parameters",
+          edit=lambda doc: doc["A_row_major"].__setitem__(0, float("nan"))),
     fails("checkpoint-missing-key", ADAPT, 2,
           "error: checkpoint CKPT: missing key 'normalizer_max'",
           edit=lambda doc: doc.pop("normalizer_max")),
@@ -306,6 +332,13 @@ FAILURES = [
            "--out /nonexistent/dir/cmp", "--out", None),
           ("adapt-history-dir", f"{ADAPT} --out OUT --history /nonexistent/dir/h.csv",
            "--history", None)]),
+    # so does an output file path that is a directory; the --log row writes
+    # no checkpoint at OUT either
+    *(fails(row_id, argv, 2, f"error: {setting}: DIR is a directory")
+      for row_id, argv, setting in [
+          ("simulate-out-is-dir", f"{STEP_STEER} --out DIR", "--out"),
+          ("train-log-is-dir", f"train {TRAIN_SETTINGS} --log DIR --out OUT", "--log"),
+          ("adapt-history-is-dir", f"{ADAPT} --history DIR --out OUT", "--history")]),
     # a prefix of a flag, which a config file may not use either
     *(fails(f"abbreviated-{flag}", f"{command} --out OUT", 1,
             "unrecognized arguments: --")
@@ -320,13 +353,20 @@ FAILURES = [
     fails("config-key-twice", "simulate --scenario step_steer --config CFG --out OUT", 1,
           "CFG: key 'duration' is given twice, on lines 1 and 3",
           edit="duration = 2\ndt = 0.025\nduration = 3\n"),
+    fails("config-line-without-equals",
+          "simulate --scenario step_steer --config CFG --out OUT", 1,
+          "CFG:2: expected 'key = value'", edit="duration = 2\ndt 0.025\n"),
+    # compare writes no wall-clock sidecar and takes no setting for one
+    fails("compare-timings-file", f"compare {COMPARE_SETTINGS} --config CFG --out OUT",
+          1, "CFG: unknown key 'timings' for compare", edit="timings = on\n"),
+    fails("compare-timings-flag", f"compare {COMPARE_SETTINGS} --timings on --out OUT",
+          1, "unrecognized arguments: --timings"),
     *(row for args in [
         ("train", "--data TRAJ --seed 5 --hidden 8 --feature-dim 2", "epochs", "abc"),
         ("train", TRAIN_SETTINGS, "learning_rate", "fast"),
         ("train", TRAIN_SETTINGS, "accel_loss", "ture"),
         ("compare", COMPARE_SETTINGS, "window", "1.5"),
         ("compare", COMPARE_SETTINGS, "forgetting", "abc"),
-        ("compare", COMPARE_SETTINGS, "timings", "yes"),
         ("adapt", ADAPT_SETTINGS, "window", "1.5"),
         ("adapt", ADAPT_SETTINGS, "forgetting", "x"),
         ("adapt", ADAPT_SETTINGS, "mode", "swls")] for row in config_value(*args)),
@@ -339,7 +379,7 @@ def rows(test):
 
 def assert_exit(workdir, tmp_path, capsys, argv, edit, code, message):
     paths = {"TRAJ": workdir["traj"], "CKPT": workdir["ckpt"],
-             "OUT": tmp_path / "out", "CFG": tmp_path / "run.cfg"}
+             "OUT": tmp_path / "out", "CFG": tmp_path / "run.cfg", "DIR": tmp_path}
     if callable(edit):
         doc = json.loads(workdir["ckpt"].read_text())
         edit(doc)
@@ -579,10 +619,11 @@ def test_compare_needs_no_seed(workdir, tmp_path):
     common = ["compare", "--methods", "PHYS-BASELINE,ALDK-SWLS",
               "--checkpoint-aldk", str(workdir["ckpt"]),
               "--scenario", "step_steer", "--scenario-duration", "5"]
-    assert run_cli(*common, "--out", str(tmp_path / "none")) == 0
+    (tmp_path / "none").mkdir()   # an existing directory is a valid prefix
+    assert run_cli(*common, "--out", str(tmp_path / "none") + "/") == 0
     assert run_cli(*common, "--seed", "3", "--out", str(tmp_path / "seed3")) == 0
     for ext in ("table.txt", "metrics.csv", "series.csv"):
-        assert ((tmp_path / f"none_step_steer.{ext}").read_bytes()
+        assert ((tmp_path / "none" / f"_step_steer.{ext}").read_bytes()
                 == (tmp_path / f"seed3_step_steer.{ext}").read_bytes())
 
 
@@ -599,31 +640,6 @@ def test_compare_method_names_match_in_any_case(workdir, tmp_path):
         assert lower == upper.replace("PHYS-BASELINE", "phys-baseline").replace(
             "ALDK-SWLS", "Aldk-Swls")
     assert len((tmp_path / "lower_sweep.csv").read_text().splitlines()) == 4
-
-
-def test_compare_timings_write_sidecars_only(workdir, tmp_path):
-    methods = ["PHYS-BASELINE", "ALDK", "ALDK-SWLS"]
-    for timings in ("off", "on"):
-        (tmp_path / timings).mkdir()
-        assert run_cli("compare", "--methods", ",".join(methods),
-                       "--checkpoint-aldk", str(workdir["ckpt"]),
-                       "--scenario", "suite", "--scenario-duration", "5",
-                       "--seed", "3", "--timings", timings,
-                       "--out", str(tmp_path / timings / "cmp")) == 0
-    off = sorted(p.name for p in (tmp_path / "off").iterdir())
-    on = sorted(p.name for p in (tmp_path / "on").iterdir())
-    stems = sorted(name[:-len(".table.txt")] for name in off
-                   if name.endswith(".table.txt"))
-    assert len(stems) == 7 and len(off) == 3 * 7
-    assert on == sorted(off + [stem + ".timing.csv" for stem in stems])
-    for name in off:
-        assert (tmp_path / "on" / name).read_bytes() == (
-            tmp_path / "off" / name).read_bytes()
-    for stem in stems:
-        rows = (tmp_path / "on" / (stem + ".timing.csv")).read_text().splitlines()
-        assert rows[0] == "method,runtime_s"
-        assert [r.split(",")[0] for r in rows[1:]] == methods
-        assert all(float(r.split(",")[1]) >= 0.0 for r in rows[1:])
 
 
 def test_compare_window_sweep_emits_summary(workdir, tmp_path):

@@ -353,6 +353,36 @@ def test_slalom_yaw_rate_follows_steering_period():
     assert crossings == 3
 
 
+@pytest.mark.parametrize("name, perturb, pinned", [
+    ("slalom", {}, {
+        0: (168.212255796, 0.0),
+        1: (168.21559197848129, 2.3561935212463183e-05),
+        2667: (182.29715451743414, -0.012994306266710809),
+        4000: (193.226952074, -3.673940397442059e-18),
+        8000: (241.58741750000002, -7.347880794884118e-18)}),
+    ("slalom", dict(dm=160.0, dIz=-158.0), {
+        0: (180.91949579599998, 0.0),
+        1: (180.92283197848127, 2.3561935212463183e-05),
+        2667: (195.00439451743415, -0.012994306266710809),
+        4000: (205.93419207399998, -3.673940397442059e-18),
+        8000: (254.2946575, -7.347880794884118e-18)}),
+    ("constant_radius", {}, {
+        0: (263.8741625, 0.025),
+        1: (263.8856933690972, 0.025),
+        800: (275.78505138888886, 0.025),
+        1200: (283.75766250000004, 0.025),
+        2400: (315.7441625, 0.025)}),
+], ids=["slalom", "slalom-perturbed", "constant_radius"])
+def test_speed_ramp_programs_match_pinned_inputs(name, perturb, pinned):
+    # (torque, steer) of the library scenario's grid, recorded before the two
+    # programs shared their speed ramp; compared exactly
+    sc = make_scenario(name, **perturb)
+    torques, steers = sc.input_program.sample(sc.time_grid(), sc.params)
+    assert len(torques) == max(pinned) + 1
+    for k, (torque, steer) in pinned.items():
+        assert (torques[k], steers[k]) == (torque, steer), k
+
+
 def test_failed_run_reports_time_of_failure():
     sc = Scenario(name="brake", duration=60.0, dt=0.025,
                   initial_state=VehicleState(3.0),
