@@ -14,6 +14,8 @@ evaluating each tire and each term separately in every evaluation.
 
 The dense-network kernels work on a flat parameter vector at the offsets of
 an `mlp.MlpLayout`; `koopman.lift` and the training loss call them directly.
+For training, the forward pass appends its input and each layer's output to
+a list that the backward pass reads, so no layer output is copied.
 """
 
 import math
@@ -174,59 +176,47 @@ def one_step_batch(states, torques, steers, dt, substeps, params):
 #   w_off[j]  = offset of the row-major (out_dim, in_dim) weight block
 #   b_off[j]  = offset of the bias vector; every layer has one
 #   acts[j]   = 0 linear, 1 tanh
-# The forward cache stores the input batch followed by every layer's
-# post-activation batch, which is all the backward pass needs.
+# A training forward pass keeps the input batch and every layer's post-activation
+# batch, not copies, in a list: all that the backward pass needs.
 
 ACT_LINEAR = 0
 ACT_TANH = 1
 
 
-def dense_forward(theta, shapes, w_off, b_off, acts, x, cache=None):
+def dense_forward(theta, shapes, w_off, b_off, acts, x, keep=None):
     """Forward pass of the batch `x`; returns the output batch.
 
-    With a `cache` array (batch, in0 + sum(out_j)) the input and every
-    layer's post-activation batch are also stored there for
-    `dense_backward`; with None (inference) nothing is kept.
+    With a `keep` list, `x` and each layer's post-activation batch are
+    appended to it for `dense_backward`; inference passes None.
     """
     layers = zip(shapes.tolist(), w_off.tolist(), b_off.tolist(), acts.tolist())
-    if cache is not None:
-        pos = x.shape[1]
-        cache[:, :pos] = x
+    if keep is not None:
+        keep.append(x)
     a = x
     for (out_d, in_d), wo, bo, act in layers:
         a = np.dot(a, theta[wo:wo + out_d * in_d].reshape(out_d, in_d).T)
         a += theta[bo:bo + out_d]
         if act == ACT_TANH:
             np.tanh(a, out=a)
-        if cache is not None:
-            cache[:, pos:pos + out_d] = a
-            pos += out_d
+        if keep is not None:
+            keep.append(a)
     return a
 
 
-def dense_backward(theta, shapes, w_off, b_off, acts, cache, gy, grad):
-    """Reverse pass: accumulates parameter gradients into `grad`, returns input gradient."""
-    dims = shapes.tolist()
-    w_offs, b_offs, codes = w_off.tolist(), b_off.tolist(), acts.tolist()
-    # activation-block start offsets inside the cache
-    starts = [0]
-    pos = dims[0][1]
-    for out_d, _ in dims:
-        starts.append(pos)
-        pos += out_d
-
+def dense_backward(theta, shapes, w_off, b_off, acts, gy, grad, kept):
+    """Reverse pass of the output gradient `gy` over the batches `kept` by
+    `dense_forward`: accumulates parameter gradients into `grad`, returns
+    the input gradient."""
+    layers = zip(shapes.tolist(), w_off.tolist(), b_off.tolist(), acts.tolist(),
+                 kept[:-1], kept[1:])
     g = gy
-    for j in range(len(dims) - 1, -1, -1):
-        out_d, in_d = dims[j]
-        wo, bo = w_offs[j], b_offs[j]
-        a_j = cache[:, starts[j + 1]:starts[j + 1] + out_d]
-        if codes[j] == ACT_TANH:
+    for (out_d, in_d), wo, bo, act, a_prev, a_j in reversed(list(layers)):
+        if act == ACT_TANH:
             g = g * (1.0 - a_j * a_j)
-        a_prev = cache[:, starts[j]:starts[j] + in_d]
         # g.T is copied to C order: with the transposed view BLAS sums the
         # batch in another order, which moves the gradient by ulps.
         gw = np.dot(np.ascontiguousarray(g.T), a_prev)
         grad[wo:wo + out_d * in_d] += gw.ravel()
-        grad[bo:bo + out_d] += np.sum(g, axis=0)
+        grad[bo:bo + out_d] += np.add.reduce(g, axis=0)
         g = np.dot(g, theta[wo:wo + out_d * in_d].reshape(out_d, in_d))
     return g

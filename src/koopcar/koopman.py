@@ -238,8 +238,9 @@ def measured_accel_combination(x_next: np.ndarray,
 
 def _norm_term(residual: np.ndarray) -> tuple[float, np.ndarray]:
     """Batch-mean squared norm of residual rows, and its gradient wrt them."""
-    value = float(np.mean(np.sum(residual * residual, axis=1)))
-    return value, (2.0 / residual.shape[0]) * residual
+    rows = residual.shape[0]
+    value = float(np.add.reduce(np.add.reduce(residual * residual, axis=1)) / rows)
+    return value, (2.0 / rows) * residual
 
 
 def _prepared_arrays(model: KoopmanModel, batch: PairBatch,
@@ -282,11 +283,10 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
     enc, dec = layout.enc, layout.dec
 
     # xi and xi1 pass forward through the encoder as one stacked batch
-    cache_e = np.empty((2 * nb, enc.cache_width)) if want_grad else None
-    cache_d = np.empty((nb, dec.cache_width)) if want_grad else None
+    kept_e, kept_d = ([], []) if want_grad else (None, None)
     x_both = np.concatenate((xi, xi1))
     phi = _kernels.dense_forward(theta, enc.shapes, enc.w_off, enc.b_off,
-                                 enc.acts, x_both, cache_e)
+                                 enc.acts, x_both, kept_e)
     z_both = np.hstack((x_both, phi))
     z_i, z_1 = z_both[:nb], z_both[nb:]
     z_hat = z_i @ A.T + ui @ Bm.T
@@ -297,7 +297,7 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
     l_pred, g_pred = _norm_term(r_pred)
 
     x_rec = _kernels.dense_forward(theta, dec.shapes, dec.w_off, dec.b_off,
-                                   dec.acts, phi[:nb], cache_d)
+                                   dec.acts, phi[:nb], kept_d)
     r_rec = xi - x_rec
     l_rec, g_rec = _norm_term(r_rec)
 
@@ -320,14 +320,16 @@ def _loss_and_grad(theta: np.ndarray, model: KoopmanModel, arrs: dict, *,
 
     g_xrec = -(weights.recon * g_rec)
     g_phi_dec = _kernels.dense_backward(theta, dec.shapes, dec.w_off, dec.b_off,
-                                        dec.acts, cache_d, g_xrec, grad)
-    # One reverse pass per half of the stacked cache: a single pass would add
+                                        dec.acts, g_xrec, grad, kept_d)
+    # One reverse pass per half of the stacked batch: a single pass would add
     # the two halves' batch sums in another order and move trained parameters
     # by ulps, which FFRLS (lambda < 1) downstream amplifies.
     _kernels.dense_backward(theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
-                            cache_e[:nb], (g_zhat @ A)[:, n:] + g_phi_dec, grad)
+                            (g_zhat @ A)[:, n:] + g_phi_dec, grad,
+                            [a[:nb] for a in kept_e])
     _kernels.dense_backward(theta, enc.shapes, enc.w_off, enc.b_off, enc.acts,
-                            cache_e[nb:], weights.linear * g_lin[:, n:], grad)
+                            weights.linear * g_lin[:, n:], grad,
+                            [a[nb:] for a in kept_e])
     return terms, grad
 
 

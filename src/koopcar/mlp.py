@@ -28,7 +28,6 @@ class MlpLayout:
     b_off: np.ndarray    # (J,) int64
     acts: np.ndarray     # (J,) int64
     size: int
-    cache_width: int
 
     @classmethod
     def build(cls, widths: tuple[int, ...], base: int = 0) -> "MlpLayout":
@@ -43,7 +42,7 @@ class MlpLayout:
         acts = np.full(len(shapes), ACT_TANH, dtype=np.int64)
         acts[-1] = ACT_LINEAR
         return cls(shapes=shapes, w_off=w_off, b_off=w_off + shapes[:, 0] * shapes[:, 1],
-                   acts=acts, size=int(ends[-1]) - base, cache_width=int(dims.sum()))
+                   acts=acts, size=int(ends[-1]) - base)
 
 
 def init_theta(widths: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -66,6 +65,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, which `adam_step` advances in place."""
     m: np.ndarray
     v: np.ndarray
     lr: float
@@ -78,18 +78,21 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray,
               state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update of `state` in place; returns new params
+    and `state`. A refused gradient leaves `state` untouched."""
     if params.shape != grads.shape:
         raise ValueError("parameter/gradient shape mismatch")
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient")
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, AdamState(m=m, v=v, lr=state.lr, step=t)
+    t = state.step = state.step + 1
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+    denom += ADAM_EPS
+    return params - state.lr * (m / (1.0 - ADAM_BETA1 ** t)) / denom, state
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from koopcar import _kernels
-from koopcar.mlp import AdamState, MlpLayout, Normalizer, adam_step, init_theta
+from koopcar.koopman import _norm_term
+from koopcar.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, MlpLayout,
+                         Normalizer, adam_step, init_theta)
 
 
 def dense(widths, theta):
@@ -12,12 +14,12 @@ def dense(widths, theta):
     args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts)
 
     def forward(x):
-        cache = np.empty((x.shape[0], lay.cache_width))
-        return _kernels.dense_forward(*args, x, cache), cache
+        kept = []
+        return _kernels.dense_forward(*args, x, kept), kept
 
-    def backward(cache, gy):
+    def backward(kept, gy):
         grad = np.zeros(lay.size)
-        return grad, _kernels.dense_backward(*args, cache, gy, grad)
+        return grad, _kernels.dense_backward(*args, gy, grad, kept)
 
     return forward, backward
 
@@ -77,18 +79,19 @@ def test_forward_determinism():
 
 
 def test_cache_free_forward_equals_cached_forward():
-    # tanh hidden layers and the linear head; inference skips only the cache
+    # tanh hidden layers and the linear head; inference skips only the list
     rng = np.random.default_rng(11)
     theta = init_theta((3, 7, 5, 4), rng)
     theta += 0.1 * rng.normal(size=theta.size)
     lay = MlpLayout.build((3, 7, 5, 4))
     x = rng.normal(size=(9, 3))
-    cache = np.empty((9, lay.cache_width))
+    kept = []
     args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts, x)
-    cached = _kernels.dense_forward(*args, cache)
+    cached = _kernels.dense_forward(*args, kept)
     free = _kernels.dense_forward(*args, None)
     assert np.array_equal(free, cached)
-    assert np.array_equal(cache[:, -4:], cached)
+    assert [a.shape for a in kept] == [(9, 3), (9, 7), (9, 5), (9, 4)]
+    assert kept[0] is x and kept[-1] is cached
 
 
 def test_layout_derives_from_widths():
@@ -99,7 +102,7 @@ def test_layout_derives_from_widths():
     assert lay.b_off.tolist() == [31, 73, 98]
     assert lay.acts.tolist() == [_kernels.ACT_TANH, _kernels.ACT_TANH,
                                  _kernels.ACT_LINEAR]
-    assert (lay.size, lay.cache_width) == (92, 19)
+    assert lay.size == 92
     for bad in [(3,), (3, 0, 2), (3, -1), (3, 2.0)]:
         with pytest.raises(ValueError, match="must be an input and an output width"):
             MlpLayout.build(bad)
@@ -168,6 +171,110 @@ def test_gradient_property_over_random_structures():
 
 
 # ---------------------------------------------------------------------------
+# bitwise oracles: the dense passes over one flat (rows, sum of widths) cache
+# of layer outputs, and an Adam step that returns new moments; the kernels
+# and the in-place Adam must match them bit for bit, as trained models do
+
+def cached_forward(theta, shapes, w_off, b_off, acts, x, cache):
+    layers = zip(shapes.tolist(), w_off.tolist(), b_off.tolist(), acts.tolist())
+    pos = x.shape[1]
+    cache[:, :pos] = x
+    a = x
+    for (out_d, in_d), wo, bo, act in layers:
+        a = np.dot(a, theta[wo:wo + out_d * in_d].reshape(out_d, in_d).T)
+        a += theta[bo:bo + out_d]
+        if act == _kernels.ACT_TANH:
+            np.tanh(a, out=a)
+        cache[:, pos:pos + out_d] = a
+        pos += out_d
+    return a
+
+
+def cached_backward(theta, shapes, w_off, b_off, acts, cache, gy, grad):
+    dims = shapes.tolist()
+    w_offs, b_offs, codes = w_off.tolist(), b_off.tolist(), acts.tolist()
+    starts = [0]
+    pos = dims[0][1]
+    for out_d, _ in dims:
+        starts.append(pos)
+        pos += out_d
+    g = gy
+    for j in range(len(dims) - 1, -1, -1):
+        out_d, in_d = dims[j]
+        wo, bo = w_offs[j], b_offs[j]
+        a_j = cache[:, starts[j + 1]:starts[j + 1] + out_d]
+        if codes[j] == _kernels.ACT_TANH:
+            g = g * (1.0 - a_j * a_j)
+        a_prev = cache[:, starts[j]:starts[j] + in_d]
+        gw = np.dot(np.ascontiguousarray(g.T), a_prev)
+        grad[wo:wo + out_d * in_d] += gw.ravel()
+        grad[bo:bo + out_d] += np.sum(g, axis=0)
+        g = np.dot(g, theta[wo:wo + out_d * in_d].reshape(out_d, in_d))
+    return g
+
+
+def functional_adam_step(params, grads, state):
+    t = state.step + 1
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(m=m, v=v, lr=state.lr, step=t)
+
+
+@pytest.mark.parametrize("rows", [1, 20, 256, 4096])
+@pytest.mark.parametrize("widths", [(3, 12), (3, 32, 32, 12), (12, 32, 32, 3),
+                                    (3, 16, 16, 16, 12)])
+def test_kept_list_passes_equal_flat_cache_passes(widths, rows):
+    # outputs, parameter and input gradients, bitwise: on one batch, and on a
+    # stacked batch whose two halves each take a reverse pass into one
+    # gradient, as the encoder's loss runs them
+    rng = np.random.default_rng(rows + len(widths))
+    lay = MlpLayout.build(widths)
+    theta = init_theta(widths, rng) + 0.1 * rng.normal(size=lay.size)
+    args = (theta, lay.shapes, lay.w_off, lay.b_off, lay.acts)
+    forward, _ = dense(widths, theta)
+    for halves in ([slice(None)], [slice(0, rows), slice(rows, None)]):
+        x = rng.normal(size=(rows * len(halves), widths[0]))
+        gy = rng.normal(size=(rows * len(halves), widths[-1]))
+        cache = np.empty((x.shape[0], sum(widths)))
+        expect = cached_forward(*args, x, cache)
+        y, kept = forward(x)
+        assert np.array_equal(y, expect)
+        grad_old, grad_new = np.zeros(lay.size), np.zeros(lay.size)
+        for h in halves:
+            gx_old = cached_backward(*args, cache[h], gy[h], grad_old)
+            gx_new = _kernels.dense_backward(*args, gy[h], grad_new,
+                                             [a[h] for a in kept])
+            assert np.array_equal(gx_new, gx_old)
+        assert np.array_equal(grad_new, grad_old)
+
+
+def test_in_place_adam_equals_functional_adam():
+    rng = np.random.default_rng(12)
+    params = expect = rng.normal(size=50)
+    state, expect_state = AdamState.create(50, lr=1e-3), AdamState.create(50, lr=1e-3)
+    for k in range(5):
+        g = rng.normal(size=50) * 10.0 ** rng.integers(-6, 3, size=50)
+        params, state = adam_step(params, g, state)
+        expect, expect_state = functional_adam_step(expect, g, expect_state)
+        assert np.array_equal(params, expect), k
+        assert np.array_equal(state.m, expect_state.m), k
+        assert np.array_equal(state.v, expect_state.v), k
+        assert state.step == expect_state.step == k + 1
+
+
+@pytest.mark.parametrize("rows", [1, 20, 256, 4096])
+def test_norm_term_equals_mean_of_row_sums(rows):
+    for width in (2, 3, 15):
+        r = np.random.default_rng(rows + width).normal(size=(rows, width))
+        value, grad = _norm_term(r)
+        assert value == float(np.mean(np.sum(r * r, axis=1)))
+        assert np.array_equal(grad, (2.0 / rows) * r)
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 def test_adam_zero_gradient_keeps_params():
@@ -200,9 +307,17 @@ def test_adam_descends_a_quadratic():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    with pytest.raises(ValueError):
-        adam_step(np.zeros(2), np.array([1.0, float("nan")]),
-                  AdamState.create(2, lr=1e-3))
+    # a refused gradient leaves the state, which a step advances in place,
+    # as it was
+    state = AdamState.create(2, lr=1e-3)
+    adam_step(np.zeros(2), np.array([0.5, -2.0]), state)
+    m, v = state.m.copy(), state.v.copy()
+    for bad in (np.array([1.0, float("nan")]), np.array([float("inf"), 1.0]),
+                np.ones(3)):
+        with pytest.raises(ValueError):
+            adam_step(np.zeros(2), bad, state)
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.step == 1
 
 
 # ---------------------------------------------------------------------------
