@@ -227,15 +227,31 @@ def _method_names(args) -> list[str]:
     return names
 
 
-def _build_methods(args, windows) -> list[list[ev.MethodSpec]]:
-    """The method specs of each window length in `windows`; each checkpoint is
-    read once, and every window is checked before any scenario runs."""
+def _build_methods(args) -> list[ev.MethodSpec]:
+    """The method specs in `--methods` order. ALDK-SWLS gives one spec per
+    `--window` length, named `<name>-M<m>` when there are several; each
+    checkpoint is read once, and every length is checked before any scenario
+    runs."""
+    names, windows = _method_names(args), args.window
+    modes = [METHODS[name.upper()][1] for name in names]
+    if len(windows) != 1:
+        given = args.given["window"]
+        if not windows:
+            raise UsageError(f"{given}: names no window length")
+        for i, m_len in enumerate(windows):
+            if m_len in windows[:i]:
+                raise UsageError(f"{given}: window length {m_len} is named twice")
+        if "SWLS" not in modes:
+            raise UsageError(f"{given}: only ALDK-SWLS reads the window, but "
+                             f"{args.given['methods']} does not name it")
     models: dict[str, km.KoopmanModel] = {}
 
     def spec(name: str, window: int) -> ev.MethodSpec:
         key, mode = METHODS[name.upper()]
         if key is None:
             return ev.MethodSpec(name=name)
+        if mode == "SWLS" and len(windows) > 1:
+            name += f"-M{window}"
         adapter = {} if mode is None else {"adapter": _adapter_config(args, mode, window)}
         method, path = key.split(".")[1].upper(), getattr(args, key)
         if path is None:
@@ -246,50 +262,25 @@ def _build_methods(args, windows) -> list[list[ev.MethodSpec]]:
             models[key] = km.load_checkpoint(path)
         return ev.MethodSpec(name=name, model=models[key], **adapter)
 
-    names = _method_names(args)
-    return [[spec(name, window) for name in names] for window in windows]
+    return [spec(name, m_len) for name, mode in zip(names, modes)
+            for m_len in (windows if mode == "SWLS" else windows[:1])]
 
 
 def cmd_compare(args) -> int:
-    """One comparison per scenario and window length: the `--sweep-window`
-    list, tagged `_M<m>` and summarized in `_sweep.csv`, or else `--window`."""
+    """One comparison, and one report set, per scenario."""
     _echo(args)
     _require(args, "out")
 
     scenario_list = (ev.scenario_suite(base_duration=args.scenario_duration)
                      if args.scenario == "suite" else
                      [sc.make_scenario(args.scenario, duration=args.scenario_duration)])
-
-    sweep = args.sweep_window is not None
-    if sweep:   # only SWLS rows reach the summary
-        given = args.given["sweep_window"]
-        if not args.sweep_window:
-            raise UsageError(f"{given}: names no window length")
-        for i, m_len in enumerate(args.sweep_window):
-            if m_len in args.sweep_window[:i]:
-                raise UsageError(f"{given}: window length {m_len} is named twice")
-        if "SWLS" not in (METHODS[n.upper()][1] for n in _method_names(args)):
-            raise UsageError(f"{given}: only ALDK-SWLS reads the window, but "
-                             f"{args.given['methods']} does not name it")
-    windows = args.sweep_window if sweep else (args.window,)
-    method_sets = _build_methods(args, windows)
-    rows: list[list[str]] = [[] for _ in windows]   # the summary, window-major
+    methods = _build_methods(args)
     for scenario in scenario_list:
-        trajectory = sc.run_scenario(scenario)
-        for m_len, methods, summary in zip(windows, method_sets, rows):
-            report = ev.run_comparison(methods, scenario, trajectory)
-            stem = f"{args.out}_{scenario.name}" + (f"_M{m_len}" if sweep else "")
-            ev.write_report_files(report, stem + ".table.txt",
-                                  stem + ".metrics.csv", stem + ".series.csv")
-            print(ev.format_report_table(report))
-            for res in report.results:
-                if METHODS[res.name.upper()][1] == "SWLS":
-                    summary += ["%d,%s,%s,%.17g\n" % (m_len, scenario.name, ch, rmse)
-                                for ch, rmse in zip(ev.CHANNEL_NAMES, res.metrics.rmse)]
-    if sweep:
-        with open(f"{args.out}_sweep.csv", "w", encoding="utf-8") as fh:
-            fh.writelines(["M,scenario,channel,rmse\n", *(r for s in rows for r in s)])
-        print(f"wrote window sweep summary to {args.out}_sweep.csv")
+        report = ev.run_comparison(methods, scenario)
+        stem = f"{args.out}_{scenario.name}"
+        ev.write_report_files(report, stem + ".table.txt",
+                              stem + ".metrics.csv", stem + ".series.csv")
+        print(ev.format_report_table(report))
     return 0
 
 
@@ -350,7 +341,6 @@ def auto_or_float(text: str):
 
 
 def _add_adapter_args(p: _Parser) -> None:
-    p.add_argument("--window", type=int, default=adapt_mod.AdapterConfig.window)
     p.add_argument("--forgetting", type=float,
                    default=adapt_mod.AdapterConfig.forgetting, help="FFRLS lambda")
     p.add_argument("--eps-reg", type=auto_or_float, default="auto",
@@ -397,9 +387,10 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--scenario-duration", type=float, default=ev.SUITE_DURATION)
     p_cmp.add_argument("--checkpoint-dk", dest="checkpoint.dk")
     p_cmp.add_argument("--checkpoint-aldk", dest="checkpoint.aldk")
+    p_cmp.add_argument("--window", type=int_list,
+                       default=(adapt_mod.AdapterConfig.window,),
+                       help="SWLS window lengths, a comma list")
     _add_adapter_args(p_cmp)
-    p_cmp.add_argument("--sweep-window", type=int_list,
-                       help="comma list of window lengths")
     p_cmp.set_defaults(func=cmd_compare, outputs=("out",))
 
     p_adapt = sub.add_parser("adapt", help="stream one adaptation run")
@@ -407,6 +398,7 @@ def build_parser() -> _Parser:
     p_adapt.add_argument("--data")
     p_adapt.add_argument("--mode", choices=adapt_mod.MODES,
                          default=adapt_mod.AdapterConfig.mode)
+    p_adapt.add_argument("--window", type=int, default=adapt_mod.AdapterConfig.window)
     _add_adapter_args(p_adapt)
     p_adapt.add_argument("--history", help="estimate-history dump path")
     p_adapt.set_defaults(func=cmd_adapt, outputs=("out", "history"))

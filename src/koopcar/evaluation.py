@@ -144,19 +144,17 @@ def _trajectory_sha(tr: Trajectory) -> str:
     return h.hexdigest()[:16]
 
 
-def run_comparison(methods: list[MethodSpec], scenario: Scenario,
-                   trajectory: Trajectory | None = None) -> ComparisonReport:
-    """Evaluate every method on one shared trajectory of the scenario.
+def run_comparison(methods: list[MethodSpec], scenario: Scenario) -> ComparisonReport:
+    """Evaluate every method on one shared trajectory, the scenario simulated
+    once.
 
-    The scenario is simulated here unless its `trajectory` is passed in.
     Raises ValueError, naming the method and the scenario, when a method's
     predictions are not finite.
     """
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("method names must be unique in a comparison")
-    if trajectory is None:
-        trajectory = run_scenario(scenario)
+    trajectory = run_scenario(scenario)
     truth = trajectory.states[1:]
     report = ComparisonReport(scenario_name=scenario.name,
                               trajectory_sha=_trajectory_sha(trajectory))

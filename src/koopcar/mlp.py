@@ -115,8 +115,11 @@ class Normalizer:
             k = bad[0]
             raise ValueError(f"normalizer channel {k} has min {self.lo[k]} and "
                              f"max {self.hi[k]}; both must be finite")
-        if np.any(self.hi < self.lo):
-            raise ValueError("per-channel min must not exceed max")
+        bad = np.flatnonzero(self.hi < self.lo)
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"normalizer channel {k} has min {self.lo[k]} and "
+                             f"max {self.hi[k]}; the min must not exceed the max")
 
     @classmethod
     def fit(cls, *blocks: np.ndarray) -> "Normalizer":

@@ -667,3 +667,15 @@ def test_adapt_run_rejects_a_non_finite_measurement(short_mixed, quick_model,
     broken = dataclasses.replace(short_mixed, **{column: bad})
     with pytest.raises(ValueError, match="non-finite measurement"):
         adapt_run(quick_model, broken, AdapterConfig(mode=mode))
+
+
+def test_adapt_run_rejects_a_non_finite_lift(short_mixed, quick_model, monkeypatch):
+    # finite measurements whose lift overflows: the encoder's output is checked too
+    def overflowing(model, xn):
+        z = lift(model, xn)
+        z[3, -1] = np.inf
+        return z
+
+    monkeypatch.setattr(adapt, "lift", overflowing)
+    with pytest.raises(ValueError, match="^non-finite measurement$"):
+        adapt_run(quick_model, short_mixed, AdapterConfig(mode="SWLS"))

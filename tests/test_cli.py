@@ -194,22 +194,29 @@ FAILURES = [
           f"{COMPARE} --methods PHYS-BASELINE,phys-baseline --out OUT", 1,
           "method 'phys-baseline' is named twice"),
     # a window sweep needs a window length and a method that reads the window
-    fails("compare-sweep-no-window", f"compare {COMPARE_SETTINGS} --sweep-window , "
-          "--out OUT", 1, "--sweep-window: names no window length"),
+    fails("compare-sweep-no-window", f"compare {COMPARE_SETTINGS} --window , "
+          "--out OUT", 1, "--window: names no window length"),
     fails("compare-sweep-no-window-file", f"compare {COMPARE_SETTINGS} --config CFG "
-          "--out OUT", 1, "CFG: key 'sweep_window': names no window length",
-          edit="sweep_window = ,\n"),
+          "--out OUT", 1, "CFG: key 'window': names no window length",
+          edit="window = ,\n"),
     fails("compare-sweep-no-swls",
-          f"{COMPARE} --methods PHYS-BASELINE --sweep-window 0,5 --out OUT", 1,
-          "--sweep-window: only ALDK-SWLS reads the window, but --methods "
+          f"{COMPARE} --methods PHYS-BASELINE --window 0,5 --out OUT", 1,
+          "--window: only ALDK-SWLS reads the window, but --methods "
           "does not name it"),
     fails("compare-sweep-window-twice",
-          f"compare {COMPARE_SETTINGS} --sweep-window 25,50,25 --out OUT", 1,
-          "--sweep-window: window length 25 is named twice"),
+          f"compare {COMPARE_SETTINGS} --window 25,50,25 --out OUT", 1,
+          "--window: window length 25 is named twice"),
+    # --window takes the sweep's lengths, so compare has no second setting
+    fails("compare-sweep-window-flag",
+          f"compare {COMPARE_SETTINGS} --sweep-window 20,40 --out OUT", 1,
+          "unrecognized arguments: --sweep-window"),
+    fails("compare-sweep-window-key", f"compare {COMPARE_SETTINGS} --config CFG "
+          "--out OUT", 1, "CFG: unknown key 'sweep_window' for compare",
+          edit="sweep_window = 20\n"),
     # every window length is checked before the first report is written
     *(fails(row_id, f"{command} --out OUT", 2, "error: window length must be >= 1, got 0")
       for row_id, command in [
-          ("compare-sweep-window-0", f"compare {COMPARE_SETTINGS} --sweep-window 5,0"),
+          ("compare-sweep-window-0", f"compare {COMPARE_SETTINGS} --window 5,0"),
           ("compare-window-0", f"compare {COMPARE_SETTINGS} --window 0"),
           ("adapt-window-0", f"{ADAPT} --window 0")]),
     fails("adapt-forgetting-1.5", f"{ADAPT} --mode FFRLS --forgetting 1.5 --out OUT", 2,
@@ -312,6 +319,12 @@ FAILURES = [
            lambda doc: doc["normalizer_max"].pop()),
           ("theta-string", "theta_encoder[0] is 'a', not a number",
            lambda doc: doc["theta_encoder"].__setitem__(0, "a")),
+          ("theta-not-a-list", "theta_encoder is 'abc', not a list of 50 numbers",
+           lambda doc: doc.update(theta_encoder="abc")),
+          ("normalizer-min-above-max",
+           "normalizer channel 1 has min 2.0 and max 1.0; the min must not exceed the max",
+           lambda doc: doc.update(normalizer_min=[0.0, 2.0, 0.0, 0.0, 0.0],
+                                  normalizer_max=[1.0] * 5)),
           # a JSON integer past the float range names the file
           ("theta-huge-int", "int too large to convert to float",
            lambda doc: doc["theta_encoder"].__setitem__(0, 10 ** 400)),
@@ -361,6 +374,9 @@ FAILURES = [
           1, "CFG: unknown key 'timings' for compare", edit="timings = on\n"),
     fails("compare-timings-flag", f"compare {COMPARE_SETTINGS} --timings on --out OUT",
           1, "unrecognized arguments: --timings"),
+    # --help is no failure: it prints the usage to stdout and exits 0
+    *(fails(f"{row_id}-help", argv, 0, "usage: koopcar", test="test_help_exits_zero")
+      for row_id, argv in [("koopcar", "--help"), ("train", "train --help")]),
     *(row for args in [
         ("train", "--data TRAJ --seed 5 --hidden 8 --feature-dim 2", "epochs", "abc"),
         ("train", TRAIN_SETTINGS, "learning_rate", "fast"),
@@ -455,6 +471,12 @@ def test_adapt_rejects_nan_normalizer_checkpoint(workdir, tmp_path, capsys, argv
 def test_adapt_rejects_layers_train_does_not_write(workdir, tmp_path, capsys, argv,
                                                    edit, code, message):
     assert_exit(workdir, tmp_path, capsys, argv, edit, code, message)
+
+
+@pytest.mark.parametrize(ROW, rows("test_help_exits_zero"))
+def test_help_exits_zero(capsys, argv, edit, code, message):
+    assert main(shlex.split(argv)) == code
+    assert message in capsys.readouterr().out
 
 
 def test_every_row_is_run():
@@ -629,31 +651,40 @@ def test_compare_needs_no_seed(workdir, tmp_path):
 
 def test_compare_method_names_match_in_any_case(workdir, tmp_path):
     common = ["--checkpoint-aldk", str(workdir["ckpt"]), "--scenario", "step_steer",
-              "--scenario-duration", "5", "--sweep-window", "20"]
+              "--scenario-duration", "5", "--window", "20,40"]
     for tag, methods in (("upper", "PHYS-BASELINE,ALDK-SWLS"),
-                         ("lower", "phys-baseline,Aldk-Swls")):
+                         ("lower", "phys-baseline,aldk-swls")):
         assert run_cli("compare", "--methods", methods, *common,
                        "--out", str(tmp_path / tag)) == 0
-    for suffix in ("_step_steer_M20.table.txt", "_sweep.csv"):
-        upper = (tmp_path / f"upper{suffix}").read_text()
-        lower = (tmp_path / f"lower{suffix}").read_text()
+    for ext in ("table.txt", "metrics.csv", "series.csv"):
+        upper = (tmp_path / f"upper_step_steer.{ext}").read_text()
+        lower = (tmp_path / f"lower_step_steer.{ext}").read_text()
         assert lower == upper.replace("PHYS-BASELINE", "phys-baseline").replace(
-            "ALDK-SWLS", "Aldk-Swls")
-    assert len((tmp_path / "lower_sweep.csv").read_text().splitlines()) == 4
+            "ALDK-SWLS", "aldk-swls")
+    assert list(report_blocks(tmp_path / "lower_step_steer.metrics.csv")) == [
+        "phys-baseline", "aldk-swls-M20", "aldk-swls-M40"]
 
 
-def test_compare_window_sweep_emits_summary(workdir, tmp_path):
-    prefix = tmp_path / "sw"
-    assert run_cli("compare", "--methods", "ALDK-SWLS",
+def report_blocks(path):
+    """method -> the lines of a metrics or series file, the method column cut."""
+    blocks = {}
+    for line in path.read_text().splitlines()[1:]:
+        method, rest = line.split(",", 1)
+        blocks.setdefault(method, []).append(rest)
+    return blocks
+
+
+def test_compare_window_sweep_adds_one_swls_row_per_length(workdir, tmp_path, capsys):
+    assert run_cli("compare", "--methods", "ALDK,ALDK-SWLS,PHYS-BASELINE",
                    "--checkpoint-aldk", str(workdir["ckpt"]),
                    "--scenario", "step_steer", "--scenario-duration", "15",
-                   "--sweep-window", "25,50", "--seed", "3",
-                   "--out", str(prefix)) == 0
-    assert (tmp_path / "sw_step_steer_M25.metrics.csv").exists()
-    assert (tmp_path / "sw_step_steer_M50.metrics.csv").exists()
-    summary = (tmp_path / "sw_sweep.csv").read_text().splitlines()
-    assert summary[0] == "M,scenario,channel,rmse"
-    assert len(summary) == 1 + 2 * 3  # two windows x three channels
+                   "--window", "25,50", "--out", str(tmp_path / "sw")) == 0
+    assert "  window = 25,50\n" in capsys.readouterr().out
+    # one report set for the scenario, whatever the number of lengths
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"sw_step_steer.{ext}" for ext in ("metrics.csv", "series.csv", "table.txt")]
+    assert list(report_blocks(tmp_path / "sw_step_steer.metrics.csv")) == [
+        "ALDK", "ALDK-SWLS-M25", "ALDK-SWLS-M50", "PHYS-BASELINE"]
 
 
 def test_compare_window_sweep_simulates_each_scenario_once(
@@ -670,19 +701,21 @@ def test_compare_window_sweep_simulates_each_scenario_once(
     common = ["compare", "--methods", "PHYS-BASELINE,ALDK-SWLS",
               "--checkpoint-aldk", str(workdir["ckpt"]),
               "--scenario", "suite", "--scenario-duration", "5", "--seed", "3"]
-    assert run_cli(*common, "--sweep-window", "25,50",
-                   "--out", str(tmp_path / "sw")) == 0
-    assert len(calls) == 7
+    assert run_cli(*common, "--window", "25,50", "--out", str(tmp_path / "sw")) == 0
+    names = [s.name for s in evaluation.scenario_suite(base_duration=5.0)]
+    assert calls == names
     for m_len in (25, 50):
-        plain = tmp_path / f"plain{m_len}"
-        assert run_cli(*common, "--window", str(m_len), "--out", str(plain)) == 0
-        names = sorted(p.name[len(plain.name):] for p in tmp_path.iterdir()
-                       if p.name.startswith(plain.name + "_"))
-        assert len(names) == 3 * 7
-        for name in names:
-            stem, ext = name.split(".", 1)
-            swept = tmp_path / f"sw{stem}_M{m_len}.{ext}"
-            assert swept.read_bytes() == (tmp_path / (plain.name + name)).read_bytes()
+        assert run_cli(*common, "--window", str(m_len),
+                       "--out", str(tmp_path / f"plain{m_len}")) == 0
+    # each length's SWLS row and series block are a plain run's at that length
+    for name in names:
+        for ext in ("metrics.csv", "series.csv"):
+            swept = report_blocks(tmp_path / f"sw_{name}.{ext}")
+            assert list(swept) == ["PHYS-BASELINE", "ALDK-SWLS-M25", "ALDK-SWLS-M50"]
+            for m_len in (25, 50):
+                plain = report_blocks(tmp_path / f"plain{m_len}_{name}.{ext}")
+                assert swept[f"ALDK-SWLS-M{m_len}"] == plain["ALDK-SWLS"]
+                assert swept["PHYS-BASELINE"] == plain["PHYS-BASELINE"]
 
 
 def test_compare_window_is_read_only_by_swls(workdir, tmp_path):

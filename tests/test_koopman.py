@@ -76,6 +76,20 @@ def test_model_views_and_channel_normalizers():
     assert np.array_equal(model.B, b_block)
 
 
+@pytest.mark.parametrize("enc, dec, normalizer, theta_size, message", [
+    ((4, 8, 2), (2, 8, 3), NORM5, None, "encoder dims must map n -> p"),
+    ((3, 8, 2), (3, 8, 3), NORM5, None, "decoder dims must map p -> n"),
+    ((3, 8, 2), (2, 8, 2), NORM5, None, "decoder dims must map p -> n"),
+    ((3, 8, 2), (2, 8, 3), Normalizer(lo=NORM5.lo[:3], hi=NORM5.hi[:3]), None,
+     "normalizer must cover state and input channels"),
+    ((3, 8, 2), (2, 8, 3), NORM5, 7, r"theta must have shape \(136,\)"),
+], ids=["encoder-in", "decoder-in", "decoder-out", "normalizer", "theta"])
+def test_model_rejects_parts_that_do_not_fit(enc, dec, normalizer, theta_size, message):
+    size = _Layout.build(enc, dec).size if theta_size is None else theta_size
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        KoopmanModel(enc, dec, np.zeros(size), normalizer, 0.025)
+
+
 def test_lift_keeps_state_in_first_components():
     model = tiny_model()
     x = np.array([0.3, -0.2, 0.7])
@@ -192,6 +206,16 @@ def test_pairs_reject_nonuniform_spacing():
                     inputs=np.zeros((3, 2)), accels=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="uniform"):
         PairBatch.from_trajectory(tr)
+
+
+def test_pairs_reject_arrays_of_other_lengths_and_one_snapshot():
+    b = random_batch(3)
+    with pytest.raises(ValueError, match="^pair arrays must share the sample axis$"):
+        PairBatch(b.x_now, b.u_now[:2], b.x_next, b.acc_next, b.dt)
+    one = Trajectory(t=np.zeros(1), states=np.ones((1, 3)), inputs=np.ones((1, 2)),
+                     accels=np.ones((1, 2)))
+    with pytest.raises(ValueError, match="^need at least two snapshots to form pairs$"):
+        PairBatch.from_trajectory(one)
 
 
 def test_pairs_are_views_of_the_trajectory():
@@ -389,6 +413,15 @@ def test_edmd_ridge_handles_degenerate_data():
 def test_edmd_rejects_tiny_datasets():
     with pytest.raises(ValueError):
         edmd_fit(np.ones((3, 1)), np.ones((3, 1)), np.ones((2, 1)))
+
+
+def test_edmd_rejects_snapshot_matrices_of_other_column_counts():
+    for z_next, u_now in ((np.ones((3, 4)), np.ones((2, 5))),
+                          (np.ones((3, 5)), np.ones((2, 4))),
+                          (np.ones((2, 5)), np.ones((2, 5)))):
+        with pytest.raises(ValueError, match="^snapshot matrices must share the "
+                                             "column count$"):
+            edmd_fit(np.ones((3, 5)), z_next, u_now)
 
 
 def test_edmd_solution_is_a_local_optimum():

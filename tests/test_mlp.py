@@ -378,3 +378,13 @@ def test_normalizer_rejects_non_finite_bounds(bound, value):
     bounds[bound][1] = value
     with pytest.raises(ValueError, match="normalizer channel 1 .*must be finite"):
         Normalizer(**bounds)
+
+
+def test_normalizer_rejects_mismatched_or_inverted_bounds():
+    with pytest.raises(ValueError, match="^lo/hi must be equal-length vectors$"):
+        Normalizer(lo=np.zeros(3), hi=np.ones(2))
+    with pytest.raises(ValueError, match="^lo/hi must be equal-length vectors$"):
+        Normalizer(lo=np.zeros((2, 2)), hi=np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"^normalizer channel 2 has min 3\.0 and max "
+                       r"2\.0; the min must not exceed the max$"):
+        Normalizer(lo=np.array([0.0, 1.0, 3.0, 5.0]), hi=np.array([1.0, 1.0, 2.0, 4.0]))

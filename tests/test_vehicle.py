@@ -335,6 +335,11 @@ def test_scenario_rejects_zero_and_non_finite_duration():
     assert make_scenario("step_steer").duration == 30.0   # None: the default
 
 
+def test_make_scenario_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match=r"^unknown scenario 'marsroad'; known: \["):
+        make_scenario("marsroad")
+
+
 def test_run_scenario_equilibrium_is_constant():
     sc = Scenario(name="eq", duration=2.0, dt=0.025,
                   initial_state=VehicleState(15.0),
