@@ -279,7 +279,7 @@ def cmd_compare(args) -> int:
         report = ev.run_comparison(methods, scenario)
         stem = f"{args.out}_{scenario.name}"
         ev.write_report_files(report, stem + ".table.txt",
-                              stem + ".metrics.csv", stem + ".series.csv")
+                              stem + ".metrics.csv", stem + ".series.npy")
         print(ev.format_report_table(report))
     return 0
 

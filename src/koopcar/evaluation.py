@@ -19,7 +19,7 @@ from .adapt import AdapterConfig, adapt_run
 from .koopman import KoopmanModel, one_step_predictions
 from .scenarios import Scenario, make_scenario, run_scenario
 from .vehicle import (VALIDITY_FLOOR, ModelValidityError, Trajectory,
-                      VehicleParams, write_rows)
+                      VehicleParams)
 
 MS_TO_KMH = 3.6
 RAD_TO_DEG = 180.0 / np.pi
@@ -189,26 +189,26 @@ def scenario_suite(base_duration: float = SUITE_DURATION) -> list[Scenario]:
 # report output
 
 def format_report_table(report: ComparisonReport) -> str:
-    """Aligned human-readable table, one row per method, Max/RMSE per channel."""
+    """Aligned human-readable table, one row per method, Max/RMSE per channel.
+    The first column is as wide as the longest method name, at least 16."""
+    rows = [("Estimation Error",
+             [f"{name} ({unit})" for name, unit in zip(CHANNEL_NAMES, CHANNEL_UNITS)]),
+            ("", ["Max/RMSE"] * 3)]
+    rows += [(res.name, [f"{mx:.3f}/{rm:.3f}"
+                         for mx, rm in zip(res.metrics.max_abs, res.metrics.rmse)])
+             for res in report.results]
+    width = max(len(label) for label, _ in rows)
     lines = [f"Scenario: {report.scenario_name}  "
              f"[traj {report.trajectory_sha if report.results else '-'}]"]
-    header = f"{'Estimation Error':<16s}"
-    for name, unit in zip(CHANNEL_NAMES, CHANNEL_UNITS):
-        header += f"  {name + ' (' + unit + ')':>18s}"
-    lines.append(header)
-    sub = f"{'':<16s}" + f"  {'Max/RMSE':>18s}" * 3
-    lines.append(sub)
-    for res in report.results:
-        row = f"{res.name:<16s}"
-        for mx, rm in zip(res.metrics.max_abs, res.metrics.rmse):
-            row += f"  {f'{mx:.3f}/{rm:.3f}':>18s}"
-        lines.append(row)
+    lines += [f"{label:<{width}s}" + "".join(f"  {cell:>18s}" for cell in cells)
+              for label, cells in rows]
     return "\n".join(lines) + "\n"
 
 
 def write_report_files(report: ComparisonReport, table_path, machine_path,
                        series_path) -> None:
-    """Write the aligned table, the machine-readable rows, and error series."""
+    """Write the aligned table, the machine-readable rows, and the error series
+    as one `.npy` array: a (3,) float64 field per method, row i for step i+1."""
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write(format_report_table(report))
     with open(machine_path, "w", encoding="utf-8") as fh:
@@ -218,8 +218,9 @@ def write_report_files(report: ComparisonReport, table_path, machine_path,
                 fh.write("%s,%s,%.17g,%.17g\n"
                          % (res.name, name, res.metrics.max_abs[ci],
                             res.metrics.rmse[ci]))
-    with open(series_path, "w", encoding="utf-8") as fh:
-        fh.write("method,k,err_Vx_kmh,err_Vy_kmh,err_wr_degs\n")
-        for res in report.results:
-            write_rows(fh, res.name.replace("%", "%%") + ",%d,%.17g,%.17g,%.17g\n",
-                       (res.errors,), first_index=1)
+    series = np.zeros(len(report.results[0].errors) if report.results else 0,
+                      [(res.name, np.float64, (3,)) for res in report.results])
+    for res in report.results:
+        series[res.name] = res.errors
+    with open(series_path, "wb") as fh:   # np.save given a path appends ".npy"
+        np.save(fh, series, allow_pickle=False)

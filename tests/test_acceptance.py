@@ -328,7 +328,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         compare_files.append([
             (tmp_path / f"cmp_{tag}_step_steer.table.txt").read_bytes(),
             (tmp_path / f"cmp_{tag}_step_steer.metrics.csv").read_bytes(),
-            (tmp_path / f"cmp_{tag}_step_steer.series.csv").read_bytes()])
+            (tmp_path / f"cmp_{tag}_step_steer.series.npy").read_bytes()])
     compare_ok = compare_files[0] == compare_files[1]
     check(9, "repeated cmd_train and cmd_compare runs are byte-identical",
           train_ok and compare_ok,

@@ -644,7 +644,7 @@ def test_compare_needs_no_seed(workdir, tmp_path):
     (tmp_path / "none").mkdir()   # an existing directory is a valid prefix
     assert run_cli(*common, "--out", str(tmp_path / "none") + "/") == 0
     assert run_cli(*common, "--seed", "3", "--out", str(tmp_path / "seed3")) == 0
-    for ext in ("table.txt", "metrics.csv", "series.csv"):
+    for ext in ("table.txt", "metrics.csv", "series.npy"):
         assert ((tmp_path / "none" / f"_step_steer.{ext}").read_bytes()
                 == (tmp_path / f"seed3_step_steer.{ext}").read_bytes())
 
@@ -656,17 +656,26 @@ def test_compare_method_names_match_in_any_case(workdir, tmp_path):
                          ("lower", "phys-baseline,aldk-swls")):
         assert run_cli("compare", "--methods", methods, *common,
                        "--out", str(tmp_path / tag)) == 0
-    for ext in ("table.txt", "metrics.csv", "series.csv"):
+
+    def lowered(text):   # the names as given; the -M<m> suffix keeps its case
+        return text.replace("PHYS-BASELINE", "phys-baseline").replace(
+            "ALDK-SWLS", "aldk-swls")
+
+    for ext in ("table.txt", "metrics.csv"):
         upper = (tmp_path / f"upper_step_steer.{ext}").read_text()
         lower = (tmp_path / f"lower_step_steer.{ext}").read_text()
-        assert lower == upper.replace("PHYS-BASELINE", "phys-baseline").replace(
-            "ALDK-SWLS", "aldk-swls")
+        assert lower == lowered(upper)
+    upper, lower = (np.load(tmp_path / f"{tag}_step_steer.series.npy",
+                            allow_pickle=False) for tag in ("upper", "lower"))
+    assert lower.dtype.names == tuple(map(lowered, upper.dtype.names))
+    for name in upper.dtype.names:
+        assert np.array_equal(lower[lowered(name)], upper[name])
     assert list(report_blocks(tmp_path / "lower_step_steer.metrics.csv")) == [
         "phys-baseline", "aldk-swls-M20", "aldk-swls-M40"]
 
 
 def report_blocks(path):
-    """method -> the lines of a metrics or series file, the method column cut."""
+    """method -> the lines of a metrics file, the method column cut."""
     blocks = {}
     for line in path.read_text().splitlines()[1:]:
         method, rest = line.split(",", 1)
@@ -682,7 +691,7 @@ def test_compare_window_sweep_adds_one_swls_row_per_length(workdir, tmp_path, ca
     assert "  window = 25,50\n" in capsys.readouterr().out
     # one report set for the scenario, whatever the number of lengths
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        f"sw_step_steer.{ext}" for ext in ("metrics.csv", "series.csv", "table.txt")]
+        f"sw_step_steer.{ext}" for ext in ("metrics.csv", "series.npy", "table.txt")]
     assert list(report_blocks(tmp_path / "sw_step_steer.metrics.csv")) == [
         "ALDK", "ALDK-SWLS-M25", "ALDK-SWLS-M50", "PHYS-BASELINE"]
 
@@ -707,15 +716,22 @@ def test_compare_window_sweep_simulates_each_scenario_once(
     for m_len in (25, 50):
         assert run_cli(*common, "--window", str(m_len),
                        "--out", str(tmp_path / f"plain{m_len}")) == 0
-    # each length's SWLS row and series block are a plain run's at that length
+    # each length's SWLS row and series field are a plain run's at that length
     for name in names:
-        for ext in ("metrics.csv", "series.csv"):
-            swept = report_blocks(tmp_path / f"sw_{name}.{ext}")
-            assert list(swept) == ["PHYS-BASELINE", "ALDK-SWLS-M25", "ALDK-SWLS-M50"]
-            for m_len in (25, 50):
-                plain = report_blocks(tmp_path / f"plain{m_len}_{name}.{ext}")
-                assert swept[f"ALDK-SWLS-M{m_len}"] == plain["ALDK-SWLS"]
-                assert swept["PHYS-BASELINE"] == plain["PHYS-BASELINE"]
+        swept = report_blocks(tmp_path / f"sw_{name}.metrics.csv")
+        swept_series = np.load(tmp_path / f"sw_{name}.series.npy", allow_pickle=False)
+        assert list(swept) == ["PHYS-BASELINE", "ALDK-SWLS-M25", "ALDK-SWLS-M50"]
+        assert list(swept_series.dtype.names) == list(swept)
+        for m_len in (25, 50):
+            plain = report_blocks(tmp_path / f"plain{m_len}_{name}.metrics.csv")
+            plain_series = np.load(tmp_path / f"plain{m_len}_{name}.series.npy",
+                                   allow_pickle=False)
+            assert swept[f"ALDK-SWLS-M{m_len}"] == plain["ALDK-SWLS"]
+            assert swept["PHYS-BASELINE"] == plain["PHYS-BASELINE"]
+            assert np.array_equal(swept_series[f"ALDK-SWLS-M{m_len}"],
+                                  plain_series["ALDK-SWLS"])
+            assert np.array_equal(swept_series["PHYS-BASELINE"],
+                                  plain_series["PHYS-BASELINE"])
 
 
 def test_compare_window_is_read_only_by_swls(workdir, tmp_path):
@@ -725,7 +741,7 @@ def test_compare_window_is_read_only_by_swls(workdir, tmp_path):
                        "--checkpoint-aldk", str(workdir["ckpt"]),
                        "--scenario", "step_steer", "--scenario-duration", "2",
                        "--window", window, "--out", str(tmp_path / f"w{window}")) == 0
-    for ext in ("table.txt", "metrics.csv", "series.csv"):
+    for ext in ("table.txt", "metrics.csv", "series.npy"):
         assert ((tmp_path / f"w0_step_steer.{ext}").read_bytes()
                 == (tmp_path / f"w100_step_steer.{ext}").read_bytes())
 

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from koopcar import adapt
 from koopcar.adapt import AdapterConfig, adapt_run
-from koopcar.evaluation import (ChannelMetrics, MethodSpec, baseline_params,
-                                error_series, format_report_table, metrics,
+from koopcar.evaluation import (ChannelMetrics, ComparisonReport, MethodResult,
+                                MethodSpec, baseline_params, error_series,
+                                format_report_table, metrics,
                                 physics_baseline, run_comparison, run_method,
                                 scenario_suite, write_report_files)
 from koopcar.koopman import one_step_predictions
@@ -225,10 +228,43 @@ def test_report_files_are_deterministic(tmp_path, quick_model):
     for tag in ("a", "b"):
         report = run_comparison(comparison_methods(quick_model), scenario)
         paths = [tmp_path / f"{tag}.table.txt", tmp_path / f"{tag}.metrics.csv",
-                 tmp_path / f"{tag}.series.csv"]
+                 tmp_path / f"{tag}.series.npy"]
         write_report_files(report, *paths)
         outs.append([p.read_bytes() for p in paths])
     assert outs[0] == outs[1]
+
+
+def test_report_series_is_one_field_per_method(tmp_path, quick_model):
+    scenario = make_scenario("mixed", duration=10.0)
+    methods = comparison_methods(quick_model)
+    # a series path without the .npy suffix is written exactly as given
+    paths = [tmp_path / "r.table.txt", tmp_path / "r.metrics.csv",
+             tmp_path / "r.series"]
+    write_report_files(run_comparison(methods, scenario), *paths)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r.metrics.csv", "r.series", "r.table.txt"]
+    series = np.load(paths[2], allow_pickle=False)
+    tr = run_scenario(scenario)
+    assert series.shape == (len(tr) - 1,)
+    rows = paths[1].read_text().splitlines()[1:]
+    assert list(series.dtype.names) == [row.split(",")[0] for row in rows[::3]]
+    for spec in methods:
+        assert series.dtype[spec.name] == np.dtype((np.float64, (3,)))
+        errors = error_series(run_method(spec, tr), tr.states[1:])
+        assert series[spec.name].tobytes() == errors.tobytes()
+
+
+def test_report_table_columns_line_up_past_16_characters():
+    scores = ChannelMetrics(max_abs=(1.0, 2.0, 3.0), rmse=(0.5, 1.0, 1.5))
+    report = ComparisonReport("step_steer", "0" * 16, [
+        MethodResult(name, scores, np.zeros((1, 3)))
+        for name in ("ALDK", "ALDK-SWLS-M100000")])   # the second is 17 wide
+    header, sub, *rows = format_report_table(report).splitlines()[1:]
+    ends = [header.index(label) + len(label)
+            for label in ("Vx (km/h)", "Vy (km/h)", "wr (deg/s)")]
+    assert [m.end() for m in re.finditer(r"\S+", sub)] == ends
+    for row in rows:
+        assert [m.end() for m in re.finditer(r"\S+", row)][1:] == ends
 
 
 def test_report_table_layout(quick_model):
